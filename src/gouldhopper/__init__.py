@@ -16,13 +16,8 @@ from .exactalg import (
     TruncationError,
     VAR_NAMES,
     as_scalar,
-    poly_add,
-    poly_diff,
-    poly_mul,
-    poly_subst,
     rising_factorial,
     series_binomial_neg,
-    series_coeff,
     series_exp,
 )
 from .ghcore import (
@@ -108,17 +103,12 @@ __all__ = [
     "origin_value",
     "parse_tag",
     "pochhammer_tail",
-    "poly_add",
-    "poly_diff",
-    "poly_mul",
-    "poly_subst",
     "property_suite",
     "random_polynomial",
     "residual",
     "rising_factorial",
     "run_cell",
     "series_binomial_neg",
-    "series_coeff",
     "series_exp",
     "solve",
     "summarize",

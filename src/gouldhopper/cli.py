@@ -19,7 +19,7 @@ import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
-from .exactalg import Poly, TruncationError, VAR_NAMES
+from .exactalg import Poly, VAR_NAMES
 from .ghcore import (
     STRATEGIES,
     FamilyParams,
@@ -209,6 +209,17 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational number: {text!r}") from exc
 
 
+def parse_count(text: str) -> int:
+    """Parse a count that must be at least 1 (workers, trials)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def parse_pq_list(text: str) -> tuple[tuple[int, int], ...]:
     """Parse '1,1;2,1' into ((1,1),(2,1))."""
     pairs = []
@@ -372,15 +383,16 @@ def _cmd_compute(args) -> int:
     for name in names:
         try:
             gh = STRATEGIES[name](params, args.order)
+            poly = gh.poly.subst(bindings) if bindings else gh.poly
         except UnsupportedRepresentationError as exc:
             if args.strategy == "all":
                 continue
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        except TruncationError as exc:
+        except ValueError as exc:
+            # a truncation order too low, or a degree past the kernel bound
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        poly = gh.poly.subst(bindings) if bindings else gh.poly
         results.append((name, poly))
 
     if args.format == "json":
@@ -548,7 +560,7 @@ def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
         default="auto",
         help="printed form, corrected form, both, or printed-else-corrected",
     )
-    sub.add_argument("--jobs", type=int, default=1, help="worker processes")
+    sub.add_argument("--jobs", type=parse_count, default=1, help="worker processes (>= 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -607,7 +619,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_grid_flags(audit)
     audit.add_argument("--seed", type=int, default=0, help="seed for the property suite")
-    audit.add_argument("--trials", type=int, default=25, help="random initial data count")
+    audit.add_argument(
+        "--trials", type=parse_count, default=25, help="random initial data count (>= 1)"
+    )
     audit.add_argument("--format", choices=("text", "json"), default="json")
     audit.set_defaults(handler=_cmd_audit)
 

@@ -1,8 +1,7 @@
 """Exact sparse polynomial and truncated power-series arithmetic.
 
-Everything here is computed over arbitrary-precision rationals
-(``fractions.Fraction``), so a zero produced by the algebra is a proved
-zero, never a rounding accident.
+Everything here is computed exactly over the rationals, so a zero
+produced by the algebra is a proved zero, never a rounding accident.
 
 Polynomials live in a fixed, ordered alphabet of ring variables::
 
@@ -14,22 +13,52 @@ Polynomials live in a fixed, ordered alphabet of ring variables::
 are auxiliary scale parameters, and ``u``/``v`` double as the generating
 variables of :class:`SeriesUV`.
 
-A :class:`Poly` maps exponent vectors (one slot per alphabet entry) to
-nonzero coefficients; the zero polynomial stores nothing.  The canonical
-term order is graded lexicographic over the alphabet above - compare
-total degree first, then the exponent vectors - read descending, and
-every serialization (text, LaTeX, JSON, CSV) follows it, which is what
-makes the output of two identical runs byte-for-byte equal.
+**Packed monomials.**  A :class:`Poly` keys each term by its exponent
+vector packed into one nonnegative int (packed exponent vectors as in
+Monagan & Pearce, 2007): one field of ``FIELD_BITS`` bits per alphabet
+slot, ``z`` highest, and the total degree in a field above them all::
 
-No division, gcd, or factorization is provided: the identity engine
-built on top only ever needs ring operations, substitution, formal
-differentiation, and truncated series in ``u``, ``v``.
+    | total degree | z | w | g | t | zp | wp | gp | a | b | c | u | v |
+      high bits                                              low bits
+
+Multiplying two monomials is one int addition, and dividing out
+``var^e`` subtracts ``e * unit[var]`` (a one in the field of ``var`` and
+in the degree field).  Comparing keys as ints compares the total degree
+first and then the exponents in alphabet order, which is the canonical
+graded lexicographic order.  Read descending, it is the order every
+serialization (text, LaTeX, JSON, CSV) follows, and what makes the output
+of two identical runs byte-for-byte equal.
+
+**Degree bound.**  A field holds ``0 .. MAX_DEGREE`` (``2**16 - 1`` =
+65535).  No exponent exceeds its monomial's total degree, so keeping
+every total degree within ``MAX_DEGREE`` keeps every field in range, and
+adding keys never carries into a neighbouring field.  Building a
+monomial, product, power, substitution or series fold whose total degree
+would pass the bound raises ``ValueError`` naming ``MAX_DEGREE`` before
+the arithmetic is done: the kernel never wraps.
+
+**Shared denominator.**  Coefficients are integer numerators over one
+positive denominator per polynomial, kept reduced:
+``gcd(den, *numerators) == 1``.  Every family member has integer
+coefficients, so ``den`` is almost always 1 and no gcd is taken.  Zero
+numerators are never stored, and the zero polynomial has ``den == 1``.
+This normal form is unique, so equality compares the dict and the
+denominator.  :meth:`Poly.terms` and :meth:`Poly.sorted_terms` hand each
+coefficient out as a reduced ``Fraction`` with the unpacked exponent
+tuple, so a serialization depends only on the polynomial, never on how
+it was computed.
+
+No division, gcd, or factorization of polynomials is provided: the
+identity engine built on top only ever needs ring operations,
+substitution, formal differentiation, and truncated series in ``u``,
+``v``.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import struct
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -40,7 +69,20 @@ VAR_NAMES: tuple[str, ...] = ("z", "w", "g", "t", "zp", "wp", "gp", "a", "b", "c
 VAR_INDEX: dict[str, int] = {name: i for i, name in enumerate(VAR_NAMES)}
 
 _NVARS = len(VAR_NAMES)
-_ZERO_EXPS = (0,) * _NVARS
+
+FIELD_BITS = 16
+MAX_DEGREE = (1 << FIELD_BITS) - 1
+_MASK = MAX_DEGREE
+# bit offset of each variable's field; z is highest, the degree sits above
+_SHIFT: tuple[int, ...] = tuple(FIELD_BITS * (_NVARS - 1 - i) for i in range(_NVARS))
+_DEG_SHIFT = FIELD_BITS * _NVARS
+# key of the monomial `var`: its own field and the degree field both 1
+_UNIT: tuple[int, ...] = tuple((1 << shift) + (1 << _DEG_SHIFT) for shift in _SHIFT)
+# one unsigned 16-bit field per slot, degree first: unpacks a key in one call
+_KEY_LAYOUT = struct.Struct(f">{_NVARS + 1}H")
+# the series variables' fields, read by SeriesUV
+_U_SHIFT, _V_SHIFT = _SHIFT[VAR_INDEX["u"]], _SHIFT[VAR_INDEX["v"]]
+_U_UNIT, _V_UNIT = _UNIT[VAR_INDEX["u"]], _UNIT[VAR_INDEX["v"]]
 
 # Presentation order used only by the LaTeX renderer: parameters first,
 # then the main variables, so a term prints as "2\gamma z" rather than
@@ -89,19 +131,145 @@ def _var_index(name: str) -> int:
         raise ValueError(f"unknown variable {name!r}") from None
 
 
-class Poly:
-    """Immutable sparse multivariate polynomial with Fraction coefficients.
+def _check_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise ValueError(
+            f"total degree {degree} exceeds the kernel bound MAX_DEGREE = {MAX_DEGREE}"
+        )
 
-    Instances are never mutated after construction; all operations return
-    new polynomials, so sharing (and caching) them is safe.
+
+def _pack(exps: Mapping[str, int]) -> int:
+    """The packed key of prod(var^e) for a {name: exponent} mapping."""
+    key = total = 0
+    for name, e in exps.items():
+        if e < 0:
+            raise ValueError(f"negative exponent for {name}")
+        key += e * _UNIT[_var_index(name)]
+        total += e
+    _check_degree(total)
+    return key
+
+
+def _unpack(key: int) -> tuple[int, ...]:
+    """The exponent tuple (alphabet order) of a packed key."""
+    return _KEY_LAYOUT.unpack(key.to_bytes(_KEY_LAYOUT.size, "big"))[1:]
+
+
+def _top_degree(num: Mapping[int, int]) -> int:
+    # the largest key leads in graded order, so it carries the top degree
+    return max(num) >> _DEG_SHIFT
+
+
+def _reduced(num: dict[int, int], den: int) -> "Poly":
+    """A Poly from nonzero numerators over a positive `den`, reduced."""
+    if den != 1:
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            num = {k: c // g for k, c in num.items()}
+            den //= g
+    return Poly(num, den)
+
+
+def _add(a: "Poly", b: "Poly", sign: int) -> "Poly":
+    """a + sign * b."""
+    if not b._num:
+        return a
+    da, db = a._den, b._den
+    if da == db:
+        den, scale = da, sign
+        out = dict(a._num)
+    else:
+        den = da // math.gcd(da, db) * db
+        scale = sign * (den // db)
+        up = den // da
+        out = {k: c * up for k, c in a._num.items()}
+    get = out.get
+    for k, c in b._num.items():
+        s = get(k, 0) + c * scale
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return _reduced(out, den)
+
+
+class _Sum:
+    """A running sum of polynomials, accumulated in place in one dict.
+
+    Adding to it never copies what it holds, unlike ``total = total + p``.
+    Its numerators sit over ``den``, the lcm of the denominators added so
+    far; zeros are dropped only once, in :meth:`poly`.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("num", "den")
 
-    def __init__(self, terms: Mapping[tuple[int, ...], Fraction] | None = None):
-        # Internal: callers must pass already-normalized data (no zero
-        # coefficients, exponent tuples of full alphabet length).
-        self._terms: dict[tuple[int, ...], Fraction] = dict(terms) if terms else {}
+    def __init__(self):
+        self.num: dict[int, int] = {}
+        self.den = 1
+
+    def _scale_for(self, den: int) -> int:
+        # Bring the sum over a common denominator with `den`; return the
+        # factor that puts a numerator over `den` onto the sum's one.
+        if den != self.den:
+            common = math.lcm(self.den, den)
+            if common != self.den:
+                up = common // self.den
+                self.num = {k: c * up for k, c in self.num.items()}
+                self.den = common
+        return self.den // den
+
+    def add(self, poly: "Poly", shift: int = 0, factor: int = 1) -> None:
+        """Add ``factor * x^shift * poly``, `shift` a packed monomial key."""
+        scale = self._scale_for(poly._den) * factor
+        num = self.num
+        get = num.get
+        for k, c in poly._num.items():
+            k += shift
+            num[k] = get(k, 0) + c * scale
+
+    def add_product(self, a: "Poly", b: "Poly") -> None:
+        """Add ``a * b`` without building the product on its own."""
+        if not a._num or not b._num:
+            return
+        _check_degree(_top_degree(a._num) + _top_degree(b._num))
+        scale = self._scale_for(a._den * b._den)
+        num = self.num
+        get = num.get
+        items = b._num.items()
+        for k1, c1 in a._num.items():
+            c1 *= scale
+            for k2, c2 in items:
+                k = k1 + k2
+                num[k] = get(k, 0) + c1 * c2
+
+    def add_term(self, key: int, num: int, den: int = 1) -> None:
+        """Add the single term ``num/den * x^key``."""
+        scale = self._scale_for(den)
+        self.num[key] = self.num.get(key, 0) + num * scale
+
+    def poly(self, den: int = 1) -> "Poly":
+        """The sum divided by `den`, as a reduced Poly."""
+        return _reduced({k: c for k, c in self.num.items() if c}, self.den * den)
+
+
+class Poly:
+    """Immutable sparse multivariate polynomial with rational coefficients.
+
+    Terms map packed monomial keys (see the module docstring) to nonzero
+    integer numerators over one shared positive denominator, reduced so
+    that ``gcd(den, *numerators) == 1``.  Instances are never mutated
+    after construction; all operations return new polynomials, so
+    sharing (and caching) them is safe.
+    """
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num: dict[int, int] | None = None, den: int = 1):
+        # Internal: callers pass normalized data (packed keys, no zero
+        # numerators, den positive and coprime to the numerators).  The
+        # dict is taken over, not copied.
+        self._num: dict[int, int] = {} if num is None else num
+        self._den = den
 
     # -- constructors -------------------------------------------------
 
@@ -114,18 +282,16 @@ class Poly:
         c = as_scalar(value)
         if c == 0:
             return cls()
-        return cls({_ZERO_EXPS: c})
+        return cls({0: c.numerator}, c.denominator)
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls({_ZERO_EXPS: Fraction(1)})
+        return cls({0: 1})
 
     @classmethod
     def variable(cls, name: str) -> "Poly":
         """The polynomial consisting of the single variable `name`."""
-        exps = [0] * _NVARS
-        exps[_var_index(name)] = 1
-        return cls({tuple(exps): Fraction(1)})
+        return cls({_UNIT[_var_index(name)]: 1})
 
     @classmethod
     def monomial(cls, exps: Mapping[str, int], coeff: ScalarLike = 1) -> "Poly":
@@ -133,76 +299,80 @@ class Poly:
         c = as_scalar(coeff)
         if c == 0:
             return cls()
-        vec = [0] * _NVARS
-        for name, e in exps.items():
-            if e < 0:
-                raise ValueError(f"negative exponent for {name}")
-            vec[_var_index(name)] = e
-        return cls({tuple(vec): c})
+        return cls({_pack(exps): c.numerator}, c.denominator)
 
     # -- inspection ---------------------------------------------------
 
     def terms(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-        return iter(self._terms.items())
+        """(exponent tuple, coefficient) pairs, in no particular order."""
+        den = self._den
+        return ((_unpack(k), Fraction(c, den)) for k, c in self._num.items())
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms in canonical order: graded lex, leading term first."""
-        return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        return [(exps, Fraction(n, d)) for exps, n, d in self._canonical_terms()]
+
+    def _canonical_terms(self) -> list[tuple[tuple[int, ...], int, int]]:
+        # (exponents, numerator, denominator) in canonical order, each
+        # coefficient reduced on its own, as a Fraction would be
+        num, den = self._num, self._den
+        if den == 1:
+            return [(_unpack(k), num[k], 1) for k in sorted(num, reverse=True)]
+        out = []
+        for k in sorted(num, reverse=True):
+            g = math.gcd(num[k], den)
+            out.append((_unpack(k), num[k] // g, den // g))
+        return out
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._num)
 
     def degree(self, name: str) -> int:
         """Largest exponent of `name`; -1 for the zero polynomial."""
-        if not self._terms:
+        if not self._num:
             return -1
-        idx = _var_index(name)
-        return max(exps[idx] for exps in self._terms)
+        shift = _SHIFT[_var_index(name)]
+        return max((k >> shift) & _MASK for k in self._num)
 
     def total_degree(self) -> int:
-        if not self._terms:
+        if not self._num:
             return -1
-        return max(sum(exps) for exps in self._terms)
+        return _top_degree(self._num)
 
     def variables(self) -> set[str]:
-        used: set[str] = set()
-        for exps in self._terms:
-            for i, e in enumerate(exps):
-                if e:
-                    used.add(VAR_NAMES[i])
-        return used
+        used = 0
+        for k in self._num:
+            used |= k
+        return {name for name, shift in zip(VAR_NAMES, _SHIFT) if (used >> shift) & _MASK}
 
     def constant_term(self) -> Fraction:
-        return self._terms.get(_ZERO_EXPS, Fraction(0))
+        return Fraction(self._num.get(0, 0), self._den)
 
     def as_fraction(self) -> Fraction:
         """The value of a constant polynomial; raises if any variable is left."""
-        if not self._terms:
+        if not self._num:
             return Fraction(0)
-        if len(self._terms) == 1 and _ZERO_EXPS in self._terms:
-            return self._terms[_ZERO_EXPS]
+        if len(self._num) == 1 and 0 in self._num:
+            return Fraction(self._num[0], self._den)
         raise ValueError("polynomial is not constant")
 
     def coefficient(self, name: str, power: int) -> "Poly":
         """The coefficient of name^power, itself a polynomial without `name`."""
         idx = _var_index(name)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self._terms.items():
-            if exps[idx] == power:
-                reduced = list(exps)
-                reduced[idx] = 0
-                out[tuple(reduced)] = c
-        return Poly(out)
+        shift = _SHIFT[idx]
+        drop = power * _UNIT[idx]
+        out = {k - drop: c for k, c in self._num.items() if (k >> shift) & _MASK == power}
+        return _reduced(out, self._den)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
-            return self._terms == other._terms
+            return self._den == other._den and self._num == other._num
         if isinstance(other, (int, Fraction)):
             return self == Poly.const(other)
         return NotImplemented
@@ -212,58 +382,63 @@ class Poly:
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "Poly | ScalarLike") -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
         if not isinstance(other, Poly):
-            return NotImplemented
-        out = dict(self._terms)
-        for exps, c in other._terms.items():
-            s = out.get(exps, Fraction(0)) + c
-            if s:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
-        return Poly(out)
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Poly.const(other)
+        return _add(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly({exps: -c for exps, c in self._terms.items()})
+        return Poly({k: -c for k, c in self._num.items()}, self._den)
 
     def __sub__(self, other: "Poly | ScalarLike") -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
         if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Poly.const(other)
+        return _add(self, other, -1)
 
     def __rsub__(self, other: "Poly | ScalarLike") -> "Poly":
         return (-self) + other
 
     def __mul__(self, other: "Poly | ScalarLike") -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            c = as_scalar(other)
-            if c == 0:
-                return Poly()
-            return Poly({exps: c * v for exps, v in self._terms.items()})
         if not isinstance(other, Poly):
-            return NotImplemented
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return Poly(out)
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            if not other:
+                return Poly()
+            n = other.numerator
+            return _reduced({k: v * n for k, v in self._num.items()}, self._den * other.denominator)
+        big, small = self._num, other._num
+        if len(big) < len(small):
+            big, small = small, big
+        if not small:
+            return Poly()
+        _check_degree(_top_degree(big) + _top_degree(small))
+        # one row per term of the smaller factor; the first row cannot
+        # collide with itself, so it is built in one comprehension
+        rows = iter(small.items())
+        k2, c2 = next(rows)
+        out = {k1 + k2: c1 * c2 for k1, c1 in big.items()}
+        if len(small) > 1:
+            get = out.get
+            for k2, c2 in rows:
+                for k1, c1 in big.items():
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
+            if 0 in out.values():
+                out = {k: c for k, c in out.items() if c}
+        return _reduced(out, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
+        if exponent and self._num:
+            _check_degree(exponent * _top_degree(self._num))
         result = Poly.one()
         base = self
         e = exponent
@@ -284,18 +459,15 @@ class Poly:
         if order == 0:
             return self
         idx = _var_index(name)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self._terms.items():
-            e = exps[idx]
-            if e < order:
-                continue
-            factor = 1
-            for i in range(order):
-                factor *= e - i
-            reduced = list(exps)
-            reduced[idx] = e - order
-            out[tuple(reduced)] = c * factor
-        return Poly(out)
+        shift = _SHIFT[idx]
+        drop = order * _UNIT[idx]
+        perm = math.perm
+        out: dict[int, int] = {}
+        for k, c in self._num.items():
+            e = (k >> shift) & _MASK
+            if e >= order:
+                out[k - drop] = c * perm(e, order)
+        return _reduced(out, self._den)
 
     def subst(self, bindings: Mapping[str, "Poly | ScalarLike"]) -> "Poly":
         """Substitute polynomials (or exact scalars) for variables.
@@ -305,26 +477,32 @@ class Poly:
         """
         if not bindings:
             return self
-        normalized: dict[int, Poly] = {}
+        fields = []  # (shift, unit, degree of the replacement, its powers)
         for name, value in bindings.items():
-            normalized[_var_index(name)] = value if isinstance(value, Poly) else Poly.const(value)
-        powers: dict[int, list[Poly]] = {idx: [Poly.one()] for idx in normalized}
-        result = Poly()
-        for exps, coeff in self._terms.items():
-            kept = list(exps)
+            idx = _var_index(name)
+            repl = value if isinstance(value, Poly) else Poly.const(value)
+            fields.append((_SHIFT[idx], _UNIT[idx], max(repl.total_degree(), 0), [Poly.one(), repl]))
+        total = _Sum()
+        for key, coeff in self._num.items():
+            kept, degree, factors = key, 0, []
+            for shift, unit, repl_degree, powers in fields:
+                e = (key >> shift) & _MASK
+                if e:
+                    kept -= e * unit
+                    degree += e * repl_degree
+                    factors.append((powers, e))
+            if not factors:
+                total.add_term(kept, coeff)
+                continue
+            # the term's image has exactly this degree; check it before powering
+            _check_degree((kept >> _DEG_SHIFT) + degree)
             acc: Poly | None = None
-            for idx, repl in normalized.items():
-                e = exps[idx]
-                if not e:
-                    continue
-                kept[idx] = 0
-                cache = powers[idx]
-                while len(cache) <= e:
-                    cache.append(cache[-1] * repl)
-                acc = cache[e] if acc is None else acc * cache[e]
-            base = Poly({tuple(kept): coeff})
-            result = result + (base if acc is None else base * acc)
-        return result
+            for powers, e in factors:
+                while len(powers) <= e:
+                    powers.append(powers[-1] * powers[1])
+                acc = powers[e] if acc is None else acc * powers[e]
+            total.add(acc, kept, coeff)
+        return total.poly(self._den)
 
     # -- serialization ------------------------------------------------
 
@@ -333,32 +511,32 @@ class Poly:
 
         Round-trips through the expression parser in :mod:`.cli`.
         """
-        if not self._terms:
+        if not self._num:
             return "0"
         chunks: list[str] = []
-        for position, (exps, coeff) in enumerate(self.sorted_terms()):
+        for position, (exps, num, den) in enumerate(self._canonical_terms()):
             mono = " ".join(
                 name if e == 1 else f"{name}^{e}"
                 for name, e in zip(VAR_NAMES, exps)
                 if e
             )
-            mag = abs(coeff)
+            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
             if mono:
-                body = mono if mag == 1 else f"{mag} * {mono}"
+                body = mono if mag == "1" else f"{mag} * {mono}"
             else:
-                body = str(mag)
+                body = mag
             if position == 0:
-                chunks.append(f"-{body}" if coeff < 0 else body)
+                chunks.append(f"-{body}" if num < 0 else body)
             else:
-                chunks.append(f"- {body}" if coeff < 0 else f"+ {body}")
+                chunks.append(f"- {body}" if num < 0 else f"+ {body}")
         return " ".join(chunks)
 
     def latex(self) -> str:
         """LaTeX form, e.g. ``z^{2}w + 2\\gamma z``."""
-        if not self._terms:
+        if not self._num:
             return "0"
         chunks: list[str] = []
-        for position, (exps, coeff) in enumerate(self.sorted_terms()):
+        for position, (exps, num, den) in enumerate(self._canonical_terms()):
             factors = []
             for name in _LATEX_VAR_ORDER:
                 e = exps[VAR_INDEX[name]]
@@ -372,19 +550,18 @@ class Poly:
                 if mono and _CONTROL_WORD_TAIL.search(mono):
                     mono += " "
                 mono += factor
-            mag = abs(coeff)
-            if mag.denominator == 1:
-                mag_str = str(mag.numerator)
+            if den == 1:
+                mag_str = str(abs(num))
             else:
-                mag_str = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
+                mag_str = f"\\frac{{{abs(num)}}}{{{den}}}"
             if mono:
-                body = mono if mag == 1 else f"{mag_str}{mono}"
+                body = mono if mag_str == "1" else f"{mag_str}{mono}"
             else:
                 body = mag_str
             if position == 0:
-                chunks.append(f"-{body}" if coeff < 0 else body)
+                chunks.append(f"-{body}" if num < 0 else body)
             else:
-                chunks.append(f" - {body}" if coeff < 0 else f" + {body}")
+                chunks.append(f" - {body}" if num < 0 else f" + {body}")
         return "".join(chunks)
 
     def to_json_obj(self) -> list[dict]:
@@ -394,21 +571,21 @@ class Poly:
         with numerator/denominator as exact decimal strings.
         """
         out = []
-        for exps, coeff in self.sorted_terms():
+        for exps, num, den in self._canonical_terms():
             out.append({
                 "exps": {name: e for name, e in zip(VAR_NAMES, exps) if e},
-                "num": str(coeff.numerator),
-                "den": str(coeff.denominator),
+                "num": str(num),
+                "den": str(den),
             })
         return out
 
     @classmethod
     def from_json_obj(cls, obj: Iterable[Mapping]) -> "Poly":
-        total = cls()
+        total = _Sum()
         for term in obj:
             coeff = Fraction(int(term["num"]), int(term["den"]))
-            total = total + cls.monomial(dict(term["exps"]), coeff)
-        return total
+            total.add_term(_pack(dict(term["exps"])), coeff.numerator, coeff.denominator)
+        return total.poly()
 
     def __repr__(self) -> str:
         return f"Poly({self.text()})"
@@ -449,19 +626,12 @@ class SeriesUV:
 
         Terms of total u,v-degree beyond `order` are dropped.
         """
-        ui = VAR_INDEX["u"]
-        vi = VAR_INDEX["v"]
-        coeffs: dict[tuple[int, int], Poly] = {}
-        for exps, c in poly.terms():
-            i, j = exps[ui], exps[vi]
-            if i + j > order:
-                continue
-            stripped = list(exps)
-            stripped[ui] = 0
-            stripped[vi] = 0
-            key = (i, j)
-            coeffs[key] = coeffs.get(key, Poly.zero()) + Poly({tuple(stripped): c})
-        return cls(order, coeffs)
+        groups: dict[tuple[int, int], dict[int, int]] = {}
+        for k, c in poly._num.items():
+            i, j = (k >> _U_SHIFT) & _MASK, (k >> _V_SHIFT) & _MASK
+            if i + j <= order:
+                groups.setdefault((i, j), {})[k - i * _U_UNIT - j * _V_UNIT] = c
+        return cls(order, {key: _reduced(num, poly._den) for key, num in groups.items()})
 
     def coeff(self, i: int, j: int) -> Poly:
         """Coefficient of u^i v^j; raises beyond the truncation order."""
@@ -479,10 +649,11 @@ class SeriesUV:
 
     def to_poly(self) -> Poly:
         """Fold the series back into a polynomial carrying u, v factors."""
-        total = Poly.zero()
+        total = _Sum()
         for (i, j), poly in self._coeffs.items():
-            total = total + poly * Poly.monomial({"u": i, "v": j})
-        return total
+            _check_degree(_top_degree(poly._num) + i + j)
+            total.add(poly, i * _U_UNIT + j * _V_UNIT)
+        return total.poly()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SeriesUV):
@@ -495,13 +666,11 @@ class SeriesUV:
         if not isinstance(other, SeriesUV):
             return NotImplemented
         order = min(self._order, other._order)
-        out: dict[tuple[int, int], Poly] = {}
-        for key in set(self._coeffs) | set(other._coeffs):
-            if key[0] + key[1] > order:
-                continue
-            s = self._coeffs.get(key, Poly.zero()) + other._coeffs.get(key, Poly.zero())
-            if not s.is_zero():
-                out[key] = s
+        out = dict(self._coeffs)
+        for key, poly in other._coeffs.items():
+            mine = out.get(key)
+            out[key] = poly if mine is None else mine + poly
+        # the constructor drops zero sums and pairs beyond `order`
         return SeriesUV(order, out)
 
     def __neg__(self) -> "SeriesUV":
@@ -521,54 +690,22 @@ class SeriesUV:
         if not isinstance(other, SeriesUV):
             return NotImplemented
         order = min(self._order, other._order)
-        out: dict[tuple[int, int], Poly] = {}
+        sums: dict[tuple[int, int], _Sum] = {}
         for (i1, j1), p1 in self._coeffs.items():
             for (i2, j2), p2 in other._coeffs.items():
                 i, j = i1 + i2, j1 + j2
                 if i + j > order:
                     continue
-                key = (i, j)
-                s = out.get(key, Poly.zero()) + p1 * p2
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return SeriesUV(order, out)
+                total = sums.get((i, j))
+                if total is None:
+                    total = sums[(i, j)] = _Sum()
+                total.add_product(p1, p2)
+        return SeriesUV(order, {key: total.poly() for key, total in sums.items()})
 
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"SeriesUV(order={self._order}, {self.to_poly().text()})"
-
-
-# -- module-level operations ------------------------------------------
-#
-# Thin functional aliases over the methods above; these are the names the
-# rest of the package (and external callers) program against.
-
-def poly_add(a: Poly, b: Poly) -> Poly:
-    """Sum of two polynomials."""
-    return a + b
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    """Product of two polynomials."""
-    return a * b
-
-
-def poly_diff(a: Poly, name: str, order: int = 1) -> Poly:
-    """Formal partial derivative of `a` with respect to `name`."""
-    return a.diff(name, order)
-
-
-def poly_subst(a: Poly, bindings: Mapping[str, Poly | ScalarLike]) -> Poly:
-    """Simultaneous substitution of polynomials/scalars for variables."""
-    return a.subst(bindings)
-
-
-def series_coeff(series: SeriesUV, i: int, j: int) -> Poly:
-    """Coefficient of u^i v^j in a truncated series."""
-    return series.coeff(i, j)
 
 
 def series_exp(arg: SeriesUV | Poly, order: int | None = None) -> SeriesUV:

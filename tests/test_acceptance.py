@@ -5,6 +5,7 @@ only when a polynomial difference is identically zero (or a series
 matches coefficient by coefficient through its stated order).
 """
 
+import hashlib
 import subprocess
 import sys
 import time
@@ -175,6 +176,31 @@ def test_pde_suite():
     )
 
 
+# SHA-256 of the stdout of fixed CLI runs, recorded with the earlier
+# Fraction/tuple kernel; any kernel or audit change must reproduce them
+# byte for byte.
+GOLDEN_DIGESTS = {
+    ("audit", "--nmax", "4", "--mmax", "4", "--aux-max", "2", "--seed", "1"):
+        "c69d74c10f7f9f76a7664673ac774d0b9eeef0c763a1c904cd4bd66144e4891f",
+    ("compute", "--p", "2", "--q", "3", "--n", "14", "--m", "12",
+     "--strategy", "all", "--format", "json"):
+        "c45def953cfdeb0d1280664b7c4d9f5868faa1a9d8404e05f98398cacf647bbf",
+    ("heat", "--p", "2", "--q", "1", "--c=3/7",
+     "--initial=1/2*z^3*w^2 - 5/3*z*w^4 + 7", "--format", "json"):
+        "e98b0aeef0c975d9b7dc3bf24030ed3bba458475790ad196f4b3a4796d6e2aeb",
+}
+# the default `audit --seed 42` document (6,535,293 bytes)
+DEFAULT_AUDIT_SEED42_SHA256 = "a4723f57be0fdac80ac152647e4fb257b529018278fdf28d38e97d13ea8fff70"
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_DIGESTS), ids=lambda argv: argv[0])
+def test_golden_digests(argv):
+    run = subprocess.run([sys.executable, "-m", "gouldhopper.cli", *argv],
+                         capture_output=True, timeout=280)
+    assert run.returncode == 0, run.stderr.decode()
+    assert hashlib.sha256(run.stdout).hexdigest() == GOLDEN_DIGESTS[argv]
+
+
 @pytest.mark.parametrize("jobs", ["8"])
 def test_audit_determinism(jobs):
     argv = [
@@ -195,3 +221,4 @@ def test_audit_determinism(jobs):
     )
     assert serial.returncode == 0
     assert serial.stdout == first.stdout
+    assert hashlib.sha256(serial.stdout).hexdigest() == DEFAULT_AUDIT_SEED42_SHA256

@@ -24,6 +24,7 @@ from gouldhopper.cli import (
     parse_rational,
     parse_subst,
 )
+from gouldhopper.exactalg import MAX_DEGREE
 
 
 def run_cli(capsys, *argv):
@@ -234,6 +235,15 @@ def test_compute_rejects_bad_genfun_order(capsys):
     assert "cannot reach the coefficient" in err
 
 
+def test_compute_rejects_degree_past_kernel_bound(capsys):
+    code, out, err = run_cli(capsys, "compute", "--p", "1", "--q", "1",
+                             "--n", str(MAX_DEGREE + 1), "--m", "0",
+                             "--strategy", "explicit")
+    assert code == 2
+    assert out == ""
+    assert f"error: total degree {MAX_DEGREE + 1} exceeds the kernel bound" in err
+
+
 # ---------------------------------------------------------------------
 # verify subcommand
 # ---------------------------------------------------------------------
@@ -315,6 +325,15 @@ def test_verify_rejects_bad_pq(capsys):
     assert "invalid derivative orders" in err
 
 
+def test_verify_rejects_zero_jobs(capsys):
+    # exit 1 would read as an identity failure; a bad flag is a usage error
+    code, out, err = run_cli(capsys, "verify", "--tag", "SYMMETRY", "--nmax", "1",
+                             "--mmax", "1", "--jobs", "0")
+    assert code == 2
+    assert out == ""
+    assert "argument --jobs: must be >= 1, got 0" in err
+
+
 # ---------------------------------------------------------------------
 # audit subcommand
 # ---------------------------------------------------------------------
@@ -349,6 +368,14 @@ def test_audit_text_format(capsys):
     assert lines[-2].startswith("summary: total=")
     assert "effective_fail=0" in lines[-2]
     assert lines[-1] == "heat: seed=0 trials=1 cases=15 failures=0"
+
+
+def test_audit_rejects_nonpositive_trials(capsys):
+    # zero trials would pass a heat gate that checked nothing
+    code, out, err = run_cli(capsys, *AUDIT_SMALL, "--trials", "-1")
+    assert code == 2
+    assert out == ""
+    assert "argument --trials: must be >= 1, got -1" in err
 
 
 def test_audit_printed_policy_fails(capsys):
@@ -416,6 +443,14 @@ def test_heat_rejects_zero_orders(capsys):
     code, _, err = run_cli(capsys, "heat", "--p", "0", "--q", "0", "--initial", "z")
     assert code == 2
     assert "p + q >= 1" in err
+
+
+def test_heat_rejects_degree_past_kernel_bound(capsys):
+    code, out, err = run_cli(capsys, "heat", "--p", "1", "--q", "1",
+                             "--initial", "(z+w)^100000")
+    assert code == 2
+    assert out == ""
+    assert f"error: total degree 100000 exceeds the kernel bound MAX_DEGREE = {MAX_DEGREE}" in err
 
 
 # ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Unit and property tests for the exact polynomial/series kernel."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -7,19 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gouldhopper.exactalg import (
+    MAX_DEGREE,
     Poly,
     SeriesArgumentError,
     SeriesUV,
     TruncationError,
+    VAR_INDEX,
     VAR_NAMES,
+    _pack,
     as_scalar,
-    poly_add,
-    poly_diff,
-    poly_mul,
-    poly_subst,
     rising_factorial,
     series_binomial_neg,
-    series_coeff,
     series_exp,
 )
 
@@ -156,13 +155,6 @@ def test_subst_scalar_and_poly():
     assert p.subst({}) == p
 
 
-def test_functional_aliases():
-    assert poly_add(Z, W) == Z + W
-    assert poly_mul(Z, W) == Z * W
-    assert poly_diff(Z ** 2, "z") == 2 * Z
-    assert poly_subst(Z, {"z": 3}) == 3
-
-
 # ---------------------------------------------------------------------
 # canonical rendering and JSON round-trip
 # ---------------------------------------------------------------------
@@ -245,6 +237,177 @@ def test_evaluation_is_a_homomorphism(a, x, y):
 
 
 # ---------------------------------------------------------------------
+# differential test against a plain reference kernel
+# ---------------------------------------------------------------------
+#
+# The reference is a dict from exponent tuple (alphabet order) to nonzero
+# Fraction: no packing, no shared denominator.  The drawn variables span
+# the highest (z) and lowest (v) key fields.
+
+_REF_VARS = ("z", "w", "g", "t", "u", "v")
+_MIXED = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+def _ref_clean(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, F(0)) + sign * c
+    return _ref_clean(out)
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, F(0)) + c1 * c2
+    return _ref_clean(out)
+
+
+def _ref_pow(a, k):
+    out = {(0,) * len(VAR_NAMES): F(1)}
+    for _ in range(k):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _ref_diff(a, i, order):
+    out = {}
+    for e, c in a.items():
+        if e[i] >= order:
+            factor = 1
+            for j in range(order):
+                factor *= e[i] - j
+            out[e[:i] + (e[i] - order,) + e[i + 1:]] = c * factor
+    return out
+
+
+def _ref_coefficient(a, i, power):
+    return {e[:i] + (0,) + e[i + 1:]: c for e, c in a.items() if e[i] == power}
+
+
+def _ref_subst(a, bindings):
+    out = {}
+    for e, c in a.items():
+        term = {tuple(0 if i in bindings else x for i, x in enumerate(e)): c}
+        for i, repl in bindings.items():
+            term = _ref_mul(term, _ref_pow(repl, e[i]))
+        out = _ref_add(out, term)
+    return out
+
+
+def _ref_series(a, order):
+    ui, vi = VAR_INDEX["u"], VAR_INDEX["v"]
+    out = {}
+    for e, c in a.items():
+        if e[ui] + e[vi] <= order:
+            stripped = tuple(0 if i in (ui, vi) else x for i, x in enumerate(e))
+            out.setdefault((e[ui], e[vi]), {})[stripped] = c
+    return out
+
+
+def _ref_to_poly(terms):
+    # built from single monomials, never from the operations under test
+    return Poly.from_json_obj(
+        {"exps": {n: x for n, x in zip(VAR_NAMES, e) if x},
+         "num": str(c.numerator), "den": str(c.denominator)}
+        for e, c in terms.items()
+    )
+
+
+def _as_ref(poly):
+    """The reference form of a Poly, after checking its normal form."""
+    num, den = poly._num, poly._den
+    assert den > 0 and math.gcd(den, *num.values()) == 1
+    assert 0 not in num.values()
+    terms = dict(poly.terms())
+    # each key is the packing of its exponents, degree field included
+    assert sorted(num) == sorted(_pack(dict(zip(VAR_NAMES, e))) for e in terms)
+    return terms
+
+
+@st.composite
+def ref_polys(draw, max_terms=4):
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
+        e = [0] * len(VAR_NAMES)
+        for name in _REF_VARS:
+            e[VAR_INDEX[name]] = draw(st.integers(min_value=0, max_value=3))
+        terms[tuple(e)] = draw(_MIXED)
+    return _ref_clean(terms)
+
+
+@st.composite
+def ref_pairs(draw):
+    a = draw(ref_polys())
+    if draw(st.booleans()):
+        # b cancels all of a but a few terms, so sums empty out or shrink
+        # and shared denominators must be reduced again
+        return a, _ref_add({e: -c for e, c in a.items()}, draw(ref_polys(max_terms=1)))
+    return a, draw(ref_polys())
+
+
+@settings(max_examples=80, deadline=None)
+@given(ref_pairs(), _MIXED, st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=4))
+def test_kernel_matches_reference(pair, scalar, k, order):
+    ra, rb = pair
+    a, b = _ref_to_poly(ra), _ref_to_poly(rb)
+    assert _as_ref(a) == ra and _as_ref(b) == rb
+    assert _as_ref(a + b) == _ref_add(ra, rb)
+    assert _as_ref(a - b) == _ref_add(ra, rb, -1)
+    assert _as_ref(a * b) == _ref_mul(ra, rb)
+    assert _as_ref(a * scalar) == _ref_clean({e: c * scalar for e, c in ra.items()})
+    assert _as_ref(a ** k) == _ref_pow(ra, k)
+    assert [e for e, _ in a.sorted_terms()] == sorted(
+        ra, key=lambda e: (sum(e), e), reverse=True)
+    for name in _REF_VARS:
+        i = VAR_INDEX[name]
+        assert _as_ref(a.diff(name, k)) == _ref_diff(ra, i, k)
+        assert _as_ref(a.coefficient(name, k)) == _ref_coefficient(ra, i, k)
+    z, w, g = VAR_INDEX["z"], VAR_INDEX["w"], VAR_INDEX["g"]
+    const = {(0,) * len(VAR_NAMES): scalar} if scalar else {}
+    assert _as_ref(a.subst({"z": b, "w": a, "g": scalar})) == _ref_subst(
+        ra, {z: rb, w: ra, g: const})
+    series = SeriesUV.from_poly(a, order)
+    expected = _ref_series(ra, order)
+    assert {key: _as_ref(p) for key, p in series.items()} == expected
+    assert _as_ref(series.to_poly()) == {
+        e: c for e, c in ra.items()
+        if e[VAR_INDEX["u"]] + e[VAR_INDEX["v"]] <= order}
+
+
+def test_reduction_and_emptied_polynomials():
+    half = Z * F(1, 2)
+    assert half + half == Z
+    assert _as_ref(half + half) == {(1,) + (0,) * (len(VAR_NAMES) - 1): F(1)}
+    assert (half - half).is_zero() and (half - half) == Poly.zero()
+    assert (Z * F(2, 3)) * F(3, 2) == Z
+    assert (Z ** 2 * F(1, 6) + W * F(1, 4)).diff("z", 2) == F(1, 3)
+    assert ((Z + 1) * (Z - 1) - Z ** 2 + 1).is_zero()
+
+
+def test_degree_bound_raises_before_wrapping():
+    assert Poly.monomial({"z": MAX_DEGREE}).total_degree() == MAX_DEGREE
+    with pytest.raises(ValueError, match=f"MAX_DEGREE = {MAX_DEGREE}"):
+        Poly.monomial({"z": MAX_DEGREE - 3, "v": 4})
+    top = Poly.monomial({"v": MAX_DEGREE})
+    with pytest.raises(ValueError, match=f"total degree {MAX_DEGREE + 1} exceeds"):
+        top * Z
+    with pytest.raises(ValueError, match="total degree 131070 exceeds"):
+        top ** 2
+    with pytest.raises(ValueError, match="exceeds the kernel bound"):
+        top.subst({"v": Z * W})
+    assert top.subst({"v": Z}) == Poly.monomial({"z": MAX_DEGREE})
+    with pytest.raises(ValueError, match="exceeds the kernel bound"):
+        SeriesUV(1, {(1, 0): top}).to_poly()
+
+
+# ---------------------------------------------------------------------
 # truncated series
 # ---------------------------------------------------------------------
 
@@ -255,7 +418,7 @@ def test_series_from_poly_and_coeff():
     assert s.coeff(0, 1) == W
     assert s.coeff(1, 1) == G
     assert s.coeff(0, 0).is_zero()
-    assert series_coeff(s, 2, 0).is_zero()
+    assert s.coeff(2, 0).is_zero()
     with pytest.raises(TruncationError, match="beyond order"):
         s.coeff(2, 1)
     with pytest.raises(ValueError):
