@@ -34,6 +34,7 @@ from .identity import (
     GridRanges,
     IdentityReport,
     audit_grid,
+    cells_for,
     effective_failures,
     parse_tag,
     summarize,
@@ -262,8 +263,60 @@ def parse_subst(text: str) -> dict[str, Fraction]:
 # serialization helpers
 # ---------------------------------------------------------------------
 
+_json_str = json.encoder.encode_basestring_ascii
+
+
 def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Exactly ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, faster.
+
+    With `indent` set the json module falls back to its pure-Python
+    encoder; this writer emits the same bytes for the types the CLI
+    produces (dicts with str keys, lists, tuples, str, int, bool, None)
+    and raises TypeError for anything else.
+    """
+    pieces: list[str] = []
+    _write_json(obj, "", "\n", pieces)
+    pieces.append("\n")
+    return "".join(pieces)
+
+
+def _write_json(value, head: str, newline: str, pieces: list[str]) -> None:
+    # append `head` followed by `value`; `newline` is "\n" plus the
+    # indentation of the line `value` starts on
+    if isinstance(value, str):
+        pieces.append(head + _json_str(value))
+    elif value is None:
+        pieces.append(head + "null")
+    elif value is True:
+        pieces.append(head + "true")
+    elif value is False:
+        pieces.append(head + "false")
+    elif isinstance(value, int):
+        pieces.append(head + int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            pieces.append(head + "{}")
+            return
+        inner = newline + "  "
+        sep = head + "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, got {type(key).__name__}")
+            _write_json(value[key], sep + _json_str(key) + ": ", inner, pieces)
+            sep = "," + inner
+        pieces.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            pieces.append(head + "[]")
+            return
+        inner = newline + "  "
+        sep = head + "[" + inner
+        for item in value:
+            _write_json(item, sep, inner, pieces)
+            sep = "," + inner
+        pieces.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _poly_json(poly: Poly) -> dict:
@@ -452,6 +505,12 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    for tag in tags or ():
+        if not cells_for(tag, ranges):
+            # a verify that checked nothing must not read as a pass
+            print(f"error: the grid gives {tag.value} no cells; nothing to verify",
+                  file=sys.stderr)
+            return EXIT_USAGE
     reports = audit_grid(tags, ranges, policy=args.variant, jobs=args.jobs)
     summary = summarize(reports)
     if args.format == "json":

@@ -117,6 +117,12 @@ def rising_factorial(x: ScalarLike, k: int) -> Fraction:
     """Rising factorial (x)_k = x (x+1) ... (x+k-1), with (x)_0 = 1."""
     if k < 0:
         raise ValueError("rising_factorial needs k >= 0")
+    if type(x) is int:
+        # integer product, one Fraction at the end
+        prod = 1
+        for i in range(k):
+            prod *= x + i
+        return Fraction(prod)
     acc = Fraction(1)
     xf = as_scalar(x)
     for i in range(k):

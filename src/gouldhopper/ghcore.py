@@ -96,7 +96,9 @@ _W = Poly.variable("w")
 _G = Poly.variable("g")
 
 
-@lru_cache(maxsize=None)
+# The cache bounds here hold at least twice what one `audit --nmax 10
+# --mmax 10`, or 200 compute/heat requests in one process, fill.
+@lru_cache(maxsize=8192)
 def explicit_poly(p: int, q: int, n: int, m: int) -> Poly:
     """The defining sum as a bare Poly in z, w, g (cached)."""
     params = FamilyParams(p, q, n, m)
@@ -222,8 +224,9 @@ def via_recurrence(params: FamilyParams) -> GHPoly:
     return GHPoly(params, table[(n, m)])
 
 
-@lru_cache(maxsize=None)
-def _generating_series(p: int, q: int, order: int) -> SeriesUV:
+@lru_cache(maxsize=256)
+def generating_series(p: int, q: int, order: int) -> SeriesUV:
+    """exp(zu + wv + g u^p v^q) truncated at total u,v-order `order` (cached)."""
     arg = _Z * Poly.variable("u") + _W * Poly.variable("v") + _G * Poly.monomial({"u": p, "v": q})
     return series_exp(arg, order)
 
@@ -236,7 +239,7 @@ def via_genfun(params: FamilyParams, order: int) -> GHPoly:
     p, q, n, m = params.p, params.q, params.n, params.m
     if order < n + m:
         raise TruncationError(f"order {order} cannot reach the coefficient ({n},{m})")
-    series = _generating_series(p, q, order)
+    series = generating_series(p, q, order)
     scale = math.factorial(n) * math.factorial(m)
     return GHPoly(params, series.coeff(n, m) * Fraction(scale))
 

@@ -18,6 +18,33 @@ Conventions shared by all the displays:
 Each checker takes (params, variant) where `variant` is "printed" or,
 for tags carrying a correction in MISPRINT_LEDGER, "corrected".
 Checkers of uncorrected tags ignore the variant.
+
+Sides that several cells, or both variants of one cell, share are
+memoized.  Every key is the input the code computed, never what the
+identity claims:
+
+* NIELSEN_N / NIELSEN_M / NIELSEN_FULL: the right-hand side, on
+  (p, q, the fixed index m or n for N/M, the grouped weight tuples
+  sum_i C(n,i) C(n',s-i)).  Each cell computes its own weights; cells
+  share an entry only because those computed tuples coincide
+  (Vandermonde makes them C(n+n',s)), not because the key assumes it.
+* GEN_FULL / GEN_POCHHAMMER_G: exp(zu + wv + g u^p v^q) is
+  ghcore.generating_series, cached on (p, q, order); GEN_POCHHAMMER_G's
+  right-hand side, which no variant changes, on (p, q, j, k, order).
+* GEN_POCHHAMMER_S: the left-hand series and the binomial series
+  factors, none of which the variant changes, on
+  (p, q, a, b, z, w, g, order).
+* CONN_PQ_FROM_GH: the one-variable members, on (n, p, variable); the
+  weights are summed exactly per (g-degree, r, s) before one product
+  per group, which leaves the difference polynomial unchanged.
+* Family members with primed, halved or rescaled arguments, on their
+  indices, and the shift powers (z-z')^k, (w-w')^k, on (variable, k).
+
+A cached side is the exact polynomial or series the cell would have
+built, and each cell still forms its own lhs - rhs, so a pass is still
+an identically zero difference on that cell.  Every cache is bounded at
+no less than twice what one `audit --nmax 10 --mmax 10` fills, so the
+audit grids never evict.
 """
 
 from __future__ import annotations
@@ -36,7 +63,13 @@ from ..exactalg import (
     series_binomial_neg,
     series_exp,
 )
-from ..ghcore import FamilyParams, explicit_poly, gould_hopper_1d, hypergeom_form
+from ..ghcore import (
+    FamilyParams,
+    explicit_poly,
+    generating_series,
+    gould_hopper_1d,
+    hypergeom_form,
+)
 from .tags import IdentityTag
 
 _Z = Poly.variable("z")
@@ -90,35 +123,42 @@ def _gh0(p: int, q: int, n: int, m: int) -> Poly:
     return explicit_poly(p, q, n, m)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _gh_all_primed(p: int, q: int, n: int, m: int) -> Poly:
     return _gh(p, q, n, m).subst({"z": _ZP, "w": _WP, "g": _GP})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2048)
 def _gh_zw_primed(p: int, q: int, n: int, m: int) -> Poly:
     return _gh(p, q, n, m).subst({"z": _ZP, "w": _WP})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2048)
 def _gh_z_primed(p: int, q: int, n: int, m: int) -> Poly:
     return _gh(p, q, n, m).subst({"z": _ZP})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2048)
 def _gh_w_primed(p: int, q: int, n: int, m: int) -> Poly:
     return _gh(p, q, n, m).subst({"w": _WP})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2048)
 def _gh_half(p: int, q: int, n: int, m: int, gsign: int) -> Poly:
     half = Fraction(1, 2)
     return _gh(p, q, n, m).subst({"z": half * _Z, "w": half * _W, "g": gsign * _G})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2048)
 def _gh_scaled_g(p: int, q: int, n: int, m: int, num: int, den: int) -> Poly:
     return _gh(p, q, n, m).subst({"g": Fraction(num, den) * _G})
+
+
+@lru_cache(maxsize=128)
+def _gh1(n: int, p: int, var: str) -> Poly:
+    # one-variable member H^(p)_n(var | g)
+    member = gould_hopper_1d(n, p)
+    return member if var == "z" else member.subst({"z": Poly.variable(var)})
 
 
 def pochhammer_tail(n: int, k: int, var: str = "z") -> Poly:
@@ -260,15 +300,11 @@ def _family_series(p: int, q: int, order: int) -> SeriesUV:
     return SeriesUV(order, coeffs)
 
 
-def _exp_series(p: int, q: int, order: int) -> SeriesUV:
-    return series_exp(_Z * _U + _W * _V + _G * Poly.monomial({"u": p, "v": q}), order)
-
-
 def _check_gen_full(ps: Mapping, variant: str) -> CheckResult:
     """sum H_{n,m} u^n v^m/(n! m!) = exp(zu + wv + g u^p v^q)."""
     p, q, order = ps["p"], ps["q"], ps["order"]
     _require_series_order(order, p, q)
-    diff = _family_series(p, q, order) - _exp_series(p, q, order)
+    diff = _family_series(p, q, order) - generating_series(p, q, order)
     return CheckResult(diff.to_poly(), series_order=order)
 
 
@@ -321,11 +357,17 @@ def _check_gen_pochhammer_g(ps: Mapping, variant: str) -> CheckResult:
                 weighted = _Z * (Poly.monomial({"z": j - 1}) * inner).diff("z", j)
             coeffs[(n, m)] = weighted * Fraction(1, _fact(n) * _fact(m))
     lhs = SeriesUV(order, coeffs)
+    rhs = _pochhammer_g_rhs(p, q, j, k, order)
+    return CheckResult((lhs - rhs).to_poly(), series_order=order)
+
+
+@lru_cache(maxsize=128)
+def _pochhammer_g_rhs(p: int, q: int, j: int, k: int, order: int) -> SeriesUV:
+    # GEN_POCHHAMMER_G's right-hand side; no variant changes it
     fac_u = (_U * _Z) ** (j - 1) + pochhammer_tail(j, j - 1).subst({"z": _U * _Z})
     fac_v = (_V * _W) ** (k - 1) + pochhammer_tail(k, k - 1).subst({"z": _V * _W})
     prefactor = _U * _V * _Z * _W * fac_u * fac_v
-    rhs = SeriesUV.from_poly(prefactor, order) * _exp_series(p, q, order)
-    return CheckResult((lhs - rhs).to_poly(), series_order=order)
+    return SeriesUV.from_poly(prefactor, order) * generating_series(p, q, order)
 
 
 def _check_gen_pochhammer_s(ps: Mapping, variant: str) -> CheckResult:
@@ -346,27 +388,9 @@ def _check_gen_pochhammer_s(ps: Mapping, variant: str) -> CheckResult:
     if zval == 0 or wval == 0:
         raise ValueError("z and w must be nonzero")
     _require_series_order(order, p, q)
-    coeffs = {}
-    for n in range(order + 1):
-        for m in range(order + 1 - n):
-            hval = _gh(p, q, n, m).subst({"z": zval, "w": wval, "g": gval}).as_fraction()
-            value = (
-                rising_factorial(aval, n)
-                * rising_factorial(bval, m)
-                * hval
-                / (_fact(n) * _fact(m))
-            )
-            coeffs[(n, m)] = Poly.const(value)
-    lhs = SeriesUV(order, coeffs)
-
-    binom_a = series_binomial_neg(Poly.monomial({"u": 1}, zval), aval, order)
-    binom_b = series_binomial_neg(Poly.monomial({"v": 1}, wval), bval, order)
+    lhs, binom_ab, binom_pq = _pochhammer_s_sides(p, q, aval, bval, zval, wval, gval, order)
     arg_exps = {"u": 1, "v": 1} if variant == "printed" else {"u": p, "v": q}
-    x = (
-        SeriesUV.from_poly(Poly.monomial(arg_exps, gval * p ** p * q ** q), order)
-        * series_binomial_neg(Poly.monomial({"u": 1}, zval), Fraction(p), order)
-        * series_binomial_neg(Poly.monomial({"v": 1}, wval), Fraction(q), order)
-    )
+    x = SeriesUV.from_poly(Poly.monomial(arg_exps, gval * p ** p * q ** q), order) * binom_pq
     hyp = SeriesUV.one(order)
     power = SeriesUV.one(order)
     for kk in range(1, order + 1):
@@ -379,8 +403,31 @@ def _check_gen_pochhammer_s(ps: Mapping, variant: str) -> CheckResult:
         for i in range(1, q + 1):
             coeff *= rising_factorial((bval + i - 1) / q, kk)
         hyp = hyp + power * coeff
-    rhs = binom_a * binom_b * hyp
+    rhs = binom_ab * hyp
     return CheckResult((lhs - rhs).to_poly(), series_order=order)
+
+
+@lru_cache(maxsize=32)
+def _pochhammer_s_sides(
+    p: int, q: int, a: Fraction, b: Fraction, z: Fraction, w: Fraction, g: Fraction, order: int
+) -> tuple[SeriesUV, SeriesUV, SeriesUV]:
+    """GEN_POCHHAMMER_S's variant-free parts at one rational point.
+
+    The left-hand series, (1-uz)^-a (1-vw)^-b and (1-uz)^-p (1-vw)^-q.
+    """
+    coeffs = {}
+    for n in range(order + 1):
+        for m in range(order + 1 - n):
+            hval = _gh(p, q, n, m).subst({"z": z, "w": w, "g": g}).as_fraction()
+            value = rising_factorial(a, n) * rising_factorial(b, m) * hval / (_fact(n) * _fact(m))
+            coeffs[(n, m)] = Poly.const(value)
+    uz = Poly.monomial({"u": 1}, z)
+    vw = Poly.monomial({"v": 1}, w)
+    binom_ab = series_binomial_neg(uz, a, order) * series_binomial_neg(vw, b, order)
+    binom_pq = (
+        series_binomial_neg(uz, Fraction(p), order) * series_binomial_neg(vw, Fraction(q), order)
+    )
+    return SeriesUV(order, coeffs), binom_ab, binom_pq
 
 
 # ---------------------------------------------------------------------
@@ -807,42 +854,55 @@ def _check_param_op_pq(ps: Mapping, variant: str) -> CheckResult:
 # expansions around shifted points
 # ---------------------------------------------------------------------
 
+def _grouped_binomials(a: int, b: int) -> tuple[int, ...]:
+    # sum_i C(a,i) C(b,s-i) for s = 0..a+b: the weight of (shift)^s once the
+    # double sum over i and s-i is grouped by s
+    return tuple(
+        sum(_comb0(a, i) * _comb0(b, s - i) for i in range(s + 1))
+        for s in range(a + b + 1)
+    )
+
+
+@lru_cache(maxsize=64)
+def _shift_power(var: str, k: int) -> Poly:
+    # (var - var')^k for var = z or w
+    if k == 0:
+        return Poly.one()
+    return _shift_power(var, k - 1) * (Poly.variable(var) - Poly.variable(var + "p"))
+
+
 def _check_nielsen_n(ps: Mapping, variant: str) -> CheckResult:
     """H_{n+n',m}(z,...) = sum C(n,i) C(n',j) (z-z')^(i+j) H_{n+n'-i-j,m}(z',...)."""
     p, q, n, np_, m = ps["p"], ps["q"], ps["n"], ps["np"], ps["m"]
-    lhs = _gh(p, q, n + np_, m)
-    shift = _Z - _ZP
-    powers = [Poly.one()]
-    for _ in range(n + np_):
-        powers.append(powers[-1] * shift)
+    rhs = _nielsen_n_rhs(p, q, m, _grouped_binomials(n, np_))
+    return CheckResult(_gh(p, q, n + np_, m) - rhs)
+
+
+@lru_cache(maxsize=2048)
+def _nielsen_n_rhs(p: int, q: int, m: int, weights: tuple[int, ...]) -> Poly:
+    # sum_s weights[s] (z-z')^s H_{top-s,m}(z',w|g)
+    top = len(weights) - 1
     rhs = Poly.zero()
-    for i in range(n + 1):
-        for j in range(np_ + 1):
-            rhs = rhs + (
-                _comb0(n, i) * _comb0(np_, j)
-                * powers[i + j]
-                * _gh_z_primed(p, q, n + np_ - i - j, m)
-            )
-    return CheckResult(lhs - rhs)
+    for s, c in enumerate(weights):
+        rhs = rhs + c * _shift_power("z", s) * _gh_z_primed(p, q, top - s, m)
+    return rhs
 
 
 def _check_nielsen_m(ps: Mapping, variant: str) -> CheckResult:
     """H_{n,m+m'}(...,w) = sum C(m,k) C(m',l) (w-w')^(k+l) H_{n,m+m'-k-l}(...,w')."""
     p, q, n, m, mp_ = ps["p"], ps["q"], ps["n"], ps["m"], ps["mp"]
-    lhs = _gh(p, q, n, m + mp_)
-    shift = _W - _WP
-    powers = [Poly.one()]
-    for _ in range(m + mp_):
-        powers.append(powers[-1] * shift)
+    rhs = _nielsen_m_rhs(p, q, n, _grouped_binomials(m, mp_))
+    return CheckResult(_gh(p, q, n, m + mp_) - rhs)
+
+
+@lru_cache(maxsize=2048)
+def _nielsen_m_rhs(p: int, q: int, n: int, weights: tuple[int, ...]) -> Poly:
+    # sum_s weights[s] (w-w')^s H_{n,top-s}(z,w'|g)
+    top = len(weights) - 1
     rhs = Poly.zero()
-    for k in range(m + 1):
-        for l in range(mp_ + 1):
-            rhs = rhs + (
-                _comb0(m, k) * _comb0(mp_, l)
-                * powers[k + l]
-                * _gh_w_primed(p, q, n, m + mp_ - k - l)
-            )
-    return CheckResult(lhs - rhs)
+    for s, c in enumerate(weights):
+        rhs = rhs + c * _shift_power("w", s) * _gh_w_primed(p, q, n, top - s)
+    return rhs
 
 
 def _check_nielsen_full(ps: Mapping, variant: str) -> CheckResult:
@@ -852,37 +912,28 @@ def _check_nielsen_full(ps: Mapping, variant: str) -> CheckResult:
     exponent; both readings are the same multiplication, certified here.
     """
     p, q, n, np_, m, mp_ = ps["p"], ps["q"], ps["n"], ps["np"], ps["m"], ps["mp"]
-    lhs = _gh(p, q, n + np_, m + mp_)
-    zshift = _Z - _ZP
-    wshift = _W - _WP
-    zpowers = [Poly.one()]
-    for _ in range(n + np_):
-        zpowers.append(zpowers[-1] * zshift)
-    wpowers = [Poly.one()]
-    for _ in range(m + mp_):
-        wpowers.append(wpowers[-1] * wshift)
-    # group the quadruple sum by the total shift powers i+j and k+l;
-    # every grouped term shares the same polynomial factors
-    zweights = [
-        sum(_comb0(n, i) * _comb0(np_, s - i) for i in range(s + 1))
-        for s in range(n + np_ + 1)
-    ]
-    wweights = [
-        sum(_comb0(m, k) * _comb0(mp_, s - k) for k in range(s + 1))
-        for s in range(m + mp_ + 1)
-    ]
-    rhs = Poly.zero()
-    for zi, zc in enumerate(zweights):
-        for wi, wc in enumerate(wweights):
-            rhs = rhs + (
-                zc * wc
-                * zpowers[zi] * wpowers[wi]
-                * _gh_zw_primed(p, q, n + np_ - zi, m + mp_ - wi)
-            )
+    rhs = _nielsen_full_rhs(p, q, _grouped_binomials(n, np_), _grouped_binomials(m, mp_))
     return CheckResult(
-        lhs - rhs,
+        _gh(p, q, n + np_, m + mp_) - rhs,
         notes="(w-w')^-(k+l) in the denominator read as the factor (w-w')^(k+l)",
     )
+
+
+@lru_cache(maxsize=2048)
+def _nielsen_full_rhs(
+    p: int, q: int, zweights: tuple[int, ...], wweights: tuple[int, ...]
+) -> Poly:
+    # the quadruple sum grouped by the total shift powers s = i+j, t = k+l
+    top_n, top_m = len(zweights) - 1, len(wweights) - 1
+    rhs = Poly.zero()
+    for s, zc in enumerate(zweights):
+        for t, wc in enumerate(wweights):
+            rhs = rhs + (
+                zc * wc
+                * _shift_power("z", s) * _shift_power("w", t)
+                * _gh_zw_primed(p, q, top_n - s, top_m - t)
+            )
+    return rhs
 
 
 # ---------------------------------------------------------------------
@@ -939,32 +990,30 @@ def _check_conn_pq_from_gh(ps: Mapping, variant: str) -> CheckResult:
     p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
     if p < 1 or q < 1:
         raise ValueError("needs p >= 1 and q >= 1")
-    lhs = _gh(p, q, n, m)
-    gh_z = {r: gould_hopper_1d(r, p) for r in range(n + 1)}
-    gh_w = {r: gould_hopper_1d(r, q).subst({"z": _W}) for r in range(m + 1)}
-    rhs = Poly.zero()
+    printed = variant == "printed"
+    # sum the weights exactly per (g-degree, z index, w index), so each
+    # distinct product of one-variable members is formed once
+    groups: dict[tuple[int, int, int], Fraction] = {}
     for k in range(n // p + 1):
         for j in range(m // q + 1):
             for l in range((n - p * k) // p + 1):
                 for i in range((m - q * j) // q + 1):
-                    if variant == "printed":
-                        pair = _inv_fact(k - l) * _inv_fact(j - i)
-                    else:
-                        pair = _inv_fact(k - i) * _inv_fact(j - l)
-                    weight = (
-                        Fraction(1, (-2) ** (l + i)) * Fraction((-1) ** (k + j))
-                        * _inv_fact(l) * _inv_fact(i) * pair
-                        * _inv_fact(n - p * (l + k)) * _inv_fact(m - q * (i + j))
+                    a, b = (k - l, j - i) if printed else (k - i, j - l)
+                    if a < 0 or b < 0:
+                        continue  # 1/(negative)! = 0
+                    r, s = n - p * (l + k), m - q * (i + j)
+                    den = (
+                        2 ** (l + i) * _fact(l) * _fact(i) * _fact(a) * _fact(b)
+                        * _fact(r) * _fact(s)
                     )
-                    if weight == 0:
-                        continue
-                    rhs = rhs + (
-                        Poly.monomial({"g": k + j}, weight)
-                        * gh_z[n - p * (l + k)]
-                        * gh_w[m - q * (i + j)]
-                    )
+                    key = (k + j, r, s)
+                    groups[key] = groups.get(key, 0) + Fraction((-1) ** (k + j + l + i), den)
+    rhs = Poly.zero()
+    for (gdeg, r, s), weight in groups.items():
+        if weight:
+            rhs = rhs + Poly.monomial({"g": gdeg}, weight) * _gh1(r, p, "z") * _gh1(s, q, "w")
     rhs = _fact(n) * _fact(m) * rhs
-    return CheckResult(lhs - rhs)
+    return CheckResult(_gh(p, q, n, m) - rhs)
 
 
 # ---------------------------------------------------------------------

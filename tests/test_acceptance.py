@@ -177,8 +177,9 @@ def test_pde_suite():
 
 
 # SHA-256 of the stdout of fixed CLI runs, recorded with the earlier
-# Fraction/tuple kernel; any kernel or audit change must reproduce them
-# byte for byte.
+# Fraction/tuple kernel (the verify runs: before their checkers' sides
+# were memoized); any kernel or audit change must reproduce them byte for
+# byte.
 GOLDEN_DIGESTS = {
     ("audit", "--nmax", "4", "--mmax", "4", "--aux-max", "2", "--seed", "1"):
         "c69d74c10f7f9f76a7664673ac774d0b9eeef0c763a1c904cd4bd66144e4891f",
@@ -188,12 +189,27 @@ GOLDEN_DIGESTS = {
     ("heat", "--p", "2", "--q", "1", "--c=3/7",
      "--initial=1/2*z^3*w^2 - 5/3*z*w^4 + 7", "--format", "json"):
         "e98b0aeef0c975d9b7dc3bf24030ed3bba458475790ad196f4b3a4796d6e2aeb",
+    # the checkers whose sides are memoized, printed variants included
+    ("verify", "--tag", "NIELSEN_FULL", "--nmax", "3", "--mmax", "3", "--aux-max", "2",
+     "--format", "json"):
+        "d616ead53e2ad1f499695a6690f29831d7b2dffe54f0be938571e1ce44d3de00",
+    ("verify", "--tag", "CONN_PQ_FROM_GH", "--variant", "both", "--format", "json"):
+        "47aed9f0fb0c867b4ffa3be7623ffb2dda85b4d800bc2c0dd2ac101680f58fde",
+    ("verify", "--tag", "GEN_POCHHAMMER_G", "--variant", "both", "--format", "json"):
+        "333b88cbaf92ff8c1c4db403b0fb8a94985c5038454ff3cead860435617ce9e0",
+    ("verify", "--tag", "GEN_POCHHAMMER_S", "--variant", "both", "--format", "json"):
+        "14013f4ae6e969f79c5fe0fd3e9e64cdd72ceb22424ad874acdc790bd5c1b4da",
 }
 # the default `audit --seed 42` document (6,535,293 bytes)
 DEFAULT_AUDIT_SEED42_SHA256 = "a4723f57be0fdac80ac152647e4fb257b529018278fdf28d38e97d13ea8fff70"
 
 
-@pytest.mark.parametrize("argv", list(GOLDEN_DIGESTS), ids=lambda argv: argv[0])
+def _digest_id(argv):
+    # verify runs are named by their tag
+    return argv[2] if argv[0] == "verify" else argv[0]
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_DIGESTS), ids=_digest_id)
 def test_golden_digests(argv):
     run = subprocess.run([sys.executable, "-m", "gouldhopper.cli", *argv],
                          capture_output=True, timeout=280)

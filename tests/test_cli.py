@@ -14,9 +14,12 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gouldhopper.cli import (
     ExprError,
+    _dump_json,
     canonical_var,
     main,
     parse_poly_expr,
@@ -334,6 +337,19 @@ def test_verify_rejects_zero_jobs(capsys):
     assert "argument --jobs: must be >= 1, got 0" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--tag", "GEN_POCHHAMMER_G", "--jk-max", "0"),
+    ("verify", "--tag", "CONN_GH_FROM_PQ", "--pq", "1,2"),
+    ("verify", "--tag", "GEN_POCHHAMMER_S", "--pq", "1,0", "--format", "json"),
+], ids=lambda argv: argv[2])
+def test_verify_with_no_cells_is_usage_error(capsys, argv):
+    # a gate that checked nothing is not a pass
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"the grid gives {argv[2]} no cells" in err
+
+
 # ---------------------------------------------------------------------
 # audit subcommand
 # ---------------------------------------------------------------------
@@ -508,3 +524,44 @@ def test_installed_script_is_on_path():
                             text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "z^2 w + 2 * z g\n"
+
+
+# ---------------------------------------------------------------------
+# JSON rendering
+# ---------------------------------------------------------------------
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2 ** 200), max_value=2 ** 200)
+    | st.text()
+    | st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\x7f\t\n\r", "é ☃ 𝄞", "\u2028", ""])
+)
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(st.text(), children, max_size=4)
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_DOCS)
+def test_dump_json_matches_json_dumps(doc):
+    assert _dump_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_dump_json_nested_empties():
+    doc = {"a": [], "b": {}, "c": [[], {}, [[]], {"d": {}}], "": None}
+    assert _dump_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [1.5, F(1, 2), {1: "x"}, {"a": [{2}]}, b"x"],
+                         ids=["float", "fraction", "int-key", "set", "bytes"])
+def test_dump_json_rejects_types_the_cli_never_emits(value):
+    with pytest.raises(TypeError):
+        _dump_json(value)

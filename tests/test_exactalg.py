@@ -50,6 +50,18 @@ def test_rising_factorial_values():
         rising_factorial(1, -1)
 
 
+@pytest.mark.parametrize("x", [0, 1, 5, -1, -4, -7, 2**70 + 1, F(1, 2), F(-7, 3), F(5), F(-4)])
+def test_rising_factorial_matches_fraction_loop(x):
+    # the int fast path and the Fraction path agree with a plain Fraction loop
+    for k in range(10):
+        expected = F(1)
+        for i in range(k):
+            expected *= F(x) + i
+        got = rising_factorial(x, k)
+        assert type(got) is F
+        assert got == expected, (x, k)
+
+
 # ---------------------------------------------------------------------
 # polynomial construction and inspection
 # ---------------------------------------------------------------------

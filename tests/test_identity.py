@@ -4,8 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from gouldhopper import ghcore
 from gouldhopper.exactalg import Poly
-from gouldhopper.ghcore import FamilyParams
+from gouldhopper.ghcore import FamilyParams, explicit_poly
 from gouldhopper.identity import (
     CHECKS,
     MISPRINT_LEDGER,
@@ -25,6 +26,7 @@ from gouldhopper.identity import (
     verify_pde,
     verify_series,
 )
+from gouldhopper.identity import checks
 
 # One cell per tag on which the printed display provably fails while the
 # documented correction passes.  [DERIVED] by scanning the default grid.
@@ -338,3 +340,62 @@ def test_audit_parallel_matches_serial():
     serial = audit_grid(tags, ranges, jobs=1)
     parallel = audit_grid(tags, ranges, jobs=4)
     assert [r.to_json_obj() for r in serial] == [r.to_json_obj() for r in parallel]
+
+
+# ---------------------------------------------------------------------
+# memoized sides and bounded caches
+# ---------------------------------------------------------------------
+
+def _cached_functions():
+    return {
+        f"{module.__name__}.{name}": fn
+        for module in (ghcore, checks)
+        for name, fn in vars(module).items()
+        if hasattr(fn, "cache_parameters")
+    }
+
+
+def test_every_cache_is_bounded():
+    cached = _cached_functions()
+    assert "gouldhopper.ghcore.explicit_poly" in cached
+    unbounded = sorted(
+        name for name, fn in cached.items() if fn.cache_parameters()["maxsize"] is None
+    )
+    assert unbounded == []
+
+
+def test_nielsen_memo_is_keyed_on_computed_weights():
+    # H^(1,1)_{3,2} split as n = 2, n' = 1, m = m' = 1
+    lhs = explicit_poly(1, 1, 3, 2)
+    zweights = checks._grouped_binomials(2, 1)
+    wweights = checks._grouped_binomials(1, 1)
+    assert zweights == (1, 3, 3, 1) and wweights == (1, 2, 1)
+    assert (lhs - checks._nielsen_full_rhs(1, 1, zweights, wweights)).is_zero()
+    # a perturbed weight tuple is a different key with a different sum: the
+    # memo does not stand in C(n+n', s) for what the cell computed
+    assert not (lhs - checks._nielsen_full_rhs(1, 1, (1, 3, 4, 1), wweights)).is_zero()
+    assert not (lhs - checks._nielsen_full_rhs(1, 1, zweights, (1, 1, 1))).is_zero()
+    assert (lhs - checks._nielsen_full_rhs(1, 1, zweights, wweights)).is_zero()
+    assert not (
+        explicit_poly(1, 1, 3, 2) - checks._nielsen_n_rhs(1, 1, 2, (1, 3, 2, 1))
+    ).is_zero()
+    assert not (
+        explicit_poly(1, 1, 3, 2) - checks._nielsen_m_rhs(1, 1, 3, (1, 1, 1))
+    ).is_zero()
+
+
+def test_memoized_checkers_agree_cold_and_warm():
+    tags = (
+        IdentityTag.NIELSEN_N, IdentityTag.NIELSEN_M, IdentityTag.NIELSEN_FULL,
+        IdentityTag.GEN_FULL, IdentityTag.GEN_POCHHAMMER_G, IdentityTag.GEN_POCHHAMMER_S,
+        IdentityTag.CONN_PQ_FROM_GH,
+    )
+    ranges = GridRanges(n_max=2, m_max=2, aux_max=1, jk_max=2, series_order=6,
+                        weighted_series_order=5)
+    for fn in _cached_functions().values():
+        fn.cache_clear()
+    cold = [r.to_json_obj() for r in audit_grid(tags, ranges, policy="both")]
+    assert checks._nielsen_full_rhs.cache_info().hits > 0
+    warm = [r.to_json_obj() for r in audit_grid(tags, ranges, policy="both")]
+    assert cold == warm
+    assert {r["tag"] for r in cold} == {tag.value for tag in tags}
