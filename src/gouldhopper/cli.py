@@ -12,6 +12,7 @@ is emitted on output.  Rationals travel as ``num/den`` strings.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import re
@@ -29,7 +30,6 @@ from .ghcore import (
 from .heatrep import HeatProblem, property_suite, residual, solve
 from .identity import (
     CHECKS,
-    MISPRINT_LEDGER,
     POLICIES,
     GridRanges,
     IdentityReport,
@@ -43,8 +43,6 @@ from .identity import (
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-STRATEGY_ORDER = ("explicit", "operational", "creation", "recurrence", "genfun", "hypergeom")
 
 _VAR_ALIASES = {
     "gamma": "g",
@@ -401,18 +399,16 @@ def _reports_junit(reports) -> str:
 
 def _grid_json(ranges: GridRanges) -> dict:
     return {
-        "n_max": ranges.n_max,
-        "m_max": ranges.m_max,
-        "pq_pairs": [list(pair) for pair in ranges.pq_pairs],
-        "aux_max": ranges.aux_max,
-        "jk_max": ranges.jk_max,
-        "series_order": ranges.series_order,
-        "weighted_series_order": ranges.weighted_series_order,
-        "hyp_points": [str(point) for point in ranges.hyp_points],
-        "weighted_points": [
-            [str(value) for value in point] for point in ranges.weighted_points
-        ],
+        field.name: _grid_value(getattr(ranges, field.name))
+        for field in dataclasses.fields(GridRanges)
     }
+
+
+def _grid_value(value):
+    # ints stay ints, rationals travel as strings, tuples as lists
+    if isinstance(value, tuple):
+        return [_grid_value(item) for item in value]
+    return value if isinstance(value, int) else str(value)
 
 
 # ---------------------------------------------------------------------
@@ -431,7 +427,7 @@ def _cmd_compute(args) -> int:
     if args.subst:
         bindings.update(args.subst)
 
-    names = STRATEGY_ORDER if args.strategy == "all" else (args.strategy,)
+    names = tuple(STRATEGIES) if args.strategy == "all" else (args.strategy,)
     results = []
     for name in names:
         try:
@@ -642,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--m", type=int, required=True)
     compute.add_argument(
         "--strategy",
-        choices=STRATEGY_ORDER + ("all",),
+        choices=tuple(STRATEGIES) + ("all",),
         default="explicit",
     )
     compute.add_argument(

@@ -145,22 +145,20 @@ def operational(params: FamilyParams) -> GHPoly:
         if term.is_zero():
             break
         total = total + term * Poly.monomial({"g": k}, Fraction(1, math.factorial(k)))
-        if p == 0 and q == 0:  # unreachable, params forbid it
-            break
         k += 1
     return GHPoly(params, total)
 
 
-def _apply_z_raise(poly: Poly, p: int, q: int) -> Poly:
-    # z + p g Dz^(p-1) Dw^q; the derivative part disappears when p = 0.
+def apply_z_raise(poly: Poly, p: int, q: int) -> Poly:
+    """Apply the raising operator z + p g Dz^(p-1) Dw^q (just z when p = 0)."""
     out = _Z * poly
     if p >= 1:
         out = out + p * _G * poly.diff("z", p - 1).diff("w", q)
     return out
 
 
-def _apply_w_raise(poly: Poly, p: int, q: int) -> Poly:
-    # w + q g Dz^p Dw^(q-1); the derivative part disappears when q = 0.
+def apply_w_raise(poly: Poly, p: int, q: int) -> Poly:
+    """Apply the raising operator w + q g Dz^p Dw^(q-1) (just w when q = 0)."""
     out = _W * poly
     if q >= 1:
         out = out + q * _G * poly.diff("z", p).diff("w", q - 1)
@@ -176,9 +174,9 @@ def via_creation(params: FamilyParams) -> GHPoly:
     p, q, n, m = params.p, params.q, params.n, params.m
     poly = Poly.one()
     for _ in range(m):
-        poly = _apply_w_raise(poly, p, q)
+        poly = apply_w_raise(poly, p, q)
     for _ in range(n):
-        poly = _apply_z_raise(poly, p, q)
+        poly = apply_z_raise(poly, p, q)
     return GHPoly(params, poly)
 
 

@@ -1,5 +1,12 @@
 """Identity catalog, per-identity exact checkers, and grid audits.
 
+Each identity is one registry entry in :mod:`.checks`, an
+``@identity(...)`` decorator on its checker holding the tag, kind, grid
+axes, parameter keys, admissible-cell constraint and optional
+correction.  IdentityTag, CHECKS, MISPRINT_LEDGER, cells_for and
+run_check's validation derive from the entries: adding an identity is
+writing its checker and one entry.
+
 The public entry points wrap run_cell with arity/kind validation:
 verify_algebraic for finite polynomial identities, verify_series for
 the truncated generating-function identities, verify_hypergeom_transform
@@ -28,8 +35,16 @@ from .audit import (
     run_cell,
     summarize,
 )
-from .checks import CHECKS, CheckResult, CheckSpec, pochhammer_tail, run_check
-from .tags import MISPRINT_LEDGER, IdentityTag, parse_tag
+from .checks import (
+    CHECKS,
+    MISPRINT_LEDGER,
+    CheckResult,
+    CheckSpec,
+    IdentityTag,
+    parse_tag,
+    pochhammer_tail,
+    run_check,
+)
 
 __all__ = [
     "CHECKS",

@@ -8,15 +8,15 @@ invocations produce identical documents.
 
 from __future__ import annotations
 
+import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from ..exactalg import Poly
-from .checks import CHECKS, run_check
-from .tags import MISPRINT_LEDGER, IdentityTag
+from .checks import CHECKS, MISPRINT_LEDGER, IdentityTag, run_check
 
 STATUS_EXACT_PASS = "ExactPass"
 STATUS_SERIES_PASS = "SeriesPass"
@@ -75,6 +75,11 @@ class GridRanges:
                 raise ValueError(
                     f"{name} must be an integer >= {top} for these derivative orders"
                 )
+
+    @property
+    def orders(self) -> tuple[int, ...]:
+        """The distinct nonzero derivative orders in pq_pairs, ascending."""
+        return tuple(sorted({x for pair in self.pq_pairs for x in pair if x >= 1}))
 
 
 @dataclass
@@ -191,112 +196,31 @@ def _join_notes(first: str, second: str) -> str:
 
 
 def cells_for(tag: IdentityTag, ranges: GridRanges) -> list[dict]:
-    """Expand one tag into its full list of parameter cells."""
-    nm = [
-        (n, m)
-        for n in range(ranges.n_max + 1)
-        for m in range(ranges.m_max + 1)
-    ]
-    pq = list(ranges.pq_pairs)
-    cells: list[dict] = []
+    """Expand one tag into its full list of parameter cells.
 
-    if tag is IdentityTag.HYP_2F0_1F1:
-        for n, m in nm:
-            for point in ranges.hyp_points:
-                cells.append({"n": n, "m": m, "z": point})
-    elif tag is IdentityTag.MULT_GH:
-        orders = sorted({x for pair in pq for x in pair if x >= 1})
-        for p in orders:
-            for n in range(ranges.n_max + 1):
-                cells.append({"p": p, "n": n})
-    elif tag is IdentityTag.CONN_ITO:
-        for n in range(ranges.n_max + 1):
-            cells.append({"n": n})
-    elif tag in (IdentityTag.CONN_GH_FROM_PQ, IdentityTag.CONN_GH_SUM):
-        for p, q in pq:
-            if tag is IdentityTag.CONN_GH_FROM_PQ and (p < 1 or p < q):
-                continue
-            for n in range(ranges.n_max + 1):
-                cells.append({"p": p, "q": q, "n": n})
-    elif tag is IdentityTag.DERIV_JK:
-        for p, q in pq:
-            for n, m in nm:
-                for j in range(ranges.jk_max + 1):
-                    for k in range(ranges.jk_max + 1):
-                        cells.append({"p": p, "q": q, "n": n, "m": m, "j": j, "k": k})
-    elif tag is IdentityTag.DERIV_GAMMA_K:
-        for p, q in pq:
-            for n, m in nm:
-                for k in range(ranges.jk_max + 1):
-                    cells.append({"p": p, "q": q, "n": n, "m": m, "k": k})
-    elif tag is IdentityTag.NIELSEN_N:
-        for p, q in pq:
-            for n, m in nm:
-                for np_ in range(ranges.aux_max + 1):
-                    cells.append({"p": p, "q": q, "n": n, "np": np_, "m": m})
-    elif tag is IdentityTag.NIELSEN_M:
-        for p, q in pq:
-            for n, m in nm:
-                for mp_ in range(ranges.aux_max + 1):
-                    cells.append({"p": p, "q": q, "n": n, "m": m, "mp": mp_})
-    elif tag is IdentityTag.NIELSEN_FULL:
-        for p, q in pq:
-            for n, m in nm:
-                for np_ in range(ranges.aux_max + 1):
-                    for mp_ in range(ranges.aux_max + 1):
-                        cells.append(
-                            {"p": p, "q": q, "n": n, "np": np_, "m": m, "mp": mp_}
-                        )
-    elif tag is IdentityTag.GEN_FULL:
-        for p, q in pq:
-            cells.append({"p": p, "q": q, "order": ranges.series_order})
-    elif tag is IdentityTag.GEN_PARTIAL_U:
-        for p, q in pq:
-            if q < 1:
-                continue
-            for m in range(ranges.aux_max + 1):
-                cells.append({"p": p, "q": q, "m": m, "order": ranges.series_order})
-    elif tag is IdentityTag.GEN_PARTIAL_V:
-        for p, q in pq:
-            if p < 1:
-                continue
-            for n in range(ranges.aux_max + 1):
-                cells.append({"p": p, "q": q, "n": n, "order": ranges.series_order})
-    elif tag is IdentityTag.GEN_POCHHAMMER_G:
-        for p, q in pq:
-            for j in range(1, ranges.jk_max + 1):
-                for k in range(1, ranges.jk_max + 1):
-                    cells.append(
-                        {"p": p, "q": q, "j": j, "k": k, "order": ranges.series_order}
-                    )
-    elif tag is IdentityTag.GEN_POCHHAMMER_S:
-        for p, q in pq:
-            if p < 1 or q < 1:
-                continue
-            for a, b, z, w, g in ranges.weighted_points:
-                cells.append(
-                    {
-                        "p": p,
-                        "q": q,
-                        "a": a,
-                        "b": b,
-                        "z": z,
-                        "w": w,
-                        "g": g,
-                        "order": ranges.weighted_series_order,
-                    }
-                )
-    else:
-        needs_pq_positive = tag in (
-            IdentityTag.PDE_PRODUCT,
-            IdentityTag.CONN_PQ_FROM_GH,
-        )
-        for p, q in pq:
-            if needs_pq_positive and (p < 1 or q < 1):
-                continue
-            for n, m in nm:
-                cells.append({"p": p, "q": q, "n": n, "m": m})
-    return cells
+    The cells are the product of the tag's grid axes, in axis order, that
+    satisfy its constraint.
+    """
+    spec = CHECKS[tag]
+    flat = [key for keys, _ in spec.axes for key in keys]
+    pools = [
+        [value if len(keys) > 1 else (value,) for value in _axis_values(ranges, name)]
+        for keys, name in spec.axes
+    ]
+    cells = [
+        dict(zip(flat, itertools.chain.from_iterable(combo)))
+        for combo in itertools.product(*pools)
+    ]
+    return [cell for cell in cells if spec.admits(cell)] if spec.needs else cells
+
+
+def _axis_values(ranges: GridRanges, name: str) -> Sequence:
+    # a *_max bound ranges over 0..max, a tuple over its entries, and any
+    # other field is its one value
+    value = getattr(ranges, name)
+    if name.endswith("_max"):
+        return range(value + 1)
+    return value if isinstance(value, tuple) else (value,)
 
 
 def _run_chunk(work: tuple) -> list[IdentityReport]:

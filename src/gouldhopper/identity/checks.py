@@ -1,6 +1,29 @@
-"""Checkers turning each cataloged identity into an exact difference.
+"""The identity catalog: one registry entry and one checker per identity.
 
-Every function here computes left-hand side minus right-hand side of one
+Each identity is declared once, by an ``@identity(...)`` entry on the
+function that checks it.  The entry holds:
+
+* the tag, the identity's catalog name;
+* the kind: "algebraic", "series", "scalar" or "pde";
+* the grid axes in loop order, each a (parameter keys, GridRanges
+  field) pair: a ``*_max`` field ranges over 0..max, a tuple field over
+  its entries (an axis with several keys takes each entry apart), any
+  other field is its one value;
+* the parameter keys in display and validation order, by default the
+  axis keys in loop order;
+* ``needs``, a Python expression over the keys that every admissible
+  cell satisfies, or None when every cell is admissible;
+* ``correction``, the documented correction of a printed display that
+  fails exact verification, which the "corrected" variant applies.
+
+Everything else is derived from the entries: the ``IdentityTag`` enum
+(in declaration order), the read-only ``CHECKS`` and ``MISPRINT_LEDGER``
+views, the cells of ``audit.cells_for`` (the product of the axes,
+filtered by ``needs``) and ``run_check``'s validation, which rejects a
+cell outside ``needs``.  To add an identity, write its checker and put
+one entry on it.
+
+Every checker computes left-hand side minus right-hand side of one
 identity: as a Poly for algebraic and differential statements, as a
 truncated series folded back into a Poly carrying u, v for
 generating-function statements, or as a constant Poly for scalar
@@ -16,8 +39,8 @@ Conventions shared by all the displays:
 * floor(j/0) = +infinity, so a zero order removes its summation bound.
 
 Each checker takes (params, variant) where `variant` is "printed" or,
-for tags carrying a correction in MISPRINT_LEDGER, "corrected".
-Checkers of uncorrected tags ignore the variant.
+for identities carrying a correction, "corrected".  Checkers of
+uncorrected identities ignore the variant.
 
 Sides that several cells, or both variants of one cell, share are
 memoized.  Every key is the input the code computed, never what the
@@ -49,10 +72,12 @@ audit grids never evict.
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
+from types import MappingProxyType
 from typing import Callable, Mapping
 
 from ..exactalg import (
@@ -65,17 +90,19 @@ from ..exactalg import (
 )
 from ..ghcore import (
     FamilyParams,
+    _comb0,
+    apply_w_raise,
+    apply_z_raise,
     explicit_poly,
     generating_series,
     gould_hopper_1d,
     hypergeom_form,
+    via_creation,
 )
-from .tags import IdentityTag
 
 _Z = Poly.variable("z")
 _W = Poly.variable("w")
 _G = Poly.variable("g")
-_T = Poly.variable("t")
 _ZP = Poly.variable("zp")
 _WP = Poly.variable("wp")
 _GP = Poly.variable("gp")
@@ -101,19 +128,70 @@ class CheckResult:
         return self.difference.is_zero()
 
 
-def _comb0(n: int, k: int) -> int:
-    if k < 0 or n < 0 or k > n:
-        return 0
-    return math.comb(n, k)
+CheckFn = Callable[[Mapping, str], CheckResult]
+Axis = tuple[tuple[str, ...], str]  # (parameter keys, GridRanges field)
+
+
+@dataclass(frozen=True)
+class CheckSpec:
+    """One registry entry, the declaration of one identity (see the module docstring)."""
+
+    keys: tuple[str, ...]
+    kind: str
+    fn: CheckFn
+    axes: tuple[Axis, ...]
+    needs: str | None = None
+    correction: str | None = None
+
+    @cached_property
+    def _needs_code(self):
+        return compile(self.needs, "<needs>", "eval")
+
+    def admits(self, params: Mapping) -> bool:
+        """Whether the cell satisfies the identity's constraint."""
+        return self.needs is None or eval(self._needs_code, _NEEDS_NAMES, params)
+
+
+# the names a constraint may use besides the parameter keys; the
+# expressions are the constant strings of the entries below
+_NEEDS_NAMES = {"__builtins__": {}, "max": max}
+
+_PQ: Axis = (("p", "q"), "pq_pairs")
+_N: Axis = (("n",), "n_max")
+_M: Axis = (("m",), "m_max")
+_NP: Axis = (("np",), "aux_max")
+_MP: Axis = (("mp",), "aux_max")
+_J: Axis = (("j",), "jk_max")
+_K: Axis = (("k",), "jk_max")
+_ORDER: Axis = (("order",), "series_order")
+
+_ENTRIES: dict[str, CheckSpec] = {}
+
+
+def identity(
+    tag: str,
+    kind: str,
+    axes: tuple[Axis, ...] = (_PQ, _N, _M),
+    *,
+    keys: tuple[str, ...] | None = None,
+    needs: str | None = None,
+    correction: str | None = None,
+) -> Callable[[CheckFn], CheckFn]:
+    """Declare the decorated checker as the identity `tag`."""
+    flat = tuple(key for axis_keys, _ in axes for key in axis_keys)
+    if keys is not None and sorted(keys) != sorted(flat):
+        raise ValueError(f"{tag}: keys {keys} are not the axis keys {flat}")
+
+    def register(fn: CheckFn) -> CheckFn:
+        _ENTRIES[tag] = CheckSpec(keys or flat, kind, fn, axes, needs, correction)
+        return fn
+
+    return register
 
 
 def _inv_fact(x: int) -> Fraction:
     # 1/x! with the Gamma-function convention 1/(negative)! = 0.
     return Fraction(1, _fact(x)) if x >= 0 else Fraction(0)
-
-
-def _gh(p: int, q: int, n: int, m: int) -> Poly:
-    return explicit_poly(p, q, n, m)
 
 
 def _gh0(p: int, q: int, n: int, m: int) -> Poly:
@@ -123,35 +201,21 @@ def _gh0(p: int, q: int, n: int, m: int) -> Poly:
     return explicit_poly(p, q, n, m)
 
 
-@lru_cache(maxsize=1024)
-def _gh_all_primed(p: int, q: int, n: int, m: int) -> Poly:
-    return _gh(p, q, n, m).subst({"z": _ZP, "w": _WP, "g": _GP})
+@lru_cache(maxsize=8192)
+def _gh_primed(names: str, p: int, q: int, n: int, m: int) -> Poly:
+    # the member with each variable in `names` replaced by its primed copy
+    return explicit_poly(p, q, n, m).subst({v: Poly.variable(v + "p") for v in names})
 
 
 @lru_cache(maxsize=2048)
-def _gh_zw_primed(p: int, q: int, n: int, m: int) -> Poly:
-    return _gh(p, q, n, m).subst({"z": _ZP, "w": _WP})
-
-
-@lru_cache(maxsize=2048)
-def _gh_z_primed(p: int, q: int, n: int, m: int) -> Poly:
-    return _gh(p, q, n, m).subst({"z": _ZP})
-
-
-@lru_cache(maxsize=2048)
-def _gh_w_primed(p: int, q: int, n: int, m: int) -> Poly:
-    return _gh(p, q, n, m).subst({"w": _WP})
-
-
-@lru_cache(maxsize=2048)
-def _gh_half(p: int, q: int, n: int, m: int, gsign: int) -> Poly:
+def _gh_half(gsign: int, p: int, q: int, n: int, m: int) -> Poly:
     half = Fraction(1, 2)
-    return _gh(p, q, n, m).subst({"z": half * _Z, "w": half * _W, "g": gsign * _G})
+    return explicit_poly(p, q, n, m).subst({"z": half * _Z, "w": half * _W, "g": gsign * _G})
 
 
 @lru_cache(maxsize=2048)
-def _gh_scaled_g(p: int, q: int, n: int, m: int, num: int, den: int) -> Poly:
-    return _gh(p, q, n, m).subst({"g": Fraction(num, den) * _G})
+def _gh_scaled_g(scale: int, p: int, q: int, n: int, m: int) -> Poly:
+    return explicit_poly(p, q, n, m).subst({"g": scale * _G})
 
 
 @lru_cache(maxsize=128)
@@ -176,28 +240,31 @@ def pochhammer_tail(n: int, k: int, var: str = "z") -> Poly:
     return total
 
 
-def _require_series_order(order: int, p: int, q: int) -> None:
-    if order < p + q:
-        raise ValueError(f"series order {order} is too small for orders (p,q)=({p},{q})")
-
-
 # ---------------------------------------------------------------------
 # basic structure
 # ---------------------------------------------------------------------
 
+@identity("SYMMETRY", "algebraic")
 def _check_symmetry(ps: Mapping, variant: str) -> CheckResult:
     """H^(p,q)_{n,m}(z,w|g) = H^(q,p)_{m,n}(w,z|g)."""
     p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
-    lhs = _gh(p, q, n, m).subst({"z": _W, "w": _Z})
-    return CheckResult(lhs - _gh(q, p, m, n))
+    lhs = explicit_poly(p, q, n, m).subst({"z": _W, "w": _Z})
+    return CheckResult(lhs - explicit_poly(q, p, m, n))
 
 
+@identity("HYPERGEOM", "algebraic", needs="p >= 1 and q >= 1")
 def _check_hypergeom(ps: Mapping, variant: str) -> CheckResult:
     """The terminating hypergeometric rewriting reproduces the defining sum."""
     p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
-    return CheckResult(hypergeom_form(FamilyParams(p, q, n, m)).poly - _gh(p, q, n, m))
+    return CheckResult(hypergeom_form(FamilyParams(p, q, n, m)).poly - explicit_poly(p, q, n, m))
 
 
+@identity(
+    "HYP_2F0_1F1",
+    "scalar",
+    (_N, _M, (("z",), "hyp_points")),
+    correction="prefactor is (-z)^-(min(n,m)), not z^-(min(n,m))",
+)
 def _check_hyp_2f0_1f1(ps: Mapping, variant: str) -> CheckResult:
     """2F0(-n,-m;;-1/z) against its 1F1 form, evaluated at rational z.
 
@@ -224,6 +291,14 @@ def _check_hyp_2f0_1f1(ps: Mapping, variant: str) -> CheckResult:
     return CheckResult(Poly.const(lhs - rhs))
 
 
+@identity(
+    "ORIGIN_VALUE",
+    "algebraic",
+    correction=(
+        "value at the origin is n! m! g^k / k! with k = n/p = m/q, "
+        "not n!/(n/p)! g^(n/p)"
+    ),
+)
 def _check_origin_value(ps: Mapping, variant: str) -> CheckResult:
     """Closed form of the value at z = w = 0.
 
@@ -232,7 +307,7 @@ def _check_origin_value(ps: Mapping, variant: str) -> CheckResult:
     for the unique k with n = pk and m = qk, zero when no such k exists.
     """
     p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
-    actual = _gh(p, q, n, m).subst({"z": 0, "w": 0})
+    actual = explicit_poly(p, q, n, m).subst({"z": 0, "w": 0})
     if variant == "printed":
         if p >= 1 and q >= 1:
             if n % p == 0 and m % q == 0 and n // p == m // q:
@@ -263,15 +338,17 @@ def _check_origin_value(ps: Mapping, variant: str) -> CheckResult:
     return CheckResult(actual - predicted)
 
 
+@identity("HOMOGENEITY", "algebraic")
 def _check_homogeneity(ps: Mapping, variant: str) -> CheckResult:
     """a^n b^m H(z,w|g) = H(az, bw | g a^p b^q)."""
     p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
-    h = _gh(p, q, n, m)
+    h = explicit_poly(p, q, n, m)
     lhs = Poly.monomial({"a": n, "b": m}) * h
     rhs = h.subst({"z": _A * _Z, "w": _B * _W, "g": _G * Poly.monomial({"a": p, "b": q})})
     return CheckResult(lhs - rhs)
 
 
+@identity("LIMIT", "algebraic")
 def _check_limit(ps: Mapping, variant: str) -> CheckResult:
     """Shrinking the deformation recovers the monomial.
 
@@ -280,7 +357,7 @@ def _check_limit(ps: Mapping, variant: str) -> CheckResult:
     certified here is that this part is exactly z^n w^m.
     """
     p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
-    deformed = _gh(p, q, n, m).subst({"g": _G * Poly.monomial({"t": p + q})})
+    deformed = explicit_poly(p, q, n, m).subst({"g": _G * Poly.monomial({"t": p + q})})
     lhs = deformed.coefficient("t", 0)
     return CheckResult(
         lhs - Poly.monomial({"z": n, "w": m}),
@@ -292,46 +369,61 @@ def _check_limit(ps: Mapping, variant: str) -> CheckResult:
 # generating functions
 # ---------------------------------------------------------------------
 
-def _family_series(p: int, q: int, order: int) -> SeriesUV:
-    coeffs = {}
-    for i in range(order + 1):
-        for j in range(order + 1 - i):
-            coeffs[(i, j)] = _gh(p, q, i, j) * Fraction(1, _fact(i) * _fact(j))
-    return SeriesUV(order, coeffs)
-
-
-def _check_gen_full(ps: Mapping, variant: str) -> CheckResult:
-    """sum H_{n,m} u^n v^m/(n! m!) = exp(zu + wv + g u^p v^q)."""
-    p, q, order = ps["p"], ps["q"], ps["order"]
-    _require_series_order(order, p, q)
-    diff = _family_series(p, q, order) - generating_series(p, q, order)
-    return CheckResult(diff.to_poly(), series_order=order)
-
-
+@identity(
+    "GEN_PARTIAL_U",
+    "series",
+    (_PQ, (("m",), "aux_max"), _ORDER),
+    needs="q >= 1 and order >= p + q",
+)
 def _check_gen_partial_u(ps: Mapping, variant: str) -> CheckResult:
     """sum_n H_{n,m} u^n/n! = H^(q)_m(w | u^p g) exp(zu), at fixed m."""
     p, q, m, order = ps["p"], ps["q"], ps["m"], ps["order"]
-    _require_series_order(order, p, q)
     lhs = SeriesUV(order, {
-        (i, 0): _gh(p, q, i, m) * Fraction(1, _fact(i)) for i in range(order + 1)
+        (i, 0): explicit_poly(p, q, i, m) * Fraction(1, _fact(i)) for i in range(order + 1)
     })
     base = gould_hopper_1d(m, q).subst({"z": _W, "g": _G * Poly.monomial({"u": p})})
     rhs = SeriesUV.from_poly(base, order) * series_exp(_Z * _U, order)
     return CheckResult((lhs - rhs).to_poly(), series_order=order)
 
 
+@identity(
+    "GEN_PARTIAL_V",
+    "series",
+    (_PQ, (("n",), "aux_max"), _ORDER),
+    needs="p >= 1 and order >= p + q",
+)
 def _check_gen_partial_v(ps: Mapping, variant: str) -> CheckResult:
     """sum_m H_{n,m} v^m/m! = H^(p)_n(z | v^q g) exp(wv), at fixed n."""
     p, q, n, order = ps["p"], ps["q"], ps["n"], ps["order"]
-    _require_series_order(order, p, q)
     lhs = SeriesUV(order, {
-        (0, j): _gh(p, q, n, j) * Fraction(1, _fact(j)) for j in range(order + 1)
+        (0, j): explicit_poly(p, q, n, j) * Fraction(1, _fact(j)) for j in range(order + 1)
     })
     base = gould_hopper_1d(n, p).subst({"g": _G * Poly.monomial({"v": q})})
     rhs = SeriesUV.from_poly(base, order) * series_exp(_W * _V, order)
     return CheckResult((lhs - rhs).to_poly(), series_order=order)
 
 
+@identity("GEN_FULL", "series", (_PQ, _ORDER), needs="order >= p + q")
+def _check_gen_full(ps: Mapping, variant: str) -> CheckResult:
+    """sum H_{n,m} u^n v^m/(n! m!) = exp(zu + wv + g u^p v^q)."""
+    p, q, order = ps["p"], ps["q"], ps["order"]
+    lhs = SeriesUV(order, {
+        (i, j): explicit_poly(p, q, i, j) * Fraction(1, _fact(i) * _fact(j))
+        for i in range(order + 1) for j in range(order + 1 - i)
+    })
+    return CheckResult((lhs - generating_series(p, q, order)).to_poly(), series_order=order)
+
+
+@identity(
+    "GEN_POCHHAMMER_G",
+    "series",
+    (_PQ, _J, _K, _ORDER),
+    needs="j >= 1 and k >= 1 and order >= p + q",
+    correction=(
+        "the rising-factorial weights act on the monomial degrees, via the "
+        "operators z Dz^j z^(j-1) and w Dw^k w^(k-1), not on the summation indices"
+    ),
+)
 def _check_gen_pochhammer_g(ps: Mapping, variant: str) -> CheckResult:
     """Rising-factorial weighted generating series, polynomial form.
 
@@ -343,13 +435,10 @@ def _check_gen_pochhammer_g(ps: Mapping, variant: str) -> CheckResult:
     and w Dw^k w^(k-1) to H_{n,m}, matching the right-hand side exactly.
     """
     p, q, j, k, order = ps["p"], ps["q"], ps["j"], ps["k"], ps["order"]
-    if j < 1 or k < 1:
-        raise ValueError("weight orders j, k must be >= 1")
-    _require_series_order(order, p, q)
     coeffs = {}
     for n in range(order + 1):
         for m in range(order + 1 - n):
-            h = _gh(p, q, n, m)
+            h = explicit_poly(p, q, n, m)
             if variant == "printed":
                 weighted = rising_factorial(n, j) * rising_factorial(m, k) * h
             else:
@@ -370,6 +459,13 @@ def _pochhammer_g_rhs(p: int, q: int, j: int, k: int, order: int) -> SeriesUV:
     return SeriesUV.from_poly(prefactor, order) * generating_series(p, q, order)
 
 
+@identity(
+    "GEN_POCHHAMMER_S",
+    "series",
+    (_PQ, (("a", "b", "z", "w", "g"), "weighted_points"), (("order",), "weighted_series_order")),
+    needs="p >= 1 and q >= 1 and order >= p + q",
+    correction="the hypergeometric argument carries u^p v^q, not u v",
+)
 def _check_gen_pochhammer_s(ps: Mapping, variant: str) -> CheckResult:
     """Rising-factorial weighted series at rational parameter values.
 
@@ -383,11 +479,8 @@ def _check_gen_pochhammer_s(ps: Mapping, variant: str) -> CheckResult:
     aval, bval = as_scalar(ps["a"]), as_scalar(ps["b"])
     zval, wval = as_scalar(ps["z"]), as_scalar(ps["w"])
     gval = as_scalar(ps["g"])
-    if p < 1 or q < 1:
-        raise ValueError("needs p >= 1 and q >= 1")
     if zval == 0 or wval == 0:
         raise ValueError("z and w must be nonzero")
-    _require_series_order(order, p, q)
     lhs, binom_ab, binom_pq = _pochhammer_s_sides(p, q, aval, bval, zval, wval, gval, order)
     arg_exps = {"u": 1, "v": 1} if variant == "printed" else {"u": p, "v": q}
     x = SeriesUV.from_poly(Poly.monomial(arg_exps, gval * p ** p * q ** q), order) * binom_pq
@@ -418,7 +511,7 @@ def _pochhammer_s_sides(
     coeffs = {}
     for n in range(order + 1):
         for m in range(order + 1 - n):
-            hval = _gh(p, q, n, m).subst({"z": z, "w": w, "g": g}).as_fraction()
+            hval = explicit_poly(p, q, n, m).subst({"z": z, "w": w, "g": g}).as_fraction()
             value = rising_factorial(a, n) * rising_factorial(b, m) * hval / (_fact(n) * _fact(m))
             coeffs[(n, m)] = Poly.const(value)
     uz = Poly.monomial({"u": 1}, z)
@@ -434,55 +527,51 @@ def _pochhammer_s_sides(
 # addition / multiplication behaviour
 # ---------------------------------------------------------------------
 
+def _split_sum(n: int, m: int, first: Callable, second: Callable) -> Poly:
+    """sum_{k,j} C(n,k) C(m,j) first(k, j) second(n-k, m-j)."""
+    total = Poly.zero()
+    for k in range(n + 1):
+        for j in range(m + 1):
+            total = total + _comb0(n, k) * _comb0(m, j) * first(k, j) * second(n - k, m - j)
+    return total
+
+
+def _zw_monomial(i: int, j: int) -> Poly:
+    return Poly.monomial({"z": i, "w": j})
+
+
+@identity("RUNGE_GENERAL", "algebraic")
 def _check_runge_general(ps: Mapping, variant: str) -> CheckResult:
     """H(z+z', w+w' | g+g') as a binomial double sum of primed pairs."""
     p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
-    lhs = _gh(p, q, n, m).subst({"z": _Z + _ZP, "w": _W + _WP, "g": _G + _GP})
-    rhs = Poly.zero()
-    for k in range(n + 1):
-        for j in range(m + 1):
-            rhs = rhs + (
-                _comb0(n, k) * _comb0(m, j)
-                * _gh(p, q, k, j)
-                * _gh_all_primed(p, q, n - k, m - j)
-            )
+    lhs = explicit_poly(p, q, n, m).subst({"z": _Z + _ZP, "w": _W + _WP, "g": _G + _GP})
+    rhs = _split_sum(n, m, partial(explicit_poly, p, q), partial(_gh_primed, "zwg", p, q))
     return CheckResult(lhs - rhs)
 
 
+@identity("RUNGE_CANCEL", "algebraic")
 def _check_runge_cancel(ps: Mapping, variant: str) -> CheckResult:
     """Half arguments with opposite deformations collapse to z^n w^m."""
     p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
-    rhs = Poly.zero()
-    for k in range(n + 1):
-        for j in range(m + 1):
-            rhs = rhs + (
-                _comb0(n, k) * _comb0(m, j)
-                * _gh_half(p, q, k, j, 1)
-                * _gh_half(p, q, n - k, m - j, -1)
-            )
+    rhs = _split_sum(n, m, partial(_gh_half, 1, p, q), partial(_gh_half, -1, p, q))
     return CheckResult(Poly.monomial({"z": n, "w": m}) - rhs)
 
 
+@identity("RUNGE_HALF", "algebraic", correction="the split sum carries the prefactor 2^-(n+m)")
 def _check_runge_half(ps: Mapping, variant: str) -> CheckResult:
     """Equal-argument splitting with deformation 2^(p+q-1) g.
 
     The printed display omits the prefactor 2^-(n+m) on the sum.
     """
     p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
-    scale = 2 ** (p + q - 1)
-    total = Poly.zero()
-    for k in range(n + 1):
-        for j in range(m + 1):
-            total = total + (
-                _comb0(n, k) * _comb0(m, j)
-                * _gh_scaled_g(p, q, k, j, scale, 1)
-                * _gh_scaled_g(p, q, n - k, m - j, scale, 1)
-            )
+    scaled = partial(_gh_scaled_g, 2 ** (p + q - 1), p, q)
+    total = _split_sum(n, m, scaled, scaled)
     if variant != "printed":
         total = total * Fraction(1, 2 ** (n + m))
-    return CheckResult(_gh(p, q, n, m) - total)
+    return CheckResult(explicit_poly(p, q, n, m) - total)
 
 
+@identity("RUNGE_SCALED", "algebraic")
 def _check_runge_scaled(ps: Mapping, variant: str) -> CheckResult:
     """Two-point splitting at a common deformation, root-cleared form.
 
@@ -492,57 +581,47 @@ def _check_runge_scaled(ps: Mapping, variant: str) -> CheckResult:
     which is the polynomial statement certified here.
     """
     p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
-    lhs = _gh(p, q, n, m).subst({"z": _Z + _ZP, "w": _W + _WP, "g": 2 * _G})
-    rhs = Poly.zero()
-    for k in range(n + 1):
-        for j in range(m + 1):
-            rhs = rhs + (
-                _comb0(n, k) * _comb0(m, j)
-                * _gh(p, q, k, j)
-                * _gh_zw_primed(p, q, n - k, m - j)
-            )
+    lhs = explicit_poly(p, q, n, m).subst({"z": _Z + _ZP, "w": _W + _WP, "g": 2 * _G})
+    rhs = _split_sum(n, m, partial(explicit_poly, p, q), partial(_gh_primed, "zw", p, q))
     return CheckResult(
         lhs - rhs,
         notes="both sides scaled by 2^(n/2p + m/2q) to clear the irrational scalings",
     )
 
 
+def _lowered(p: int, q: int, n: int, m: int, k: int) -> Poly:
+    # n! m! / (k! (n-pk)! (m-qk)!) H_{n-pk,m-qk}, the k-th member of the lowering sums
+    weight = Fraction(_fact(n) * _fact(m), _fact(k) * _fact(n - p * k) * _fact(m - q * k))
+    return weight * explicit_poly(p, q, n - p * k, m - q * k)
+
+
+@identity("MULT_C", "algebraic")
 def _check_mult_c(ps: Mapping, variant: str) -> CheckResult:
     """H(z,w|cg) = n!m! sum_k (c-1)^k g^k/k! H_{n-pk,m-qk}/((n-pk)!(m-qk)!)."""
     p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
-    lhs = _gh(p, q, n, m).subst({"g": _C * _G})
+    lhs = explicit_poly(p, q, n, m).subst({"g": _C * _G})
     rhs = Poly.zero()
     for k in range(FamilyParams(p, q, n, m).k_max + 1):
-        rhs = rhs + (
-            (_C - 1) ** k
-            * Poly.monomial({"g": k})
-            * _gh(p, q, n - p * k, m - q * k)
-            * Fraction(
-                _fact(n) * _fact(m),
-                _fact(k) * _fact(n - p * k) * _fact(m - q * k),
-            )
-        )
+        rhs = rhs + (_C - 1) ** k * Poly.monomial({"g": k}) * _lowered(p, q, n, m, k)
     return CheckResult(lhs - rhs)
 
 
+@identity("MULT_ABC", "algebraic")
 def _check_mult_abc(ps: Mapping, variant: str) -> CheckResult:
     """H(az, bw | cg) expanded over (c - a^p b^q)^k with rescaled members."""
     p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
-    lhs = _gh(p, q, n, m).subst({"z": _A * _Z, "w": _B * _W, "g": _C * _G})
+    lhs = explicit_poly(p, q, n, m).subst({"z": _A * _Z, "w": _B * _W, "g": _C * _G})
     rhs = Poly.zero()
     for k in range(FamilyParams(p, q, n, m).k_max + 1):
         rhs = rhs + (
             (_C - Poly.monomial({"a": p, "b": q})) ** k
             * Poly.monomial({"g": k, "a": n - p * k, "b": m - q * k})
-            * _gh(p, q, n - p * k, m - q * k)
-            * Fraction(
-                _fact(n) * _fact(m),
-                _fact(k) * _fact(n - p * k) * _fact(m - q * k),
-            )
+            * _lowered(p, q, n, m, k)
         )
     return CheckResult(lhs - rhs)
 
 
+@identity("MULT_GH", "algebraic", ((("p",), "orders"), _N))
 def _check_mult_gh(ps: Mapping, variant: str) -> CheckResult:
     """One-variable rescaling: H^(p)_n(az|cg) over (c - a^p)^k."""
     p, n = ps["p"], ps["n"]
@@ -558,21 +637,23 @@ def _check_mult_gh(ps: Mapping, variant: str) -> CheckResult:
     return CheckResult(lhs - rhs)
 
 
+@identity("ADD_ZW", "algebraic")
 def _check_add_zw(ps: Mapping, variant: str) -> CheckResult:
     """H(z+z', w+w'|g) = sum C(n,i) C(m,j) z^i w^j H_{n-i,m-j}(z',w'|g)."""
     p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
-    lhs = _gh(p, q, n, m).subst({"z": _Z + _ZP, "w": _W + _WP})
-    rhs = Poly.zero()
-    for i in range(n + 1):
-        for j in range(m + 1):
-            rhs = rhs + (
-                _comb0(n, i) * _comb0(m, j)
-                * Poly.monomial({"z": i, "w": j})
-                * _gh_zw_primed(p, q, n - i, m - j)
-            )
+    lhs = explicit_poly(p, q, n, m).subst({"z": _Z + _ZP, "w": _W + _WP})
+    rhs = _split_sum(n, m, _zw_monomial, partial(_gh_primed, "zw", p, q))
     return CheckResult(lhs - rhs)
 
 
+@identity(
+    "ADD_HALF",
+    "algebraic",
+    correction=(
+        "prefactor is 2^-(n+m), not 2^(n+m), and the rescaled deformation "
+        "is 2^(p+q) g, not 2^(p+q-1) g"
+    ),
+)
 def _check_add_half(ps: Mapping, variant: str) -> CheckResult:
     """Equal-split shift formula.
 
@@ -586,85 +667,78 @@ def _check_add_half(ps: Mapping, variant: str) -> CheckResult:
     else:
         prefactor = Fraction(1, 2 ** (n + m))
         scale = 2 ** (p + q)
-    total = Poly.zero()
-    for i in range(n + 1):
-        for j in range(m + 1):
-            total = total + (
-                _comb0(n, i) * _comb0(m, j)
-                * Poly.monomial({"z": i, "w": j})
-                * _gh_scaled_g(p, q, n - i, m - j, scale, 1)
-            )
-    return CheckResult(_gh(p, q, n, m) - prefactor * total)
+    total = _split_sum(n, m, _zw_monomial, partial(_gh_scaled_g, scale, p, q))
+    return CheckResult(explicit_poly(p, q, n, m) - prefactor * total)
 
 
 # ---------------------------------------------------------------------
 # derivatives and inverses
 # ---------------------------------------------------------------------
 
+@identity("DERIV_Z", "algebraic")
 def _check_deriv_z(ps: Mapping, variant: str) -> CheckResult:
     """Dz H_{n,m} = n H_{n-1,m}."""
     p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
-    return CheckResult(_gh(p, q, n, m).diff("z") - n * _gh0(p, q, n - 1, m))
+    return CheckResult(explicit_poly(p, q, n, m).diff("z") - n * _gh0(p, q, n - 1, m))
 
 
+@identity("DERIV_W", "algebraic")
 def _check_deriv_w(ps: Mapping, variant: str) -> CheckResult:
     """Dw H_{n,m} = m H_{n,m-1}."""
     p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
-    return CheckResult(_gh(p, q, n, m).diff("w") - m * _gh0(p, q, n, m - 1))
+    return CheckResult(explicit_poly(p, q, n, m).diff("w") - m * _gh0(p, q, n, m - 1))
 
 
+@identity("DERIV_GAMMA", "algebraic")
 def _check_deriv_gamma(ps: Mapping, variant: str) -> CheckResult:
-    """Dg H_{n,m} = Dz^p Dw^q H_{n,m}."""
+    """Dg H_{n,m} = Dz^p Dw^q H_{n,m}; as (Dg - Dz^p Dw^q) H_{n,m} = 0 also PDE_HEAT."""
     p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
-    h = _gh(p, q, n, m)
+    h = explicit_poly(p, q, n, m)
     return CheckResult(h.diff("g") - h.diff("z", p).diff("w", q))
 
 
+@identity("DERIV_JK", "algebraic", (_PQ, _N, _M, _J, _K))
 def _check_deriv_jk(ps: Mapping, variant: str) -> CheckResult:
     """Dz^j Dw^k H_{n,m} = n!m!/((n-j)!(m-k)!) H_{n-j,m-k}, zero past the degrees."""
     p, q, n, m, j, k = ps["p"], ps["q"], ps["n"], ps["m"], ps["j"], ps["k"]
-    lhs = _gh(p, q, n, m).diff("z", j).diff("w", k)
+    lhs = explicit_poly(p, q, n, m).diff("z", j).diff("w", k)
     if j <= n and k <= m:
-        rhs = Fraction(_fact(n) * _fact(m), _fact(n - j) * _fact(m - k)) * _gh(p, q, n - j, m - k)
-    else:
-        rhs = Poly.zero()
-    return CheckResult(lhs - rhs)
-
-
-def _check_deriv_gamma_k(ps: Mapping, variant: str) -> CheckResult:
-    """Dg^k H_{n,m} = n!m!/((n-pk)!(m-qk)!) H_{n-pk,m-qk}, zero past the bound."""
-    p, q, n, m, k = ps["p"], ps["q"], ps["n"], ps["m"], ps["k"]
-    lhs = _gh(p, q, n, m).diff("g", k)
-    if k <= FamilyParams(p, q, n, m).k_max:
         rhs = (
-            Fraction(_fact(n) * _fact(m), _fact(n - p * k) * _fact(m - q * k))
-            * _gh(p, q, n - p * k, m - q * k)
+            Fraction(_fact(n) * _fact(m), _fact(n - j) * _fact(m - k))
+            * explicit_poly(p, q, n - j, m - k)
         )
     else:
         rhs = Poly.zero()
     return CheckResult(lhs - rhs)
 
 
+@identity("DERIV_GAMMA_K", "algebraic", (_PQ, _N, _M, _K))
+def _check_deriv_gamma_k(ps: Mapping, variant: str) -> CheckResult:
+    """Dg^k H_{n,m} = n!m!/((n-pk)!(m-qk)!) H_{n-pk,m-qk}, zero past the bound."""
+    p, q, n, m, k = ps["p"], ps["q"], ps["n"], ps["m"], ps["k"]
+    lhs = explicit_poly(p, q, n, m).diff("g", k)
+    if k <= FamilyParams(p, q, n, m).k_max:
+        rhs = _fact(k) * _lowered(p, q, n, m, k)
+    else:
+        rhs = Poly.zero()
+    return CheckResult(lhs - rhs)
+
+
+@identity("INVERSE_SUM", "algebraic")
 def _check_inverse_sum(ps: Mapping, variant: str) -> CheckResult:
     """z^n w^m = n!m! sum_k (-g)^k/k! H_{n-pk,m-qk}/((n-pk)!(m-qk)!)."""
     p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
     rhs = Poly.zero()
     for k in range(FamilyParams(p, q, n, m).k_max + 1):
-        rhs = rhs + (
-            Poly.monomial({"g": k}, Fraction((-1) ** k))
-            * _gh(p, q, n - p * k, m - q * k)
-            * Fraction(
-                _fact(n) * _fact(m),
-                _fact(k) * _fact(n - p * k) * _fact(m - q * k),
-            )
-        )
+        rhs = rhs + Poly.monomial({"g": k}, Fraction((-1) ** k)) * _lowered(p, q, n, m, k)
     return CheckResult(Poly.monomial({"z": n, "w": m}) - rhs)
 
 
+@identity("INVERSE_OP", "algebraic")
 def _check_inverse_op(ps: Mapping, variant: str) -> CheckResult:
     """z^n w^m = exp(-g Dz^p Dw^q) H_{n,m}; the operator sum truncates."""
     p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
-    h = _gh(p, q, n, m)
+    h = explicit_poly(p, q, n, m)
     rhs = Poly.zero()
     for k in range(FamilyParams(p, q, n, m).k_max + 1):
         term = h.diff("z", p * k).diff("w", q * k)
@@ -676,26 +750,26 @@ def _check_inverse_op(ps: Mapping, variant: str) -> CheckResult:
 # recurrences and operators
 # ---------------------------------------------------------------------
 
+@identity("REC_RAISE_N", "algebraic")
 def _check_rec_raise_n(ps: Mapping, variant: str) -> CheckResult:
     """H_{n+1,m} = z H_{n,m} + g p! q! C(n,p-1) C(m,q) H_{n+1-p,m-q}."""
     p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
-    rhs = _Z * _gh(p, q, n, m)
+    rhs = _Z * explicit_poly(p, q, n, m)
     c = _fact(p) * _fact(q) * _comb0(n, p - 1) * _comb0(m, q)
     if c:
         rhs = rhs + c * _G * _gh0(p, q, n + 1 - p, m - q)
-    return CheckResult(_gh(p, q, n + 1, m) - rhs)
+    return CheckResult(explicit_poly(p, q, n + 1, m) - rhs)
 
 
+@identity("REC_RAISE_N_OP", "algebraic")
 def _check_rec_raise_n_op(ps: Mapping, variant: str) -> CheckResult:
     """H_{n+1,m} = (z + p g Dz^(p-1) Dw^q) H_{n,m}."""
     p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
-    h = _gh(p, q, n, m)
-    rhs = _Z * h
-    if p >= 1:
-        rhs = rhs + p * _G * h.diff("z", p - 1).diff("w", q)
-    return CheckResult(_gh(p, q, n + 1, m) - rhs)
+    rhs = apply_z_raise(explicit_poly(p, q, n, m), p, q)
+    return CheckResult(explicit_poly(p, q, n + 1, m) - rhs)
 
 
+@identity("REC_RAISE_M", "algebraic", correction="lowered second index is m+1-q, not m-1-q")
 def _check_rec_raise_m(ps: Mapping, variant: str) -> CheckResult:
     """H_{n,m+1} = w H_{n,m} + g p! q! C(n,p) C(m,q-1) H_{n-p,m+1-q}.
 
@@ -703,23 +777,22 @@ def _check_rec_raise_m(ps: Mapping, variant: str) -> CheckResult:
     """
     p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
     low = m - 1 - q if variant == "printed" else m + 1 - q
-    rhs = _W * _gh(p, q, n, m)
+    rhs = _W * explicit_poly(p, q, n, m)
     c = _fact(p) * _fact(q) * _comb0(n, p) * _comb0(m, q - 1)
     if c:
         rhs = rhs + c * _G * _gh0(p, q, n - p, low)
-    return CheckResult(_gh(p, q, n, m + 1) - rhs)
+    return CheckResult(explicit_poly(p, q, n, m + 1) - rhs)
 
 
+@identity("REC_RAISE_M_OP", "algebraic")
 def _check_rec_raise_m_op(ps: Mapping, variant: str) -> CheckResult:
     """H_{n,m+1} = (w + q g Dz^p Dw^(q-1)) H_{n,m}."""
     p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
-    h = _gh(p, q, n, m)
-    rhs = _W * h
-    if q >= 1:
-        rhs = rhs + q * _G * h.diff("z", p).diff("w", q - 1)
-    return CheckResult(_gh(p, q, n, m + 1) - rhs)
+    rhs = apply_w_raise(explicit_poly(p, q, n, m), p, q)
+    return CheckResult(explicit_poly(p, q, n, m + 1) - rhs)
 
 
+@identity("CREATION", "algebraic")
 def _check_creation(ps: Mapping, variant: str) -> CheckResult:
     """Iterated raising operator applied to a bare monomial.
 
@@ -730,31 +803,29 @@ def _check_creation(ps: Mapping, variant: str) -> CheckResult:
     if p >= 1:
         acc = Poly.monomial({"w": m})
         for _ in range(n):
-            acc = _Z * acc + p * _G * acc.diff("z", p - 1).diff("w", q)
+            acc = apply_z_raise(acc, p, q)
     else:
         acc = Poly.monomial({"z": n})
         for _ in range(m):
-            acc = _W * acc + q * _G * acc.diff("w", q - 1)
-    return CheckResult(_gh(p, q, n, m) - acc)
+            acc = apply_w_raise(acc, p, q)
+    return CheckResult(explicit_poly(p, q, n, m) - acc)
 
 
+@identity("CREATION_BOTH", "algebraic")
 def _check_creation_both(ps: Mapping, variant: str) -> CheckResult:
     """(z + p g Dz^(p-1) Dw^q)^n (w + q g Dz^p Dw^(q-1))^m {1}."""
     p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
-    acc = Poly.one()
-    for _ in range(m):
-        step = _W * acc
-        if q >= 1:
-            step = step + q * _G * acc.diff("z", p).diff("w", q - 1)
-        acc = step
-    for _ in range(n):
-        step = _Z * acc
-        if p >= 1:
-            step = step + p * _G * acc.diff("z", p - 1).diff("w", q)
-        acc = step
-    return CheckResult(_gh(p, q, n, m) - acc)
+    return CheckResult(explicit_poly(p, q, n, m) - via_creation(FamilyParams(p, q, n, m)).poly)
 
 
+@identity(
+    "PARAM_REC",
+    "algebraic",
+    correction=(
+        "inner binomial read as C(k,j) instead of C(j,k); second lowered index "
+        "is m-qk, not m-k; and the k-th term carries 1/k!"
+    ),
+)
 def _check_param_rec(ps: Mapping, variant: str) -> CheckResult:
     """Order-raising expansion of H^(p+1,q)_{n,m} over the base family.
 
@@ -763,7 +834,7 @@ def _check_param_rec(ps: Mapping, variant: str) -> CheckResult:
     Corrected: binomial C(k,j), lowered index m-qk, and factor 1/k!.
     """
     p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
-    lhs = _gh(p + 1, q, n, m)
+    lhs = explicit_poly(p + 1, q, n, m)
     rhs = Poly.zero()
     for k in range(FamilyParams(p, q, n, m).k_max + 1):
         for j in range(k + 1):
@@ -782,35 +853,33 @@ def _check_param_rec(ps: Mapping, variant: str) -> CheckResult:
             )
             if weight == 0 or first < 0 or second < 0:
                 continue
-            rhs = rhs + Poly.monomial({"g": k}, weight) * _gh(p, q, first, second)
+            rhs = rhs + Poly.monomial({"g": k}, weight) * explicit_poly(p, q, first, second)
     rhs = _fact(n) * _fact(m) * rhs
     return CheckResult(lhs - rhs)
 
 
-def _op_exp_poly_times_diff(h: Poly, p: int, q: int, k_bound: int, mode: str) -> Poly:
-    """Expand exp(g OP Dz^p Dw^q) h for the three order-raising operators.
+def _op_exp_poly_times_diff(p: int, q: int, n: int, m: int, mode: str) -> Poly:
+    """Expand exp(g OP Dz^p Dw^q) H_{n,m} for the three order-raising operators.
 
     mode "z":  OP = Dz - 1;   mode "w": OP = Dw - 1;
     mode "zw": OP = Dz Dw - 1; mode "zw_printed": OP = Dz + Dw - 2.
     """
+    h = explicit_poly(p, q, n, m)
     total = Poly.zero()
-    for k in range(k_bound + 1):
+    for k in range(FamilyParams(p, q, n, m).k_max + 1):
         base = h.diff("z", p * k).diff("w", q * k)
         if base.is_zero() and k > 0:
             break
         term = Poly.zero()
-        if mode == "z":
-            for j in range(k + 1):
-                term = term + _comb0(k, j) * Fraction((-1) ** (k - j)) * base.diff("z", j)
-        elif mode == "w":
-            for j in range(k + 1):
-                term = term + _comb0(k, j) * Fraction((-1) ** (k - j)) * base.diff("w", j)
-        elif mode == "zw":
+        if mode != "zw_printed":
+            # binomial expansion of (Dz^dz Dw^dw - 1)^k
+            dz, dw = int("z" in mode), int("w" in mode)
             for j in range(k + 1):
                 term = term + (
-                    _comb0(k, j) * Fraction((-1) ** (k - j)) * base.diff("z", j).diff("w", j)
+                    _comb0(k, j) * Fraction((-1) ** (k - j))
+                    * base.diff("z", dz * j).diff("w", dw * j)
                 )
-        else:  # "zw_printed": trinomial expansion of (Dz + Dw - 2)^k
+        else:  # trinomial expansion of (Dz + Dw - 2)^k
             for i in range(k + 1):
                 for j in range(k + 1 - i):
                     ell = k - i - j
@@ -820,22 +889,27 @@ def _op_exp_poly_times_diff(h: Poly, p: int, q: int, k_bound: int, mode: str) ->
     return total
 
 
+@identity("PARAM_OP_P", "algebraic")
 def _check_param_op_p(ps: Mapping, variant: str) -> CheckResult:
     """H^(p+1,q)_{n,m} = exp(g (Dz - 1) Dz^p Dw^q) H^(p,q)_{n,m}."""
     p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
-    k_bound = FamilyParams(p, q, n, m).k_max
-    rhs = _op_exp_poly_times_diff(_gh(p, q, n, m), p, q, k_bound, "z")
-    return CheckResult(_gh(p + 1, q, n, m) - rhs)
+    rhs = _op_exp_poly_times_diff(p, q, n, m, "z")
+    return CheckResult(explicit_poly(p + 1, q, n, m) - rhs)
 
 
+@identity("PARAM_OP_Q", "algebraic")
 def _check_param_op_q(ps: Mapping, variant: str) -> CheckResult:
     """H^(p,q+1)_{n,m} = exp(g (Dw - 1) Dz^p Dw^q) H^(p,q)_{n,m}."""
     p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
-    k_bound = FamilyParams(p, q, n, m).k_max
-    rhs = _op_exp_poly_times_diff(_gh(p, q, n, m), p, q, k_bound, "w")
-    return CheckResult(_gh(p, q + 1, n, m) - rhs)
+    rhs = _op_exp_poly_times_diff(p, q, n, m, "w")
+    return CheckResult(explicit_poly(p, q + 1, n, m) - rhs)
 
 
+@identity(
+    "PARAM_OP_PQ",
+    "algebraic",
+    correction="operator exponent is g*(DzDw - 1)*Dz^p Dw^q, not g*(Dz + Dw - 2)*Dz^p Dw^q",
+)
 def _check_param_op_pq(ps: Mapping, variant: str) -> CheckResult:
     """Simultaneous order raising.
 
@@ -844,10 +918,9 @@ def _check_param_op_pq(ps: Mapping, variant: str) -> CheckResult:
     raisings.
     """
     p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
-    k_bound = FamilyParams(p, q, n, m).k_max
     mode = "zw_printed" if variant == "printed" else "zw"
-    rhs = _op_exp_poly_times_diff(_gh(p, q, n, m), p, q, k_bound, mode)
-    return CheckResult(_gh(p + 1, q + 1, n, m) - rhs)
+    rhs = _op_exp_poly_times_diff(p, q, n, m, mode)
+    return CheckResult(explicit_poly(p + 1, q + 1, n, m) - rhs)
 
 
 # ---------------------------------------------------------------------
@@ -871,11 +944,12 @@ def _shift_power(var: str, k: int) -> Poly:
     return _shift_power(var, k - 1) * (Poly.variable(var) - Poly.variable(var + "p"))
 
 
+@identity("NIELSEN_N", "algebraic", (_PQ, _N, _M, _NP), keys=("p", "q", "n", "np", "m"))
 def _check_nielsen_n(ps: Mapping, variant: str) -> CheckResult:
     """H_{n+n',m}(z,...) = sum C(n,i) C(n',j) (z-z')^(i+j) H_{n+n'-i-j,m}(z',...)."""
     p, q, n, np_, m = ps["p"], ps["q"], ps["n"], ps["np"], ps["m"]
     rhs = _nielsen_n_rhs(p, q, m, _grouped_binomials(n, np_))
-    return CheckResult(_gh(p, q, n + np_, m) - rhs)
+    return CheckResult(explicit_poly(p, q, n + np_, m) - rhs)
 
 
 @lru_cache(maxsize=2048)
@@ -884,15 +958,16 @@ def _nielsen_n_rhs(p: int, q: int, m: int, weights: tuple[int, ...]) -> Poly:
     top = len(weights) - 1
     rhs = Poly.zero()
     for s, c in enumerate(weights):
-        rhs = rhs + c * _shift_power("z", s) * _gh_z_primed(p, q, top - s, m)
+        rhs = rhs + c * _shift_power("z", s) * _gh_primed("z", p, q, top - s, m)
     return rhs
 
 
+@identity("NIELSEN_M", "algebraic", (_PQ, _N, _M, _MP))
 def _check_nielsen_m(ps: Mapping, variant: str) -> CheckResult:
     """H_{n,m+m'}(...,w) = sum C(m,k) C(m',l) (w-w')^(k+l) H_{n,m+m'-k-l}(...,w')."""
     p, q, n, m, mp_ = ps["p"], ps["q"], ps["n"], ps["m"], ps["mp"]
     rhs = _nielsen_m_rhs(p, q, n, _grouped_binomials(m, mp_))
-    return CheckResult(_gh(p, q, n, m + mp_) - rhs)
+    return CheckResult(explicit_poly(p, q, n, m + mp_) - rhs)
 
 
 @lru_cache(maxsize=2048)
@@ -901,10 +976,13 @@ def _nielsen_m_rhs(p: int, q: int, n: int, weights: tuple[int, ...]) -> Poly:
     top = len(weights) - 1
     rhs = Poly.zero()
     for s, c in enumerate(weights):
-        rhs = rhs + c * _shift_power("w", s) * _gh_w_primed(p, q, n, top - s)
+        rhs = rhs + c * _shift_power("w", s) * _gh_primed("w", p, q, n, top - s)
     return rhs
 
 
+@identity(
+    "NIELSEN_FULL", "algebraic", (_PQ, _N, _M, _NP, _MP), keys=("p", "q", "n", "np", "m", "mp")
+)
 def _check_nielsen_full(ps: Mapping, variant: str) -> CheckResult:
     """Simultaneous splitting of both indices around (z', w').
 
@@ -914,7 +992,7 @@ def _check_nielsen_full(ps: Mapping, variant: str) -> CheckResult:
     p, q, n, np_, m, mp_ = ps["p"], ps["q"], ps["n"], ps["np"], ps["m"], ps["mp"]
     rhs = _nielsen_full_rhs(p, q, _grouped_binomials(n, np_), _grouped_binomials(m, mp_))
     return CheckResult(
-        _gh(p, q, n + np_, m + mp_) - rhs,
+        explicit_poly(p, q, n + np_, m + mp_) - rhs,
         notes="(w-w')^-(k+l) in the denominator read as the factor (w-w')^(k+l)",
     )
 
@@ -931,7 +1009,7 @@ def _nielsen_full_rhs(
             rhs = rhs + (
                 zc * wc
                 * _shift_power("z", s) * _shift_power("w", t)
-                * _gh_zw_primed(p, q, top_n - s, top_m - t)
+                * _gh_primed("zw", p, q, top_n - s, top_m - t)
             )
     return rhs
 
@@ -940,28 +1018,29 @@ def _nielsen_full_rhs(
 # connections to other families
 # ---------------------------------------------------------------------
 
+@identity("CONN_GH_FROM_PQ", "algebraic", (_PQ, _N), needs="p >= max(q, 1)")
 def _check_conn_gh_from_pq(ps: Mapping, variant: str) -> CheckResult:
     """H^(p)_n(z|g) = sum_k C(n,k) H^(p-q,q)_{n-k,k}(z-w, w|g); needs p >= max(q,1)."""
     p, q, n = ps["p"], ps["q"], ps["n"]
-    if p < 1 or p < q:
-        raise ValueError("needs p >= 1 and p >= q")
     lhs = gould_hopper_1d(n, p)
     rhs = Poly.zero()
     for k in range(n + 1):
-        rhs = rhs + _comb0(n, k) * _gh(p - q, q, n - k, k).subst({"z": _Z - _W})
+        rhs = rhs + _comb0(n, k) * explicit_poly(p - q, q, n - k, k).subst({"z": _Z - _W})
     return CheckResult(lhs - rhs)
 
 
+@identity("CONN_GH_SUM", "algebraic", (_PQ, _N))
 def _check_conn_gh_sum(ps: Mapping, variant: str) -> CheckResult:
     """H^(p+q)_n(z+w|g) = sum_k C(n,k) H^(p,q)_{n-k,k}(z,w|g)."""
     p, q, n = ps["p"], ps["q"], ps["n"]
     lhs = gould_hopper_1d(n, p + q).subst({"z": _Z + _W})
     rhs = Poly.zero()
     for k in range(n + 1):
-        rhs = rhs + _comb0(n, k) * _gh(p, q, n - k, k)
+        rhs = rhs + _comb0(n, k) * explicit_poly(p, q, n - k, k)
     return CheckResult(lhs - rhs)
 
 
+@identity("CONN_ITO", "algebraic", (_N,))
 def _check_conn_ito(ps: Mapping, variant: str) -> CheckResult:
     """The complex-Hermite cross-sum collapses to the order-2 one-variable member.
 
@@ -973,13 +1052,22 @@ def _check_conn_ito(ps: Mapping, variant: str) -> CheckResult:
     lhs = gould_hopper_1d(n, 2).subst({"g": -1})
     rhs = Poly.zero()
     for k in range(n + 1):
-        rhs = rhs + _comb0(n, k) * _gh(1, 1, n - k, k).subst({"z": _Z - _W, "g": -1})
+        rhs = rhs + _comb0(n, k) * explicit_poly(1, 1, n - k, k).subst({"z": _Z - _W, "g": -1})
     return CheckResult(
         lhs - rhs,
         notes="difference-argument form: the shifted first argument removes w entirely",
     )
 
 
+@identity(
+    "CONN_PQ_FROM_GH",
+    "algebraic",
+    needs="p >= 1 and q >= 1",
+    correction=(
+        "inner factorials pair across the two sums: l! i! (k-i)! (j-l)!, "
+        "not l! i! (k-l)! (j-i)!"
+    ),
+)
 def _check_conn_pq_from_gh(ps: Mapping, variant: str) -> CheckResult:
     """Two-variable member as a quadruple sum of one-variable pairs.
 
@@ -988,8 +1076,6 @@ def _check_conn_pq_from_gh(ps: Mapping, variant: str) -> CheckResult:
     vanish.
     """
     p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
-    if p < 1 or q < 1:
-        raise ValueError("needs p >= 1 and q >= 1")
     printed = variant == "printed"
     # sum the weights exactly per (g-degree, z index, w index), so each
     # distinct product of one-variable members is formed once
@@ -1013,20 +1099,22 @@ def _check_conn_pq_from_gh(ps: Mapping, variant: str) -> CheckResult:
         if weight:
             rhs = rhs + Poly.monomial({"g": gdeg}, weight) * _gh1(r, p, "z") * _gh1(s, q, "w")
     rhs = _fact(n) * _fact(m) * rhs
-    return CheckResult(_gh(p, q, n, m) - rhs)
+    return CheckResult(explicit_poly(p, q, n, m) - rhs)
 
 
 # ---------------------------------------------------------------------
 # differential equations
 # ---------------------------------------------------------------------
 
-def _check_pde_heat(ps: Mapping, variant: str) -> CheckResult:
-    """(Dg - Dz^p Dw^q) H_{n,m} = 0."""
-    p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
-    h = _gh(p, q, n, m)
-    return CheckResult(h.diff("g") - h.diff("z", p).diff("w", q))
+# the deformation flow equation is DERIV_GAMMA read as a PDE
+identity("PDE_HEAT", "pde")(_check_deriv_gamma)
 
 
+@identity(
+    "PDE_EIGEN_N",
+    "pde",
+    correction="the deformation term carries the factor p: z Dz + p g Dz^p Dw^q",
+)
 def _check_pde_eigen_n(ps: Mapping, variant: str) -> CheckResult:
     """Eigenrelation in n: (z Dz + g Dz^p Dw^q) H_{n,m} = n H_{n,m}.
 
@@ -1035,24 +1123,38 @@ def _check_pde_eigen_n(ps: Mapping, variant: str) -> CheckResult:
     the raising operator with Dz).  They agree exactly when p = 1.
     """
     p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
-    h = _gh(p, q, n, m)
+    h = explicit_poly(p, q, n, m)
     factor = 1 if variant == "printed" else p
     lhs = _Z * h.diff("z") + factor * _G * h.diff("z", p).diff("w", q)
     return CheckResult(lhs - n * h)
 
 
+@identity(
+    "PDE_EIGEN_M",
+    "pde",
+    correction="the deformation term carries the factor q: w Dw + q g Dz^p Dw^q",
+)
 def _check_pde_eigen_m(ps: Mapping, variant: str) -> CheckResult:
     """Eigenrelation in m: (w Dw + g Dz^p Dw^q) H_{n,m} = m H_{n,m}.
 
     Corrected operator w Dw + q g Dz^p Dw^q; printed omits the factor q.
     """
     p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
-    h = _gh(p, q, n, m)
+    h = explicit_poly(p, q, n, m)
     factor = 1 if variant == "printed" else q
     lhs = _W * h.diff("w") + factor * _G * h.diff("z", p).diff("w", q)
     return CheckResult(lhs - m * h)
 
 
+@identity(
+    "PDE_PRODUCT",
+    "pde",
+    needs="p >= 1 and q >= 1",
+    correction=(
+        "the raising factors carry p and q: "
+        "(z + p g Dz^(p-1) Dw^q)(w + q g Dz^p Dw^(q-1)) Dz Dw"
+    ),
+)
 def _check_pde_product(ps: Mapping, variant: str) -> CheckResult:
     """Product eigenrelation, eigenvalue nm; needs p, q >= 1.
 
@@ -1060,11 +1162,9 @@ def _check_pde_product(ps: Mapping, variant: str) -> CheckResult:
     the corrected raising factors carry p and q on their g terms.
     """
     p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
-    if p < 1 or q < 1:
-        raise ValueError("needs p >= 1 and q >= 1")
     pfac = 1 if variant == "printed" else p
     qfac = 1 if variant == "printed" else q
-    h = _gh(p, q, n, m)
+    h = explicit_poly(p, q, n, m)
     d = h.diff("z").diff("w")
     inner = _W * d + qfac * _G * d.diff("z", p).diff("w", q - 1)
     outer = _Z * inner + pfac * _G * inner.diff("z", p - 1).diff("w", q)
@@ -1072,79 +1172,33 @@ def _check_pde_product(ps: Mapping, variant: str) -> CheckResult:
 
 
 # ---------------------------------------------------------------------
-# registry
+# views derived from the entries
 # ---------------------------------------------------------------------
 
-CheckFn = Callable[[Mapping, str], CheckResult]
+# module and qualname let worker processes pickle reports by reference
+IdentityTag = enum.Enum(
+    "IdentityTag", [(tag, tag) for tag in _ENTRIES], module=__name__, qualname="IdentityTag"
+)
+IdentityTag.__doc__ = "Names for every certified identity, in declaration order."
+
+CHECKS: Mapping[IdentityTag, CheckSpec] = MappingProxyType(
+    {IdentityTag(tag): spec for tag, spec in _ENTRIES.items()}
+)
+
+# Tags whose printed form fails exact verification, with the documented
+# correction the "corrected" variant applies; every other printed
+# statement is the certified one.
+MISPRINT_LEDGER: Mapping[IdentityTag, str] = MappingProxyType(
+    {tag: spec.correction for tag, spec in CHECKS.items() if spec.correction}
+)
 
 
-@dataclass(frozen=True)
-class CheckSpec:
-    """Parameter signature, check family, and checker for one tag."""
-
-    keys: tuple[str, ...]
-    kind: str  # "algebraic" | "series" | "scalar" | "pde"
-    fn: CheckFn
-
-
-_PQNM = ("p", "q", "n", "m")
-
-CHECKS: dict[IdentityTag, CheckSpec] = {
-    IdentityTag.SYMMETRY: CheckSpec(_PQNM, "algebraic", _check_symmetry),
-    IdentityTag.HYPERGEOM: CheckSpec(_PQNM, "algebraic", _check_hypergeom),
-    IdentityTag.HYP_2F0_1F1: CheckSpec(("n", "m", "z"), "scalar", _check_hyp_2f0_1f1),
-    IdentityTag.ORIGIN_VALUE: CheckSpec(_PQNM, "algebraic", _check_origin_value),
-    IdentityTag.HOMOGENEITY: CheckSpec(_PQNM, "algebraic", _check_homogeneity),
-    IdentityTag.LIMIT: CheckSpec(_PQNM, "algebraic", _check_limit),
-    IdentityTag.GEN_PARTIAL_U: CheckSpec(("p", "q", "m", "order"), "series", _check_gen_partial_u),
-    IdentityTag.GEN_PARTIAL_V: CheckSpec(("p", "q", "n", "order"), "series", _check_gen_partial_v),
-    IdentityTag.GEN_FULL: CheckSpec(("p", "q", "order"), "series", _check_gen_full),
-    IdentityTag.GEN_POCHHAMMER_G: CheckSpec(
-        ("p", "q", "j", "k", "order"), "series", _check_gen_pochhammer_g
-    ),
-    IdentityTag.GEN_POCHHAMMER_S: CheckSpec(
-        ("p", "q", "a", "b", "z", "w", "g", "order"), "series", _check_gen_pochhammer_s
-    ),
-    IdentityTag.RUNGE_GENERAL: CheckSpec(_PQNM, "algebraic", _check_runge_general),
-    IdentityTag.RUNGE_CANCEL: CheckSpec(_PQNM, "algebraic", _check_runge_cancel),
-    IdentityTag.RUNGE_HALF: CheckSpec(_PQNM, "algebraic", _check_runge_half),
-    IdentityTag.RUNGE_SCALED: CheckSpec(_PQNM, "algebraic", _check_runge_scaled),
-    IdentityTag.MULT_C: CheckSpec(_PQNM, "algebraic", _check_mult_c),
-    IdentityTag.MULT_ABC: CheckSpec(_PQNM, "algebraic", _check_mult_abc),
-    IdentityTag.MULT_GH: CheckSpec(("p", "n"), "algebraic", _check_mult_gh),
-    IdentityTag.ADD_ZW: CheckSpec(_PQNM, "algebraic", _check_add_zw),
-    IdentityTag.ADD_HALF: CheckSpec(_PQNM, "algebraic", _check_add_half),
-    IdentityTag.DERIV_Z: CheckSpec(_PQNM, "algebraic", _check_deriv_z),
-    IdentityTag.DERIV_W: CheckSpec(_PQNM, "algebraic", _check_deriv_w),
-    IdentityTag.DERIV_GAMMA: CheckSpec(_PQNM, "algebraic", _check_deriv_gamma),
-    IdentityTag.DERIV_JK: CheckSpec(("p", "q", "n", "m", "j", "k"), "algebraic", _check_deriv_jk),
-    IdentityTag.DERIV_GAMMA_K: CheckSpec(("p", "q", "n", "m", "k"), "algebraic", _check_deriv_gamma_k),
-    IdentityTag.INVERSE_SUM: CheckSpec(_PQNM, "algebraic", _check_inverse_sum),
-    IdentityTag.INVERSE_OP: CheckSpec(_PQNM, "algebraic", _check_inverse_op),
-    IdentityTag.REC_RAISE_N: CheckSpec(_PQNM, "algebraic", _check_rec_raise_n),
-    IdentityTag.REC_RAISE_N_OP: CheckSpec(_PQNM, "algebraic", _check_rec_raise_n_op),
-    IdentityTag.REC_RAISE_M: CheckSpec(_PQNM, "algebraic", _check_rec_raise_m),
-    IdentityTag.REC_RAISE_M_OP: CheckSpec(_PQNM, "algebraic", _check_rec_raise_m_op),
-    IdentityTag.CREATION: CheckSpec(_PQNM, "algebraic", _check_creation),
-    IdentityTag.CREATION_BOTH: CheckSpec(_PQNM, "algebraic", _check_creation_both),
-    IdentityTag.PARAM_REC: CheckSpec(_PQNM, "algebraic", _check_param_rec),
-    IdentityTag.PARAM_OP_P: CheckSpec(_PQNM, "algebraic", _check_param_op_p),
-    IdentityTag.PARAM_OP_Q: CheckSpec(_PQNM, "algebraic", _check_param_op_q),
-    IdentityTag.PARAM_OP_PQ: CheckSpec(_PQNM, "algebraic", _check_param_op_pq),
-    IdentityTag.NIELSEN_N: CheckSpec(("p", "q", "n", "np", "m"), "algebraic", _check_nielsen_n),
-    IdentityTag.NIELSEN_M: CheckSpec(("p", "q", "n", "m", "mp"), "algebraic", _check_nielsen_m),
-    IdentityTag.NIELSEN_FULL: CheckSpec(
-        ("p", "q", "n", "np", "m", "mp"), "algebraic", _check_nielsen_full
-    ),
-    IdentityTag.CONN_GH_FROM_PQ: CheckSpec(("p", "q", "n"), "algebraic", _check_conn_gh_from_pq),
-    IdentityTag.CONN_GH_SUM: CheckSpec(("p", "q", "n"), "algebraic", _check_conn_gh_sum),
-    IdentityTag.CONN_ITO: CheckSpec(("n",), "algebraic", _check_conn_ito),
-    IdentityTag.CONN_PQ_FROM_GH: CheckSpec(_PQNM, "algebraic", _check_conn_pq_from_gh),
-    IdentityTag.PDE_HEAT: CheckSpec(_PQNM, "pde", _check_pde_heat),
-    IdentityTag.PDE_EIGEN_N: CheckSpec(_PQNM, "pde", _check_pde_eigen_n),
-    IdentityTag.PDE_EIGEN_M: CheckSpec(_PQNM, "pde", _check_pde_eigen_m),
-    IdentityTag.PDE_PRODUCT: CheckSpec(_PQNM, "pde", _check_pde_product),
-}
+def parse_tag(name: str) -> IdentityTag:
+    """Look a tag up by (case-insensitive) name."""
+    try:
+        return IdentityTag[name.strip().upper()]
+    except KeyError:
+        raise ValueError(f"unknown identity tag: {name!r}") from None
 
 
 def run_check(tag: IdentityTag, params: Mapping, variant: str) -> CheckResult:
@@ -1159,4 +1213,6 @@ def run_check(tag: IdentityTag, params: Mapping, variant: str) -> CheckResult:
         )
     if variant not in ("printed", "corrected"):
         raise ValueError(f"unknown variant {variant!r}")
+    if not spec.admits(params):
+        raise ValueError(f"{tag.value} needs {spec.needs}")
     return spec.fn(params, variant)

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -199,14 +200,23 @@ GOLDEN_DIGESTS = {
         "333b88cbaf92ff8c1c4db403b0fb8a94985c5038454ff3cead860435617ce9e0",
     ("verify", "--tag", "GEN_POCHHAMMER_S", "--variant", "both", "--format", "json"):
         "14013f4ae6e969f79c5fe0fd3e9e64cdd72ceb22424ad874acdc790bd5c1b4da",
+    # every tag's key order, as the text and JUnit renderings print it
+    ("verify", "--tag", "all", "--nmax", "2", "--mmax", "2", "--aux-max", "1", "--jk-max", "1"):
+        "29d28fa1248786341c2d119f36971cfd2f1b19984668ebf71182aec078ad3f15",
+    ("verify", "--tag", "all", "--nmax", "2", "--mmax", "2", "--aux-max", "1", "--jk-max", "1",
+     "--format", "junit"):
+        "20360b55bf36556de92f51a50e96fda0b56e8064a1414e2255b3c21cf4e4be57",
 }
 # the default `audit --seed 42` document (6,535,293 bytes)
 DEFAULT_AUDIT_SEED42_SHA256 = "a4723f57be0fdac80ac152647e4fb257b529018278fdf28d38e97d13ea8fff70"
 
 
 def _digest_id(argv):
-    # verify runs are named by their tag
-    return argv[2] if argv[0] == "verify" else argv[0]
+    # verify runs are named by their tag, and by their format unless JSON
+    if argv[0] != "verify":
+        return argv[0]
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "text"
+    return argv[2] if fmt == "json" else f"{argv[2]}-{fmt}"
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN_DIGESTS), ids=_digest_id)
@@ -215,6 +225,15 @@ def test_golden_digests(argv):
                          capture_output=True, timeout=280)
     assert run.returncode == 0, run.stderr.decode()
     assert hashlib.sha256(run.stdout).hexdigest() == GOLDEN_DIGESTS[argv]
+
+
+def test_benchmark_self_tests():
+    # the benchmark traces run_check and every tag; its self-tests catch a
+    # broken binding or export before a benchmark run does
+    root = Path(__file__).resolve().parent.parent
+    run = subprocess.run([sys.executable, "-m", "unittest", "discover", "-s", "perfbench"],
+                         cwd=root, capture_output=True, timeout=280)
+    assert run.returncode == 0, run.stderr.decode()[-4000:]
 
 
 @pytest.mark.parametrize("jobs", ["8"])

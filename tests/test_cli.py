@@ -341,6 +341,7 @@ def test_verify_rejects_zero_jobs(capsys):
     ("verify", "--tag", "GEN_POCHHAMMER_G", "--jk-max", "0"),
     ("verify", "--tag", "CONN_GH_FROM_PQ", "--pq", "1,2"),
     ("verify", "--tag", "GEN_POCHHAMMER_S", "--pq", "1,0", "--format", "json"),
+    ("verify", "--tag", "HYPERGEOM", "--pq", "1,0"),
 ], ids=lambda argv: argv[2])
 def test_verify_with_no_cells_is_usage_error(capsys, argv):
     # a gate that checked nothing is not a pass
@@ -384,6 +385,15 @@ def test_audit_text_format(capsys):
     assert lines[-2].startswith("summary: total=")
     assert "effective_fail=0" in lines[-2]
     assert lines[-1] == "heat: seed=0 trials=1 cases=15 failures=0"
+
+
+def test_audit_on_zero_order_grid(capsys):
+    # tags whose constraint excludes a zero order get no cells there; none
+    # of them may crash the audit
+    code, out, _ = run_cli(capsys, "audit", "--pq", "1,0", "--nmax", "2", "--mmax", "2",
+                           "--aux-max", "1", "--jk-max", "1", "--format", "text")
+    assert code == 0
+    assert "effective_fail=0" in out
 
 
 def test_audit_rejects_nonpositive_trials(capsys):

@@ -1,5 +1,7 @@
 """Identity catalog tests: checkers, variant policies, grid audits."""
 
+import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -89,6 +91,22 @@ def test_run_check_validates_params():
         run_check(IdentityTag.SYMMETRY, {"p": 1, "q": 1, "n": 2, "m": 3, "x": 1}, "printed")
     with pytest.raises(ValueError, match="unknown variant"):
         run_check(IdentityTag.SYMMETRY, {"p": 1, "q": 1, "n": 2, "m": 3}, "bogus")
+
+
+@pytest.mark.parametrize("tag, cell", [
+    (IdentityTag.HYPERGEOM, {"p": 1, "q": 0, "n": 2, "m": 1}),
+    (IdentityTag.CONN_GH_FROM_PQ, {"p": 1, "q": 2, "n": 2}),
+    (IdentityTag.CONN_PQ_FROM_GH, {"p": 0, "q": 1, "n": 1, "m": 1}),
+    (IdentityTag.PDE_PRODUCT, {"p": 2, "q": 0, "n": 1, "m": 1}),
+    (IdentityTag.GEN_PARTIAL_U, {"p": 1, "q": 0, "m": 1, "order": 10}),
+    (IdentityTag.GEN_POCHHAMMER_G, {"p": 1, "q": 1, "j": 0, "k": 1, "order": 10}),
+    (IdentityTag.GEN_FULL, {"p": 2, "q": 2, "order": 3}),
+], ids=lambda value: getattr(value, "value", ""))
+def test_run_check_enforces_the_constraint(tag, cell):
+    # the constraint that keeps a cell off the grid also refuses it here
+    assert cell not in cells_for(tag, GridRanges(pq_pairs=((cell["p"], cell["q"]),)))
+    with pytest.raises(ValueError, match=f"{tag.value} needs "):
+        run_check(tag, cell, "printed")
 
 
 def test_run_check_result_shape():
@@ -286,6 +304,35 @@ def test_cells_for_symmetry_grid():
     cells = cells_for(IdentityTag.SYMMETRY, ranges)
     assert len(cells) == 32  # 4 * 4 * 2
     assert {"p": 1, "q": 1, "n": 0, "m": 0} in cells
+
+
+# SHA-256 of every tag's cell sequence, in order, taken before the grids
+# were derived from the registry; the zero-order grid differs only in that
+# HYPERGEOM, whose constraint is p >= 1 and q >= 1, has no cells there.
+CELL_DIGESTS = [
+    (GridRanges(), 15393,
+     "413708cda66ac55c4a1ab173b2b530b43f61509c96afa886975d7e7fd7700c95"),
+    (GridRanges(n_max=4, m_max=4, aux_max=2), 7001,
+     "c1f6de4774eddcbf2086c49cce17a6fae90e42e77b38d312622d0a2e109beb14"),
+    (GridRanges(n_max=3, m_max=2, pq_pairs=((2, 1), (1, 3), (3, 3)), aux_max=1, jk_max=2,
+                series_order=7, weighted_series_order=6), 2016,
+     "4d5b63ac1e07b811a00ae2c41453dfefa51fa095997b1015ef89067a0b39b455"),
+    (GridRanges(n_max=3, m_max=3, pq_pairs=((1, 0), (0, 2)), aux_max=1, jk_max=2), 1686,
+     "a5de3f2e405b413fbe998484d704c41ac1661a86d0347f979da464aac949a3a8"),
+]
+
+
+@pytest.mark.parametrize("ranges, count, digest", CELL_DIGESTS,
+                         ids=["default", "bench", "odd_orders", "zero_orders"])
+def test_cell_sequences_are_pinned(ranges, count, digest):
+    # the order matters: parallel chunks coincide with (p, q) blocks
+    tags = sorted(IdentityTag, key=lambda t: t.value)
+    listing = [
+        [t.value, [[[k, str(v)] for k, v in sorted(c.items())] for c in cells_for(t, ranges)]]
+        for t in tags
+    ]
+    assert sum(len(cells) for _, cells in listing) == count
+    assert hashlib.sha256(json.dumps(listing).encode()).hexdigest() == digest
 
 
 def test_audit_small_grid_all_pass():
