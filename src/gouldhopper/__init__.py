@@ -23,7 +23,6 @@ from .exactalg import (
 from .ghcore import (
     STRATEGIES,
     FamilyParams,
-    GHPoly,
     InvalidParamsError,
     UnsupportedRepresentationError,
     explicit,
@@ -40,7 +39,6 @@ from .ghcore import (
 )
 from .heatrep import (
     HeatProblem,
-    HeatSolution,
     at_time,
     property_suite,
     random_polynomial,
@@ -61,10 +59,6 @@ from .identity import (
     pochhammer_tail,
     run_cell,
     summarize,
-    verify_algebraic,
-    verify_hypergeom_transform,
-    verify_pde,
-    verify_series,
 )
 
 __version__ = "0.1.0"
@@ -73,10 +67,8 @@ __all__ = [
     "CHECKS",
     "CheckResult",
     "FamilyParams",
-    "GHPoly",
     "GridRanges",
     "HeatProblem",
-    "HeatSolution",
     "IdentityReport",
     "IdentityTag",
     "InvalidParamsError",
@@ -112,10 +104,6 @@ __all__ = [
     "series_exp",
     "solve",
     "summarize",
-    "verify_algebraic",
-    "verify_hypergeom_transform",
-    "verify_pde",
-    "verify_series",
     "via_creation",
     "via_genfun",
     "via_recurrence",

@@ -387,7 +387,6 @@ def _reports_junit(reports) -> str:
                 ET.SubElement(case, "skipped", message=report.notes or "known misprint")
             else:
                 failures += 1
-            if not report.known_misprint:
                 failure = ET.SubElement(case, "failure", message="nonzero difference")
                 failure.text = report.difference.text()
     suite.set("tests", str(tests))
@@ -431,8 +430,9 @@ def _cmd_compute(args) -> int:
     results = []
     for name in names:
         try:
-            gh = STRATEGIES[name](params, args.order)
-            poly = gh.poly.subst(bindings) if bindings else gh.poly
+            poly = STRATEGIES[name](params, args.order)
+            if bindings:
+                poly = poly.subst(bindings)
         except UnsupportedRepresentationError as exc:
             if args.strategy == "all":
                 continue
@@ -564,8 +564,8 @@ def _cmd_heat(args) -> int:
     except (ExprError, InvalidParamsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    solution = solve(problem)
-    res = residual(problem, solution.u)
+    u = solve(problem)
+    res = residual(problem, u)
 
     if args.format == "json":
         document = {
@@ -573,22 +573,22 @@ def _cmd_heat(args) -> int:
             "q": args.q,
             "c": str(problem.c),
             "initial": _poly_json(problem.initial),
-            "solution": _poly_json(solution.u),
+            "solution": _poly_json(u),
             "residual": _poly_json(res),
         }
         sys.stdout.write(_dump_json(document))
     elif args.format == "csv":
         header = ["part", "z", "w", "t", "num", "den"]
         rows = []
-        for part, poly in (("solution", solution.u), ("residual", res)):
+        for part, poly in (("solution", u), ("residual", res)):
             for row in _poly_csv_rows(poly, ("z", "w", "t")):
                 rows.append([part] + row)
         sys.stdout.write(_csv_document(header, rows))
     elif args.format == "latex":
-        sys.stdout.write(f"solution: {solution.u.latex()}\n")
+        sys.stdout.write(f"solution: {u.latex()}\n")
         sys.stdout.write(f"residual: {res.latex()}\n")
     else:
-        sys.stdout.write(f"solution: {solution.u.text()}\n")
+        sys.stdout.write(f"solution: {u.text()}\n")
         sys.stdout.write(f"residual: {res.text()}\n")
     return EXIT_OK
 

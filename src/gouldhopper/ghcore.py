@@ -83,14 +83,6 @@ class FamilyParams:
         return min(bounds)
 
 
-@dataclass(frozen=True)
-class GHPoly:
-    """A family member together with the indices that produced it."""
-
-    params: FamilyParams
-    poly: Poly
-
-
 _Z = Poly.variable("z")
 _W = Poly.variable("w")
 _G = Poly.variable("g")
@@ -110,9 +102,9 @@ def explicit_poly(p: int, q: int, n: int, m: int) -> Poly:
     return total
 
 
-def explicit(params: FamilyParams) -> GHPoly:
+def explicit(params: FamilyParams) -> Poly:
     """Evaluate the defining double-factorial sum directly."""
-    return GHPoly(params, explicit_poly(params.p, params.q, params.n, params.m))
+    return explicit_poly(params.p, params.q, params.n, params.m)
 
 
 def gould_hopper_1d(n: int, p: int) -> Poly:
@@ -129,7 +121,7 @@ def gould_hopper_1d(n: int, p: int) -> Poly:
     return total
 
 
-def operational(params: FamilyParams) -> GHPoly:
+def operational(params: FamilyParams) -> Poly:
     """Apply the exponential operator exp(g Dz^p Dw^q) to z^n w^m.
 
     On a polynomial the exponential truncates by itself: the k-th term
@@ -146,7 +138,7 @@ def operational(params: FamilyParams) -> GHPoly:
             break
         total = total + term * Poly.monomial({"g": k}, Fraction(1, math.factorial(k)))
         k += 1
-    return GHPoly(params, total)
+    return total
 
 
 def apply_z_raise(poly: Poly, p: int, q: int) -> Poly:
@@ -165,7 +157,7 @@ def apply_w_raise(poly: Poly, p: int, q: int) -> Poly:
     return out
 
 
-def via_creation(params: FamilyParams) -> GHPoly:
+def via_creation(params: FamilyParams) -> Poly:
     """Iterate the two raising operators on the constant 1.
 
     The w-operator is applied m times first, then the z-operator n
@@ -177,7 +169,7 @@ def via_creation(params: FamilyParams) -> GHPoly:
         poly = apply_w_raise(poly, p, q)
     for _ in range(n):
         poly = apply_z_raise(poly, p, q)
-    return GHPoly(params, poly)
+    return poly
 
 
 def _comb0(n: int, k: int) -> int:
@@ -187,7 +179,7 @@ def _comb0(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def via_recurrence(params: FamilyParams) -> GHPoly:
+def via_recurrence(params: FamilyParams) -> Poly:
     """Fill the full index table from the two raising recurrences.
 
     H_{i+1,j} = z H_{i,j} + g p! q! C(i,p-1) C(j,q)   H_{i+1-p,j-q}
@@ -219,7 +211,7 @@ def via_recurrence(params: FamilyParams) -> GHPoly:
             if c:
                 step = step + c * _G * lookup(i + 1 - p, j - q)
             table[(i + 1, j)] = step
-    return GHPoly(params, table[(n, m)])
+    return table[(n, m)]
 
 
 @lru_cache(maxsize=256)
@@ -229,7 +221,7 @@ def generating_series(p: int, q: int, order: int) -> SeriesUV:
     return series_exp(arg, order)
 
 
-def via_genfun(params: FamilyParams, order: int) -> GHPoly:
+def via_genfun(params: FamilyParams, order: int) -> Poly:
     """Extract n! m! [u^n v^m] exp(zu + wv + g u^p v^q).
 
     `order` is the series truncation order and must be at least n + m.
@@ -239,7 +231,7 @@ def via_genfun(params: FamilyParams, order: int) -> GHPoly:
         raise TruncationError(f"order {order} cannot reach the coefficient ({n},{m})")
     series = generating_series(p, q, order)
     scale = math.factorial(n) * math.factorial(m)
-    return GHPoly(params, series.coeff(n, m) * Fraction(scale))
+    return series.coeff(n, m) * Fraction(scale)
 
 
 def origin_value(params: FamilyParams) -> Poly:
@@ -253,7 +245,7 @@ def origin_value(params: FamilyParams) -> Poly:
     return explicit_poly(p, q, n, m).subst({"z": 0, "w": 0})
 
 
-def hypergeom_form(params: FamilyParams) -> GHPoly:
+def hypergeom_form(params: FamilyParams) -> Poly:
     """Terminating hypergeometric rewriting; needs p >= 1 and q >= 1.
 
     z^n w^m * pFq-style sum with parameter blocks (j-1-n)/p for
@@ -274,7 +266,7 @@ def hypergeom_form(params: FamilyParams) -> GHPoly:
         for j in range(1, q + 1):
             coeff *= rising_factorial(Fraction(j - 1 - m, q), k)
         total = total + Poly.monomial({"z": n - p * k, "w": m - q * k, "g": k}, coeff)
-    return GHPoly(params, total)
+    return total
 
 
 # -- independent classical reference families -------------------------

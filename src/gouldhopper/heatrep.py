@@ -7,8 +7,10 @@ For the evolution problem
 with polynomial initial data f, the solution is again a polynomial in
 z, w, t: each monomial z^n w^m evolves into the family member
 H^(p,q)_{n,m}(z, w | c t), and the solution is assembled by linearity.
-Everything stays in exact rational arithmetic, so the residual of a
-solution is identically zero as a polynomial, not merely small.
+`solve` returns u(z, w, t) as a bare Poly, and `at_time` freezes that
+Poly at a rational instant.  Everything stays in exact rational
+arithmetic, so the residual of a solution is identically zero as a
+polynomial, not merely small.
 """
 
 from __future__ import annotations
@@ -45,15 +47,8 @@ class HeatProblem:
             raise InvalidParamsError(f"initial datum may only use z and w, found {sorted(extra)}")
 
 
-@dataclass(frozen=True)
-class HeatSolution:
-    """A solution polynomial u(z, w, t)."""
-
-    u: Poly
-
-
-def solve(problem: HeatProblem) -> HeatSolution:
-    """Evolve the initial polynomial monomial by monomial.
+def solve(problem: HeatProblem) -> Poly:
+    """Evolve the initial polynomial monomial by monomial into u(z, w, t).
 
     z^n w^m goes to H^(p,q)_{n,m}(z, w | g) with g replaced by c*t.
     """
@@ -63,7 +58,7 @@ def solve(problem: HeatProblem) -> HeatSolution:
     for exps, coeff in problem.initial.terms():
         evolved = explicit_poly(problem.p, problem.q, exps[zi], exps[wi]).subst({"g": ct})
         total = total + coeff * evolved
-    return HeatSolution(total)
+    return total
 
 
 def residual(problem: HeatProblem, u: Poly) -> Poly:
@@ -71,9 +66,9 @@ def residual(problem: HeatProblem, u: Poly) -> Poly:
     return problem.c * u.diff("z", problem.p).diff("w", problem.q) - u.diff("t")
 
 
-def at_time(solution: HeatSolution, instant: Fraction) -> Poly:
-    """Freeze the solution at a rational time, leaving a polynomial in z, w."""
-    return solution.u.subst({"t": as_scalar(instant)})
+def at_time(u: Poly, instant: Fraction) -> Poly:
+    """Freeze the solution u(z, w, t) at a rational time, leaving a polynomial in z, w."""
+    return u.subst({"t": as_scalar(instant)})
 
 
 def random_polynomial(rng: random.Random, max_total_degree: int = 6, max_terms: int = 6) -> Poly:
@@ -130,16 +125,16 @@ def property_suite(
         for p, q in pq_pairs:
             for c in c_values:
                 problem = HeatProblem(p, q, c, first)
-                u = solve(problem).u
+                u = solve(problem)
                 check(residual(problem, u).is_zero(), trial, p, q, c, "residual")
-                check(at_time(HeatSolution(u), 0) == first, trial, p, q, c, "initial")
-                u_sum = solve(HeatProblem(p, q, c, first + second)).u
-                u_second = solve(HeatProblem(p, q, c, second)).u
+                check(at_time(u, 0) == first, trial, p, q, c, "initial")
+                u_sum = solve(HeatProblem(p, q, c, first + second))
+                u_second = solve(HeatProblem(p, q, c, second))
                 check(u_sum == u + u_second, trial, p, q, c, "linearity_add")
-                u_scaled = solve(HeatProblem(p, q, c, scale * first)).u
+                u_scaled = solve(HeatProblem(p, q, c, scale * first))
                 check(u_scaled == scale * u, trial, p, q, c, "linearity_scale")
-                midway = at_time(HeatSolution(u), t_first)
-                restarted = solve(HeatProblem(p, q, c, midway)).u
+                midway = at_time(u, t_first)
+                restarted = solve(HeatProblem(p, q, c, midway))
                 two_step = restarted.subst({"t": t_second})
                 direct = u.subst({"t": t_first + t_second})
                 check(two_step == direct, trial, p, q, c, "semigroup")

@@ -75,6 +75,14 @@ class GridRanges:
                 raise ValueError(
                     f"{name} must be an integer >= {top} for these derivative orders"
                 )
+        # the checkers divide by these points; fail here, not mid-audit
+        if any(z == 0 for z in self.hyp_points):
+            raise ValueError("hyp_points must be nonzero")
+        for point in self.weighted_points:
+            if not isinstance(point, tuple) or len(point) != 5:
+                raise ValueError(f"weighted_points entries are (a, b, z, w, g), got {point!r}")
+            if point[2] == 0 or point[3] == 0:
+                raise ValueError(f"weighted_points need nonzero z and w, got {point!r}")
 
     @property
     def orders(self) -> tuple[int, ...]:
@@ -151,13 +159,12 @@ def run_cell(tag: IdentityTag, params: Mapping, policy: str = "auto") -> list[Id
     if policy not in POLICIES:
         raise ValueError(f"unknown variant policy {policy!r}")
     ledgered = tag in MISPRINT_LEDGER
+    series = CHECKS[tag].kind == "series"
+    passing = STATUS_SERIES_PASS if series else STATUS_EXACT_PASS
 
     def one(variant: str) -> IdentityReport:
         result = run_check(tag, params, variant)
-        if result.passed:
-            status = STATUS_SERIES_PASS if result.series_order is not None else STATUS_EXACT_PASS
-        else:
-            status = STATUS_FAIL
+        status = passing if result.passed else STATUS_FAIL
         label = "printed" if variant == "printed" else corrected_variant_label(tag)
         notes = result.notes
         if variant == "corrected":
@@ -169,7 +176,7 @@ def run_cell(tag: IdentityTag, params: Mapping, policy: str = "auto") -> list[Id
             variant=label,
             status=status,
             difference=result.difference,
-            series_order=result.series_order,
+            series_order=params["order"] if series else None,
             notes=notes,
         )
 
@@ -255,7 +262,7 @@ def audit_grid(
         # grids are split so no single chunk dominates the runtime
         if not cells:
             continue
-        step = max(1, len(cells) // max(jobs, 1) // 2) if jobs > 1 else len(cells)
+        step = max(1, len(cells) // jobs // 2) if jobs > 1 else len(cells)
         for start in range(0, len(cells), step):
             work.append((tag.value, cells[start : start + step], policy))
 

@@ -10,7 +10,6 @@ from gouldhopper.exactalg import Poly, TruncationError
 from gouldhopper.ghcore import (
     STRATEGIES,
     FamilyParams,
-    GHPoly,
     InvalidParamsError,
     UnsupportedRepresentationError,
     explicit,
@@ -79,12 +78,10 @@ def test_explicit_zero_order_sides():
     assert explicit_poly(0, 2, 3, 4) == Z ** 3 * gould_hopper_1d(4, 2).subst({"z": W})
 
 
-def test_explicit_wrapper_carries_params():
-    params = FamilyParams(1, 1, 2, 1)
-    gh = explicit(params)
-    assert isinstance(gh, GHPoly)
-    assert gh.params == params
-    assert gh.poly == explicit_poly(1, 1, 2, 1)
+def test_explicit_returns_the_poly():
+    poly = explicit(FamilyParams(1, 1, 2, 1))
+    assert isinstance(poly, Poly)
+    assert poly == explicit_poly(1, 1, 2, 1)
 
 
 def test_one_variable_family():
@@ -115,18 +112,18 @@ SPOT_PARAMS = [
 @pytest.mark.parametrize("p,q,n,m", SPOT_PARAMS)
 def test_all_strategies_agree(p, q, n, m):
     params = FamilyParams(p, q, n, m)
-    reference = explicit(params).poly
-    assert operational(params).poly == reference
-    assert via_creation(params).poly == reference
-    assert via_recurrence(params).poly == reference
-    assert via_genfun(params, n + m).poly == reference
+    reference = explicit(params)
+    assert operational(params) == reference
+    assert via_creation(params) == reference
+    assert via_recurrence(params) == reference
+    assert via_genfun(params, n + m) == reference
     if p >= 1 and q >= 1:
-        assert hypergeom_form(params).poly == reference
+        assert hypergeom_form(params) == reference
 
 
 def test_genfun_higher_order_is_harmless():
     params = FamilyParams(2, 1, 3, 2)
-    assert via_genfun(params, 12).poly == explicit(params).poly
+    assert via_genfun(params, 12) == explicit(params)
 
 
 def test_genfun_rejects_short_order():
@@ -146,9 +143,9 @@ def test_strategy_registry():
         "explicit", "operational", "creation", "recurrence", "genfun", "hypergeom"
     }
     params = FamilyParams(2, 1, 3, 2)
-    reference = explicit(params).poly
+    reference = explicit(params)
     for name, build in STRATEGIES.items():
-        assert build(params, None).poly == reference, name
+        assert build(params, None) == reference, name
 
 
 @settings(max_examples=25, deadline=None)
@@ -160,7 +157,7 @@ def test_strategy_registry():
 def test_operational_matches_explicit_property(pq, n, m):
     p, q = pq
     params = FamilyParams(p, q, n, m)
-    assert operational(params).poly == explicit(params).poly
+    assert operational(params) == explicit(params)
 
 
 # ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Identity catalog tests: checkers, variant policies, grid audits."""
 
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction as F
@@ -8,7 +9,7 @@ import pytest
 
 from gouldhopper import ghcore
 from gouldhopper.exactalg import Poly
-from gouldhopper.ghcore import FamilyParams, explicit_poly
+from gouldhopper.ghcore import explicit_poly
 from gouldhopper.identity import (
     CHECKS,
     MISPRINT_LEDGER,
@@ -23,10 +24,6 @@ from gouldhopper.identity import (
     run_cell,
     run_check,
     summarize,
-    verify_algebraic,
-    verify_hypergeom_transform,
-    verify_pde,
-    verify_series,
 )
 from gouldhopper.identity import checks
 
@@ -113,7 +110,22 @@ def test_run_check_result_shape():
     result = run_check(IdentityTag.SYMMETRY, {"p": 2, "q": 1, "n": 3, "m": 2}, "printed")
     assert result.passed
     assert result.difference == Poly.zero()
-    assert result.series_order is None
+    assert [field.name for field in dataclasses.fields(result)] == ["difference", "notes"]
+
+
+def test_report_series_order_follows_the_registry_kind():
+    # a series identity's reports carry its truncation order, every other none
+    ranges = GridRanges(n_max=1, m_max=1, pq_pairs=((1, 1),), aux_max=1, jk_max=1,
+                        series_order=4, weighted_series_order=4)
+    for tag, spec in CHECKS.items():
+        cell = cells_for(tag, ranges)[0]
+        for report in run_cell(tag, cell, "both"):
+            if spec.kind == "series":
+                assert report.series_order == cell["order"], tag
+                assert report.status in ("SeriesPass", "Fail"), tag
+            else:
+                assert report.series_order is None, tag
+                assert report.status in ("ExactPass", "Fail"), tag
 
 
 def test_pochhammer_tail_values():
@@ -253,39 +265,31 @@ def test_unknown_policy_rejected():
 
 
 # ---------------------------------------------------------------------
-# public verify wrappers
+# one cell of each kind through run_cell
 # ---------------------------------------------------------------------
 
-def test_verify_algebraic():
-    reports = verify_algebraic(IdentityTag.SYMMETRY, {"p": 1, "q": 1, "n": 2, "m": 3})
+def test_run_cell_algebraic():
+    reports = run_cell(IdentityTag.SYMMETRY, {"p": 1, "q": 1, "n": 2, "m": 3})
     assert [r.status for r in reports] == ["ExactPass"]
-    with pytest.raises(ValueError, match="verify_algebraic does not handle"):
-        verify_algebraic(IdentityTag.GEN_FULL, {"p": 1, "q": 1, "order": 5})
 
 
-def test_verify_series():
-    reports = verify_series(IdentityTag.GEN_FULL, {"p": 1, "q": 1}, order=6)
+def test_run_cell_series():
+    reports = run_cell(IdentityTag.GEN_FULL, {"p": 1, "q": 1, "order": 6})
     assert [(r.status, r.series_order) for r in reports] == [("SeriesPass", 6)]
-    with pytest.raises(ValueError, match="verify_series does not handle"):
-        verify_series(IdentityTag.SYMMETRY, {"p": 1, "q": 1, "n": 1, "m": 1}, order=4)
 
 
-def test_verify_hypergeom_transform():
-    reports = verify_hypergeom_transform(2, 1, F(1, 2))
+def test_run_cell_hypergeom_transform():
+    reports = run_cell(IdentityTag.HYP_2F0_1F1, {"n": 2, "m": 1, "z": F(1, 2)})
     assert [r.status for r in reports] == ["Fail", "ExactPass"]
     assert reports[0].known_misprint
     # with n = m the minimum is symmetric, but the sign flip still matters
-    reports = verify_hypergeom_transform(2, 2, F(-3))
+    reports = run_cell(IdentityTag.HYP_2F0_1F1, {"n": 2, "m": 2, "z": F(-3)})
     assert reports[-1].status == "ExactPass"
 
 
-def test_verify_pde_accepts_params_objects():
-    reports = verify_pde(IdentityTag.PDE_HEAT, FamilyParams(2, 1, 3, 2))
+def test_run_cell_pde():
+    reports = run_cell(IdentityTag.PDE_HEAT, {"p": 2, "q": 1, "n": 3, "m": 2})
     assert [r.status for r in reports] == ["ExactPass"]
-    reports = verify_pde(IdentityTag.PDE_HEAT, {"p": 2, "q": 1, "n": 3, "m": 2})
-    assert [r.status for r in reports] == ["ExactPass"]
-    with pytest.raises(ValueError, match="verify_pde does not handle"):
-        verify_pde(IdentityTag.SYMMETRY, FamilyParams(1, 1, 1, 1))
 
 
 # ---------------------------------------------------------------------
@@ -297,6 +301,19 @@ def test_grid_ranges_validation():
         GridRanges(pq_pairs=((0, 0),))
     with pytest.raises(ValueError, match="series_order"):
         GridRanges(series_order=2, pq_pairs=((2, 1),))
+
+
+@pytest.mark.parametrize("points, message", [
+    ({"hyp_points": (F(2), F(0))}, "hyp_points must be nonzero"),
+    ({"weighted_points": ((F(1), F(2), F(3), F(4)),)}, r"entries are \(a, b, z, w, g\)"),
+    ({"weighted_points": (F(1),)}, r"entries are \(a, b, z, w, g\)"),
+    ({"weighted_points": ((F(1), F(2), F(0), F(4), F(5)),)}, "nonzero z and w"),
+    ({"weighted_points": ((F(1), F(2), F(3), F(0), F(5)),)}, "nonzero z and w"),
+], ids=["zero_hyp_point", "four_tuple", "bare_scalar", "zero_z", "zero_w"])
+def test_grid_ranges_rejects_points_the_checkers_divide_by(points, message):
+    # rejected when the grid is built, before any checker runs
+    with pytest.raises(ValueError, match=message):
+        GridRanges(n_max=1, m_max=1, pq_pairs=((1, 1),), **points)
 
 
 def test_cells_for_symmetry_grid():
