@@ -34,10 +34,10 @@ from .identity import (
     GridRanges,
     IdentityReport,
     audit_grid,
-    cells_for,
     effective_failures,
     parse_tag,
     summarize,
+    unchecked_tags,
 )
 
 EXIT_OK = 0
@@ -487,6 +487,14 @@ def _make_ranges(args) -> GridRanges:
     )
 
 
+def _warn_unchecked(tags: list) -> None:
+    # the tags the grid gives no cells pass no check; say so off stdout
+    if tags:
+        names = ", ".join(tag.value for tag in tags)
+        print(f"warning: the grid gives no cells to {names}; they are unchecked",
+              file=sys.stderr)
+
+
 def _cmd_verify(args) -> int:
     if args.tag == "all":
         tags = None
@@ -501,12 +509,13 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    for tag in tags or ():
-        if not cells_for(tag, ranges):
-            # a verify that checked nothing must not read as a pass
-            print(f"error: the grid gives {tag.value} no cells; nothing to verify",
-                  file=sys.stderr)
-            return EXIT_USAGE
+    unchecked = unchecked_tags(tags, ranges)
+    if unchecked and tags is not None:
+        # a verify that checked nothing must not read as a pass
+        print(f"error: the grid gives {unchecked[0].value} no cells; nothing to verify",
+              file=sys.stderr)
+        return EXIT_USAGE
+    _warn_unchecked(unchecked)
     reports = audit_grid(tags, ranges, policy=args.variant, jobs=args.jobs)
     summary = summarize(reports)
     if args.format == "json":
@@ -524,6 +533,7 @@ def _cmd_audit(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    _warn_unchecked(unchecked_tags(None, ranges))
     reports = audit_grid(None, ranges, policy=args.variant, jobs=args.jobs)
     summary = summarize(reports)
     heat = property_suite(

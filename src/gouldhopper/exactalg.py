@@ -48,6 +48,21 @@ coefficient out as a reduced ``Fraction`` with the unpacked exponent
 tuple, so a serialization depends only on the polynomial, never on how
 it was computed.
 
+**Series kernel.**  :func:`series_exp` and :func:`series_binomial_neg`
+never multiply two series.  With the Euler operator theta = u d/du, the
+series E = exp(A) solves theta E = (theta A) E and F = (1 - B)^(-a)
+solves (1 - B) theta F = a (theta B) F.  Comparing coefficients gives
+each coefficient of u^i v^j from at most as many earlier ones as the
+argument has terms (Knuth, TAOCP Vol. 2, section 4.7; Brent & Kung, "Fast
+algorithms for manipulating formal power series", J. ACM 25, 1978)::
+
+    i E_ij = sum_kl k A_kl E_(i-k)(j-l)
+    i F_ij = sum_kl B_kl (i - k + a k) F_(i-k)(j-l)
+
+with v d/dv in place of u d/du on the row i = 0.  Every argument the
+package passes is a short sum of monomials, so each term of such a sum
+is an earlier coefficient shifted by one packed key, added in place.
+
 No division, gcd, or factorization of polynomials is provided: the
 identity engine built on top only ever needs ring operations,
 substitution, formal differentiation, and truncated series in ``u``,
@@ -711,10 +726,17 @@ class SeriesUV:
 
 
 def series_exp(arg: SeriesUV | Poly, order: int | None = None) -> SeriesUV:
-    """exp(arg) = sum_k arg^k / k!, truncated at the series order.
+    """exp(arg), truncated at the series order, by the Euler recurrence.
 
-    The argument must have zero constant term, otherwise the exponential
-    would not be a polynomial-coefficient series.
+    E = exp(A) solves u dE/du = (u dA/du) E, so with A = sum A_kl u^k v^l
+
+        i E_ij = sum_kl k A_kl E_(i-k)(j-l),    E_00 = 1,
+
+    and row i = 0 follows from v d/dv the same way (Knuth, TAOCP Vol. 2,
+    section 4.7).  A Poly argument is read as a series to `order`, a
+    SeriesUV keeps its own order.  The argument must have zero constant
+    term, otherwise the exponential would not be a polynomial-coefficient
+    series.
     """
     if isinstance(arg, Poly):
         if order is None:
@@ -722,32 +744,65 @@ def series_exp(arg: SeriesUV | Poly, order: int | None = None) -> SeriesUV:
         arg = SeriesUV.from_poly(arg, order)
     if not arg.coeff(0, 0).is_zero():
         raise SeriesArgumentError("series_exp needs a zero constant term")
-    acc = SeriesUV.one(arg.order)
-    power = SeriesUV.one(arg.order)
-    for k in range(1, arg.order + 1):
-        power = power * arg * Fraction(1, k)
-        if power.is_zero():
-            break
-        acc = acc + power
-    return acc
+    return _euler_series(arg, arg.order, 0, Fraction(1))
 
 
 def series_binomial_neg(base: Poly | SeriesUV, exponent: ScalarLike, order: int) -> SeriesUV:
-    """(1 - base)^(-exponent) = sum_k (exponent)_k base^k / k!.
+    """(1 - base)^(-exponent), truncated at the series order.
 
-    Uses the rising factorial (x)_k = x (x+1) ... (x+k-1); `base` must
-    have zero constant term.
+    F = (1 - B)^(-a) solves (1 - B) u dF/du = a (u dB/du) F, so
+
+        i F_ij = sum_kl B_kl (i - k + a k) F_(i-k)(j-l),    F_00 = 1,
+
+    and row i = 0 follows from v d/dv (Brent & Kung, "Fast algorithms for
+    manipulating formal power series", J. ACM 25, 1978).  The result is
+    truncated at `order`, or at the order of a SeriesUV base if that is
+    lower; `base` must have zero constant term.
     """
     if isinstance(base, Poly):
         base = SeriesUV.from_poly(base, order)
     if not base.coeff(0, 0).is_zero():
         raise SeriesArgumentError("series_binomial_neg needs a zero constant term")
-    a = as_scalar(exponent)
-    acc = SeriesUV.one(order)
-    power = SeriesUV.one(order)
-    for k in range(1, order + 1):
-        power = power * base
-        if power.is_zero():
-            break
-        acc = acc + power * (rising_factorial(a, k) / math.factorial(k))
-    return acc
+    return _euler_series(base, min(order, base.order), 1, as_scalar(exponent))
+
+
+def _euler_series(base: SeriesUV, order: int, alpha: int, beta: Fraction) -> SeriesUV:
+    """F with F_00 = 1 and (1 - alpha B) theta F = beta (theta B) F.
+
+    alpha = 0 gives exp(beta B), alpha = 1 gives (1 - B)^(-beta); B has
+    zero constant term.  With n = i and x = k (n = j and x = l on row 0,
+    where theta is v d/dv), each coefficient is one in-place sum
+
+        n F_ij = sum_kl B_kl (alpha (n - x) + beta x) F_(i-k)(j-l).
+    """
+    r, s = beta.numerator, beta.denominator
+    # the monomial terms of B over one common denominator `common`:
+    # (k, l, packed key, numerator, total degree of the key)
+    common = math.lcm(*(poly._den for _, poly in base.items()))
+    terms = [
+        (k, l, key, c * (common // poly._den), key >> _DEG_SHIFT)
+        for (k, l), poly in base.items()
+        for key, c in poly._num.items()
+    ]
+    coeffs: dict[tuple[int, int], Poly] = {(0, 0): Poly.one()}
+    tops = {(0, 0): 0}  # the total degree of each stored coefficient
+    for i in range(order + 1):
+        for j in range(order + 1 - i):
+            n = i or j
+            if not n:
+                continue
+            total = _Sum()
+            for k, l, key, c, degree in terms:
+                prev = coeffs.get((i - k, j - l))
+                if prev is None:
+                    continue
+                x = k if i else l
+                weight = alpha * s * (n - x) + r * x
+                if weight:
+                    _check_degree(tops[(i - k, j - l)] + degree)
+                    total.add(prev, key, c * weight)
+            poly = total.poly(common * s * n)
+            if poly:
+                coeffs[(i, j)] = poly
+                tops[(i, j)] = _top_degree(poly._num)
+    return SeriesUV(order, coeffs)

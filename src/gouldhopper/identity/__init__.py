@@ -28,6 +28,7 @@ from .audit import (
     effective_failures,
     run_cell,
     summarize,
+    unchecked_tags,
 )
 from .checks import (
     CHECKS,
@@ -61,4 +62,5 @@ __all__ = [
     "run_cell",
     "run_check",
     "summarize",
+    "unchecked_tags",
 ]

@@ -13,9 +13,9 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from ..exactalg import Poly
+from ..exactalg import Poly, as_scalar
 from .checks import CHECKS, MISPRINT_LEDGER, IdentityTag, run_check
 
 STATUS_EXACT_PASS = "ExactPass"
@@ -75,12 +75,17 @@ class GridRanges:
                 raise ValueError(
                     f"{name} must be an integer >= {top} for these derivative orders"
                 )
-        # the checkers divide by these points; fail here, not mid-audit
-        if any(z == 0 for z in self.hyp_points):
-            raise ValueError("hyp_points must be nonzero")
+        # the checkers take exact scalars and divide by these points; fail
+        # here, not mid-audit
+        for z in self.hyp_points:
+            _require_exact("hyp_points", z)
+            if z == 0:
+                raise ValueError("hyp_points must be nonzero")
         for point in self.weighted_points:
             if not isinstance(point, tuple) or len(point) != 5:
                 raise ValueError(f"weighted_points entries are (a, b, z, w, g), got {point!r}")
+            for value in point:
+                _require_exact("weighted_points", value)
             if point[2] == 0 or point[3] == 0:
                 raise ValueError(f"weighted_points need nonzero z and w, got {point!r}")
 
@@ -88,6 +93,13 @@ class GridRanges:
     def orders(self) -> tuple[int, ...]:
         """The distinct nonzero derivative orders in pq_pairs, ascending."""
         return tuple(sorted({x for pair in self.pq_pairs for x in pair if x >= 1}))
+
+
+def _require_exact(field: str, value) -> None:
+    try:
+        as_scalar(value)
+    except TypeError:
+        raise ValueError(f"{field} entries must be exact (int or Fraction), got {value!r}") from None
 
 
 @dataclass
@@ -208,17 +220,27 @@ def cells_for(tag: IdentityTag, ranges: GridRanges) -> list[dict]:
     The cells are the product of the tag's grid axes, in axis order, that
     satisfy its constraint.
     """
+    return list(_cells(tag, ranges))
+
+
+def unchecked_tags(tags: Iterable[IdentityTag] | None, ranges: GridRanges) -> list[IdentityTag]:
+    """The tags (all when None) that the grid gives no cells, in registry order."""
+    selected = CHECKS if tags is None else set(tags)
+    return [tag for tag in CHECKS if tag in selected and next(_cells(tag, ranges), None) is None]
+
+
+def _cells(tag: IdentityTag, ranges: GridRanges) -> Iterator[dict]:
     spec = CHECKS[tag]
     flat = [key for keys, _ in spec.axes for key in keys]
     pools = [
         [value if len(keys) > 1 else (value,) for value in _axis_values(ranges, name)]
         for keys, name in spec.axes
     ]
-    cells = [
+    cells = (
         dict(zip(flat, itertools.chain.from_iterable(combo)))
         for combo in itertools.product(*pools)
-    ]
-    return [cell for cell in cells if spec.admits(cell)] if spec.needs else cells
+    )
+    return filter(spec.admits, cells) if spec.needs else cells
 
 
 def _axis_values(ranges: GridRanges, name: str) -> Sequence:

@@ -390,10 +390,26 @@ def test_audit_text_format(capsys):
 def test_audit_on_zero_order_grid(capsys):
     # tags whose constraint excludes a zero order get no cells there; none
     # of them may crash the audit
-    code, out, _ = run_cli(capsys, "audit", "--pq", "1,0", "--nmax", "2", "--mmax", "2",
-                           "--aux-max", "1", "--jk-max", "1", "--format", "text")
+    grid = ("--pq", "1,0", "--nmax", "2", "--mmax", "2", "--aux-max", "1", "--jk-max", "1",
+            "--format", "text")
+    code, out, err = run_cli(capsys, "audit", *grid)
     assert code == 0
     assert "effective_fail=0" in out
+    # the tags left unchecked are named in one line on stderr, not on stdout
+    unchecked = ("warning: the grid gives no cells to HYPERGEOM, GEN_PARTIAL_U, "
+                 "GEN_POCHHAMMER_S, CONN_PQ_FROM_GH, PDE_PRODUCT; they are unchecked\n")
+    assert err == unchecked
+    assert "unchecked" not in out
+    code, out, err = run_cli(capsys, "verify", "--tag", "all", *grid)
+    assert code == 0
+    assert err == unchecked
+    assert "unchecked" not in out
+
+
+def test_audit_on_a_full_grid_warns_of_nothing(capsys):
+    code, _, err = run_cli(capsys, *AUDIT_SMALL)
+    assert code == 0
+    assert err == ""
 
 
 def test_audit_rejects_nonpositive_trials(capsys):

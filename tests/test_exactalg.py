@@ -504,6 +504,110 @@ def test_series_binomial_neg_requires_zero_constant_term():
         series_binomial_neg(Poly.one(), 1, 3)
 
 
+def test_series_binomial_neg_2d_oracle():
+    # [DERIVED] (1 - zu - wv)^(-a) = sum_k (a)_k (zu + wv)^k / k!, and the
+    # binomial theorem gives [u^i v^j] = (a)_(i+j) z^i w^j / (i! j!).
+    u, v = Poly.variable("u"), Poly.variable("v")
+    a = F(-5, 3)
+    s = series_binomial_neg(Z * u + W * v, a, 5)
+    for i in range(6):
+        for j in range(6 - i):
+            expected = Poly.monomial(
+                {"z": i, "w": j}, rising_factorial(a, i + j) / (math.factorial(i) * math.factorial(j)))
+            assert s.coeff(i, j) == expected
+    # (1 - g uv)^(-a) lives on the diagonal: [(uv)^k] = (a)_k g^k / k!
+    d = series_binomial_neg(G * u * v, a, 6)
+    assert {key for key, _ in d.items()} == {(0, 0), (1, 1), (2, 2), (3, 3)}
+    assert d.coeff(3, 3) == G ** 3 * (rising_factorial(a, 3) / 6)
+
+
+# ---------------------------------------------------------------------
+# differential test of the series kernel against power sums
+# ---------------------------------------------------------------------
+#
+# The reference sums arg^k / k! and (a)_k base^k / k! with one SeriesUV
+# product per power, as the kernel did before the Euler recurrence.
+
+def _power_sum_exp(arg):
+    acc = SeriesUV.one(arg.order)
+    power = SeriesUV.one(arg.order)
+    for k in range(1, arg.order + 1):
+        power = power * arg * F(1, k)
+        if power.is_zero():
+            break
+        acc = acc + power
+    return acc
+
+
+def _power_sum_binomial_neg(base, a, order):
+    acc = SeriesUV.one(order)
+    power = SeriesUV.one(order)
+    for k in range(1, order + 1):
+        power = power * base
+        if power.is_zero():
+            break
+        acc = acc + power * (rising_factorial(a, k) / math.factorial(k))
+    return acc
+
+
+@st.composite
+def sparse_series_polys(draw):
+    """1-4 terms c z^a w^b g^c u^i v^j with i + j >= 1."""
+    total = Poly.zero()
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        i = draw(st.integers(min_value=0, max_value=3))
+        j = draw(st.integers(min_value=0 if i else 1, max_value=3))
+        exps = {"u": i, "v": j, **{name: draw(st.integers(min_value=0, max_value=2))
+                                   for name in ("z", "w", "g")}}
+        total = total + Poly.monomial(exps, draw(_MIXED.filter(bool)))
+    return total
+
+
+_EXPONENTS = st.fractions(min_value=-4, max_value=3, max_denominator=6).filter(
+    lambda a: a < 0 or a.denominator > 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_series_polys(), st.integers(min_value=0, max_value=12), _EXPONENTS)
+def test_series_kernel_matches_power_sums(arg, order, a):
+    series = SeriesUV.from_poly(arg, order)
+    assert series_exp(arg, order) == _power_sum_exp(series)
+    assert series_exp(series) == _power_sum_exp(series)
+    assert series_binomial_neg(arg, a, order) == _power_sum_binomial_neg(series, a, order)
+    assert series_binomial_neg(series, a, order) == _power_sum_binomial_neg(series, a, order)
+
+
+@settings(max_examples=30, deadline=None)
+@given(sparse_series_polys(), st.integers(min_value=0, max_value=12),
+       st.integers(min_value=0, max_value=12), _EXPONENTS)
+def test_series_binomial_neg_keeps_the_lower_order(arg, order, base_order, a):
+    # a SeriesUV base known to a different order than asked for
+    base = SeriesUV.from_poly(arg, base_order)
+    result = series_binomial_neg(base, a, order)
+    assert result.order == min(order, base_order)
+    if not base.is_zero():
+        assert result == _power_sum_binomial_neg(base, a, order)
+    # series_exp reads a SeriesUV to its own order and ignores `order`
+    assert series_exp(base, order) == _power_sum_exp(base)
+
+
+def test_series_kernel_degree_bound():
+    # the coefficient of u^2 would have degree 2 * 40000 in z: raise, never wrap
+    big = Poly.monomial({"z": 40000, "u": 1})
+    assert series_exp(big, 1).coeff(1, 0) == Poly.monomial({"z": 40000})
+    with pytest.raises(ValueError, match="exceeds the kernel bound"):
+        series_exp(big, 2)
+    with pytest.raises(ValueError, match="exceeds the kernel bound"):
+        series_binomial_neg(big, F(1, 2), 2)
+
+
+def test_series_binomial_neg_of_a_zero_base():
+    # nothing of the base is known past its order, so neither is the result
+    s = series_binomial_neg(SeriesUV(2), F(1, 2), 6)
+    assert s == SeriesUV.one(2)
+    assert series_binomial_neg(Poly.zero(), F(1, 2), 6) == SeriesUV.one(6)
+
+
 def test_series_order_validation():
     with pytest.raises(ValueError, match="order must be >= 0"):
         SeriesUV(-1)

@@ -316,6 +316,17 @@ def test_grid_ranges_rejects_points_the_checkers_divide_by(points, message):
         GridRanges(n_max=1, m_max=1, pq_pairs=((1, 1),), **points)
 
 
+@pytest.mark.parametrize("points, field", [
+    ({"hyp_points": (F(2), 0.5)}, "hyp_points"),
+    ({"weighted_points": ((F(1, 2), F(1, 3), F(2), F(3), 5.0),)}, "weighted_points"),
+], ids=["float_hyp_point", "float_weighted_point"])
+def test_grid_ranges_rejects_inexact_points(points, field):
+    # the checkers take exact scalars only; a float used to pass here and
+    # then stop the audit with a TypeError inside the checker
+    with pytest.raises(ValueError, match=f"{field} entries must be exact"):
+        GridRanges(n_max=1, m_max=1, pq_pairs=((1, 1),), **points)
+
+
 def test_cells_for_symmetry_grid():
     ranges = GridRanges(n_max=3, m_max=3, pq_pairs=((1, 1), (2, 1)))
     cells = cells_for(IdentityTag.SYMMETRY, ranges)
