@@ -1,8 +1,10 @@
 """Command-line front end: compute / verify / audit / heat.
 
 All output is deterministic: canonical term order, sorted reports,
-sorted JSON keys, no timestamps.  Exit codes: 0 success, 1 at least one
-effective identity/property failure, 2 usage error.
+sorted JSON keys, no timestamps, the same bytes at every --jobs value.
+Exit codes: 0 success, 1 at least one effective identity/property
+failure, 2 usage error, 3 internal error (an unexpected exception,
+reported in one line on stderr).
 
 The deformation parameter is spelled ``gamma`` (or ``g``) in all
 textual interfaces; the Unicode letter is accepted on input and ASCII
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import io
 import json
 import re
@@ -27,14 +30,14 @@ from .ghcore import (
     InvalidParamsError,
     UnsupportedRepresentationError,
 )
-from .heatrep import HeatProblem, property_suite, residual, solve
+from .heatrep import HeatProblem, residual, solve
 from .identity import (
     CHECKS,
+    MAX_JOBS,
     POLICIES,
     GridRanges,
     IdentityReport,
     audit_grid,
-    effective_failures,
     parse_tag,
     summarize,
     unchecked_tags,
@@ -43,6 +46,7 @@ from .identity import (
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 _VAR_ALIASES = {
     "gamma": "g",
@@ -208,15 +212,22 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational number: {text!r}") from exc
 
 
-def parse_count(text: str) -> int:
-    """Parse a count that must be at least 1 (workers, trials)."""
+def parse_count(text: str, most: int | None = None) -> int:
+    """Parse a count that must be at least 1 (workers, trials) and at most `most`."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if most is not None and value > most:
+        raise argparse.ArgumentTypeError(f"must be <= {most}, got {value}")
     return value
+
+
+def parse_jobs(text: str) -> int:
+    """Parse a worker count, 1 to MAX_JOBS."""
+    return parse_count(text, most=MAX_JOBS)
 
 
 def parse_pq_list(text: str) -> tuple[tuple[int, int], ...]:
@@ -278,6 +289,17 @@ def _dump_json(obj) -> str:
     return "".join(pieces)
 
 
+class _JsonItems(list):
+    """A JSON array of items already written, at the indentation of its items."""
+
+
+def _report_json(report: IdentityReport, depth: int) -> str:
+    # the report as _write_json writes an item of an array `depth` levels deep
+    pieces: list[str] = []
+    _write_json(report.to_json_obj(), "", "\n" + "  " * depth, pieces)
+    return "".join(pieces)
+
+
 def _write_json(value, head: str, newline: str, pieces: list[str]) -> None:
     # append `head` followed by `value`; `newline` is "\n" plus the
     # indentation of the line `value` starts on
@@ -308,6 +330,9 @@ def _write_json(value, head: str, newline: str, pieces: list[str]) -> None:
             pieces.append(head + "[]")
             return
         inner = newline + "  "
+        if type(value) is _JsonItems:
+            pieces.append(head + "[" + inner + ("," + inner).join(value) + newline + "]")
+            return
         sep = head + "[" + inner
         for item in value:
             _write_json(item, sep, inner, pieces)
@@ -351,49 +376,54 @@ def _scalar_text(value) -> str:
     return str(value) if isinstance(value, int) else str(Fraction(value))
 
 
-def _reports_text(reports, summary) -> str:
-    out = io.StringIO()
-    for report in reports:
-        out.write(
-            f"{report.status:<10} {report.tag.value:<18} "
-            f"{_report_params_text(report)}  [{report.variant}]\n"
-        )
-        if report.status == "Fail":
-            out.write(f"    difference: {report.difference.text()}\n")
-        if report.notes:
-            out.write(f"    notes: {report.notes}\n")
-    out.write(
+def _report_text(report: IdentityReport) -> str:
+    text = (
+        f"{report.status:<10} {report.tag.value:<18} "
+        f"{_report_params_text(report)}  [{report.variant}]\n"
+    )
+    if report.status == "Fail":
+        text += f"    difference: {report.difference.text()}\n"
+    if report.notes:
+        text += f"    notes: {report.notes}\n"
+    return text
+
+
+def _failure_text(report: IdentityReport) -> str:
+    # the audit's text lists the failed reports only
+    return _report_text(report) if report.status == "Fail" else ""
+
+
+def _summary_text(summary: dict) -> str:
+    return (
         "summary: total={total} exact_pass={exact_pass} series_pass={series_pass} "
         "fail={fail} known_misprints={known_misprints} "
         "effective_fail={effective_fail}\n".format(**summary)
     )
-    return out.getvalue()
 
 
-def _reports_junit(reports) -> str:
-    suite = ET.Element("testsuite", name="identity-verify")
-    tests = failures = skipped = 0
-    for report in reports:
-        tests += 1
-        case = ET.SubElement(
-            suite,
-            "testcase",
-            classname=report.tag.value,
-            name=f"{_report_params_text(report)} [{report.variant}]",
-        )
-        if report.status == "Fail":
-            if report.known_misprint:
-                skipped += 1
-                ET.SubElement(case, "skipped", message=report.notes or "known misprint")
-            else:
-                failures += 1
-                failure = ET.SubElement(case, "failure", message="nonzero difference")
-                failure.text = report.difference.text()
-    suite.set("tests", str(tests))
-    suite.set("failures", str(failures))
-    suite.set("skipped", str(skipped))
-    body = ET.tostring(suite, encoding="unicode")
-    return '<?xml version="1.0" encoding="utf-8"?>\n' + body + "\n"
+def _report_junit(report: IdentityReport) -> str:
+    case = ET.Element(
+        "testcase",
+        classname=report.tag.value,
+        name=f"{_report_params_text(report)} [{report.variant}]",
+    )
+    if report.status == "Fail":
+        if report.known_misprint:
+            ET.SubElement(case, "skipped", message=report.notes or "known misprint")
+        else:
+            failure = ET.SubElement(case, "failure", message="nonzero difference")
+            failure.text = report.difference.text()
+    return ET.tostring(case, encoding="unicode")
+
+
+def _junit_document(cases: list[str], summary: dict) -> str:
+    # the testsuite element as ElementTree writes it around its (never
+    # zero) cases; a known misprint is a skipped case, any other Fail a failure
+    suite = (
+        '<testsuite name="identity-verify" tests="{total}" failures="{effective_fail}" '
+        'skipped="{known_misprints}">'.format(**summary)
+    )
+    return '<?xml version="1.0" encoding="utf-8"?>\n' + suite + "".join(cases) + "</testsuite>\n"
 
 
 def _grid_json(ranges: GridRanges) -> dict:
@@ -516,15 +546,22 @@ def _cmd_verify(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     _warn_unchecked(unchecked)
-    reports = audit_grid(tags, ranges, policy=args.variant, jobs=args.jobs)
+    # the workers render each report; the document is an array of them
+    render = {
+        "json": functools.partial(_report_json, depth=1),
+        "junit": _report_junit,
+        "text": _report_text,
+    }[args.format]
+    reports = audit_grid(tags, ranges, policy=args.variant, jobs=args.jobs, render=render)
     summary = summarize(reports)
+    texts = [report.text for report in reports]
     if args.format == "json":
-        sys.stdout.write(_dump_json([report.to_json_obj() for report in reports]))
+        sys.stdout.write(_dump_json(_JsonItems(texts)))
     elif args.format == "junit":
-        sys.stdout.write(_reports_junit(reports))
+        sys.stdout.write(_junit_document(texts, summary))
     else:
-        sys.stdout.write(_reports_text(reports, summary))
-    return EXIT_FAIL if effective_failures(reports) else EXIT_OK
+        sys.stdout.write("".join(texts) + _summary_text(summary))
+    return EXIT_FAIL if summary["effective_fail"] else EXIT_OK
 
 
 def _cmd_audit(args) -> int:
@@ -534,24 +571,28 @@ def _cmd_audit(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     _warn_unchecked(unchecked_tags(None, ranges))
-    reports = audit_grid(None, ranges, policy=args.variant, jobs=args.jobs)
-    summary = summarize(reports)
-    heat = property_suite(
-        seed=args.seed, trials=args.trials, pq_pairs=ranges.pq_pairs
+    # the workers render each report: as an item of the document's
+    # "reports" array, two levels deep, or as text if it failed
+    render = functools.partial(_report_json, depth=2) if args.format == "json" else _failure_text
+    reports, heat = audit_grid(
+        None, ranges, policy=args.variant, jobs=args.jobs, render=render,
+        heat=(args.seed, args.trials),
     )
-    failed = bool(effective_failures(reports)) or bool(heat["failures"])
+    summary = summarize(reports)
+    texts = [report.text for report in reports]
+    failed = summary["effective_fail"] > 0 or bool(heat["failures"])
     if args.format == "json":
         document = {
             "grid": _grid_json(ranges),
             "policy": args.variant,
-            "reports": [report.to_json_obj() for report in reports],
+            "reports": _JsonItems(texts),
             "summary": summary,
             "heat": heat,
         }
         sys.stdout.write(_dump_json(document))
     else:
         out = io.StringIO()
-        out.write(_reports_text([r for r in reports if r.status == "Fail"], summary))
+        out.write("".join(texts) + _summary_text(summary))
         out.write(
             "heat: seed={seed} trials={trials} cases={cases} "
             "failures={nfail}\n".format(
@@ -625,7 +666,9 @@ def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
         default="auto",
         help="printed form, corrected form, both, or printed-else-corrected",
     )
-    sub.add_argument("--jobs", type=parse_count, default=1, help="worker processes (>= 1)")
+    sub.add_argument(
+        "--jobs", type=parse_jobs, default=1, help=f"worker processes (1 to {MAX_JOBS})"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -711,7 +754,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; normalize other codes
         return int(exc.code) if exc.code else EXIT_OK
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except Exception as exc:
+        # a fault of the program, in this process or a worker: exit 1
+        # would read as a failed identity
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -733,10 +733,11 @@ def series_exp(arg: SeriesUV | Poly, order: int | None = None) -> SeriesUV:
         i E_ij = sum_kl k A_kl E_(i-k)(j-l),    E_00 = 1,
 
     and row i = 0 follows from v d/dv the same way (Knuth, TAOCP Vol. 2,
-    section 4.7).  A Poly argument is read as a series to `order`, a
-    SeriesUV keeps its own order.  The argument must have zero constant
-    term, otherwise the exponential would not be a polynomial-coefficient
-    series.
+    section 4.7).  A Poly argument is read as a series to `order`, which
+    it then requires.  A SeriesUV argument is truncated at `order`, or at
+    its own order if that is lower or `order` is None.  The argument must
+    have zero constant term, otherwise the exponential would not be a
+    polynomial-coefficient series.
     """
     if isinstance(arg, Poly):
         if order is None:
@@ -744,7 +745,8 @@ def series_exp(arg: SeriesUV | Poly, order: int | None = None) -> SeriesUV:
         arg = SeriesUV.from_poly(arg, order)
     if not arg.coeff(0, 0).is_zero():
         raise SeriesArgumentError("series_exp needs a zero constant term")
-    return _euler_series(arg, arg.order, 0, Fraction(1))
+    top = arg.order if order is None else min(order, arg.order)
+    return _euler_series(arg, top, 0, Fraction(1))
 
 
 def series_binomial_neg(base: Poly | SeriesUV, exponent: ScalarLike, order: int) -> SeriesUV:

@@ -10,18 +10,22 @@ writing its checker and one entry.
 run_cell(tag, params, policy) checks one parameter cell of any kind and
 returns the list of reports produced under the chosen variant policy
 (two reports when a printed form fails and a documented correction
-exists); audit_grid runs every cell of a grid.
+exists); audit_grid runs every cell of a grid, on up to MAX_JOBS
+worker processes, and can have the workers render each report
+(RenderedReport).
 """
 
 from __future__ import annotations
 
 from .audit import (
+    MAX_JOBS,
     POLICIES,
     STATUS_EXACT_PASS,
     STATUS_FAIL,
     STATUS_SERIES_PASS,
     GridRanges,
     IdentityReport,
+    RenderedReport,
     audit_grid,
     cells_for,
     corrected_variant_label,
@@ -48,8 +52,10 @@ __all__ = [
     "GridRanges",
     "IdentityReport",
     "IdentityTag",
+    "MAX_JOBS",
     "MISPRINT_LEDGER",
     "POLICIES",
+    "RenderedReport",
     "STATUS_EXACT_PASS",
     "STATUS_FAIL",
     "STATUS_SERIES_PASS",

@@ -1,21 +1,22 @@
 """Grid audits: sweep the identity catalog over parameter grids.
 
 Every (tag, parameter-cell) pair is an independent, pure check.  The
-driver expands tags into cells, runs them (optionally across worker
-processes), and returns reports in a canonical order so identical
-invocations produce identical documents.
+driver expands tags into cells, runs them in chunks (across worker
+processes when jobs > 1), and returns reports in a canonical order so
+identical invocations produce identical documents.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ..exactalg import Poly, as_scalar
+from ..heatrep import property_suite
 from .checks import CHECKS, MISPRINT_LEDGER, IdentityTag, run_check
 
 STATUS_EXACT_PASS = "ExactPass"
@@ -23,6 +24,10 @@ STATUS_SERIES_PASS = "SeriesPass"
 STATUS_FAIL = "Fail"
 
 POLICIES = ("printed", "corrected", "both", "auto")
+
+# the most worker processes audit_grid starts; a process pool starts all
+# of its workers at once
+MAX_JOBS = 64
 
 # rational evaluation points for the scalar hypergeometric transform
 _HYP_POINTS = (Fraction(2), Fraction(1, 2), Fraction(-3))
@@ -127,11 +132,14 @@ class IdentityReport:
         return {key: _scalar_json(value) for key, value in self.params.items()}
 
     def sort_key(self) -> tuple:
-        return (
-            self.tag.value,
-            json.dumps(self.params_json(), sort_keys=True),
-            0 if self.variant == "printed" else 1,
+        # the params as json.dumps(params_json(), sort_keys=True) writes them;
+        # the keys are plain names and the values ints or "num/den" strings,
+        # so nothing needs escaping
+        params = ", ".join(
+            f'"{key}": {value}' if isinstance(value, int) else f'"{key}": "{value}"'
+            for key, value in sorted(self.params_json().items())
         )
+        return (self.tag.value, "{" + params + "}", 0 if self.variant == "printed" else 1)
 
     def to_json_obj(self) -> dict:
         return {
@@ -144,6 +152,23 @@ class IdentityReport:
             "notes": self.notes,
             "known_misprint": self.known_misprint,
         }
+
+
+class RenderedReport(NamedTuple):
+    """A report as audit_grid's `render` turned it into text in the worker.
+
+    It keeps what summarize and effective_failures read, so the parent
+    never needs the report itself.
+    """
+
+    tag: IdentityTag
+    status: str
+    known_misprint: bool
+    text: str
+
+    @property
+    def effective_fail(self) -> bool:
+        return self.status == STATUS_FAIL and not self.known_misprint
 
 
 def _scalar_json(value):
@@ -252,13 +277,27 @@ def _axis_values(ranges: GridRanges, name: str) -> Sequence:
     return value if isinstance(value, tuple) else (value,)
 
 
-def _run_chunk(work: tuple) -> list[IdentityReport]:
-    tag_name, cells, policy = work
+def _run_chunk(work: tuple) -> list[tuple]:
+    # (sort key, report or its rendering) for each report of one chunk
+    tag_name, cells, policy, render = work
     tag = IdentityTag(tag_name)
-    reports: list[IdentityReport] = []
+    keyed = []
     for params in cells:
-        reports.extend(run_cell(tag, params, policy))
-    return reports
+        for report in run_cell(tag, params, policy):
+            key = report.sort_key()
+            if render is not None:
+                report = RenderedReport(tag, report.status, report.known_misprint, render(report))
+            keyed.append((key, report))
+    return keyed
+
+
+class _InProcess(Executor):
+    """The pool of one worker: this process, running each task as it is submitted."""
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
 
 
 def audit_grid(
@@ -266,14 +305,27 @@ def audit_grid(
     ranges: GridRanges | None = None,
     policy: str = "auto",
     jobs: int = 1,
-) -> list[IdentityReport]:
-    """Run the selected tags over the grid; reports in canonical order."""
+    *,
+    render: Callable[[IdentityReport], str] | None = None,
+    heat: tuple[int, int] | None = None,
+) -> list:
+    """Run the selected tags over the grid; reports in canonical order.
+
+    The cells go out in chunks to a pool of at most `jobs` processes (this
+    process alone when that is 1, or when there is one task).  The worker
+    that checks a report also computes its sort key, and with `render` it
+    returns RenderedReport(tag, status, known_misprint, render(report))
+    in place of the report, so rendering runs in parallel and only text
+    comes back.  With heat=(seed, trials), heatrep.property_suite on the
+    grid's pq_pairs runs as the first task, and the result is the pair
+    (reports, heat suite report).
+    """
     if ranges is None:
         ranges = GridRanges()
     if policy not in POLICIES:
         raise ValueError(f"unknown variant policy {policy!r}")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    if not 1 <= jobs <= MAX_JOBS:
+        raise ValueError(f"jobs must be between 1 and {MAX_JOBS}, got {jobs}")
     selected = sorted(
         set(tags) if tags is not None else set(CHECKS), key=lambda t: t.value
     )
@@ -286,21 +338,24 @@ def audit_grid(
             continue
         step = max(1, len(cells) // jobs // 2) if jobs > 1 else len(cells)
         for start in range(0, len(cells), step):
-            work.append((tag.value, cells[start : start + step], policy))
+            work.append((tag.value, cells[start : start + step], policy, render))
 
-    reports: list[IdentityReport] = []
-    if jobs == 1 or len(work) <= 1:
-        for item in work:
-            reports.extend(_run_chunk(item))
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(_run_chunk, work):
-                reports.extend(chunk)
-    reports.sort(key=IdentityReport.sort_key)
-    return reports
+    workers = min(jobs, len(work) + (heat is not None))
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else _InProcess()
+    try:
+        # the heat suite is the longest single task: it starts first
+        suite = None if heat is None else pool.submit(property_suite, *heat, ranges.pq_pairs)
+        keyed = [entry for chunk in pool.map(_run_chunk, work) for entry in chunk]
+        heat_report = None if suite is None else suite.result()
+    finally:
+        # after a failed task, drop the queued ones rather than run them
+        pool.shutdown(cancel_futures=True)
+    keyed.sort(key=itemgetter(0))
+    reports = [report for _, report in keyed]
+    return reports if heat is None else (reports, heat_report)
 
 
-def summarize(reports: Sequence[IdentityReport]) -> dict:
+def summarize(reports: Sequence[IdentityReport | RenderedReport]) -> dict:
     """Counts per status plus per-tag breakdown, JSON-ready."""
     summary = {
         "total": len(reports),
@@ -334,5 +389,5 @@ def summarize(reports: Sequence[IdentityReport]) -> dict:
     return summary
 
 
-def effective_failures(reports: Sequence[IdentityReport]) -> list[IdentityReport]:
+def effective_failures(reports: Sequence[IdentityReport | RenderedReport]) -> list:
     return [report for report in reports if report.effective_fail]

@@ -1,9 +1,12 @@
 """Command-line interface tests: parsing, formats, exit codes, schemas."""
 
 import csv
+import importlib
 import importlib.metadata
 import io
 import json
+import multiprocessing
+import os
 import shutil
 import subprocess
 import sys
@@ -20,6 +23,8 @@ from hypothesis import strategies as st
 from gouldhopper.cli import (
     ExprError,
     _dump_json,
+    _JsonItems,
+    _write_json,
     canonical_var,
     main,
     parse_poly_expr,
@@ -28,6 +33,7 @@ from gouldhopper.cli import (
     parse_subst,
 )
 from gouldhopper.exactalg import MAX_DEGREE
+from gouldhopper.identity import MAX_JOBS, IdentityTag
 
 
 def run_cli(capsys, *argv):
@@ -337,6 +343,20 @@ def test_verify_rejects_zero_jobs(capsys):
     assert "argument --jobs: must be >= 1, got 0" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "audit"])
+def test_jobs_past_the_bound_are_rejected(capsys, command):
+    # a process pool starts all its workers at once: the flag is bounded,
+    # and argparse refuses it before any process starts
+    code, out, err = run_cli(capsys, command, "--nmax", "1", "--mmax", "1",
+                             "--jobs", str(MAX_JOBS + 1))
+    assert code == 2
+    assert out == ""
+    assert f"argument --jobs: must be <= {MAX_JOBS}, got {MAX_JOBS + 1}" in err
+    code, _, err = run_cli(capsys, command, "--jobs", "100000")
+    assert code == 2
+    assert f"must be <= {MAX_JOBS}, got 100000" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--tag", "GEN_POCHHAMMER_G", "--jk-max", "0"),
     ("verify", "--tag", "CONN_GH_FROM_PQ", "--pq", "1,2"),
@@ -426,6 +446,71 @@ def test_audit_printed_policy_fails(capsys):
     doc = json.loads(out)
     validate("audit", doc)
     assert doc["summary"]["effective_fail"] > 0
+
+
+# a grid on which PARAM_REC and other tags print known-misprint Fail reports
+MISPRINT_GRID = ("--nmax", "2", "--mmax", "2", "--aux-max", "1", "--jk-max", "1")
+
+
+@pytest.mark.parametrize("argv", [
+    ("audit", *MISPRINT_GRID, "--trials", "2"),
+    ("audit", *MISPRINT_GRID, "--trials", "2", "--format", "text"),
+    ("verify", "--tag", "all", *MISPRINT_GRID, "--format", "json"),
+    ("verify", "--tag", "all", *MISPRINT_GRID, "--format", "text"),
+    ("verify", "--tag", "all", *MISPRINT_GRID, "--format", "junit"),
+], ids=["audit-json", "audit-text", "verify-json", "verify-text", "verify-junit"])
+def test_output_bytes_do_not_depend_on_jobs(capsys, argv):
+    code, serial, err = run_cli(capsys, *argv, "--jobs", "1")
+    assert (code, err) == (0, "")
+    assert "PARAM_REC" in serial and "known misprint" in serial
+    if argv[0] == "audit" and "text" in argv:
+        assert serial.splitlines()[-1] == "heat: seed=0 trials=2 cases=120 failures=0"
+    for jobs in ("2", "3"):
+        code, out, err = run_cli(capsys, *argv, "--jobs", jobs)
+        assert (code, err) == (0, "")
+        assert out == serial, f"--jobs {jobs}"
+
+
+def _failing_run_check(real):
+    # PARAM_REC's checker breaks; it names the process it broke in
+    def run_check(tag, params, variant):
+        if tag is IdentityTag.PARAM_REC:
+            raise RuntimeError(f"checker fault in process {os.getpid()}")
+        return real(tag, params, variant)
+
+    return run_check
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched checker reaches pool workers only when they fork")
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command", ["verify", "audit"])
+def test_internal_error_exits_3_with_one_line(capsys, monkeypatch, command, jobs):
+    audit = importlib.import_module("gouldhopper.identity.audit")
+    monkeypatch.setattr(audit, "run_check", _failing_run_check(audit.run_check))
+    trials = ("--trials", "1") if command == "audit" else ()
+    code, out, err = run_cli(capsys, command, *MISPRINT_GRID, *trials, "--jobs", jobs)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: internal error: RuntimeError: checker fault in process ")
+    pid = int(err.split()[-1])
+    # at --jobs 2 the fault happened in a forked worker and crossed back
+    assert (pid == os.getpid()) == (jobs == "1")
+
+
+def test_internal_error_in_compute_and_heat_exits_3(capsys, monkeypatch):
+    cli = importlib.import_module("gouldhopper.cli")
+
+    def broken(*args):
+        raise ZeroDivisionError("kernel fault")
+
+    monkeypatch.setitem(cli.STRATEGIES, "explicit", broken)
+    code, out, err = run_cli(capsys, "compute", "--p", "1", "--q", "1", "--n", "2", "--m", "1")
+    assert (code, out, err) == (3, "", "error: internal error: ZeroDivisionError: kernel fault\n")
+    monkeypatch.setattr(cli, "solve", broken)
+    code, out, err = run_cli(capsys, "heat", "--p", "1", "--q", "1", "--initial", "z")
+    assert (code, out, err) == (3, "", "error: internal error: ZeroDivisionError: kernel fault\n")
 
 
 # ---------------------------------------------------------------------
@@ -579,6 +664,20 @@ _JSON_DOCS = st.recursive(
 @given(_JSON_DOCS)
 def test_dump_json_matches_json_dumps(doc):
     assert _dump_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_dump_json_splices_items_written_at_their_depth(depth):
+    items = [{"a": [1, {"b": None}], "c": "x"}, [], {}, "s", [[2, 3]]]
+    doc = {"k": items} if depth == 2 else items
+    written = []
+    for item in items:
+        pieces = []
+        _write_json(item, "", "\n" + "  " * depth, pieces)
+        written.append("".join(pieces))
+    spliced = {"k": _JsonItems(written)} if depth == 2 else _JsonItems(written)
+    assert _dump_json(spliced) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert _dump_json(_JsonItems()) == "[]\n"
 
 
 def test_dump_json_nested_empties():

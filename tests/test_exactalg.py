@@ -587,8 +587,19 @@ def test_series_binomial_neg_keeps_the_lower_order(arg, order, base_order, a):
     assert result.order == min(order, base_order)
     if not base.is_zero():
         assert result == _power_sum_binomial_neg(base, a, order)
-    # series_exp reads a SeriesUV to its own order and ignores `order`
-    assert series_exp(base, order) == _power_sum_exp(base)
+    # series_exp truncates the same way
+    assert series_exp(base, order) == _power_sum_exp(SeriesUV.from_poly(arg, min(order, base_order)))
+    assert series_exp(base) == _power_sum_exp(base)
+
+
+def test_series_exp_truncates_a_series_at_the_lower_order():
+    u = Poly.variable("u")
+    assert series_exp(SeriesUV.from_poly(u, 10), 3).order == 3
+    assert series_exp(SeriesUV.from_poly(u, 3), 10).order == 3
+    assert series_exp(SeriesUV.from_poly(u, 10)).order == 10
+    s = series_exp(SeriesUV.from_poly(Z * u, 10), 3)
+    assert {key for key, _ in s.items()} == {(0, 0), (1, 0), (2, 0), (3, 0)}
+    assert s.coeff(3, 0) == Poly.monomial({"z": 3}, F(1, 6))
 
 
 def test_series_kernel_degree_bound():

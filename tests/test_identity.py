@@ -2,7 +2,9 @@
 
 import dataclasses
 import hashlib
+import importlib
 import json
+from concurrent.futures import Executor, Future
 from fractions import Fraction as F
 
 import pytest
@@ -10,11 +12,14 @@ import pytest
 from gouldhopper import ghcore
 from gouldhopper.exactalg import Poly
 from gouldhopper.ghcore import explicit_poly
+from gouldhopper.heatrep import property_suite
 from gouldhopper.identity import (
     CHECKS,
+    MAX_JOBS,
     MISPRINT_LEDGER,
     GridRanges,
     IdentityTag,
+    RenderedReport,
     audit_grid,
     cells_for,
     corrected_variant_label,
@@ -396,6 +401,20 @@ def test_audit_reports_are_sorted_and_deterministic():
     assert keys == sorted(keys)
 
 
+def test_sort_key_is_the_params_json_text():
+    # the canonical order is that of json.dumps of the params, sorted keys
+    ranges = GridRanges(n_max=1, m_max=1, aux_max=1, jk_max=1, pq_pairs=((1, 1), (2, 1)))
+    reports = audit_grid(None, ranges, policy="both")
+    assert {r.tag for r in reports} == set(IdentityTag)
+    for report in reports:
+        tag, text, rank = report.sort_key()
+        assert tag == report.tag.value
+        assert text == json.dumps(report.params_json(), sort_keys=True)
+        assert rank == (report.variant != "printed")
+    with pytest.raises(TypeError, match="boolean"):
+        dataclasses.replace(reports[0], params={"n": True}).sort_key()
+
+
 def test_audit_misprint_accounting():
     ranges = GridRanges(n_max=2, m_max=2, pq_pairs=((1, 1),))
     reports = audit_grid([IdentityTag.PARAM_REC], ranges, policy="auto")
@@ -409,12 +428,69 @@ def test_audit_misprint_accounting():
     assert effective_failures(printed)
 
 
+def _report_line(report):
+    return f"{report.tag.value} {report.params} {report.variant} {report.difference.text()}"
+
+
 def test_audit_parallel_matches_serial():
     ranges = GridRanges(n_max=2, m_max=2, pq_pairs=((1, 1), (2, 1)))
     tags = [IdentityTag.SYMMETRY, IdentityTag.DERIV_Z, IdentityTag.PARAM_REC]
     serial = audit_grid(tags, ranges, jobs=1)
     parallel = audit_grid(tags, ranges, jobs=4)
-    assert [r.to_json_obj() for r in serial] == [r.to_json_obj() for r in parallel]
+    # whole reports: params, variants, notes and the exact differences
+    assert parallel == serial
+    assert any(not r.difference.is_zero() and r.known_misprint for r in serial)
+    # rendered in the workers: the same order, statuses and texts
+    rendered = audit_grid(tags, ranges, jobs=4, render=_report_line)
+    assert rendered == [
+        RenderedReport(r.tag, r.status, r.known_misprint, _report_line(r)) for r in serial
+    ]
+    assert summarize(rendered) == summarize(serial)
+    assert effective_failures(rendered) == effective_failures(serial) == []
+
+
+def test_audit_heat_suite_is_one_more_task():
+    ranges = GridRanges(n_max=1, m_max=1, pq_pairs=((1, 1),))
+    tags = [IdentityTag.PARAM_REC]
+    for jobs in (1, 2):
+        reports, heat = audit_grid(tags, ranges, jobs=jobs, heat=(4, 1))
+        assert reports == audit_grid(tags, ranges)
+        assert heat == property_suite(seed=4, trials=1, pq_pairs=ranges.pq_pairs)
+
+
+class _RecordingPool(Executor):
+    # stands in for the process pool: records its size, runs tasks here
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
+def test_audit_pool_is_bounded_by_jobs_and_tasks(monkeypatch):
+    audit = importlib.import_module("gouldhopper.identity.audit")
+    monkeypatch.setattr(audit, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    ranges = GridRanges(n_max=1, m_max=1, pq_pairs=((1, 1),))
+    cells = len(cells_for(IdentityTag.SYMMETRY, ranges))
+    assert cells == 4
+    # past 2 * cells workers every cell is one task: four tasks, four workers
+    audit_grid([IdentityTag.SYMMETRY], ranges, jobs=MAX_JOBS)
+    audit_grid([IdentityTag.SYMMETRY], ranges, jobs=MAX_JOBS, heat=(0, 1))
+    audit_grid([IdentityTag.SYMMETRY], ranges, jobs=3)
+    assert _RecordingPool.sizes == [4, 5, 3]
+    # one task, or one job, runs in this process without a pool
+    audit_grid([IdentityTag.SYMMETRY], GridRanges(n_max=0, m_max=0, pq_pairs=((1, 1),)), jobs=8)
+    audit_grid([IdentityTag.SYMMETRY], ranges, jobs=1, heat=(0, 1))
+    assert _RecordingPool.sizes == [4, 5, 3]
+    for jobs in (0, MAX_JOBS + 1, 100000):
+        with pytest.raises(ValueError, match=f"jobs must be between 1 and {MAX_JOBS}"):
+            audit_grid([IdentityTag.SYMMETRY], ranges, jobs=jobs)
+    assert _RecordingPool.sizes == [4, 5, 3]
 
 
 # ---------------------------------------------------------------------
