@@ -134,27 +134,26 @@ class _ExprParser:
         return result
 
     def _expr(self) -> Poly:
-        total = self._term()
+        # one linear combination of the signed products
+        terms = [(1, *self._term())]
         while True:
             kind, value, _ = self._peek()
             if kind == "op" and value in "+-":
                 self.k += 1
-                rhs = self._term()
-                total = total + rhs if value == "+" else total - rhs
+                terms.append((1 if value == "+" else -1, *self._term()))
             else:
-                return total
+                return Poly.lincomb(terms)
 
-    def _term(self) -> Poly:
-        product = self._factor()
+    def _term(self) -> list[Poly]:
+        # the factors of one product
+        factors = [self._factor()]
         while True:
             kind, value, _ = self._peek()
             if kind == "op" and value == "*":
                 self.k += 1
-                product = product * self._factor()
-            elif kind in ("num", "name") or (kind == "op" and value == "("):
-                product = product * self._factor()
-            else:
-                return product
+            elif not (kind in ("num", "name") or (kind == "op" and value == "(")):
+                return factors
+            factors.append(self._factor())
 
     def _factor(self) -> Poly:
         kind, value, _ = self._peek()
@@ -179,7 +178,10 @@ class _ExprParser:
     def _atom(self) -> Poly:
         kind, value, pos = self._next()
         if kind == "num":
-            return Poly.const(Fraction(value))
+            try:
+                return Poly.const(Fraction(value))
+            except ZeroDivisionError:
+                raise ExprError("zero denominator", pos) from None
         if kind == "name":
             var = canonical_var(value)
             if var not in self.allowed:
@@ -262,6 +264,8 @@ def parse_subst(text: str) -> dict[str, Fraction]:
         var = canonical_var(key.strip())
         if var not in ("z", "w", "g"):
             raise ValueError(f"cannot substitute {key.strip()!r}; use z, w, or gamma")
+        if var in bindings:
+            raise ValueError(f"variable {key.strip()!r} is bound twice")
         bindings[var] = parse_rational(value)
     if not bindings:
         raise ValueError("empty substitution")
@@ -450,11 +454,12 @@ def _cmd_compute(args) -> int:
     except InvalidParamsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    bindings = {}
+    bindings = dict(args.subst or {})
     if args.gamma is not None:
+        if "g" in bindings:
+            print("error: --gamma and --subst both bind gamma", file=sys.stderr)
+            return EXIT_USAGE
         bindings["g"] = args.gamma
-    if args.subst:
-        bindings.update(args.subst)
 
     names = tuple(STRATEGIES) if args.strategy == "all" else (args.strategy,)
     results = []
@@ -648,12 +653,23 @@ def _cmd_heat(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------
 
+def _arg_type(parse):
+    """`parse` as an argparse type whose ValueError message reaches the user."""
+    @functools.wraps(parse)
+    def parse_arg(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse_arg
+
+
 def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--nmax", type=int, default=6, help="largest first index n")
     sub.add_argument("--mmax", type=int, default=6, help="largest second index m")
     sub.add_argument(
         "--pq",
-        type=parse_pq_list,
+        type=_arg_type(parse_pq_list),
         default=((1, 1), (2, 1), (1, 2), (2, 2)),
         help="semicolon-separated derivative orders, e.g. '1,1;2,1'",
     )
@@ -671,7 +687,9 @@ def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every `main` call: do not mutate it."""
     parser = argparse.ArgumentParser(
         prog="gouldhopper",
         description=(
@@ -695,11 +713,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="explicit",
     )
     compute.add_argument(
-        "--gamma", type=parse_rational, default=None,
+        "--gamma", type=_arg_type(parse_rational), default=None,
         help="substitute a rational value for the deformation parameter",
     )
     compute.add_argument(
-        "--subst", type=parse_subst, default=None,
+        "--subst", type=_arg_type(parse_subst), default=None,
         help="partial substitution, e.g. 'z=1/2,w=2,gamma=3'",
     )
     compute.add_argument(
@@ -738,7 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     heat.add_argument("--p", type=int, required=True)
     heat.add_argument("--q", type=int, required=True)
-    heat.add_argument("--c", type=parse_rational, default=Fraction(1))
+    heat.add_argument("--c", type=_arg_type(parse_rational), default=Fraction(1))
     heat.add_argument("--initial", required=True, help="polynomial in z and w")
     heat.add_argument(
         "--format", choices=("text", "json", "csv", "latex"), default="text"

@@ -75,7 +75,7 @@ import math
 import re
 import struct
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Scalar = Fraction
 ScalarLike = Union[Fraction, int]
@@ -213,7 +213,8 @@ def _add(a: "Poly", b: "Poly", sign: int) -> "Poly":
 class _Sum:
     """A running sum of polynomials, accumulated in place in one dict.
 
-    Adding to it never copies what it holds, unlike ``total = total + p``.
+    The engine behind :meth:`Poly.lincomb` and the kernel's own sums; adding
+    to it never copies what it holds, unlike ``total = total + p``.
     Its numerators sit over ``den``, the lcm of the denominators added so
     far; zeros are dropped only once, in :meth:`poly`.
     """
@@ -244,20 +245,25 @@ class _Sum:
             k += shift
             num[k] = get(k, 0) + c * scale
 
-    def add_product(self, a: "Poly", b: "Poly") -> None:
-        """Add ``a * b`` without building the product on its own."""
-        if not a._num or not b._num:
+    def add_product(self, factors: Sequence["Poly"], num: int = 1, den: int = 1) -> None:
+        """Add ``num/den * prod(factors)`` without building the product on its own."""
+        if not num or not all(f._num for f in factors):
             return
-        _check_degree(_top_degree(a._num) + _top_degree(b._num))
-        scale = self._scale_for(a._den * b._den)
-        num = self.num
-        get = num.get
-        items = b._num.items()
-        for k1, c1 in a._num.items():
-            c1 *= scale
-            for k2, c2 in items:
-                k = k1 + k2
-                num[k] = get(k, 0) + c1 * c2
+        _check_degree(sum(_top_degree(f._num) for f in factors))
+        for f in factors:
+            den *= f._den
+        rows = [(0, self._scale_for(den) * num)]
+        factors = factors or (Poly.one(),)
+        # multiply (key, numerator) rows by each factor, by the last one into the sum
+        for i, f in enumerate(factors, 1):
+            out = self.num if i == len(factors) else {}  # self.num may be new after _scale_for
+            get = out.get
+            items = f._num.items()
+            for k1, c1 in rows:
+                for k2, c2 in items:
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
+            rows = out.items()
 
     def add_term(self, key: int, num: int, den: int = 1) -> None:
         """Add the single term ``num/den * x^key``."""
@@ -456,6 +462,10 @@ class Poly:
             raise ValueError("negative power of a polynomial")
         if exponent and self._num:
             _check_degree(exponent * _top_degree(self._num))
+        if len(self._num) == 1:
+            # c x^key: raising the monomial multiplies its packed key
+            ((key, c),) = self._num.items()
+            return Poly({key * exponent: c ** exponent}, self._den ** exponent)
         result = Poly.one()
         base = self
         e = exponent
@@ -466,6 +476,20 @@ class Poly:
             if e:
                 base = base * base
         return result
+
+    @classmethod
+    def lincomb(cls, terms: Iterable[tuple]) -> "Poly":
+        """The sum over `terms`, each ``(scalar, f1, ..., fk)``, of ``scalar * f1 * ... * fk``.
+
+        The scalar is exact and k >= 0.  Each product goes straight into one
+        running sum, reduced once; an empty iterable gives zero.
+        """
+        total = _Sum()
+        for scalar, *factors in terms:
+            if not isinstance(scalar, (int, Fraction)):
+                raise TypeError(f"exact scalar expected, got {type(scalar).__name__}")
+            total.add_product(factors, scalar.numerator, scalar.denominator)
+        return total.poly()
 
     # -- calculus and substitution ------------------------------------
 
@@ -716,7 +740,7 @@ class SeriesUV:
                 total = sums.get((i, j))
                 if total is None:
                     total = sums[(i, j)] = _Sum()
-                total.add_product(p1, p2)
+                total.add_product((p1, p2))
         return SeriesUV(order, {key: total.poly() for key, total in sums.items()})
 
     __rmul__ = __mul__

@@ -95,11 +95,11 @@ def explicit_poly(p: int, q: int, n: int, m: int) -> Poly:
     """The defining sum as a bare Poly in z, w, g (cached)."""
     params = FamilyParams(p, q, n, m)
     fact = math.factorial
-    total = Poly.zero()
-    for k in range(params.k_max + 1):
-        coeff = Fraction(fact(n) * fact(m), fact(k) * fact(n - p * k) * fact(m - q * k))
-        total = total + Poly.monomial({"z": n - p * k, "w": m - q * k, "g": k}, coeff)
-    return total
+    return Poly.lincomb(
+        (Fraction(fact(n) * fact(m), fact(k) * fact(n - p * k) * fact(m - q * k)),
+         Poly.monomial({"z": n - p * k, "w": m - q * k, "g": k}))
+        for k in range(params.k_max + 1)
+    )
 
 
 def explicit(params: FamilyParams) -> Poly:
@@ -114,11 +114,10 @@ def gould_hopper_1d(n: int, p: int) -> Poly:
     if n < 0:
         raise InvalidParamsError("n must be >= 0")
     fact = math.factorial
-    total = Poly.zero()
-    for k in range(n // p + 1):
-        coeff = Fraction(fact(n), fact(k) * fact(n - p * k))
-        total = total + Poly.monomial({"z": n - p * k, "g": k}, coeff)
-    return total
+    return Poly.lincomb(
+        (Fraction(fact(n), fact(k) * fact(n - p * k)), Poly.monomial({"z": n - p * k, "g": k}))
+        for k in range(n // p + 1)
+    )
 
 
 def operational(params: FamilyParams) -> Poly:
@@ -130,31 +129,28 @@ def operational(params: FamilyParams) -> Poly:
     """
     p, q, n, m = params.p, params.q, params.n, params.m
     base = Poly.monomial({"z": n, "w": m})
-    total = Poly.zero()
+    terms = []
     k = 0
     while True:
         term = base.diff("z", p * k).diff("w", q * k)
         if term.is_zero():
-            break
-        total = total + term * Poly.monomial({"g": k}, Fraction(1, math.factorial(k)))
+            return Poly.lincomb(terms)
+        terms.append((Fraction(1, math.factorial(k)), term, Poly.monomial({"g": k})))
         k += 1
-    return total
 
 
 def apply_z_raise(poly: Poly, p: int, q: int) -> Poly:
     """Apply the raising operator z + p g Dz^(p-1) Dw^q (just z when p = 0)."""
-    out = _Z * poly
-    if p >= 1:
-        out = out + p * _G * poly.diff("z", p - 1).diff("w", q)
-    return out
+    if p < 1:
+        return _Z * poly
+    return Poly.lincomb(((1, _Z, poly), (p, _G, poly.diff("z", p - 1).diff("w", q))))
 
 
 def apply_w_raise(poly: Poly, p: int, q: int) -> Poly:
     """Apply the raising operator w + q g Dz^p Dw^(q-1) (just w when q = 0)."""
-    out = _W * poly
-    if q >= 1:
-        out = out + q * _G * poly.diff("z", p).diff("w", q - 1)
-    return out
+    if q < 1:
+        return _W * poly
+    return Poly.lincomb(((1, _W, poly), (q, _G, poly.diff("z", p).diff("w", q - 1))))
 
 
 def via_creation(params: FamilyParams) -> Poly:
@@ -190,27 +186,17 @@ def via_recurrence(params: FamilyParams) -> Poly:
     p, q, n, m = params.p, params.q, params.n, params.m
     pq_fact = math.factorial(p) * math.factorial(q)
     table: dict[tuple[int, int], Poly] = {(0, 0): Poly.one()}
-
-    def lookup(i: int, j: int) -> Poly:
-        if i < 0 or j < 0:
-            return Poly.zero()
-        return table[(i, j)]
-
+    # a member off the table is zero; only a zero weight reads one not filled yet
+    zero = Poly.zero()
     for j in range(m):
-        prev = table[(0, j)]
-        step = _W * prev
         c = pq_fact * _comb0(0, p) * _comb0(j, q - 1)
-        if c:
-            step = step + c * _G * lookup(0 - p, j + 1 - q)
-        table[(0, j + 1)] = step
+        table[(0, j + 1)] = Poly.lincomb((
+            (1, _W, table[(0, j)]), (c, _G, table.get((0 - p, j + 1 - q), zero))))
     for i in range(n):
         for j in range(m + 1):
-            prev = table[(i, j)]
-            step = _Z * prev
             c = pq_fact * _comb0(i, p - 1) * _comb0(j, q)
-            if c:
-                step = step + c * _G * lookup(i + 1 - p, j - q)
-            table[(i + 1, j)] = step
+            table[(i + 1, j)] = Poly.lincomb((
+                (1, _Z, table[(i, j)]), (c, _G, table.get((i + 1 - p, j - q), zero))))
     return table[(n, m)]
 
 
@@ -258,15 +244,15 @@ def hypergeom_form(params: FamilyParams) -> Poly:
     if p < 1 or q < 1:
         raise UnsupportedRepresentationError("hypergeometric form needs p >= 1 and q >= 1")
     arg_scale = Fraction((-p) ** p * (-q) ** q)
-    total = Poly.zero()
+    terms = []
     for k in range(params.k_max + 1):
         coeff = Fraction(1, math.factorial(k)) * arg_scale ** k
         for j in range(1, p + 1):
             coeff *= rising_factorial(Fraction(j - 1 - n, p), k)
         for j in range(1, q + 1):
             coeff *= rising_factorial(Fraction(j - 1 - m, q), k)
-        total = total + Poly.monomial({"z": n - p * k, "w": m - q * k, "g": k}, coeff)
-    return total
+        terms.append((coeff, Poly.monomial({"z": n - p * k, "w": m - q * k, "g": k})))
+    return Poly.lincomb(terms)
 
 
 # -- independent classical reference families -------------------------
@@ -300,11 +286,11 @@ def ito_hermite(n: int, m: int) -> Poly:
     if n < 0 or m < 0:
         raise ValueError("indices must be >= 0")
     fact = math.factorial
-    total = Poly.zero()
-    for j in range(min(n, m) + 1):
-        coeff = Fraction((-1) ** j * fact(n) * fact(m), fact(j) * fact(n - j) * fact(m - j))
-        total = total + Poly.monomial({"z": n - j, "w": m - j}, coeff)
-    return total
+    return Poly.lincomb(
+        (Fraction((-1) ** j * fact(n) * fact(m), fact(j) * fact(n - j) * fact(m - j)),
+         Poly.monomial({"z": n - j, "w": m - j}))
+        for j in range(min(n, m) + 1)
+    )
 
 
 # Strategy registry used by the command-line front end.

@@ -236,11 +236,10 @@ def pochhammer_tail(n: int, k: int, var: str = "z") -> Poly:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    total = Poly.zero()
-    for j in range(k):
-        coeff = Fraction((-1) ** (k - j)) * rising_factorial(-n, k - j) * _comb0(k, j)
-        total = total + Poly.monomial({var: j}, coeff)
-    return total
+    return Poly.lincomb(
+        ((-1) ** (k - j) * rising_factorial(-n, k - j) * _comb0(k, j), Poly.monomial({var: j}))
+        for j in range(k)
+    )
 
 
 # ---------------------------------------------------------------------
@@ -532,11 +531,10 @@ def _pochhammer_s_sides(
 
 def _split_sum(n: int, m: int, first: Callable, second: Callable) -> Poly:
     """sum_{k,j} C(n,k) C(m,j) first(k, j) second(n-k, m-j)."""
-    total = Poly.zero()
-    for k in range(n + 1):
-        for j in range(m + 1):
-            total = total + _comb0(n, k) * _comb0(m, j) * first(k, j) * second(n - k, m - j)
-    return total
+    return Poly.lincomb(
+        (_comb0(n, k) * _comb0(m, j), first(k, j), second(n - k, m - j))
+        for k in range(n + 1) for j in range(m + 1)
+    )
 
 
 def _zw_monomial(i: int, j: int) -> Poly:
@@ -592,10 +590,10 @@ def _check_runge_scaled(ps: Mapping, variant: str) -> CheckResult:
     )
 
 
-def _lowered(p: int, q: int, n: int, m: int, k: int) -> Poly:
-    # n! m! / (k! (n-pk)! (m-qk)!) H_{n-pk,m-qk}, the k-th member of the lowering sums
+def _lowered(p: int, q: int, n: int, m: int, k: int, *factors: Poly) -> tuple:
+    # the k-th lowering term n! m! / (k! (n-pk)! (m-qk)!) * factors * H_{n-pk,m-qk}
     weight = Fraction(_fact(n) * _fact(m), _fact(k) * _fact(n - p * k) * _fact(m - q * k))
-    return weight * explicit_poly(p, q, n - p * k, m - q * k)
+    return (weight, *factors, explicit_poly(p, q, n - p * k, m - q * k))
 
 
 @identity("MULT_C", "algebraic")
@@ -603,9 +601,10 @@ def _check_mult_c(ps: Mapping, variant: str) -> CheckResult:
     """H(z,w|cg) = n!m! sum_k (c-1)^k g^k/k! H_{n-pk,m-qk}/((n-pk)!(m-qk)!)."""
     p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
     lhs = explicit_poly(p, q, n, m).subst({"g": _C * _G})
-    rhs = Poly.zero()
-    for k in range(FamilyParams(p, q, n, m).k_max + 1):
-        rhs = rhs + (_C - 1) ** k * Poly.monomial({"g": k}) * _lowered(p, q, n, m, k)
+    rhs = Poly.lincomb(
+        _lowered(p, q, n, m, k, (_C - 1) ** k, Poly.monomial({"g": k}))
+        for k in range(FamilyParams(p, q, n, m).k_max + 1)
+    )
     return CheckResult(lhs - rhs)
 
 
@@ -614,13 +613,11 @@ def _check_mult_abc(ps: Mapping, variant: str) -> CheckResult:
     """H(az, bw | cg) expanded over (c - a^p b^q)^k with rescaled members."""
     p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
     lhs = explicit_poly(p, q, n, m).subst({"z": _A * _Z, "w": _B * _W, "g": _C * _G})
-    rhs = Poly.zero()
-    for k in range(FamilyParams(p, q, n, m).k_max + 1):
-        rhs = rhs + (
-            (_C - Poly.monomial({"a": p, "b": q})) ** k
-            * Poly.monomial({"g": k, "a": n - p * k, "b": m - q * k})
-            * _lowered(p, q, n, m, k)
-        )
+    shift = _C - Poly.monomial({"a": p, "b": q})
+    rhs = Poly.lincomb(
+        _lowered(p, q, n, m, k, shift ** k, Poly.monomial({"g": k, "a": n - p * k, "b": m - q * k}))
+        for k in range(FamilyParams(p, q, n, m).k_max + 1)
+    )
     return CheckResult(lhs - rhs)
 
 
@@ -629,14 +626,12 @@ def _check_mult_gh(ps: Mapping, variant: str) -> CheckResult:
     """One-variable rescaling: H^(p)_n(az|cg) over (c - a^p)^k."""
     p, n = ps["p"], ps["n"]
     lhs = gould_hopper_1d(n, p).subst({"z": _A * _Z, "g": _C * _G})
-    rhs = Poly.zero()
-    for k in range(n // p + 1):
-        rhs = rhs + (
-            (_C - Poly.monomial({"a": p})) ** k
-            * Poly.monomial({"g": k, "a": n - p * k})
-            * gould_hopper_1d(n - p * k, p)
-            * Fraction(_fact(n), _fact(k) * _fact(n - p * k))
-        )
+    shift = _C - Poly.monomial({"a": p})
+    rhs = Poly.lincomb(
+        (Fraction(_fact(n), _fact(k) * _fact(n - p * k)), shift ** k,
+         Poly.monomial({"g": k, "a": n - p * k}), gould_hopper_1d(n - p * k, p))
+        for k in range(n // p + 1)
+    )
     return CheckResult(lhs - rhs)
 
 
@@ -721,7 +716,8 @@ def _check_deriv_gamma_k(ps: Mapping, variant: str) -> CheckResult:
     p, q, n, m, k = ps["p"], ps["q"], ps["n"], ps["m"], ps["k"]
     lhs = explicit_poly(p, q, n, m).diff("g", k)
     if k <= FamilyParams(p, q, n, m).k_max:
-        rhs = _fact(k) * _lowered(p, q, n, m, k)
+        weight, member = _lowered(p, q, n, m, k)
+        rhs = _fact(k) * weight * member
     else:
         rhs = Poly.zero()
     return CheckResult(lhs - rhs)
@@ -731,9 +727,10 @@ def _check_deriv_gamma_k(ps: Mapping, variant: str) -> CheckResult:
 def _check_inverse_sum(ps: Mapping, variant: str) -> CheckResult:
     """z^n w^m = n!m! sum_k (-g)^k/k! H_{n-pk,m-qk}/((n-pk)!(m-qk)!)."""
     p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
-    rhs = Poly.zero()
-    for k in range(FamilyParams(p, q, n, m).k_max + 1):
-        rhs = rhs + Poly.monomial({"g": k}, Fraction((-1) ** k)) * _lowered(p, q, n, m, k)
+    rhs = Poly.lincomb(
+        _lowered(p, q, n, m, k, Poly.monomial({"g": k}, (-1) ** k))
+        for k in range(FamilyParams(p, q, n, m).k_max + 1)
+    )
     return CheckResult(Poly.monomial({"z": n, "w": m}) - rhs)
 
 
@@ -742,10 +739,11 @@ def _check_inverse_op(ps: Mapping, variant: str) -> CheckResult:
     """z^n w^m = exp(-g Dz^p Dw^q) H_{n,m}; the operator sum truncates."""
     p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
     h = explicit_poly(p, q, n, m)
-    rhs = Poly.zero()
-    for k in range(FamilyParams(p, q, n, m).k_max + 1):
-        term = h.diff("z", p * k).diff("w", q * k)
-        rhs = rhs + Poly.monomial({"g": k}, Fraction((-1) ** k, _fact(k))) * term
+    rhs = Poly.lincomb(
+        (Fraction((-1) ** k, _fact(k)), Poly.monomial({"g": k}),
+         h.diff("z", p * k).diff("w", q * k))
+        for k in range(FamilyParams(p, q, n, m).k_max + 1)
+    )
     return CheckResult(Poly.monomial({"z": n, "w": m}) - rhs)
 
 
@@ -757,10 +755,9 @@ def _check_inverse_op(ps: Mapping, variant: str) -> CheckResult:
 def _check_rec_raise_n(ps: Mapping, variant: str) -> CheckResult:
     """H_{n+1,m} = z H_{n,m} + g p! q! C(n,p-1) C(m,q) H_{n+1-p,m-q}."""
     p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
-    rhs = _Z * explicit_poly(p, q, n, m)
     c = _fact(p) * _fact(q) * _comb0(n, p - 1) * _comb0(m, q)
-    if c:
-        rhs = rhs + c * _G * _gh0(p, q, n + 1 - p, m - q)
+    lowered = _gh0(p, q, n + 1 - p, m - q) if c else Poly.zero()
+    rhs = Poly.lincomb(((1, _Z, explicit_poly(p, q, n, m)), (c, _G, lowered)))
     return CheckResult(explicit_poly(p, q, n + 1, m) - rhs)
 
 
@@ -780,10 +777,9 @@ def _check_rec_raise_m(ps: Mapping, variant: str) -> CheckResult:
     """
     p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
     low = m - 1 - q if variant == "printed" else m + 1 - q
-    rhs = _W * explicit_poly(p, q, n, m)
     c = _fact(p) * _fact(q) * _comb0(n, p) * _comb0(m, q - 1)
-    if c:
-        rhs = rhs + c * _G * _gh0(p, q, n - p, low)
+    lowered = _gh0(p, q, n - p, low) if c else Poly.zero()
+    rhs = Poly.lincomb(((1, _W, explicit_poly(p, q, n, m)), (c, _G, lowered)))
     return CheckResult(explicit_poly(p, q, n, m + 1) - rhs)
 
 
@@ -838,7 +834,7 @@ def _check_param_rec(ps: Mapping, variant: str) -> CheckResult:
     """
     p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
     lhs = explicit_poly(p + 1, q, n, m)
-    rhs = Poly.zero()
+    terms = []
     for k in range(FamilyParams(p, q, n, m).k_max + 1):
         for j in range(k + 1):
             if variant == "printed":
@@ -856,9 +852,9 @@ def _check_param_rec(ps: Mapping, variant: str) -> CheckResult:
             )
             if weight == 0 or first < 0 or second < 0:
                 continue
-            rhs = rhs + Poly.monomial({"g": k}, weight) * explicit_poly(p, q, first, second)
-    rhs = _fact(n) * _fact(m) * rhs
-    return CheckResult(lhs - rhs)
+            terms.append((_fact(n) * _fact(m) * weight, Poly.monomial({"g": k}),
+                          explicit_poly(p, q, first, second)))
+    return CheckResult(lhs - Poly.lincomb(terms))
 
 
 def _op_exp_poly_times_diff(p: int, q: int, n: int, m: int, mode: str) -> Poly:
@@ -868,26 +864,23 @@ def _op_exp_poly_times_diff(p: int, q: int, n: int, m: int, mode: str) -> Poly:
     mode "zw": OP = Dz Dw - 1; mode "zw_printed": OP = Dz + Dw - 2.
     """
     h = explicit_poly(p, q, n, m)
-    total = Poly.zero()
+    terms = []
     for k in range(FamilyParams(p, q, n, m).k_max + 1):
         base = h.diff("z", p * k).diff("w", q * k)
-        term = Poly.zero()
+        gk = Poly.monomial({"g": k}, Fraction(1, _fact(k)))
         if mode != "zw_printed":
             # binomial expansion of (Dz^dz Dw^dw - 1)^k
             dz, dw = int("z" in mode), int("w" in mode)
             for j in range(k + 1):
-                term = term + (
-                    _comb0(k, j) * Fraction((-1) ** (k - j))
-                    * base.diff("z", dz * j).diff("w", dw * j)
-                )
+                terms.append((_comb0(k, j) * (-1) ** (k - j), gk,
+                              base.diff("z", dz * j).diff("w", dw * j)))
         else:  # trinomial expansion of (Dz + Dw - 2)^k
             for i in range(k + 1):
                 for j in range(k + 1 - i):
                     ell = k - i - j
-                    coeff = Fraction(_fact(k), _fact(i) * _fact(j) * _fact(ell)) * (-2) ** ell
-                    term = term + coeff * base.diff("z", i).diff("w", j)
-        total = total + Poly.monomial({"g": k}, Fraction(1, _fact(k))) * term
-    return total
+                    coeff = _fact(k) // (_fact(i) * _fact(j) * _fact(ell)) * (-2) ** ell
+                    terms.append((coeff, gk, base.diff("z", i).diff("w", j)))
+    return Poly.lincomb(terms)
 
 
 @identity("PARAM_OP_P", "algebraic")
@@ -957,10 +950,9 @@ def _check_nielsen_n(ps: Mapping, variant: str) -> CheckResult:
 def _nielsen_n_rhs(p: int, q: int, m: int, weights: tuple[int, ...]) -> Poly:
     # sum_s weights[s] (z-z')^s H_{top-s,m}(z',w|g)
     top = len(weights) - 1
-    rhs = Poly.zero()
-    for s, c in enumerate(weights):
-        rhs = rhs + c * _shift_power("z", s) * _gh_primed("z", p, q, top - s, m)
-    return rhs
+    return Poly.lincomb(
+        (c, _shift_power("z", s), _gh_primed("z", p, q, top - s, m)) for s, c in enumerate(weights)
+    )
 
 
 @identity("NIELSEN_M", "algebraic", (_PQ, _N, _M, _MP))
@@ -975,10 +967,9 @@ def _check_nielsen_m(ps: Mapping, variant: str) -> CheckResult:
 def _nielsen_m_rhs(p: int, q: int, n: int, weights: tuple[int, ...]) -> Poly:
     # sum_s weights[s] (w-w')^s H_{n,top-s}(z,w'|g)
     top = len(weights) - 1
-    rhs = Poly.zero()
-    for s, c in enumerate(weights):
-        rhs = rhs + c * _shift_power("w", s) * _gh_primed("w", p, q, n, top - s)
-    return rhs
+    return Poly.lincomb(
+        (c, _shift_power("w", s), _gh_primed("w", p, q, n, top - s)) for s, c in enumerate(weights)
+    )
 
 
 @identity(
@@ -1004,15 +995,11 @@ def _nielsen_full_rhs(
 ) -> Poly:
     # the quadruple sum grouped by the total shift powers s = i+j, t = k+l
     top_n, top_m = len(zweights) - 1, len(wweights) - 1
-    rhs = Poly.zero()
-    for s, zc in enumerate(zweights):
-        for t, wc in enumerate(wweights):
-            rhs = rhs + (
-                zc * wc
-                * _shift_power("z", s) * _shift_power("w", t)
-                * _gh_primed("zw", p, q, top_n - s, top_m - t)
-            )
-    return rhs
+    return Poly.lincomb(
+        (zc * wc, _shift_power("z", s), _shift_power("w", t),
+         _gh_primed("zw", p, q, top_n - s, top_m - t))
+        for s, zc in enumerate(zweights) for t, wc in enumerate(wweights)
+    )
 
 
 # ---------------------------------------------------------------------
@@ -1024,9 +1011,10 @@ def _check_conn_gh_from_pq(ps: Mapping, variant: str) -> CheckResult:
     """H^(p)_n(z|g) = sum_k C(n,k) H^(p-q,q)_{n-k,k}(z-w, w|g); needs p >= max(q,1)."""
     p, q, n = ps["p"], ps["q"], ps["n"]
     lhs = gould_hopper_1d(n, p)
-    rhs = Poly.zero()
-    for k in range(n + 1):
-        rhs = rhs + _comb0(n, k) * explicit_poly(p - q, q, n - k, k).subst({"z": _Z - _W})
+    rhs = Poly.lincomb(
+        (_comb0(n, k), explicit_poly(p - q, q, n - k, k).subst({"z": _Z - _W}))
+        for k in range(n + 1)
+    )
     return CheckResult(lhs - rhs)
 
 
@@ -1035,9 +1023,7 @@ def _check_conn_gh_sum(ps: Mapping, variant: str) -> CheckResult:
     """H^(p+q)_n(z+w|g) = sum_k C(n,k) H^(p,q)_{n-k,k}(z,w|g)."""
     p, q, n = ps["p"], ps["q"], ps["n"]
     lhs = gould_hopper_1d(n, p + q).subst({"z": _Z + _W})
-    rhs = Poly.zero()
-    for k in range(n + 1):
-        rhs = rhs + _comb0(n, k) * explicit_poly(p, q, n - k, k)
+    rhs = Poly.lincomb((_comb0(n, k), explicit_poly(p, q, n - k, k)) for k in range(n + 1))
     return CheckResult(lhs - rhs)
 
 
@@ -1051,9 +1037,10 @@ def _check_conn_ito(ps: Mapping, variant: str) -> CheckResult:
     """
     n = ps["n"]
     lhs = gould_hopper_1d(n, 2).subst({"g": -1})
-    rhs = Poly.zero()
-    for k in range(n + 1):
-        rhs = rhs + _comb0(n, k) * explicit_poly(1, 1, n - k, k).subst({"z": _Z - _W, "g": -1})
+    rhs = Poly.lincomb(
+        (_comb0(n, k), explicit_poly(1, 1, n - k, k).subst({"z": _Z - _W, "g": -1}))
+        for k in range(n + 1)
+    )
     return CheckResult(
         lhs - rhs,
         notes="difference-argument form: the shifted first argument removes w entirely",
@@ -1095,11 +1082,10 @@ def _check_conn_pq_from_gh(ps: Mapping, variant: str) -> CheckResult:
                     )
                     key = (k + j, r, s)
                     groups[key] = groups.get(key, 0) + Fraction((-1) ** (k + j + l + i), den)
-    rhs = Poly.zero()
-    for (gdeg, r, s), weight in groups.items():
-        if weight:
-            rhs = rhs + Poly.monomial({"g": gdeg}, weight) * _gh1(r, p, "z") * _gh1(s, q, "w")
-    rhs = _fact(n) * _fact(m) * rhs
+    rhs = Poly.lincomb(
+        (_fact(n) * _fact(m) * weight, Poly.monomial({"g": gdeg}), _gh1(r, p, "z"), _gh1(s, q, "w"))
+        for (gdeg, r, s), weight in groups.items()
+    )
     return CheckResult(explicit_poly(p, q, n, m) - rhs)
 
 

@@ -25,6 +25,7 @@ from gouldhopper.cli import (
     _dump_json,
     _JsonItems,
     _write_json,
+    build_parser,
     canonical_var,
     main,
     parse_poly_expr,
@@ -127,6 +128,10 @@ def test_parse_pq_list():
 def test_parse_subst():
     assert parse_subst("z=1/2,gamma=-3") == {"z": F(1, 2), "g": F(-3)}
     assert parse_subst("w=2") == {"w": F(2)}
+    with pytest.raises(ValueError, match="variable 'g' is bound twice"):
+        parse_subst("gamma=3,g=2")
+    with pytest.raises(ValueError, match="variable 'z' is bound twice"):
+        parse_subst("z=1,w=2,z=1")
     with pytest.raises(ValueError, match="use z, w, or gamma"):
         parse_subst("t=1")
     with pytest.raises(ValueError, match="expected 'var=value'"):
@@ -198,6 +203,43 @@ def test_compute_subst(capsys):
                            "--n", "2", "--m", "1", "--subst", "z=2,w=1/2,gamma=1")
     assert code == 0
     assert out == "6\n"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--subst", "gamma=3,g=2"],
+    ["--subst", "γ=3,gamma=3"],
+    ["--gamma", "3", "--subst", "gamma=2"],
+    ["--gamma", "3", "--subst", "z=1,g=3"],
+])
+def test_compute_rejects_a_variable_bound_twice(capsys, flags):
+    code, out, err = run_cli(capsys, "compute", "--p", "1", "--q", "1",
+                             "--n", "1", "--m", "1", *flags)
+    assert code == 2
+    assert out == ""
+    assert ("--gamma and --subst both bind gamma" in err if "--gamma" in flags
+            else "argument --subst: variable " in err and "is bound twice" in err)
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["heat", "--p", "1", "--q", "1", "--c", "1/0", "--initial", "z"],
+     "argument --c: not a rational number: '1/0'"),
+    (["compute", "--p", "1", "--q", "1", "--n", "1", "--m", "1", "--gamma", "x"],
+     "argument --gamma: not a rational number: 'x'"),
+    (["audit", "--pq", "1"], "argument --pq: expected 'p,q' but got '1'"),
+    (["compute", "--p", "1", "--q", "1", "--n", "1", "--m", "1", "--subst", "t=1"],
+     "argument --subst: cannot substitute 't'"),
+])
+def test_argument_errors_say_why(capsys, argv, reason):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert reason in err
+
+
+def test_compute_gamma_with_another_binding(capsys):
+    code, out, _ = run_cli(capsys, "compute", "--p", "1", "--q", "1", "--n", "1",
+                           "--m", "1", "--gamma", "3", "--subst", "z=2")
+    assert code == 0
+    assert out == "2 * w + 3\n"
 
 
 def test_compute_all_strategies_agree(capsys):
@@ -566,6 +608,14 @@ def test_heat_rejects_unknown_variable(capsys):
     assert "variable 'x' is not allowed here (at position 0)" in err
 
 
+@pytest.mark.parametrize("initial, position", [("1/0 z", 0), ("z + 3/0", 4)])
+def test_heat_rejects_a_zero_denominator(capsys, initial, position):
+    code, out, err = run_cli(capsys, "heat", "--p", "1", "--q", "1", "--initial", initial)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: zero denominator (at position {position})\n"
+
+
 def test_heat_rejects_zero_orders(capsys):
     code, _, err = run_cli(capsys, "heat", "--p", "0", "--q", "0", "--initial", "z")
     assert code == 2
@@ -596,6 +646,28 @@ def test_unknown_subcommand_is_usage_error(capsys):
 
 
 COMPUTE_ARGS = ["compute", "--p", "1", "--q", "1", "--n", "2", "--m", "1"]
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    """One process runs a sequence of calls; each matches a fresh process."""
+    assert build_parser() is build_parser()
+    sequence = [
+        ["compute", "--p", "1", "--q", "1", "--n", "2", "--m", "1", "--strategy", "nope"],
+        ["compute", "--p", "2", "--q", "1", "--n", "4", "--m", "2", "--strategy", "all",
+         "--subst", "z=1/2", "--order", "8", "--format", "json"],
+        ["heat", "--p", "2", "--q", "1", "--c=-3/7", "--initial", "z^3 w - 2w",
+         "--format", "csv"],
+        COMPUTE_ARGS,
+    ]
+    codes = []
+    for argv in sequence:
+        code, out, _ = run_cli(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "gouldhopper.cli", *argv],
+                               capture_output=True, text=True, timeout=120)
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+        codes.append(code)
+    assert codes == [2, 0, 0, 0]
+    assert out == "z^2 w + 2 * z g\n"
 
 
 def _distribution_installed(name):

@@ -394,6 +394,73 @@ def test_kernel_matches_reference(pair, scalar, k, order):
         if e[VAR_INDEX["u"]] + e[VAR_INDEX["v"]] <= order}
 
 
+_SCALARS = st.integers(min_value=-4, max_value=4) | _MIXED
+
+
+@st.composite
+def lincomb_terms(draw):
+    # (scalar, reference factors) pairs: 0-3 factors, int and Fraction
+    # scalars (0 among them) over mixed denominators
+    terms = [
+        (draw(_SCALARS), draw(st.lists(ref_polys(max_terms=3), max_size=3)))
+        for _ in range(draw(st.integers(min_value=0, max_value=4)))
+    ]
+    if terms and draw(st.booleans()):
+        # a term that cancels the first one, so the sum may empty out
+        scalar, factors = terms[0]
+        terms.append((-scalar, factors))
+    return terms
+
+
+@settings(max_examples=80, deadline=None)
+@given(lincomb_terms())
+def test_lincomb_matches_reference(terms):
+    expected = {}
+    for scalar, factors in terms:
+        product = _ref_clean({(0,) * len(VAR_NAMES): F(scalar)})
+        for factor in factors:
+            product = _ref_mul(product, factor)
+        expected = _ref_add(expected, product)
+    # a generator, as callers pass it
+    got = Poly.lincomb((scalar, *map(_ref_to_poly, factors)) for scalar, factors in terms)
+    assert _as_ref(got) == expected
+
+
+def test_lincomb_of_nothing_is_zero_and_scalars_are_exact():
+    assert Poly.lincomb([]) == Poly.zero() and Poly.lincomb(iter(())) == Poly.zero()
+    assert Poly.lincomb([(F(3, 2),), (F(1, 2),)]) == Poly.const(2)
+    with pytest.raises(TypeError, match="exact scalar"):
+        Poly.lincomb([(0.5, Z)])
+
+
+@pytest.mark.parametrize("coeff", [1, -1, -3, F(-3, 4), F(5, 7), F(-1, 2**40 + 3)])
+@pytest.mark.parametrize("exps", [{}, {"z": 1}, {"w": 2, "g": 1, "v": 3}])
+def test_single_term_power_matches_repeated_multiplication(coeff, exps):
+    mono = Poly.monomial(exps, coeff)
+    product = Poly.one()
+    for exponent in range(7):
+        power = mono ** exponent
+        assert power == product and _as_ref(power) == _as_ref(product)
+        product = product * mono
+
+
+class _Unread(dict):
+    # numerators that fail the test if the kernel reads their terms
+    def items(self):
+        raise AssertionError("terms read before the degree check")
+
+
+def test_lincomb_and_power_check_the_degree_before_any_arithmetic():
+    top = Poly(_Unread(Poly.monomial({"v": MAX_DEGREE}, F(2, 3))._num), 3)
+    with pytest.raises(ValueError, match=f"total degree {MAX_DEGREE + 1} exceeds"):
+        Poly.lincomb([(1, Z), (2, top, Z)])
+    with pytest.raises(ValueError, match=f"MAX_DEGREE = {MAX_DEGREE}"):
+        top ** 2
+    # a single term raised this far would not finish if it were computed
+    with pytest.raises(ValueError, match=f"MAX_DEGREE = {MAX_DEGREE}"):
+        (F(2, 3) * Z) ** 10 ** 15
+
+
 def test_reduction_and_emptied_polynomials():
     half = Z * F(1, 2)
     assert half + half == Z
