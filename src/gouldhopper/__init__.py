@@ -47,7 +47,6 @@ from .heatrep import (
 )
 from .identity import (
     CHECKS,
-    CheckResult,
     GridRanges,
     IdentityReport,
     IdentityTag,
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CHECKS",
-    "CheckResult",
     "FamilyParams",
     "GridRanges",
     "HeatProblem",

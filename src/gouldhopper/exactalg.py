@@ -374,9 +374,6 @@ class Poly:
             used |= k
         return {name for name, shift in zip(VAR_NAMES, _SHIFT) if (used >> shift) & _MASK}
 
-    def constant_term(self) -> Fraction:
-        return Fraction(self._num.get(0, 0), self._den)
-
     def as_fraction(self) -> Fraction:
         """The value of a constant polynomial; raises if any variable is left."""
         if not self._num:

@@ -88,20 +88,23 @@ def random_polynomial(rng: random.Random, max_total_degree: int = 6, max_terms: 
     return Poly.lincomb(terms)
 
 
+# the two rational instants of property_suite's semigroup step
+_T_FIRST = Fraction(1, 3)
+_T_SECOND = Fraction(2, 5)
+
+
 def property_suite(
     seed: int = 0,
     trials: int = 25,
     pq_pairs: tuple[tuple[int, int], ...] = ((1, 1), (2, 1), (1, 2), (2, 2)),
     c_values: tuple = (Fraction(1), Fraction(-1), Fraction(3, 7)),
-    t_first: Fraction = Fraction(1, 3),
-    t_second: Fraction = Fraction(2, 5),
 ) -> dict:
     """Seeded end-to-end checks of the solver invariants; JSON-ready result.
 
     Per trial and (p, q, c) cell: residual vanishes, t = 0 recovers the
-    initial datum, solving is linear, and evolving to t_first and then
-    re-solving to t_second lands on the direct solution at t_first +
-    t_second.  The semigroup step uses rational instants because a
+    initial datum, solving is linear, and evolving to _T_FIRST and then
+    re-solving to _T_SECOND lands on the direct solution at _T_FIRST +
+    _T_SECOND.  The semigroup step uses rational instants because a
     restart needs initial data in z and w alone.  The same seed always
     yields the same report.
     """
@@ -132,10 +135,10 @@ def property_suite(
                 check(u_sum == u + u_second, trial, p, q, c, "linearity_add")
                 u_scaled = solve(HeatProblem(p, q, c, scale * first))
                 check(u_scaled == scale * u, trial, p, q, c, "linearity_scale")
-                midway = at_time(u, t_first)
+                midway = at_time(u, _T_FIRST)
                 restarted = solve(HeatProblem(p, q, c, midway))
-                two_step = restarted.subst({"t": t_second})
-                direct = u.subst({"t": t_first + t_second})
+                two_step = restarted.subst({"t": _T_SECOND})
+                direct = u.subst({"t": _T_FIRST + _T_SECOND})
                 check(two_step == direct, trial, p, q, c, "semigroup")
 
     return {
@@ -143,7 +146,7 @@ def property_suite(
         "trials": trials,
         "pq_pairs": [list(pair) for pair in pq_pairs],
         "c_values": [str(value) for value in c_values],
-        "t_instants": [str(t_first), str(t_second)],
+        "t_instants": [str(_T_FIRST), str(_T_SECOND)],
         "cases": cases,
         "failures": failures,
     }

@@ -2,15 +2,17 @@
 
 Each identity is one registry entry in :mod:`.checks`, an
 ``@identity(...)`` decorator on its checker holding the tag, kind, grid
-axes, parameter keys, admissible-cell constraint and optional
-correction.  IdentityTag, CHECKS, MISPRINT_LEDGER, cells_for and
+axes, admissible-cell constraint, optional correction and notes.  The
+checker is a plain function of the cell's parameters, whose signature
+gives the parameter keys in display order, and it returns the two sides
+(lhs, rhs).  IdentityTag, CHECKS, MISPRINT_LEDGER, cells_for and
 run_check's validation derive from the entries: adding an identity is
 writing its checker and one entry.
 
-run_cell(tag, params, policy) checks one parameter cell of any kind and
-returns the list of reports produced under the chosen variant policy
-(two reports when a printed form fails and a documented correction
-exists); audit_grid runs every cell of a grid, on up to MAX_JOBS
+run_check(tag, params, variant) returns one cell's two sides;
+run_cell(tag, params, policy) forms their difference and returns the
+list of reports produced under the chosen variant policy (two reports
+when a printed form fails and a documented correction exists); audit_grid runs every cell of a grid, on up to MAX_JOBS
 worker processes, and can have the workers render each report
 (RenderedReport).
 """
@@ -37,7 +39,6 @@ from .audit import (
 from .checks import (
     CHECKS,
     MISPRINT_LEDGER,
-    CheckResult,
     CheckSpec,
     IdentityTag,
     parse_tag,
@@ -47,7 +48,6 @@ from .checks import (
 
 __all__ = [
     "CHECKS",
-    "CheckResult",
     "CheckSpec",
     "GridRanges",
     "IdentityReport",

@@ -93,6 +93,11 @@ class GridRanges:
                 _require_exact("weighted_points", value)
             if point[2] == 0 or point[3] == 0:
                 raise ValueError(f"weighted_points need nonzero z and w, got {point!r}")
+        # a repeated entry would check, and report, the same cells twice
+        for name in ("pq_pairs", "hyp_points", "weighted_points"):
+            entries = getattr(self, name)
+            if len(set(entries)) != len(entries):
+                raise ValueError(f"{name} repeats an entry: {entries!r}")
 
     @property
     def orders(self) -> tuple[int, ...]:
@@ -196,23 +201,24 @@ def run_cell(tag: IdentityTag, params: Mapping, policy: str = "auto") -> list[Id
     if policy not in POLICIES:
         raise ValueError(f"unknown variant policy {policy!r}")
     ledgered = tag in MISPRINT_LEDGER
-    series = CHECKS[tag].kind == "series"
+    spec = CHECKS[tag]
+    series = spec.kind == "series"
     passing = STATUS_SERIES_PASS if series else STATUS_EXACT_PASS
 
     def one(variant: str) -> IdentityReport:
-        result = run_check(tag, params, variant)
-        status = passing if result.passed else STATUS_FAIL
+        lhs, rhs = run_check(tag, params, variant)
+        difference = (lhs - rhs).to_poly() if series else lhs - rhs
+        status = passing if difference.is_zero() else STATUS_FAIL
         label = "printed" if variant == "printed" else corrected_variant_label(tag)
-        notes = result.notes
+        notes = spec.notes
         if variant == "corrected":
-            extra = MISPRINT_LEDGER[tag]
-            notes = f"{notes}; {extra}" if notes else extra
+            notes = _join_notes(notes, MISPRINT_LEDGER[tag])
         return IdentityReport(
             tag=tag,
             params=dict(params),
             variant=label,
             status=status,
-            difference=result.difference,
+            difference=difference,
             series_order=params["order"] if series else None,
             notes=notes,
         )

@@ -11,12 +11,17 @@ function that checks it.  The entry holds:
   field) pair: a ``*_max`` field ranges over 0..max, a tuple field over
   its entries (an axis with several keys takes each entry apart), any
   other field is its one value;
-* the parameter keys in display and validation order, by default the
-  axis keys in loop order;
 * ``needs``, a Python expression over the keys that every admissible
   cell satisfies, or None when every cell is admissible;
 * ``correction``, the documented correction of a printed display that
-  fails exact verification, which the "corrected" variant applies.
+  fails exact verification, which the "corrected" variant applies;
+* ``notes``, a remark every report of the identity carries.
+
+The checker is a plain function of the cell's parameters.  Its
+signature lists the keys in display and validation order, followed by
+``variant`` ("printed" or "corrected") exactly when the entry has a
+correction; ``identity()`` refuses, at import, a signature whose keys
+are not the axis keys or whose ``variant`` does not match the entry.
 
 Everything else is derived from the entries: the ``IdentityTag`` enum
 (in declaration order), the read-only ``CHECKS`` and ``MISPRINT_LEDGER``
@@ -25,12 +30,12 @@ filtered by ``needs``) and ``run_check``'s validation, which rejects a
 cell outside ``needs``.  To add an identity, write its checker and put
 one entry on it.
 
-Every checker computes left-hand side minus right-hand side of one
-identity: as a Poly for algebraic and differential statements, as a
-truncated series folded back into a Poly carrying u, v for
-generating-function statements, or as a constant Poly for scalar
-hypergeometric statements.  A zero difference certifies the identity on
-that parameter cell.
+Every checker returns the two sides (lhs, rhs) of one identity: Polys
+for algebraic and differential statements, truncated SeriesUVs for
+generating-function statements, and constant Polys for scalar
+hypergeometric statements.  ``audit.run_cell`` forms lhs - rhs, folds a
+series difference back into a Poly carrying u, v, and certifies the
+identity on that parameter cell when the difference is zero.
 
 Conventions shared by all the displays:
 
@@ -39,10 +44,6 @@ Conventions shared by all the displays:
 * the reciprocal factorial of a negative integer is zero, and a family
   member with a negative index is the zero polynomial;
 * floor(j/0) = +infinity, so a zero order removes its summation bound.
-
-Each checker takes (params, variant) where `variant` is "printed" or,
-for identities carrying a correction, "corrected".  Checkers of
-uncorrected identities ignore the variant.
 
 Sides that several cells, or both variants of one cell, share are
 memoized.  Every key is the input the code computed, never what the
@@ -56,9 +57,8 @@ identity claims:
 * GEN_FULL / GEN_POCHHAMMER_G: exp(zu + wv + g u^p v^q) is
   ghcore.generating_series, cached on (p, q, order); GEN_POCHHAMMER_G's
   right-hand side, which no variant changes, on (p, q, j, k, order).
-* GEN_POCHHAMMER_S: the left-hand series and the binomial series
-  factors, none of which the variant changes, on
-  (p, q, a, b, z, w, g, order).
+* GEN_POCHHAMMER_S: the left-hand series, which no variant changes,
+  on (p, q, a, b, z, w, g, order).
 * CONN_PQ_FROM_GH: the one-variable members, on (n, p, variable); the
   weights are summed exactly per (g-degree, r, s) before one product
   per group, which leaves the difference polynomial unchanged.
@@ -66,7 +66,7 @@ identity claims:
   indices, and the shift powers (z-z')^k, (w-w')^k, on (variable, k).
 
 A cached side is the exact polynomial or series the cell would have
-built, and each cell still forms its own lhs - rhs, so a pass is still
+built, and each cell still gets its own lhs - rhs, so a pass is still
 an identically zero difference on that cell.  Every cache is bounded at
 no less than twice what one `audit --nmax 10 --mmax 10` fills, so the
 audit grids never evict.
@@ -75,6 +75,7 @@ audit grids never evict.
 from __future__ import annotations
 
 import enum
+import inspect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,7 +88,6 @@ from ..exactalg import (
     SeriesUV,
     as_scalar,
     rising_factorial,
-    series_binomial_neg,
     series_exp,
 )
 from ..ghcore import (
@@ -117,19 +117,8 @@ _V = Poly.variable("v")
 _fact = math.factorial
 
 
-@dataclass
-class CheckResult:
-    """Outcome of one checker: the exact difference plus context."""
-
-    difference: Poly
-    notes: str = ""
-
-    @property
-    def passed(self) -> bool:
-        return self.difference.is_zero()
-
-
-CheckFn = Callable[[Mapping, str], CheckResult]
+Sides = tuple  # (lhs, rhs): two Polys, or two SeriesUVs for a series identity
+CheckFn = Callable[..., Sides]
 Axis = tuple[tuple[str, ...], str]  # (parameter keys, GridRanges field)
 
 
@@ -143,6 +132,7 @@ class CheckSpec:
     axes: tuple[Axis, ...]
     needs: str | None = None
     correction: str | None = None
+    notes: str = ""
 
     @cached_property
     def _needs_code(self):
@@ -174,19 +164,26 @@ def identity(
     kind: str,
     axes: tuple[Axis, ...] = (_PQ, _N, _M),
     *,
-    keys: tuple[str, ...] | None = None,
     needs: str | None = None,
     correction: str | None = None,
+    notes: str = "",
 ) -> Callable[[CheckFn], CheckFn]:
-    """Declare the decorated checker as the identity `tag`."""
+    """Declare the decorated checker as the identity `tag` (see the module docstring)."""
     flat = tuple(key for axis_keys, _ in axes for key in axis_keys)
-    if keys is not None and sorted(keys) != sorted(flat):
-        raise ValueError(f"{tag}: keys {keys} are not the axis keys {flat}")
     if kind == "series" and "order" not in flat:
         raise ValueError(f"{tag}: a series identity needs an order key")
 
     def register(fn: CheckFn) -> CheckFn:
-        _ENTRIES[tag] = CheckSpec(keys or flat, kind, fn, axes, needs, correction)
+        names = tuple(inspect.signature(fn).parameters)
+        keys = names[:-1] if correction else names
+        if "variant" in keys or bool(correction) != (names[-1:] == ("variant",)):
+            raise ValueError(
+                f"{tag}: the checker takes variant last exactly when it has a correction, "
+                f"got {names}"
+            )
+        if sorted(keys) != sorted(flat):
+            raise ValueError(f"{tag}: parameters {keys} are not the axis keys {flat}")
+        _ENTRIES[tag] = CheckSpec(keys, kind, fn, axes, needs, correction, notes)
         return fn
 
     return register
@@ -247,18 +244,16 @@ def pochhammer_tail(n: int, k: int, var: str = "z") -> Poly:
 # ---------------------------------------------------------------------
 
 @identity("SYMMETRY", "algebraic")
-def _check_symmetry(ps: Mapping, variant: str) -> CheckResult:
+def _check_symmetry(p, q, n, m) -> Sides:
     """H^(p,q)_{n,m}(z,w|g) = H^(q,p)_{m,n}(w,z|g)."""
-    p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
     lhs = explicit_poly(p, q, n, m).subst({"z": _W, "w": _Z})
-    return CheckResult(lhs - explicit_poly(q, p, m, n))
+    return lhs, explicit_poly(q, p, m, n)
 
 
 @identity("HYPERGEOM", "algebraic", needs="p >= 1 and q >= 1")
-def _check_hypergeom(ps: Mapping, variant: str) -> CheckResult:
+def _check_hypergeom(p, q, n, m) -> Sides:
     """The terminating hypergeometric rewriting reproduces the defining sum."""
-    p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
-    return CheckResult(hypergeom_form(FamilyParams(p, q, n, m)) - explicit_poly(p, q, n, m))
+    return hypergeom_form(FamilyParams(p, q, n, m)), explicit_poly(p, q, n, m)
 
 
 @identity(
@@ -267,13 +262,12 @@ def _check_hypergeom(ps: Mapping, variant: str) -> CheckResult:
     (_N, _M, (("z",), "hyp_points")),
     correction="prefactor is (-z)^-(min(n,m)), not z^-(min(n,m))",
 )
-def _check_hyp_2f0_1f1(ps: Mapping, variant: str) -> CheckResult:
+def _check_hyp_2f0_1f1(n, m, z, variant) -> Sides:
     """2F0(-n,-m;;-1/z) against its 1F1 form, evaluated at rational z.
 
     Printed prefactor z^-(min); the corrected variant uses (-z)^-(min).
     """
-    n, m = ps["n"], ps["m"]
-    zval = as_scalar(ps["z"])
+    zval = as_scalar(z)
     if zval == 0:
         raise ValueError("z must be nonzero")
     s, big, d = min(n, m), max(n, m), abs(n - m)
@@ -290,7 +284,7 @@ def _check_hyp_2f0_1f1(ps: Mapping, variant: str) -> CheckResult:
         f11 += rising_factorial(-s, k) / rising_factorial(d + 1, k) * zval ** k / _fact(k)
     base = zval if variant == "printed" else -zval
     rhs = Fraction(_fact(big), _fact(d)) * base ** (-s) * f11
-    return CheckResult(Poly.const(lhs - rhs))
+    return Poly.const(lhs), Poly.const(rhs)
 
 
 @identity(
@@ -301,14 +295,13 @@ def _check_hyp_2f0_1f1(ps: Mapping, variant: str) -> CheckResult:
         "not n!/(n/p)! g^(n/p)"
     ),
 )
-def _check_origin_value(ps: Mapping, variant: str) -> CheckResult:
+def _check_origin_value(p, q, n, m, variant) -> Sides:
     """Closed form of the value at z = w = 0.
 
     Printed: n!/(n/p)! g^(n/p) when p | n, q | m and the quotients agree
     (plus the stated p = 0 special case).  Corrected: n! m! g^k / k!
     for the unique k with n = pk and m = qk, zero when no such k exists.
     """
-    p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
     actual = explicit_poly(p, q, n, m).subst({"z": 0, "w": 0})
     if variant == "printed":
         if p >= 1 and q >= 1:
@@ -337,34 +330,33 @@ def _check_origin_value(ps: Mapping, variant: str) -> CheckResult:
             predicted = Poly.monomial({"g": k}, Fraction(_fact(n) * _fact(m), _fact(k)))
         else:
             predicted = Poly.zero()
-    return CheckResult(actual - predicted)
+    return actual, predicted
 
 
 @identity("HOMOGENEITY", "algebraic")
-def _check_homogeneity(ps: Mapping, variant: str) -> CheckResult:
+def _check_homogeneity(p, q, n, m) -> Sides:
     """a^n b^m H(z,w|g) = H(az, bw | g a^p b^q)."""
-    p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
     h = explicit_poly(p, q, n, m)
     lhs = Poly.monomial({"a": n, "b": m}) * h
     rhs = h.subst({"z": _A * _Z, "w": _B * _W, "g": _G * Poly.monomial({"a": p, "b": q})})
-    return CheckResult(lhs - rhs)
+    return lhs, rhs
 
 
-@identity("LIMIT", "algebraic")
-def _check_limit(ps: Mapping, variant: str) -> CheckResult:
+@identity(
+    "LIMIT",
+    "algebraic",
+    notes="limit encoded as the t-free part of the t^(p+q)-deformed member",
+)
+def _check_limit(p, q, n, m) -> Sides:
     """Shrinking the deformation recovers the monomial.
 
     The scaling limit t -> 0 of t^(n+m) H(z/t, w/t | g) equals, after
     homogeneity, the t-free part of H(z, w | t^(p+q) g); the statement
     certified here is that this part is exactly z^n w^m.
     """
-    p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
     deformed = explicit_poly(p, q, n, m).subst({"g": _G * Poly.monomial({"t": p + q})})
     lhs = deformed.coefficient("t", 0)
-    return CheckResult(
-        lhs - Poly.monomial({"z": n, "w": m}),
-        notes="limit encoded as the t-free part of the t^(p+q)-deformed member",
-    )
+    return lhs, Poly.monomial({"z": n, "w": m})
 
 
 # ---------------------------------------------------------------------
@@ -377,15 +369,14 @@ def _check_limit(ps: Mapping, variant: str) -> CheckResult:
     (_PQ, (("m",), "aux_max"), _ORDER),
     needs="q >= 1 and order >= p + q",
 )
-def _check_gen_partial_u(ps: Mapping, variant: str) -> CheckResult:
+def _check_gen_partial_u(p, q, m, order) -> Sides:
     """sum_n H_{n,m} u^n/n! = H^(q)_m(w | u^p g) exp(zu), at fixed m."""
-    p, q, m, order = ps["p"], ps["q"], ps["m"], ps["order"]
     lhs = SeriesUV(order, {
         (i, 0): explicit_poly(p, q, i, m) * Fraction(1, _fact(i)) for i in range(order + 1)
     })
     base = gould_hopper_1d(m, q).subst({"z": _W, "g": _G * Poly.monomial({"u": p})})
     rhs = SeriesUV.from_poly(base, order) * series_exp(_Z * _U, order)
-    return CheckResult((lhs - rhs).to_poly())
+    return lhs, rhs
 
 
 @identity(
@@ -394,26 +385,24 @@ def _check_gen_partial_u(ps: Mapping, variant: str) -> CheckResult:
     (_PQ, (("n",), "aux_max"), _ORDER),
     needs="p >= 1 and order >= p + q",
 )
-def _check_gen_partial_v(ps: Mapping, variant: str) -> CheckResult:
+def _check_gen_partial_v(p, q, n, order) -> Sides:
     """sum_m H_{n,m} v^m/m! = H^(p)_n(z | v^q g) exp(wv), at fixed n."""
-    p, q, n, order = ps["p"], ps["q"], ps["n"], ps["order"]
     lhs = SeriesUV(order, {
         (0, j): explicit_poly(p, q, n, j) * Fraction(1, _fact(j)) for j in range(order + 1)
     })
     base = gould_hopper_1d(n, p).subst({"g": _G * Poly.monomial({"v": q})})
     rhs = SeriesUV.from_poly(base, order) * series_exp(_W * _V, order)
-    return CheckResult((lhs - rhs).to_poly())
+    return lhs, rhs
 
 
 @identity("GEN_FULL", "series", (_PQ, _ORDER), needs="order >= p + q")
-def _check_gen_full(ps: Mapping, variant: str) -> CheckResult:
+def _check_gen_full(p, q, order) -> Sides:
     """sum H_{n,m} u^n v^m/(n! m!) = exp(zu + wv + g u^p v^q)."""
-    p, q, order = ps["p"], ps["q"], ps["order"]
     lhs = SeriesUV(order, {
         (i, j): explicit_poly(p, q, i, j) * Fraction(1, _fact(i) * _fact(j))
         for i in range(order + 1) for j in range(order + 1 - i)
     })
-    return CheckResult((lhs - generating_series(p, q, order)).to_poly())
+    return lhs, generating_series(p, q, order)
 
 
 @identity(
@@ -426,7 +415,7 @@ def _check_gen_full(ps: Mapping, variant: str) -> CheckResult:
         "operators z Dz^j z^(j-1) and w Dw^k w^(k-1), not on the summation indices"
     ),
 )
-def _check_gen_pochhammer_g(ps: Mapping, variant: str) -> CheckResult:
+def _check_gen_pochhammer_g(p, q, j, k, order, variant) -> Sides:
     """Rising-factorial weighted generating series, polynomial form.
 
     Right-hand side as displayed:
@@ -436,7 +425,6 @@ def _check_gen_pochhammer_g(ps: Mapping, variant: str) -> CheckResult:
     variant instead applies the degree-weight operators z Dz^j z^(j-1)
     and w Dw^k w^(k-1) to H_{n,m}, matching the right-hand side exactly.
     """
-    p, q, j, k, order = ps["p"], ps["q"], ps["j"], ps["k"], ps["order"]
     coeffs = {}
     for n in range(order + 1):
         for m in range(order + 1 - n):
@@ -449,7 +437,7 @@ def _check_gen_pochhammer_g(ps: Mapping, variant: str) -> CheckResult:
             coeffs[(n, m)] = weighted * Fraction(1, _fact(n) * _fact(m))
     lhs = SeriesUV(order, coeffs)
     rhs = _pochhammer_g_rhs(p, q, j, k, order)
-    return CheckResult((lhs - rhs).to_poly())
+    return lhs, rhs
 
 
 @lru_cache(maxsize=128)
@@ -468,61 +456,55 @@ def _pochhammer_g_rhs(p: int, q: int, j: int, k: int, order: int) -> SeriesUV:
     needs="p >= 1 and q >= 1 and order >= p + q",
     correction="the hypergeometric argument carries u^p v^q, not u v",
 )
-def _check_gen_pochhammer_s(ps: Mapping, variant: str) -> CheckResult:
+def _check_gen_pochhammer_s(p, q, a, b, z, w, g, order, variant) -> Sides:
     """Rising-factorial weighted series at rational parameter values.
 
     sum (a)_n (b)_m H_{n,m}(z0,w0|g0) u^n v^m/(n!m!)
       = (1-u z0)^-a (1-v w0)^-b
         * sum_K prod((a+i-1)/p)_K prod((b+i-1)/q)_K X^K / K!
     with X = p^p q^q g0 * ARG / ((1-u z0)^p (1-v w0)^q); printed ARG is
-    u v, the corrected variant carries u^p v^q.
+    u v, the corrected variant carries u^p v^q.  With c_K the K-th
+    Pochhammer weight over K!, the K-th term is
+    c_K (p^p q^q g0 ARG)^K (1-u z0)^-(a+pK) (1-v w0)^-(b+qK), so each
+    coefficient of the right-hand side is a finite sum over K of products
+    of binomial-series coefficients.
     """
-    p, q, order = ps["p"], ps["q"], ps["order"]
-    aval, bval = as_scalar(ps["a"]), as_scalar(ps["b"])
-    zval, wval = as_scalar(ps["z"]), as_scalar(ps["w"])
-    gval = as_scalar(ps["g"])
-    if zval == 0 or wval == 0:
+    a, b, z, w, g = (as_scalar(value) for value in (a, b, z, w, g))
+    if z == 0 or w == 0:
         raise ValueError("z and w must be nonzero")
-    lhs, binom_ab, binom_pq = _pochhammer_s_sides(p, q, aval, bval, zval, wval, gval, order)
-    arg_exps = {"u": 1, "v": 1} if variant == "printed" else {"u": p, "v": q}
-    x = SeriesUV.from_poly(Poly.monomial(arg_exps, gval * p ** p * q ** q), order) * binom_pq
-    hyp = SeriesUV.one(order)
-    power = SeriesUV.one(order)
-    for kk in range(1, order + 1):
-        power = power * x
-        if power.is_zero():
-            break
-        coeff = Fraction(1, _fact(kk))
-        for i in range(1, p + 1):
-            coeff *= rising_factorial((aval + i - 1) / p, kk)
-        for i in range(1, q + 1):
-            coeff *= rising_factorial((bval + i - 1) / q, kk)
-        hyp = hyp + power * coeff
-    rhs = binom_ab * hyp
-    return CheckResult((lhs - rhs).to_poly())
+    e, f = (1, 1) if variant == "printed" else (p, q)
+    kappa = g * p ** p * q ** q
+    coeffs: dict[tuple[int, int], Fraction] = {}
+    for kk in range(order // (e + f) + 1):
+        weight = kappa ** kk / _fact(kk)
+        for r in range(1, p + 1):
+            weight *= rising_factorial((a + r - 1) / p, kk)
+        for r in range(1, q + 1):
+            weight *= rising_factorial((b + r - 1) / q, kk)
+        top = order - (e + f) * kk
+        # the coefficients (alpha)_i x^i / i! of (1 - x u)^-alpha and (1 - x v)^-alpha
+        zs = [rising_factorial(a + p * kk, i) * z ** i / _fact(i) for i in range(top + 1)]
+        ws = [rising_factorial(b + q * kk, j) * w ** j / _fact(j) for j in range(top + 1)]
+        for i in range(top + 1):
+            for j in range(top + 1 - i):
+                key = (e * kk + i, f * kk + j)
+                coeffs[key] = coeffs.get(key, 0) + weight * zs[i] * ws[j]
+    rhs = SeriesUV(order, {key: Poly.const(value) for key, value in coeffs.items()})
+    return _pochhammer_s_lhs(p, q, a, b, z, w, g, order), rhs
 
 
 @lru_cache(maxsize=32)
-def _pochhammer_s_sides(
+def _pochhammer_s_lhs(
     p: int, q: int, a: Fraction, b: Fraction, z: Fraction, w: Fraction, g: Fraction, order: int
-) -> tuple[SeriesUV, SeriesUV, SeriesUV]:
-    """GEN_POCHHAMMER_S's variant-free parts at one rational point.
-
-    The left-hand series, (1-uz)^-a (1-vw)^-b and (1-uz)^-p (1-vw)^-q.
-    """
+) -> SeriesUV:
+    # GEN_POCHHAMMER_S's left-hand series at one rational point; no variant changes it
     coeffs = {}
     for n in range(order + 1):
         for m in range(order + 1 - n):
             hval = explicit_poly(p, q, n, m).subst({"z": z, "w": w, "g": g}).as_fraction()
             value = rising_factorial(a, n) * rising_factorial(b, m) * hval / (_fact(n) * _fact(m))
             coeffs[(n, m)] = Poly.const(value)
-    uz = Poly.monomial({"u": 1}, z)
-    vw = Poly.monomial({"v": 1}, w)
-    binom_ab = series_binomial_neg(uz, a, order) * series_binomial_neg(vw, b, order)
-    binom_pq = (
-        series_binomial_neg(uz, Fraction(p), order) * series_binomial_neg(vw, Fraction(q), order)
-    )
-    return SeriesUV(order, coeffs), binom_ab, binom_pq
+    return SeriesUV(order, coeffs)
 
 
 # ---------------------------------------------------------------------
@@ -542,38 +524,39 @@ def _zw_monomial(i: int, j: int) -> Poly:
 
 
 @identity("RUNGE_GENERAL", "algebraic")
-def _check_runge_general(ps: Mapping, variant: str) -> CheckResult:
+def _check_runge_general(p, q, n, m) -> Sides:
     """H(z+z', w+w' | g+g') as a binomial double sum of primed pairs."""
-    p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
     lhs = explicit_poly(p, q, n, m).subst({"z": _Z + _ZP, "w": _W + _WP, "g": _G + _GP})
     rhs = _split_sum(n, m, partial(explicit_poly, p, q), partial(_gh_primed, "zwg", p, q))
-    return CheckResult(lhs - rhs)
+    return lhs, rhs
 
 
 @identity("RUNGE_CANCEL", "algebraic")
-def _check_runge_cancel(ps: Mapping, variant: str) -> CheckResult:
+def _check_runge_cancel(p, q, n, m) -> Sides:
     """Half arguments with opposite deformations collapse to z^n w^m."""
-    p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
     rhs = _split_sum(n, m, partial(_gh_half, 1, p, q), partial(_gh_half, -1, p, q))
-    return CheckResult(Poly.monomial({"z": n, "w": m}) - rhs)
+    return Poly.monomial({"z": n, "w": m}), rhs
 
 
 @identity("RUNGE_HALF", "algebraic", correction="the split sum carries the prefactor 2^-(n+m)")
-def _check_runge_half(ps: Mapping, variant: str) -> CheckResult:
+def _check_runge_half(p, q, n, m, variant) -> Sides:
     """Equal-argument splitting with deformation 2^(p+q-1) g.
 
     The printed display omits the prefactor 2^-(n+m) on the sum.
     """
-    p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
     scaled = partial(_gh_scaled_g, 2 ** (p + q - 1), p, q)
     total = _split_sum(n, m, scaled, scaled)
     if variant != "printed":
         total = total * Fraction(1, 2 ** (n + m))
-    return CheckResult(explicit_poly(p, q, n, m) - total)
+    return explicit_poly(p, q, n, m), total
 
 
-@identity("RUNGE_SCALED", "algebraic")
-def _check_runge_scaled(ps: Mapping, variant: str) -> CheckResult:
+@identity(
+    "RUNGE_SCALED",
+    "algebraic",
+    notes="both sides scaled by 2^(n/2p + m/2q) to clear the irrational scalings",
+)
+def _check_runge_scaled(p, q, n, m) -> Sides:
     """Two-point splitting at a common deformation, root-cleared form.
 
     The display carries irrational argument scalings 2^(1/2p), 2^(1/2q);
@@ -581,13 +564,9 @@ def _check_runge_scaled(ps: Mapping, variant: str) -> CheckResult:
     turns it into H(z+z', w+w' | 2g) = sum of binomial-weighted pairs,
     which is the polynomial statement certified here.
     """
-    p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
     lhs = explicit_poly(p, q, n, m).subst({"z": _Z + _ZP, "w": _W + _WP, "g": 2 * _G})
     rhs = _split_sum(n, m, partial(explicit_poly, p, q), partial(_gh_primed, "zw", p, q))
-    return CheckResult(
-        lhs - rhs,
-        notes="both sides scaled by 2^(n/2p + m/2q) to clear the irrational scalings",
-    )
+    return lhs, rhs
 
 
 def _lowered(p: int, q: int, n: int, m: int, k: int, *factors: Poly) -> tuple:
@@ -597,34 +576,31 @@ def _lowered(p: int, q: int, n: int, m: int, k: int, *factors: Poly) -> tuple:
 
 
 @identity("MULT_C", "algebraic")
-def _check_mult_c(ps: Mapping, variant: str) -> CheckResult:
+def _check_mult_c(p, q, n, m) -> Sides:
     """H(z,w|cg) = n!m! sum_k (c-1)^k g^k/k! H_{n-pk,m-qk}/((n-pk)!(m-qk)!)."""
-    p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
     lhs = explicit_poly(p, q, n, m).subst({"g": _C * _G})
     rhs = Poly.lincomb(
         _lowered(p, q, n, m, k, (_C - 1) ** k, Poly.monomial({"g": k}))
         for k in range(FamilyParams(p, q, n, m).k_max + 1)
     )
-    return CheckResult(lhs - rhs)
+    return lhs, rhs
 
 
 @identity("MULT_ABC", "algebraic")
-def _check_mult_abc(ps: Mapping, variant: str) -> CheckResult:
+def _check_mult_abc(p, q, n, m) -> Sides:
     """H(az, bw | cg) expanded over (c - a^p b^q)^k with rescaled members."""
-    p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
     lhs = explicit_poly(p, q, n, m).subst({"z": _A * _Z, "w": _B * _W, "g": _C * _G})
     shift = _C - Poly.monomial({"a": p, "b": q})
     rhs = Poly.lincomb(
         _lowered(p, q, n, m, k, shift ** k, Poly.monomial({"g": k, "a": n - p * k, "b": m - q * k}))
         for k in range(FamilyParams(p, q, n, m).k_max + 1)
     )
-    return CheckResult(lhs - rhs)
+    return lhs, rhs
 
 
 @identity("MULT_GH", "algebraic", ((("p",), "orders"), _N))
-def _check_mult_gh(ps: Mapping, variant: str) -> CheckResult:
+def _check_mult_gh(p, n) -> Sides:
     """One-variable rescaling: H^(p)_n(az|cg) over (c - a^p)^k."""
-    p, n = ps["p"], ps["n"]
     lhs = gould_hopper_1d(n, p).subst({"z": _A * _Z, "g": _C * _G})
     shift = _C - Poly.monomial({"a": p})
     rhs = Poly.lincomb(
@@ -632,16 +608,15 @@ def _check_mult_gh(ps: Mapping, variant: str) -> CheckResult:
          Poly.monomial({"g": k, "a": n - p * k}), gould_hopper_1d(n - p * k, p))
         for k in range(n // p + 1)
     )
-    return CheckResult(lhs - rhs)
+    return lhs, rhs
 
 
 @identity("ADD_ZW", "algebraic")
-def _check_add_zw(ps: Mapping, variant: str) -> CheckResult:
+def _check_add_zw(p, q, n, m) -> Sides:
     """H(z+z', w+w'|g) = sum C(n,i) C(m,j) z^i w^j H_{n-i,m-j}(z',w'|g)."""
-    p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
     lhs = explicit_poly(p, q, n, m).subst({"z": _Z + _ZP, "w": _W + _WP})
     rhs = _split_sum(n, m, _zw_monomial, partial(_gh_primed, "zw", p, q))
-    return CheckResult(lhs - rhs)
+    return lhs, rhs
 
 
 @identity(
@@ -652,13 +627,12 @@ def _check_add_zw(ps: Mapping, variant: str) -> CheckResult:
         "is 2^(p+q) g, not 2^(p+q-1) g"
     ),
 )
-def _check_add_half(ps: Mapping, variant: str) -> CheckResult:
+def _check_add_half(p, q, n, m, variant) -> Sides:
     """Equal-split shift formula.
 
     Printed: H(z,w|g) = 2^(n+m) sum C C z^i w^j H_{n-i,m-j}(z,w|2^(p+q-1) g).
     Corrected: prefactor 2^-(n+m) and deformation scale 2^(p+q) g.
     """
-    p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
     if variant == "printed":
         prefactor = Fraction(2 ** (n + m))
         scale = 2 ** (p + q - 1)
@@ -666,7 +640,7 @@ def _check_add_half(ps: Mapping, variant: str) -> CheckResult:
         prefactor = Fraction(1, 2 ** (n + m))
         scale = 2 ** (p + q)
     total = _split_sum(n, m, _zw_monomial, partial(_gh_scaled_g, scale, p, q))
-    return CheckResult(explicit_poly(p, q, n, m) - prefactor * total)
+    return explicit_poly(p, q, n, m), prefactor * total
 
 
 # ---------------------------------------------------------------------
@@ -674,31 +648,27 @@ def _check_add_half(ps: Mapping, variant: str) -> CheckResult:
 # ---------------------------------------------------------------------
 
 @identity("DERIV_Z", "algebraic")
-def _check_deriv_z(ps: Mapping, variant: str) -> CheckResult:
+def _check_deriv_z(p, q, n, m) -> Sides:
     """Dz H_{n,m} = n H_{n-1,m}."""
-    p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
-    return CheckResult(explicit_poly(p, q, n, m).diff("z") - n * _gh0(p, q, n - 1, m))
+    return explicit_poly(p, q, n, m).diff("z"), n * _gh0(p, q, n - 1, m)
 
 
 @identity("DERIV_W", "algebraic")
-def _check_deriv_w(ps: Mapping, variant: str) -> CheckResult:
+def _check_deriv_w(p, q, n, m) -> Sides:
     """Dw H_{n,m} = m H_{n,m-1}."""
-    p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
-    return CheckResult(explicit_poly(p, q, n, m).diff("w") - m * _gh0(p, q, n, m - 1))
+    return explicit_poly(p, q, n, m).diff("w"), m * _gh0(p, q, n, m - 1)
 
 
 @identity("DERIV_GAMMA", "algebraic")
-def _check_deriv_gamma(ps: Mapping, variant: str) -> CheckResult:
+def _check_deriv_gamma(p, q, n, m) -> Sides:
     """Dg H_{n,m} = Dz^p Dw^q H_{n,m}; as (Dg - Dz^p Dw^q) H_{n,m} = 0 also PDE_HEAT."""
-    p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
     h = explicit_poly(p, q, n, m)
-    return CheckResult(h.diff("g") - h.diff("z", p).diff("w", q))
+    return h.diff("g"), h.diff("z", p).diff("w", q)
 
 
 @identity("DERIV_JK", "algebraic", (_PQ, _N, _M, _J, _K))
-def _check_deriv_jk(ps: Mapping, variant: str) -> CheckResult:
+def _check_deriv_jk(p, q, n, m, j, k) -> Sides:
     """Dz^j Dw^k H_{n,m} = n!m!/((n-j)!(m-k)!) H_{n-j,m-k}, zero past the degrees."""
-    p, q, n, m, j, k = ps["p"], ps["q"], ps["n"], ps["m"], ps["j"], ps["k"]
     lhs = explicit_poly(p, q, n, m).diff("z", j).diff("w", k)
     if j <= n and k <= m:
         rhs = (
@@ -707,44 +677,41 @@ def _check_deriv_jk(ps: Mapping, variant: str) -> CheckResult:
         )
     else:
         rhs = Poly.zero()
-    return CheckResult(lhs - rhs)
+    return lhs, rhs
 
 
 @identity("DERIV_GAMMA_K", "algebraic", (_PQ, _N, _M, _K))
-def _check_deriv_gamma_k(ps: Mapping, variant: str) -> CheckResult:
+def _check_deriv_gamma_k(p, q, n, m, k) -> Sides:
     """Dg^k H_{n,m} = n!m!/((n-pk)!(m-qk)!) H_{n-pk,m-qk}, zero past the bound."""
-    p, q, n, m, k = ps["p"], ps["q"], ps["n"], ps["m"], ps["k"]
     lhs = explicit_poly(p, q, n, m).diff("g", k)
     if k <= FamilyParams(p, q, n, m).k_max:
         weight, member = _lowered(p, q, n, m, k)
         rhs = _fact(k) * weight * member
     else:
         rhs = Poly.zero()
-    return CheckResult(lhs - rhs)
+    return lhs, rhs
 
 
 @identity("INVERSE_SUM", "algebraic")
-def _check_inverse_sum(ps: Mapping, variant: str) -> CheckResult:
+def _check_inverse_sum(p, q, n, m) -> Sides:
     """z^n w^m = n!m! sum_k (-g)^k/k! H_{n-pk,m-qk}/((n-pk)!(m-qk)!)."""
-    p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
     rhs = Poly.lincomb(
         _lowered(p, q, n, m, k, Poly.monomial({"g": k}, (-1) ** k))
         for k in range(FamilyParams(p, q, n, m).k_max + 1)
     )
-    return CheckResult(Poly.monomial({"z": n, "w": m}) - rhs)
+    return Poly.monomial({"z": n, "w": m}), rhs
 
 
 @identity("INVERSE_OP", "algebraic")
-def _check_inverse_op(ps: Mapping, variant: str) -> CheckResult:
+def _check_inverse_op(p, q, n, m) -> Sides:
     """z^n w^m = exp(-g Dz^p Dw^q) H_{n,m}; the operator sum truncates."""
-    p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
     h = explicit_poly(p, q, n, m)
     rhs = Poly.lincomb(
         (Fraction((-1) ** k, _fact(k)), Poly.monomial({"g": k}),
          h.diff("z", p * k).diff("w", q * k))
         for k in range(FamilyParams(p, q, n, m).k_max + 1)
     )
-    return CheckResult(Poly.monomial({"z": n, "w": m}) - rhs)
+    return Poly.monomial({"z": n, "w": m}), rhs
 
 
 # ---------------------------------------------------------------------
@@ -752,53 +719,48 @@ def _check_inverse_op(ps: Mapping, variant: str) -> CheckResult:
 # ---------------------------------------------------------------------
 
 @identity("REC_RAISE_N", "algebraic")
-def _check_rec_raise_n(ps: Mapping, variant: str) -> CheckResult:
+def _check_rec_raise_n(p, q, n, m) -> Sides:
     """H_{n+1,m} = z H_{n,m} + g p! q! C(n,p-1) C(m,q) H_{n+1-p,m-q}."""
-    p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
     c = _fact(p) * _fact(q) * _comb0(n, p - 1) * _comb0(m, q)
     lowered = _gh0(p, q, n + 1 - p, m - q) if c else Poly.zero()
     rhs = Poly.lincomb(((1, _Z, explicit_poly(p, q, n, m)), (c, _G, lowered)))
-    return CheckResult(explicit_poly(p, q, n + 1, m) - rhs)
+    return explicit_poly(p, q, n + 1, m), rhs
 
 
 @identity("REC_RAISE_N_OP", "algebraic")
-def _check_rec_raise_n_op(ps: Mapping, variant: str) -> CheckResult:
+def _check_rec_raise_n_op(p, q, n, m) -> Sides:
     """H_{n+1,m} = (z + p g Dz^(p-1) Dw^q) H_{n,m}."""
-    p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
     rhs = apply_z_raise(explicit_poly(p, q, n, m), p, q)
-    return CheckResult(explicit_poly(p, q, n + 1, m) - rhs)
+    return explicit_poly(p, q, n + 1, m), rhs
 
 
 @identity("REC_RAISE_M", "algebraic", correction="lowered second index is m+1-q, not m-1-q")
-def _check_rec_raise_m(ps: Mapping, variant: str) -> CheckResult:
+def _check_rec_raise_m(p, q, n, m, variant) -> Sides:
     """H_{n,m+1} = w H_{n,m} + g p! q! C(n,p) C(m,q-1) H_{n-p,m+1-q}.
 
     The printed display lowers the second index to m-1-q instead.
     """
-    p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
     low = m - 1 - q if variant == "printed" else m + 1 - q
     c = _fact(p) * _fact(q) * _comb0(n, p) * _comb0(m, q - 1)
     lowered = _gh0(p, q, n - p, low) if c else Poly.zero()
     rhs = Poly.lincomb(((1, _W, explicit_poly(p, q, n, m)), (c, _G, lowered)))
-    return CheckResult(explicit_poly(p, q, n, m + 1) - rhs)
+    return explicit_poly(p, q, n, m + 1), rhs
 
 
 @identity("REC_RAISE_M_OP", "algebraic")
-def _check_rec_raise_m_op(ps: Mapping, variant: str) -> CheckResult:
+def _check_rec_raise_m_op(p, q, n, m) -> Sides:
     """H_{n,m+1} = (w + q g Dz^p Dw^(q-1)) H_{n,m}."""
-    p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
     rhs = apply_w_raise(explicit_poly(p, q, n, m), p, q)
-    return CheckResult(explicit_poly(p, q, n, m + 1) - rhs)
+    return explicit_poly(p, q, n, m + 1), rhs
 
 
 @identity("CREATION", "algebraic")
-def _check_creation(ps: Mapping, variant: str) -> CheckResult:
+def _check_creation(p, q, n, m) -> Sides:
     """Iterated raising operator applied to a bare monomial.
 
     p >= 1: (z + p g Dz^(p-1) Dw^q)^n {w^m} (with Dw^0 = id when q = 0);
     p = 0:  the mirrored (w + q g Dw^(q-1))^m {z^n}.
     """
-    p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
     if p >= 1:
         acc = Poly.monomial({"w": m})
         for _ in range(n):
@@ -807,14 +769,13 @@ def _check_creation(ps: Mapping, variant: str) -> CheckResult:
         acc = Poly.monomial({"z": n})
         for _ in range(m):
             acc = apply_w_raise(acc, p, q)
-    return CheckResult(explicit_poly(p, q, n, m) - acc)
+    return explicit_poly(p, q, n, m), acc
 
 
 @identity("CREATION_BOTH", "algebraic")
-def _check_creation_both(ps: Mapping, variant: str) -> CheckResult:
+def _check_creation_both(p, q, n, m) -> Sides:
     """(z + p g Dz^(p-1) Dw^q)^n (w + q g Dz^p Dw^(q-1))^m {1}."""
-    p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
-    return CheckResult(explicit_poly(p, q, n, m) - via_creation(FamilyParams(p, q, n, m)))
+    return explicit_poly(p, q, n, m), via_creation(FamilyParams(p, q, n, m))
 
 
 @identity(
@@ -825,14 +786,13 @@ def _check_creation_both(ps: Mapping, variant: str) -> CheckResult:
         "is m-qk, not m-k; and the k-th term carries 1/k!"
     ),
 )
-def _check_param_rec(ps: Mapping, variant: str) -> CheckResult:
+def _check_param_rec(p, q, n, m, variant) -> Sides:
     """Order-raising expansion of H^(p+1,q)_{n,m} over the base family.
 
     Printed: n!m! sum_k sum_{j<=k} C(j,k) g^k (-1)^(k-j)
              H_{n-j-pk, m-k} / ((n-j-pk)! (m-qk)!).
     Corrected: binomial C(k,j), lowered index m-qk, and factor 1/k!.
     """
-    p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
     lhs = explicit_poly(p + 1, q, n, m)
     terms = []
     for k in range(FamilyParams(p, q, n, m).k_max + 1):
@@ -854,7 +814,7 @@ def _check_param_rec(ps: Mapping, variant: str) -> CheckResult:
                 continue
             terms.append((_fact(n) * _fact(m) * weight, Poly.monomial({"g": k}),
                           explicit_poly(p, q, first, second)))
-    return CheckResult(lhs - Poly.lincomb(terms))
+    return lhs, Poly.lincomb(terms)
 
 
 def _op_exp_poly_times_diff(p: int, q: int, n: int, m: int, mode: str) -> Poly:
@@ -884,19 +844,17 @@ def _op_exp_poly_times_diff(p: int, q: int, n: int, m: int, mode: str) -> Poly:
 
 
 @identity("PARAM_OP_P", "algebraic")
-def _check_param_op_p(ps: Mapping, variant: str) -> CheckResult:
+def _check_param_op_p(p, q, n, m) -> Sides:
     """H^(p+1,q)_{n,m} = exp(g (Dz - 1) Dz^p Dw^q) H^(p,q)_{n,m}."""
-    p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
     rhs = _op_exp_poly_times_diff(p, q, n, m, "z")
-    return CheckResult(explicit_poly(p + 1, q, n, m) - rhs)
+    return explicit_poly(p + 1, q, n, m), rhs
 
 
 @identity("PARAM_OP_Q", "algebraic")
-def _check_param_op_q(ps: Mapping, variant: str) -> CheckResult:
+def _check_param_op_q(p, q, n, m) -> Sides:
     """H^(p,q+1)_{n,m} = exp(g (Dw - 1) Dz^p Dw^q) H^(p,q)_{n,m}."""
-    p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
     rhs = _op_exp_poly_times_diff(p, q, n, m, "w")
-    return CheckResult(explicit_poly(p, q + 1, n, m) - rhs)
+    return explicit_poly(p, q + 1, n, m), rhs
 
 
 @identity(
@@ -904,17 +862,16 @@ def _check_param_op_q(ps: Mapping, variant: str) -> CheckResult:
     "algebraic",
     correction="operator exponent is g*(DzDw - 1)*Dz^p Dw^q, not g*(Dz + Dw - 2)*Dz^p Dw^q",
 )
-def _check_param_op_pq(ps: Mapping, variant: str) -> CheckResult:
+def _check_param_op_pq(p, q, n, m, variant) -> Sides:
     """Simultaneous order raising.
 
     Printed exponent g (Dz + Dw - 2) Dz^p Dw^q; the corrected operator
     is g (Dz Dw - 1) Dz^p Dw^q, the composition of the two single-order
     raisings.
     """
-    p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
     mode = "zw_printed" if variant == "printed" else "zw"
     rhs = _op_exp_poly_times_diff(p, q, n, m, mode)
-    return CheckResult(explicit_poly(p + 1, q + 1, n, m) - rhs)
+    return explicit_poly(p + 1, q + 1, n, m), rhs
 
 
 # ---------------------------------------------------------------------
@@ -938,12 +895,11 @@ def _shift_power(var: str, k: int) -> Poly:
     return _shift_power(var, k - 1) * (Poly.variable(var) - Poly.variable(var + "p"))
 
 
-@identity("NIELSEN_N", "algebraic", (_PQ, _N, _M, _NP), keys=("p", "q", "n", "np", "m"))
-def _check_nielsen_n(ps: Mapping, variant: str) -> CheckResult:
+@identity("NIELSEN_N", "algebraic", (_PQ, _N, _M, _NP))
+def _check_nielsen_n(p, q, n, np, m) -> Sides:
     """H_{n+n',m}(z,...) = sum C(n,i) C(n',j) (z-z')^(i+j) H_{n+n'-i-j,m}(z',...)."""
-    p, q, n, np_, m = ps["p"], ps["q"], ps["n"], ps["np"], ps["m"]
-    rhs = _nielsen_n_rhs(p, q, m, _grouped_binomials(n, np_))
-    return CheckResult(explicit_poly(p, q, n + np_, m) - rhs)
+    rhs = _nielsen_n_rhs(p, q, m, _grouped_binomials(n, np))
+    return explicit_poly(p, q, n + np, m), rhs
 
 
 @lru_cache(maxsize=2048)
@@ -956,11 +912,10 @@ def _nielsen_n_rhs(p: int, q: int, m: int, weights: tuple[int, ...]) -> Poly:
 
 
 @identity("NIELSEN_M", "algebraic", (_PQ, _N, _M, _MP))
-def _check_nielsen_m(ps: Mapping, variant: str) -> CheckResult:
+def _check_nielsen_m(p, q, n, m, mp) -> Sides:
     """H_{n,m+m'}(...,w) = sum C(m,k) C(m',l) (w-w')^(k+l) H_{n,m+m'-k-l}(...,w')."""
-    p, q, n, m, mp_ = ps["p"], ps["q"], ps["n"], ps["m"], ps["mp"]
-    rhs = _nielsen_m_rhs(p, q, n, _grouped_binomials(m, mp_))
-    return CheckResult(explicit_poly(p, q, n, m + mp_) - rhs)
+    rhs = _nielsen_m_rhs(p, q, n, _grouped_binomials(m, mp))
+    return explicit_poly(p, q, n, m + mp), rhs
 
 
 @lru_cache(maxsize=2048)
@@ -973,20 +928,19 @@ def _nielsen_m_rhs(p: int, q: int, n: int, weights: tuple[int, ...]) -> Poly:
 
 
 @identity(
-    "NIELSEN_FULL", "algebraic", (_PQ, _N, _M, _NP, _MP), keys=("p", "q", "n", "np", "m", "mp")
+    "NIELSEN_FULL",
+    "algebraic",
+    (_PQ, _N, _M, _NP, _MP),
+    notes="(w-w')^-(k+l) in the denominator read as the factor (w-w')^(k+l)",
 )
-def _check_nielsen_full(ps: Mapping, variant: str) -> CheckResult:
+def _check_nielsen_full(p, q, n, np, m, mp) -> Sides:
     """Simultaneous splitting of both indices around (z', w').
 
     The display writes (w-w')^(k+l) as a reciprocal with negative
     exponent; both readings are the same multiplication, certified here.
     """
-    p, q, n, np_, m, mp_ = ps["p"], ps["q"], ps["n"], ps["np"], ps["m"], ps["mp"]
-    rhs = _nielsen_full_rhs(p, q, _grouped_binomials(n, np_), _grouped_binomials(m, mp_))
-    return CheckResult(
-        explicit_poly(p, q, n + np_, m + mp_) - rhs,
-        notes="(w-w')^-(k+l) in the denominator read as the factor (w-w')^(k+l)",
-    )
+    rhs = _nielsen_full_rhs(p, q, _grouped_binomials(n, np), _grouped_binomials(m, mp))
+    return explicit_poly(p, q, n + np, m + mp), rhs
 
 
 @lru_cache(maxsize=2048)
@@ -1007,44 +961,43 @@ def _nielsen_full_rhs(
 # ---------------------------------------------------------------------
 
 @identity("CONN_GH_FROM_PQ", "algebraic", (_PQ, _N), needs="p >= max(q, 1)")
-def _check_conn_gh_from_pq(ps: Mapping, variant: str) -> CheckResult:
+def _check_conn_gh_from_pq(p, q, n) -> Sides:
     """H^(p)_n(z|g) = sum_k C(n,k) H^(p-q,q)_{n-k,k}(z-w, w|g); needs p >= max(q,1)."""
-    p, q, n = ps["p"], ps["q"], ps["n"]
     lhs = gould_hopper_1d(n, p)
     rhs = Poly.lincomb(
         (_comb0(n, k), explicit_poly(p - q, q, n - k, k).subst({"z": _Z - _W}))
         for k in range(n + 1)
     )
-    return CheckResult(lhs - rhs)
+    return lhs, rhs
 
 
 @identity("CONN_GH_SUM", "algebraic", (_PQ, _N))
-def _check_conn_gh_sum(ps: Mapping, variant: str) -> CheckResult:
+def _check_conn_gh_sum(p, q, n) -> Sides:
     """H^(p+q)_n(z+w|g) = sum_k C(n,k) H^(p,q)_{n-k,k}(z,w|g)."""
-    p, q, n = ps["p"], ps["q"], ps["n"]
     lhs = gould_hopper_1d(n, p + q).subst({"z": _Z + _W})
     rhs = Poly.lincomb((_comb0(n, k), explicit_poly(p, q, n - k, k)) for k in range(n + 1))
-    return CheckResult(lhs - rhs)
+    return lhs, rhs
 
 
-@identity("CONN_ITO", "algebraic", (_N,))
-def _check_conn_ito(ps: Mapping, variant: str) -> CheckResult:
+@identity(
+    "CONN_ITO",
+    "algebraic",
+    (_N,),
+    notes="difference-argument form: the shifted first argument removes w entirely",
+)
+def _check_conn_ito(n) -> Sides:
     """The complex-Hermite cross-sum collapses to the order-2 one-variable member.
 
     sum_k C(n,k) H^(1,1)_{n-k,k}(z-w, w|-1) = H^(2)_n(z|-1); the second
     argument drops out, which is the one-variable expression behind the
     difference-argument display.
     """
-    n = ps["n"]
     lhs = gould_hopper_1d(n, 2).subst({"g": -1})
     rhs = Poly.lincomb(
         (_comb0(n, k), explicit_poly(1, 1, n - k, k).subst({"z": _Z - _W, "g": -1}))
         for k in range(n + 1)
     )
-    return CheckResult(
-        lhs - rhs,
-        notes="difference-argument form: the shifted first argument removes w entirely",
-    )
+    return lhs, rhs
 
 
 @identity(
@@ -1056,14 +1009,13 @@ def _check_conn_ito(ps: Mapping, variant: str) -> CheckResult:
         "not l! i! (k-l)! (j-i)!"
     ),
 )
-def _check_conn_pq_from_gh(ps: Mapping, variant: str) -> CheckResult:
+def _check_conn_pq_from_gh(p, q, n, m, variant) -> Sides:
     """Two-variable member as a quadruple sum of one-variable pairs.
 
     Printed inner factorials l! i! (k-l)! (j-i)!; the corrected pairing
     is l! i! (k-i)! (j-l)!.  Reciprocal factorials of negative integers
     vanish.
     """
-    p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
     printed = variant == "printed"
     # sum the weights exactly per (g-degree, z index, w index), so each
     # distinct product of one-variable members is formed once
@@ -1086,7 +1038,7 @@ def _check_conn_pq_from_gh(ps: Mapping, variant: str) -> CheckResult:
         (_fact(n) * _fact(m) * weight, Poly.monomial({"g": gdeg}), _gh1(r, p, "z"), _gh1(s, q, "w"))
         for (gdeg, r, s), weight in groups.items()
     )
-    return CheckResult(explicit_poly(p, q, n, m) - rhs)
+    return explicit_poly(p, q, n, m), rhs
 
 
 # ---------------------------------------------------------------------
@@ -1102,18 +1054,17 @@ identity("PDE_HEAT", "pde")(_check_deriv_gamma)
     "pde",
     correction="the deformation term carries the factor p: z Dz + p g Dz^p Dw^q",
 )
-def _check_pde_eigen_n(ps: Mapping, variant: str) -> CheckResult:
+def _check_pde_eigen_n(p, q, n, m, variant) -> Sides:
     """Eigenrelation in n: (z Dz + g Dz^p Dw^q) H_{n,m} = n H_{n,m}.
 
     The printed operator omits the factor p on the deformation term;
     the corrected operator is z Dz + p g Dz^p Dw^q (the composition of
     the raising operator with Dz).  They agree exactly when p = 1.
     """
-    p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
     h = explicit_poly(p, q, n, m)
     factor = 1 if variant == "printed" else p
     lhs = _Z * h.diff("z") + factor * _G * h.diff("z", p).diff("w", q)
-    return CheckResult(lhs - n * h)
+    return lhs, n * h
 
 
 @identity(
@@ -1121,16 +1072,15 @@ def _check_pde_eigen_n(ps: Mapping, variant: str) -> CheckResult:
     "pde",
     correction="the deformation term carries the factor q: w Dw + q g Dz^p Dw^q",
 )
-def _check_pde_eigen_m(ps: Mapping, variant: str) -> CheckResult:
+def _check_pde_eigen_m(p, q, n, m, variant) -> Sides:
     """Eigenrelation in m: (w Dw + g Dz^p Dw^q) H_{n,m} = m H_{n,m}.
 
     Corrected operator w Dw + q g Dz^p Dw^q; printed omits the factor q.
     """
-    p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
     h = explicit_poly(p, q, n, m)
     factor = 1 if variant == "printed" else q
     lhs = _W * h.diff("w") + factor * _G * h.diff("z", p).diff("w", q)
-    return CheckResult(lhs - m * h)
+    return lhs, m * h
 
 
 @identity(
@@ -1142,20 +1092,19 @@ def _check_pde_eigen_m(ps: Mapping, variant: str) -> CheckResult:
         "(z + p g Dz^(p-1) Dw^q)(w + q g Dz^p Dw^(q-1)) Dz Dw"
     ),
 )
-def _check_pde_product(ps: Mapping, variant: str) -> CheckResult:
+def _check_pde_product(p, q, n, m, variant) -> Sides:
     """Product eigenrelation, eigenvalue nm; needs p, q >= 1.
 
     Printed: (z + g Dz^(p-1) Dw^q)(w + g Dz^p Dw^(q-1)) Dz Dw H = nm H;
     the corrected raising factors carry p and q on their g terms.
     """
-    p, q, n, m = ps["p"], ps["q"], ps["n"], ps["m"]
     pfac = 1 if variant == "printed" else p
     qfac = 1 if variant == "printed" else q
     h = explicit_poly(p, q, n, m)
     d = h.diff("z").diff("w")
     inner = _W * d + qfac * _G * d.diff("z", p).diff("w", q - 1)
     outer = _Z * inner + pfac * _G * inner.diff("z", p - 1).diff("w", q)
-    return CheckResult(outer - n * m * h)
+    return outer, n * m * h
 
 
 # ---------------------------------------------------------------------
@@ -1188,8 +1137,8 @@ def parse_tag(name: str) -> IdentityTag:
         raise ValueError(f"unknown identity tag: {name!r}") from None
 
 
-def run_check(tag: IdentityTag, params: Mapping, variant: str) -> CheckResult:
-    """Validate the parameter bundle and run the tag's checker."""
+def run_check(tag: IdentityTag, params: Mapping, variant: str) -> Sides:
+    """Validate the parameter bundle and return the tag's (lhs, rhs) on it."""
     spec = CHECKS[tag]
     missing = [key for key in spec.keys if key not in params]
     extra = [key for key in params if key not in spec.keys]
@@ -1202,4 +1151,6 @@ def run_check(tag: IdentityTag, params: Mapping, variant: str) -> CheckResult:
         raise ValueError(f"unknown variant {variant!r}")
     if not spec.admits(params):
         raise ValueError(f"{tag.value} needs {spec.needs}")
-    return spec.fn(params, variant)
+    if spec.correction:
+        return spec.fn(**params, variant=variant)
+    return spec.fn(**params)

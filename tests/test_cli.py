@@ -376,6 +376,17 @@ def test_verify_rejects_bad_pq(capsys):
     assert "invalid derivative orders" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--tag", "SYMMETRY", "--nmax", "0", "--mmax", "0"),
+    ("audit", "--trials", "1"),
+], ids=["verify", "audit"])
+def test_repeated_pq_pair_is_rejected(capsys, argv):
+    # the pair would be checked, and reported, twice
+    code, out, err = run_cli(capsys, *argv, "--pq", "1,1;1,1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: pq_pairs repeats an entry")
+
+
 def test_verify_rejects_zero_jobs(capsys):
     # exit 1 would read as an identity failure; a bad flag is a usage error
     code, out, err = run_cli(capsys, "verify", "--tag", "SYMMETRY", "--nmax", "1",

@@ -3,14 +3,16 @@
 import dataclasses
 import hashlib
 import importlib
+import inspect
 import json
+import math
 from concurrent.futures import Executor, Future
 from fractions import Fraction as F
 
 import pytest
 
 from gouldhopper import ghcore
-from gouldhopper.exactalg import Poly
+from gouldhopper.exactalg import Poly, SeriesUV, rising_factorial, series_binomial_neg
 from gouldhopper.ghcore import explicit_poly
 from gouldhopper.heatrep import property_suite
 from gouldhopper.identity import (
@@ -112,10 +114,68 @@ def test_run_check_enforces_the_constraint(tag, cell):
 
 
 def test_run_check_result_shape():
-    result = run_check(IdentityTag.SYMMETRY, {"p": 2, "q": 1, "n": 3, "m": 2}, "printed")
-    assert result.passed
-    assert result.difference == Poly.zero()
-    assert [field.name for field in dataclasses.fields(result)] == ["difference", "notes"]
+    # a checker returns its two sides; run_cell alone forms the difference
+    lhs, rhs = run_check(IdentityTag.SYMMETRY, {"p": 2, "q": 1, "n": 3, "m": 2}, "printed")
+    assert lhs == rhs == explicit_poly(1, 2, 2, 3)
+    lhs, rhs = run_check(IdentityTag.GEN_FULL, {"p": 1, "q": 1, "order": 4}, "printed")
+    assert isinstance(lhs, SeriesUV) and lhs == rhs
+    # a correction changes a side, not the shape
+    cell = MISPRINT_WITNESSES[IdentityTag.REC_RAISE_M]
+    printed = run_check(IdentityTag.REC_RAISE_M, cell, "printed")
+    corrected = run_check(IdentityTag.REC_RAISE_M, cell, "corrected")
+    assert printed[0] == corrected[0] == corrected[1] != printed[1]
+
+
+def test_checker_signature_gives_the_key_order():
+    assert CHECKS[IdentityTag.NIELSEN_N].keys == ("p", "q", "n", "np", "m")
+    assert CHECKS[IdentityTag.NIELSEN_FULL].keys == ("p", "q", "n", "np", "m", "mp")
+    assert CHECKS[IdentityTag.HYP_2F0_1F1].keys == ("n", "m", "z")
+    for spec in CHECKS.values():
+        names = tuple(inspect.signature(spec.fn).parameters)
+        assert names == spec.keys + (("variant",) if spec.correction else ())
+
+
+def _checker_without_variant(p, q, n, m):
+    return Poly.zero(), Poly.zero()
+
+
+def _checker_with_variant(p, q, n, m, variant):
+    return Poly.zero(), Poly.zero()
+
+
+def _checker_with_variant_first(variant, p, q, n, m):
+    return Poly.zero(), Poly.zero()
+
+
+def _checker_with_a_stray_key(p, q, n, k):
+    return Poly.zero(), Poly.zero()
+
+
+@pytest.mark.parametrize("fn, correction, message", [
+    (_checker_with_a_stray_key, None, "not the axis keys"),
+    (_checker_without_variant, "a correction", "variant last exactly when"),
+    (_checker_with_variant_first, "a correction", "variant last exactly when"),
+    (_checker_with_variant, None, "variant last exactly when"),
+], ids=["stray_key", "corrected_without_variant", "variant_not_last",
+        "uncorrected_with_variant"])
+def test_identity_rejects_a_signature_that_does_not_match_the_entry(fn, correction, message):
+    # the registry reads the keys off the signature and refuses, at import,
+    # one that does not match the axes or the correction
+    with pytest.raises(ValueError, match=f"BOGUS: .*{message}"):
+        checks.identity("BOGUS", "algebraic", correction=correction)(fn)
+    assert "BOGUS" not in checks._ENTRIES
+
+
+@pytest.mark.parametrize("tag", list(IdentityTag), ids=lambda tag: tag.value)
+def test_every_tag_checks_something_on_the_default_grid(tag):
+    # a cell that compares 0 with 0 certifies nothing: each tag, under each
+    # of its variants, needs one default cell where neither side is zero
+    variants = ("printed", "corrected") if tag in MISPRINT_LEDGER else ("printed",)
+    for variant in variants:
+        assert any(
+            not any(side.is_zero() for side in run_check(tag, cell, variant))
+            for cell in cells_for(tag, GridRanges())
+        ), (tag, variant)
 
 
 def test_report_series_order_follows_the_registry_kind():
@@ -202,6 +262,32 @@ def test_series_identities_pass():
         (report,) = run_cell(tag, cell, "printed")
         assert report.status == "SeriesPass", (tag, report.difference.text())
         assert report.series_order == cell["order"]
+
+
+@pytest.mark.parametrize("variant", ["printed", "corrected"])
+def test_pochhammer_s_closed_form_matches_the_series_products(variant):
+    # the right-hand side as displayed: (1-uz)^-a (1-vw)^-b sum_K c_K X^K,
+    # with every power of X a truncated series product
+    p, q, order = 2, 1, 7
+    a, b, z, w, g = F(1, 2), F(-3, 2), F(2), F(-1, 3), F(5)
+    cell = {"p": p, "q": q, "a": a, "b": b, "z": z, "w": w, "g": g, "order": order}
+    _, rhs = run_check(IdentityTag.GEN_POCHHAMMER_S, cell, variant)
+    uz, vw = Poly.monomial({"u": 1}, z), Poly.monomial({"v": 1}, w)
+    arg = {"u": 1, "v": 1} if variant == "printed" else {"u": p, "v": q}
+    x = (SeriesUV.from_poly(Poly.monomial(arg, g * p ** p * q ** q), order)
+         * series_binomial_neg(uz, F(p), order) * series_binomial_neg(vw, F(q), order))
+    hyp = power = SeriesUV.one(order)
+    for k in range(1, order + 1):
+        power = power * x
+        coeff = F(1, math.factorial(k))
+        for r in range(1, p + 1):
+            coeff *= rising_factorial((a + r - 1) / p, k)
+        for r in range(1, q + 1):
+            coeff *= rising_factorial((b + r - 1) / q, k)
+        hyp = hyp + power * coeff
+    expected = series_binomial_neg(uz, a, order) * series_binomial_neg(vw, b, order) * hyp
+    assert not rhs.is_zero()
+    assert rhs == expected
 
 
 def test_weighted_series_printed_passes_when_orders_are_one():
@@ -300,6 +386,17 @@ def test_run_cell_pde():
 # ---------------------------------------------------------------------
 # grid expansion and audits
 # ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("entries, field", [
+    ({"pq_pairs": ((1, 1), (2, 1), (1, 1))}, "pq_pairs"),
+    ({"hyp_points": (F(2), F(1, 2), 2)}, "hyp_points"),
+    ({"weighted_points": ((F(1, 2), F(1, 3), F(2), F(3), F(5)),) * 2}, "weighted_points"),
+], ids=["pq_pairs", "hyp_points", "weighted_points"])
+def test_grid_ranges_rejects_repeated_entries(entries, field):
+    # a repeated entry would check and report the same cells twice
+    with pytest.raises(ValueError, match=f"{field} repeats an entry"):
+        GridRanges(n_max=1, m_max=1, **entries)
+
 
 def test_grid_ranges_validation():
     with pytest.raises(ValueError, match="invalid derivative orders"):
