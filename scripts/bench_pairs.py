@@ -15,6 +15,12 @@ the runs weighs on both sides alike.  With ``--trace-seed`` each side
 also makes one ``--trace 1`` run per workload, whose per-layer counts go
 into the file as ``traced_<workload>``.
 
+The large grid, ``gouldhopper audit --nmax 10 --mmax 10`` at ``--jobs 1``
+and ``--jobs 2``, is timed in the same way: ten alternating pairs per
+``--jobs`` value, each run a fresh interpreter whose wall time and peak
+RSS (the CLI process's own, in MB) go under ``large_grid``.  A change run
+whose stdout differs from its parent's in the same pair counts as failed.
+
 The file keeps every result line (the last stdout line of
 ``perfbench/run.py``: correct, attempted, failed, metrics) and, per
 end-to-end metric of BENCHMARK.json, the medians of both sides, the
@@ -29,6 +35,7 @@ then exits 1.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -38,11 +45,26 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 600
 PAIRS = 10  # a gain is claimed only when the change wins at least 9 of 10 pairs
+
+LARGE_GRID = ("audit", "--nmax", "10", "--mmax", "10")
+LARGE_GRID_JOBS = (1, 2)
+LARGE_GRID_METRICS = [{"name": "wall_s", "better": "lower"},
+                      {"name": "peak_rss_mb", "better": "lower"}]
+# runs the CLI in the checkout's src/ and, last on stderr, its own peak RSS
+_CLI_WITH_PEAK_RSS = (
+    "import resource, sys\n"
+    "from gouldhopper.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
 
 
 def export_revision(rev: str, into: Path) -> None:
@@ -79,6 +101,51 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float,
     except (IndexError, json.JSONDecodeError):
         return _failed_run("no result line on stdout", done.stderr), ""
     return result, next((line for line in lines if line.startswith("env: ")), "")
+
+
+def run_large_grid(checkout: Path, jobs: int) -> dict:
+    """Result record of one large-grid audit in a fresh interpreter in `checkout`.
+
+    It has the shape of a perfbench result line, one operation, with the
+    metrics wall_s and peak_rss_mb and the SHA-256 of stdout; a run that
+    fails gives a record with ``run_failed``, as in run_once.
+    """
+    argv = [sys.executable, "-c", _CLI_WITH_PEAK_RSS, *LARGE_GRID, "--jobs", str(jobs)]
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    start = time.perf_counter()
+    try:
+        done = subprocess.run(argv, cwd=checkout, env=env, capture_output=True,
+                              timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired as exc:
+        return _failed_run(f"timed out after {RUN_TIMEOUT_S} s",
+                           (exc.stderr or b"").decode(errors="replace"))
+    wall = time.perf_counter() - start
+    stderr = done.stderr.decode(errors="replace")
+    if done.returncode != 0:
+        return _failed_run(f"exit status {done.returncode}", stderr)
+    try:
+        peak = float(stderr.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        return _failed_run("no peak RSS line on stderr", stderr)
+    return {"correct": True, "attempted": 1, "failed": 0,
+            "stdout_sha256": hashlib.sha256(done.stdout).hexdigest(),
+            "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                        "peak_rss_mb": {"value": peak, "unit": "MB"}}}
+
+
+def large_grid_pair(run: Callable[[str], dict], first: str) -> dict:
+    """One pair of large-grid records, `first` side first.
+
+    A change whose stdout differs from its parent's counts as a failed
+    operation, so the summary shows it.
+    """
+    order = ("parent", "change") if first == "parent" else ("change", "parent")
+    pair = {"first": first, **{side: run(side) for side in order}}
+    parent, change = pair["parent"], pair["change"]
+    if "run_failed" not in parent and "run_failed" not in change:
+        if change["stdout_sha256"] != parent["stdout_sha256"]:
+            change.update(correct=False, failed=1)
+    return pair
 
 
 def _failed_run(reason: str, stderr: str) -> dict:
@@ -180,6 +247,26 @@ def main(argv=None) -> int:
                     **{side: run_once(path, workload, args.trace_seed, seconds, True)[0]
                        for side, path in sides.items()},
                 }
+        document["large_grid"] = {
+            "command": f"gouldhopper {' '.join(LARGE_GRID)} --jobs J",
+            "what": (
+                "wall seconds of a fresh interpreter running the CLI with stdout captured, and "
+                f"the CLI process's own peak RSS; {PAIRS} alternating pairs per --jobs value, "
+                "parent first on even pair indices; a change run whose stdout differs from "
+                "its parent's counts as failed"
+            ),
+        }
+        for jobs in LARGE_GRID_JOBS:
+            pairs = []
+            for index in range(PAIRS):
+                first = "parent" if index % 2 == 0 else "change"
+                pair = large_grid_pair(lambda side: run_large_grid(sides[side], jobs), first)
+                print(f"large grid --jobs {jobs} pair {index}: "
+                      f"{json.dumps({side: pair[side].get('metrics', pair[side]) for side in sides})}",
+                      file=sys.stderr)
+                pairs.append(pair)
+            document["large_grid"][f"jobs_{jobs}"] = {
+                "summary": summarize(pairs, LARGE_GRID_METRICS), "pairs": pairs}
     out = ROOT / f"BENCH_{args.number}.json"
     out.write_text(json.dumps(document, indent=2) + "\n")
     print(f"wrote {out.name}", file=sys.stderr)
@@ -189,8 +276,12 @@ def main(argv=None) -> int:
     failed_runs += sum("run_failed" in document[key][side]
                        for key in document if key.startswith("traced_")
                        for side in ("parent", "change"))
+    large = [document["large_grid"][f"jobs_{jobs}"]["summary"] for jobs in LARGE_GRID_JOBS]
+    failed_runs += sum(summary["failed"]["runs_parent"] + summary["failed"]["runs_change"]
+                       + summary["failed"]["change"] for summary in large)
     if failed_runs:
-        print(f"{failed_runs} run(s) failed; see run_failed in {out.name}", file=sys.stderr)
+        print(f"{failed_runs} run(s) failed or changed the large grid's stdout; "
+              f"see run_failed and failed in {out.name}", file=sys.stderr)
     return 1 if failed_runs else 0
 
 

@@ -518,7 +518,7 @@ def _make_ranges(args) -> GridRanges:
         aux_max=args.aux_max,
         jk_max=args.jk_max,
         series_order=args.order,
-        weighted_series_order=min(8, args.order),
+        weighted_series_order=min(GridRanges.weighted_series_order, args.order),
     )
 
 
@@ -665,17 +665,24 @@ def _arg_type(parse):
 
 
 def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--nmax", type=int, default=6, help="largest first index n")
-    sub.add_argument("--mmax", type=int, default=6, help="largest second index m")
+    # the defaults are GridRanges' own, so a bare audit or verify sweeps GridRanges()
+    sub.add_argument("--nmax", type=int, default=GridRanges.n_max, help="largest first index n")
+    sub.add_argument("--mmax", type=int, default=GridRanges.m_max, help="largest second index m")
     sub.add_argument(
         "--pq",
         type=_arg_type(parse_pq_list),
-        default=((1, 1), (2, 1), (1, 2), (2, 2)),
+        default=GridRanges.pq_pairs,
         help="semicolon-separated derivative orders, e.g. '1,1;2,1'",
     )
-    sub.add_argument("--aux-max", type=int, default=3, help="largest shifted index n', m'")
-    sub.add_argument("--jk-max", type=int, default=3, help="largest derivative/weight order")
-    sub.add_argument("--order", type=int, default=10, help="series truncation order")
+    sub.add_argument(
+        "--aux-max", type=int, default=GridRanges.aux_max, help="largest shifted index n', m'"
+    )
+    sub.add_argument(
+        "--jk-max", type=int, default=GridRanges.jk_max, help="largest derivative/weight order"
+    )
+    sub.add_argument(
+        "--order", type=int, default=GridRanges.series_order, help="series truncation order"
+    )
     sub.add_argument(
         "--variant",
         choices=POLICIES,

@@ -77,7 +77,6 @@ import struct
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-Scalar = Fraction
 ScalarLike = Union[Fraction, int]
 
 VAR_NAMES: tuple[str, ...] = ("z", "w", "g", "t", "zp", "wp", "gp", "a", "b", "c", "u", "v")

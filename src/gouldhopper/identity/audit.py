@@ -80,8 +80,8 @@ class GridRanges:
                 raise ValueError(
                     f"{name} must be an integer >= {top} for these derivative orders"
                 )
-        # the checkers take exact scalars and divide by these points; fail
-        # here, not mid-audit
+        # the checkers take exact scalars, and HYP_2F0_1F1 divides by its
+        # point; fail here, not mid-audit
         for z in self.hyp_points:
             _require_exact("hyp_points", z)
             if z == 0:
@@ -91,8 +91,6 @@ class GridRanges:
                 raise ValueError(f"weighted_points entries are (a, b, z, w, g), got {point!r}")
             for value in point:
                 _require_exact("weighted_points", value)
-            if point[2] == 0 or point[3] == 0:
-                raise ValueError(f"weighted_points need nonzero z and w, got {point!r}")
         # a repeated entry would check, and report, the same cells twice
         for name in ("pq_pairs", "hyp_points", "weighted_points"):
             entries = getattr(self, name)

@@ -49,11 +49,13 @@ Sides that several cells, or both variants of one cell, share are
 memoized.  Every key is the input the code computed, never what the
 identity claims:
 
-* NIELSEN_N / NIELSEN_M / NIELSEN_FULL: the right-hand side, on
-  (p, q, the fixed index m or n for N/M, the grouped weight tuples
-  sum_i C(n,i) C(n',s-i)).  Each cell computes its own weights; cells
-  share an entry only because those computed tuples coincide
-  (Vandermonde makes them C(n+n',s)), not because the key assumes it.
+* NIELSEN_N / NIELSEN_M / NIELSEN_FULL: one right-hand side for all
+  three, on (p, q, the primed variable names, the z and w grouped weight
+  tuples sum_i C(n,i) C(n',s-i), the fixed index of an axis the formula
+  does not shift); an unshifted axis has the weights (1,).  Each cell
+  computes its own weights; cells share an entry only because those
+  computed tuples coincide (Vandermonde makes them C(n+n',s)), not
+  because the key assumes it.
 * GEN_FULL / GEN_POCHHAMMER_G: exp(zu + wv + g u^p v^q) is
   ghcore.generating_series, cached on (p, q, order); GEN_POCHHAMMER_G's
   right-hand side, which no variant changes, on (p, q, j, k, order).
@@ -470,8 +472,6 @@ def _check_gen_pochhammer_s(p, q, a, b, z, w, g, order, variant) -> Sides:
     of binomial-series coefficients.
     """
     a, b, z, w, g = (as_scalar(value) for value in (a, b, z, w, g))
-    if z == 0 or w == 0:
-        raise ValueError("z and w must be nonzero")
     e, f = (1, 1) if variant == "printed" else (p, q)
     kappa = g * p ** p * q ** q
     coeffs: dict[tuple[int, int], Fraction] = {}
@@ -817,44 +817,31 @@ def _check_param_rec(p, q, n, m, variant) -> Sides:
     return lhs, Poly.lincomb(terms)
 
 
-def _op_exp_poly_times_diff(p: int, q: int, n: int, m: int, mode: str) -> Poly:
-    """Expand exp(g OP Dz^p Dw^q) H_{n,m} for the three order-raising operators.
+def _op_exp(p: int, q: int, n: int, m: int, op: tuple[tuple[int, int, int], ...]) -> Poly:
+    """exp(g OP Dz^p Dw^q) H_{n,m}, where OP is the sum of c Dz^i Dw^j over the terms (c, i, j).
 
-    mode "z":  OP = Dz - 1;   mode "w": OP = Dw - 1;
-    mode "zw": OP = Dz Dw - 1; mode "zw_printed": OP = Dz + Dw - 2.
+    The k-th term is g^k/k! X^k H_{n,m} with X = OP Dz^p Dw^q, and X^k H_{n,m}
+    is X applied to X^(k-1) H_{n,m}; X^k H_{n,m} vanishes past k_max.
     """
-    h = explicit_poly(p, q, n, m)
+    acc = explicit_poly(p, q, n, m)
     terms = []
     for k in range(FamilyParams(p, q, n, m).k_max + 1):
-        base = h.diff("z", p * k).diff("w", q * k)
-        gk = Poly.monomial({"g": k}, Fraction(1, _fact(k)))
-        if mode != "zw_printed":
-            # binomial expansion of (Dz^dz Dw^dw - 1)^k
-            dz, dw = int("z" in mode), int("w" in mode)
-            for j in range(k + 1):
-                terms.append((_comb0(k, j) * (-1) ** (k - j), gk,
-                              base.diff("z", dz * j).diff("w", dw * j)))
-        else:  # trinomial expansion of (Dz + Dw - 2)^k
-            for i in range(k + 1):
-                for j in range(k + 1 - i):
-                    ell = k - i - j
-                    coeff = _fact(k) // (_fact(i) * _fact(j) * _fact(ell)) * (-2) ** ell
-                    terms.append((coeff, gk, base.diff("z", i).diff("w", j)))
+        if k:
+            acc = Poly.lincomb((c, acc.diff("z", p + i).diff("w", q + j)) for c, i, j in op)
+        terms.append((Fraction(1, _fact(k)), Poly.monomial({"g": k}), acc))
     return Poly.lincomb(terms)
 
 
 @identity("PARAM_OP_P", "algebraic")
 def _check_param_op_p(p, q, n, m) -> Sides:
     """H^(p+1,q)_{n,m} = exp(g (Dz - 1) Dz^p Dw^q) H^(p,q)_{n,m}."""
-    rhs = _op_exp_poly_times_diff(p, q, n, m, "z")
-    return explicit_poly(p + 1, q, n, m), rhs
+    return explicit_poly(p + 1, q, n, m), _op_exp(p, q, n, m, ((1, 1, 0), (-1, 0, 0)))
 
 
 @identity("PARAM_OP_Q", "algebraic")
 def _check_param_op_q(p, q, n, m) -> Sides:
     """H^(p,q+1)_{n,m} = exp(g (Dw - 1) Dz^p Dw^q) H^(p,q)_{n,m}."""
-    rhs = _op_exp_poly_times_diff(p, q, n, m, "w")
-    return explicit_poly(p, q + 1, n, m), rhs
+    return explicit_poly(p, q + 1, n, m), _op_exp(p, q, n, m, ((1, 0, 1), (-1, 0, 0)))
 
 
 @identity(
@@ -869,9 +856,8 @@ def _check_param_op_pq(p, q, n, m, variant) -> Sides:
     is g (Dz Dw - 1) Dz^p Dw^q, the composition of the two single-order
     raisings.
     """
-    mode = "zw_printed" if variant == "printed" else "zw"
-    rhs = _op_exp_poly_times_diff(p, q, n, m, mode)
-    return explicit_poly(p + 1, q + 1, n, m), rhs
+    op = ((1, 1, 0), (1, 0, 1), (-2, 0, 0)) if variant == "printed" else ((1, 1, 1), (-1, 0, 0))
+    return explicit_poly(p + 1, q + 1, n, m), _op_exp(p, q, n, m, op)
 
 
 # ---------------------------------------------------------------------
@@ -895,36 +881,31 @@ def _shift_power(var: str, k: int) -> Poly:
     return _shift_power(var, k - 1) * (Poly.variable(var) - Poly.variable(var + "p"))
 
 
+@lru_cache(maxsize=4096)
+def _nielsen_rhs(p: int, q: int, names: str, zweights: tuple, wweights: tuple, fixed: int) -> Poly:
+    # sum_{s,t} zweights[s] wweights[t] (z-z')^s (w-w')^t H_{a-s,b-t} at the
+    # primed `names`; an axis outside `names` is not shifted, has the weights
+    # (1,) and keeps the index `fixed`
+    a = len(zweights) - 1 if "z" in names else fixed
+    b = len(wweights) - 1 if "w" in names else fixed
+    return Poly.lincomb(
+        (zc * wc, _shift_power("z", s), _shift_power("w", t), _gh_primed(names, p, q, a - s, b - t))
+        for s, zc in enumerate(zweights) for t, wc in enumerate(wweights)
+    )
+
+
 @identity("NIELSEN_N", "algebraic", (_PQ, _N, _M, _NP))
 def _check_nielsen_n(p, q, n, np, m) -> Sides:
     """H_{n+n',m}(z,...) = sum C(n,i) C(n',j) (z-z')^(i+j) H_{n+n'-i-j,m}(z',...)."""
-    rhs = _nielsen_n_rhs(p, q, m, _grouped_binomials(n, np))
+    rhs = _nielsen_rhs(p, q, "z", _grouped_binomials(n, np), (1,), m)
     return explicit_poly(p, q, n + np, m), rhs
-
-
-@lru_cache(maxsize=2048)
-def _nielsen_n_rhs(p: int, q: int, m: int, weights: tuple[int, ...]) -> Poly:
-    # sum_s weights[s] (z-z')^s H_{top-s,m}(z',w|g)
-    top = len(weights) - 1
-    return Poly.lincomb(
-        (c, _shift_power("z", s), _gh_primed("z", p, q, top - s, m)) for s, c in enumerate(weights)
-    )
 
 
 @identity("NIELSEN_M", "algebraic", (_PQ, _N, _M, _MP))
 def _check_nielsen_m(p, q, n, m, mp) -> Sides:
     """H_{n,m+m'}(...,w) = sum C(m,k) C(m',l) (w-w')^(k+l) H_{n,m+m'-k-l}(...,w')."""
-    rhs = _nielsen_m_rhs(p, q, n, _grouped_binomials(m, mp))
+    rhs = _nielsen_rhs(p, q, "w", (1,), _grouped_binomials(m, mp), n)
     return explicit_poly(p, q, n, m + mp), rhs
-
-
-@lru_cache(maxsize=2048)
-def _nielsen_m_rhs(p: int, q: int, n: int, weights: tuple[int, ...]) -> Poly:
-    # sum_s weights[s] (w-w')^s H_{n,top-s}(z,w'|g)
-    top = len(weights) - 1
-    return Poly.lincomb(
-        (c, _shift_power("w", s), _gh_primed("w", p, q, n, top - s)) for s, c in enumerate(weights)
-    )
 
 
 @identity(
@@ -939,44 +920,29 @@ def _check_nielsen_full(p, q, n, np, m, mp) -> Sides:
     The display writes (w-w')^(k+l) as a reciprocal with negative
     exponent; both readings are the same multiplication, certified here.
     """
-    rhs = _nielsen_full_rhs(p, q, _grouped_binomials(n, np), _grouped_binomials(m, mp))
+    rhs = _nielsen_rhs(p, q, "zw", _grouped_binomials(n, np), _grouped_binomials(m, mp), 0)
     return explicit_poly(p, q, n + np, m + mp), rhs
-
-
-@lru_cache(maxsize=2048)
-def _nielsen_full_rhs(
-    p: int, q: int, zweights: tuple[int, ...], wweights: tuple[int, ...]
-) -> Poly:
-    # the quadruple sum grouped by the total shift powers s = i+j, t = k+l
-    top_n, top_m = len(zweights) - 1, len(wweights) - 1
-    return Poly.lincomb(
-        (zc * wc, _shift_power("z", s), _shift_power("w", t),
-         _gh_primed("zw", p, q, top_n - s, top_m - t))
-        for s, zc in enumerate(zweights) for t, wc in enumerate(wweights)
-    )
 
 
 # ---------------------------------------------------------------------
 # connections to other families
 # ---------------------------------------------------------------------
 
+def _cross_sum(p: int, q: int, n: int) -> Poly:
+    """sum_k C(n,k) H^(p,q)_{n-k,k}(z,w|g)."""
+    return Poly.lincomb((_comb0(n, k), explicit_poly(p, q, n - k, k)) for k in range(n + 1))
+
+
 @identity("CONN_GH_FROM_PQ", "algebraic", (_PQ, _N), needs="p >= max(q, 1)")
 def _check_conn_gh_from_pq(p, q, n) -> Sides:
     """H^(p)_n(z|g) = sum_k C(n,k) H^(p-q,q)_{n-k,k}(z-w, w|g); needs p >= max(q,1)."""
-    lhs = gould_hopper_1d(n, p)
-    rhs = Poly.lincomb(
-        (_comb0(n, k), explicit_poly(p - q, q, n - k, k).subst({"z": _Z - _W}))
-        for k in range(n + 1)
-    )
-    return lhs, rhs
+    return gould_hopper_1d(n, p), _cross_sum(p - q, q, n).subst({"z": _Z - _W})
 
 
 @identity("CONN_GH_SUM", "algebraic", (_PQ, _N))
 def _check_conn_gh_sum(p, q, n) -> Sides:
     """H^(p+q)_n(z+w|g) = sum_k C(n,k) H^(p,q)_{n-k,k}(z,w|g)."""
-    lhs = gould_hopper_1d(n, p + q).subst({"z": _Z + _W})
-    rhs = Poly.lincomb((_comb0(n, k), explicit_poly(p, q, n - k, k)) for k in range(n + 1))
-    return lhs, rhs
+    return gould_hopper_1d(n, p + q).subst({"z": _Z + _W}), _cross_sum(p, q, n)
 
 
 @identity(
@@ -993,11 +959,7 @@ def _check_conn_ito(n) -> Sides:
     difference-argument display.
     """
     lhs = gould_hopper_1d(n, 2).subst({"g": -1})
-    rhs = Poly.lincomb(
-        (_comb0(n, k), explicit_poly(1, 1, n - k, k).subst({"z": _Z - _W, "g": -1}))
-        for k in range(n + 1)
-    )
-    return lhs, rhs
+    return lhs, _cross_sum(1, 1, n).subst({"z": _Z - _W, "g": -1})
 
 
 @identity(

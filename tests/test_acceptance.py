@@ -5,6 +5,7 @@ only when a polynomial difference is identically zero (or a series
 matches coefficient by coefficient through its stated order).
 """
 
+import ast
 import hashlib
 import importlib
 import subprocess
@@ -267,3 +268,26 @@ def test_exports_are_sorted_unique_and_resolve(module):
     names = package.__all__
     assert names == sorted(set(names))
     assert [name for name in names if not hasattr(package, name)] == []
+
+
+def test_readme_library_snippet_runs_and_shows_its_outputs():
+    # the README's Library block runs as pasted, and each value it shows,
+    # as a literal after `#` on the line or on the line below, is what the
+    # expression before it evaluates to
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(block, namespace)
+    shown = []
+    lines = block.splitlines()
+    for line, below in zip(lines, lines[1:] + [""]):
+        code, _, comment = line.partition("#")
+        if below.startswith("#"):
+            comment = below[1:]
+        try:
+            shown.append((ast.parse(code, mode="eval"), ast.literal_eval(comment.strip())))
+        except (SyntaxError, ValueError):
+            pass  # not an expression, or no literal shown for it
+    assert len(shown) == 2
+    for tree, value in shown:
+        assert eval(compile(tree, "README.md", "eval"), namespace) == value, ast.unparse(tree)

@@ -1,5 +1,6 @@
 """The summary that scripts/bench_pairs.py writes, on fabricated result lines."""
 
+import hashlib
 import importlib.util
 import statistics
 from pathlib import Path
@@ -117,3 +118,55 @@ def test_run_once_reads_the_result_line(tmp_path):
     body = f"import json\nprint('env: python x')\nprint(json.dumps({line!r}))\n"
     result, env = bench_pairs.run_once(_fake_checkout(tmp_path, body), "requests", 1, 1, False)
     assert result == line and env == "env: python x"
+
+
+def _fake_cli(tmp_path, body):
+    package = tmp_path / "src" / "gouldhopper"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(body)
+    return tmp_path
+
+
+def test_run_large_grid_times_the_audit_and_hashes_its_stdout(tmp_path):
+    body = "def main(argv):\n    print(' '.join(argv))\n    return 0\n"
+    result = bench_pairs.run_large_grid(_fake_cli(tmp_path, body), 2)
+    stdout = "audit --nmax 10 --mmax 10 --jobs 2\n".encode()
+    assert result["stdout_sha256"] == hashlib.sha256(stdout).hexdigest()
+    assert result["correct"] is True and (result["attempted"], result["failed"]) == (1, 0)
+    assert set(result["metrics"]) == {"wall_s", "peak_rss_mb"}
+    assert result["metrics"]["wall_s"]["value"] > 0
+    assert result["metrics"]["peak_rss_mb"]["value"] > 1
+
+
+@pytest.mark.parametrize("body, reason", [
+    ("def main(argv):\n    return 1\n", "exit status 1"),
+    ("import os\ndef main(argv):\n    os._exit(0)\n", "no peak RSS line on stderr"),
+])
+def test_run_large_grid_records_a_failed_run(tmp_path, body, reason):
+    result = bench_pairs.run_large_grid(_fake_cli(tmp_path, body), 1)
+    assert result["correct"] is False and result["run_failed"] == reason
+
+
+def _grid_record(wall, stdout):
+    return {"correct": True, "attempted": 1, "failed": 0, "stdout_sha256": stdout,
+            "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                        "peak_rss_mb": {"value": 100.0, "unit": "MB"}}}
+
+
+def test_large_grid_pair_fails_a_change_whose_stdout_differs():
+    calls = []
+
+    def run(side):
+        calls.append(side)
+        return _grid_record(9.0 if side == "change" else 10.0, "a" if side == "parent" else "b")
+
+    differing = bench_pairs.large_grid_pair(run, "change")
+    assert calls == ["change", "parent"] and differing["first"] == "change"
+    assert differing["change"]["failed"] == 1 and differing["change"]["correct"] is False
+    assert differing["parent"]["failed"] == 0
+    same = bench_pairs.large_grid_pair(lambda side: _grid_record(9.5, "a"), "parent")
+    assert same["change"]["failed"] == 0
+    summary = bench_pairs.summarize([differing, same], bench_pairs.LARGE_GRID_METRICS)
+    assert summary["failed"]["change"] == 1 and summary["failed"]["parent"] == 0
+    assert summary["wall_s"]["change_better_pairs"] == 1

@@ -24,6 +24,7 @@ from gouldhopper.cli import (
     ExprError,
     _dump_json,
     _JsonItems,
+    _make_ranges,
     _write_json,
     build_parser,
     canonical_var,
@@ -34,7 +35,7 @@ from gouldhopper.cli import (
     parse_subst,
 )
 from gouldhopper.exactalg import MAX_DEGREE
-from gouldhopper.identity import MAX_JOBS, IdentityTag
+from gouldhopper.identity import MAX_JOBS, GridRanges, IdentityTag
 
 
 def run_cli(capsys, *argv):
@@ -654,6 +655,12 @@ def test_unknown_subcommand_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "frobnicate")
     assert code == 2
     assert "invalid choice" in err
+
+
+@pytest.mark.parametrize("command", ["audit", "verify"])
+def test_bare_grid_flags_give_the_default_grid(command):
+    # the flags take their defaults from GridRanges, so the two cannot drift apart
+    assert _make_ranges(build_parser().parse_args([command])) == GridRanges()
 
 
 COMPUTE_ARGS = ["compute", "--p", "1", "--q", "1", "--n", "2", "--m", "1"]

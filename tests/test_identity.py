@@ -409,13 +409,26 @@ def test_grid_ranges_validation():
     ({"hyp_points": (F(2), F(0))}, "hyp_points must be nonzero"),
     ({"weighted_points": ((F(1), F(2), F(3), F(4)),)}, r"entries are \(a, b, z, w, g\)"),
     ({"weighted_points": (F(1),)}, r"entries are \(a, b, z, w, g\)"),
-    ({"weighted_points": ((F(1), F(2), F(0), F(4), F(5)),)}, "nonzero z and w"),
-    ({"weighted_points": ((F(1), F(2), F(3), F(0), F(5)),)}, "nonzero z and w"),
-], ids=["zero_hyp_point", "four_tuple", "bare_scalar", "zero_z", "zero_w"])
+], ids=["zero_hyp_point", "four_tuple", "bare_scalar"])
 def test_grid_ranges_rejects_points_the_checkers_divide_by(points, message):
     # rejected when the grid is built, before any checker runs
     with pytest.raises(ValueError, match=message):
         GridRanges(n_max=1, m_max=1, pq_pairs=((1, 1),), **points)
+
+
+@pytest.mark.parametrize("z, w", [(0, 0), (0, 3), (2, 0)], ids=["zero_zw", "zero_z", "zero_w"])
+def test_weighted_points_may_put_z_or_w_at_zero(z, w):
+    # GEN_POCHHAMMER_S's closed form divides by neither z nor w: the
+    # corrected variant passes there, and the printed one fails only as
+    # the excused misprint, never for (p, q) = (1, 1) where both agree
+    ranges = GridRanges(weighted_series_order=6,
+                        weighted_points=((F(1, 2), F(1, 3), F(z), F(w), F(5)),))
+    reports = audit_grid([IdentityTag.GEN_POCHHAMMER_S], ranges, policy="both")
+    assert len(reports) == 2 * len(ranges.pq_pairs)
+    assert not effective_failures(reports)
+    for report in reports:
+        misprinted = report.variant == "printed" and (report.params["p"], report.params["q"]) != (1, 1)
+        assert report.status == ("Fail" if misprinted else "SeriesPass")
 
 
 @pytest.mark.parametrize("points, field", [
@@ -618,17 +631,16 @@ def test_nielsen_memo_is_keyed_on_computed_weights():
     zweights = checks._grouped_binomials(2, 1)
     wweights = checks._grouped_binomials(1, 1)
     assert zweights == (1, 3, 3, 1) and wweights == (1, 2, 1)
-    assert (lhs - checks._nielsen_full_rhs(1, 1, zweights, wweights)).is_zero()
+    assert (lhs - checks._nielsen_rhs(1, 1, "zw", zweights, wweights, 0)).is_zero()
+    # the N- and M-shaped calls leave one axis unshifted at its fixed index
+    assert (lhs - checks._nielsen_rhs(1, 1, "z", zweights, (1,), 2)).is_zero()
+    assert (lhs - checks._nielsen_rhs(1, 1, "w", (1,), wweights, 3)).is_zero()
     # a perturbed weight tuple is a different key with a different sum: the
     # memo does not stand in C(n+n', s) for what the cell computed
-    assert not (lhs - checks._nielsen_full_rhs(1, 1, (1, 3, 4, 1), wweights)).is_zero()
-    assert not (lhs - checks._nielsen_full_rhs(1, 1, zweights, (1, 1, 1))).is_zero()
-    assert not (
-        explicit_poly(1, 1, 3, 2) - checks._nielsen_n_rhs(1, 1, 2, (1, 3, 2, 1))
-    ).is_zero()
-    assert not (
-        explicit_poly(1, 1, 3, 2) - checks._nielsen_m_rhs(1, 1, 3, (1, 1, 1))
-    ).is_zero()
+    assert not (lhs - checks._nielsen_rhs(1, 1, "zw", (1, 3, 4, 1), wweights, 0)).is_zero()
+    assert not (lhs - checks._nielsen_rhs(1, 1, "zw", zweights, (1, 1, 1), 0)).is_zero()
+    assert not (lhs - checks._nielsen_rhs(1, 1, "z", (1, 3, 2, 1), (1,), 2)).is_zero()
+    assert not (lhs - checks._nielsen_rhs(1, 1, "w", (1,), (1, 1, 1), 3)).is_zero()
 
 
 def test_memoized_checkers_agree_cold_and_warm():
@@ -642,7 +654,75 @@ def test_memoized_checkers_agree_cold_and_warm():
     for fn in _cached_functions().values():
         fn.cache_clear()
     cold = [r.to_json_obj() for r in audit_grid(tags, ranges, policy="both")]
-    assert checks._nielsen_full_rhs.cache_info().hits > 0
+    assert checks._nielsen_rhs.cache_info().hits > 0
     warm = [r.to_json_obj() for r in audit_grid(tags, ranges, policy="both")]
     assert cold == warm
     assert {r["tag"] for r in cold} == {tag.value for tag in tags}
+
+
+def _op_exp_by_mode(p, q, n, m, mode):
+    # exp(g OP Dz^p Dw^q) H_{n,m} by the binomial or trinomial expansion of
+    # OP^k, the form _op_exp replaced: mode "z" is OP = Dz - 1, "w" is
+    # Dw - 1, "zw" is Dz Dw - 1 and "zw_printed" is Dz + Dw - 2
+    h = explicit_poly(p, q, n, m)
+    terms = []
+    for k in range(ghcore.FamilyParams(p, q, n, m).k_max + 1):
+        base = h.diff("z", p * k).diff("w", q * k)
+        gk = Poly.monomial({"g": k}, F(1, math.factorial(k)))
+        if mode != "zw_printed":
+            dz, dw = int("z" in mode), int("w" in mode)
+            for j in range(k + 1):
+                terms.append((math.comb(k, j) * (-1) ** (k - j), gk,
+                              base.diff("z", dz * j).diff("w", dw * j)))
+        else:
+            for i in range(k + 1):
+                for j in range(k + 1 - i):
+                    ell = k - i - j
+                    coeff = math.factorial(k) // (
+                        math.factorial(i) * math.factorial(j) * math.factorial(ell)) * (-2) ** ell
+                    terms.append((coeff, gk, base.diff("z", i).diff("w", j)))
+    return Poly.lincomb(terms)
+
+
+# the terms (c, i, j), each c Dz^i Dw^j, of each mode's OP
+_OPS = {
+    "z": ((1, 1, 0), (-1, 0, 0)),
+    "w": ((1, 0, 1), (-1, 0, 0)),
+    "zw": ((1, 1, 1), (-1, 0, 0)),
+    "zw_printed": ((1, 1, 0), (1, 0, 1), (-2, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("mode", _OPS)
+def test_op_exp_matches_the_expansion_by_mode(mode):
+    for p, q in GridRanges().pq_pairs:
+        for n in range(6):
+            for m in range(6):
+                expected = _op_exp_by_mode(p, q, n, m, mode)
+                assert checks._op_exp(p, q, n, m, _OPS[mode]) == expected, (p, q, n, m)
+
+
+def _conn_rhs_by_term(tag, p, q, n):
+    # the CONN right-hand sides with the substitution applied to each term
+    # of sum_k C(n,k) H_{n-k,k}, the form _cross_sum replaced
+    z, w = Poly.variable("z"), Poly.variable("w")
+    if tag is IdentityTag.CONN_GH_FROM_PQ:
+        return Poly.lincomb((math.comb(n, k), explicit_poly(p - q, q, n - k, k).subst({"z": z - w}))
+                            for k in range(n + 1))
+    if tag is IdentityTag.CONN_GH_SUM:
+        return Poly.lincomb((math.comb(n, k), explicit_poly(p, q, n - k, k)) for k in range(n + 1))
+    return Poly.lincomb((math.comb(n, k), explicit_poly(1, 1, n - k, k).subst({"z": z - w, "g": -1}))
+                        for k in range(n + 1))
+
+
+@pytest.mark.parametrize("tag", [
+    IdentityTag.CONN_GH_FROM_PQ, IdentityTag.CONN_GH_SUM, IdentityTag.CONN_ITO,
+], ids=lambda tag: tag.value)
+def test_cross_sum_sides_match_the_sums_by_term(tag):
+    ranges = GridRanges(n_max=6)
+    cells = cells_for(tag, ranges)
+    assert {cell["n"] for cell in cells} == set(range(7))
+    for cell in cells:
+        _, rhs = run_check(tag, cell, "printed")
+        expected = _conn_rhs_by_term(tag, cell.get("p", 1), cell.get("q", 1), cell["n"])
+        assert rhs == expected, cell
