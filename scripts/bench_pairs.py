@@ -24,9 +24,12 @@ whose stdout differs from its parent's in the same pair counts as failed.
 The file keeps every result line (the last stdout line of
 ``perfbench/run.py``: correct, attempted, failed, metrics) and, per
 end-to-end metric of BENCHMARK.json, the medians of both sides, the
-parent's interquartile range, in how many pairs the change was better and
-the ratio of the medians.  A run that exits non-zero, prints no result line
-or outlasts ``RUN_TIMEOUT_S`` is kept in its pair as ``{"correct": false,
+parent's interquartile range, in how many pairs the change was better,
+the ratio of the medians, and two verdicts: ``claimable`` (a gain won in
+at least 9 of 10 pairs and larger than the parent's IQR) and
+``within_bound`` (no worse than the metric's BENCHMARK.json bound).  A
+run that exits non-zero, prints no result line or outlasts
+``RUN_TIMEOUT_S`` is kept in its pair as ``{"correct": false,
 "run_failed": reason, "stderr_tail": [...]}``, counted in the summary and
 left out of the medians; the file is written all the same and the script
 then exits 1.
@@ -51,7 +54,11 @@ from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 600
-PAIRS = 10  # a gain is claimed only when the change wins at least 9 of 10 pairs
+PAIRS = 10
+# a gain is claimable when the change wins at least CLAIM_WINS of every
+# PAIRS complete pairs and its median beats the parent's by more than the
+# parent's interquartile range
+CLAIM_WINS = 9
 
 LARGE_GRID = ("audit", "--nmax", "10", "--mmax", "10")
 LARGE_GRID_JOBS = (1, 2)
@@ -158,13 +165,18 @@ def _better(a: float, b: float, direction: str) -> bool:
 
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
-    """Per-metric medians, parent IQR and pair wins, plus the failure counts.
+    """Per-metric medians, parent IQR, pair wins and verdicts, plus the failure counts.
 
     `pairs` holds {"seed", "first", "parent", "change"} entries whose sides
     are perfbench result lines or failed-run records; `metrics` the
-    BENCHMARK.json entries (name and "better") to summarize.  The metrics
-    are taken over the complete pairs, those where neither run failed, and
-    are left out when fewer than two pairs are complete.
+    BENCHMARK.json entries (name, "better" and, optionally, "bound") to
+    summarize.  The metrics are taken over the complete pairs, those where
+    neither run failed, and are left out when fewer than two pairs are
+    complete.  Each metric's ``claimable`` says whether the change won at
+    least CLAIM_WINS of every PAIRS complete pairs and its median beats the
+    parent's by more than the parent's IQR.  A metric with a bound also gets
+    ``within_bound``: whether the change's median is worse than the
+    parent's by at most that fraction of the parent's median.
     """
     complete = [pair for pair in pairs
                 if "run_failed" not in pair["parent"] and "run_failed" not in pair["change"]]
@@ -175,14 +187,22 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
         change = [pair["change"]["metrics"][name]["value"] for pair in complete]
         quartiles = statistics.quantiles(parent, n=4)
         parent_median, change_median = statistics.median(parent), statistics.median(change)
+        parent_iqr = quartiles[2] - quartiles[0]
+        better_pairs = sum(_better(c, p, spec["better"]) for p, c in zip(parent, change))
+        # how much better the change's median is, in the metric's unit
+        gain = (parent_median - change_median if spec["better"] == "lower"
+                else change_median - parent_median)
         summary[name] = {
             "parent_median": parent_median,
             "change_median": change_median,
-            "parent_iqr": quartiles[2] - quartiles[0],
-            "change_better_pairs": sum(
-                _better(c, p, spec["better"]) for p, c in zip(parent, change)),
+            "parent_iqr": parent_iqr,
+            "change_better_pairs": better_pairs,
             "change_over_parent": change_median / parent_median,
+            "claimable": (better_pairs * PAIRS >= CLAIM_WINS * len(complete)
+                          and gain > parent_iqr),
         }
+        if "bound" in spec:
+            summary[name]["within_bound"] = -gain <= spec["bound"] * parent_median
     summary["failed"] = {
         "parent": sum(pair["parent"]["failed"] for pair in complete),
         "change": sum(pair["change"]["failed"] for pair in complete),

@@ -18,12 +18,13 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import re
 import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
-from .exactalg import Poly, VAR_NAMES
+from .exactalg import MAX_DEGREE, Poly, VAR_NAMES
 from .ghcore import (
     STRATEGIES,
     FamilyParams,
@@ -73,6 +74,30 @@ class ExprError(ValueError):
 
 _NUM_RE = re.compile(r"\d+(?:/\d+)?")
 _NAME_RE = re.compile(r"[A-Za-zγ][A-Za-z0-9]*'?")
+
+
+# The most term products one power in an expression may cost.  The last
+# squaring of (z+w)^1400 is 701^2 = 491,401 products and parses in about
+# 0.6 s; (z+w)^2000 takes 2 s and (z+w)^3000 7.75 s.  The heat solutions
+# of all three already lie past heatrep's MAX_SOLUTION_TERMS.
+MAX_POWER_TERM_PAIRS = 500_000
+
+
+def _power_term_pairs(base: Poly, exponent: int) -> int:
+    """Term products of the last squaring of base ** exponent, estimated.
+
+    base^k has at most as many terms as there are multisets of k of the
+    base's terms, and as monomials of degree at most k * deg(base) in its
+    variables; the last squaring multiplies base^(exponent // 2) by itself.
+    A monomial's power is one key product, and costs none.
+    """
+    if len(base) < 2 or exponent < 2:
+        return 0
+    half = exponent // 2
+    degree = half * base.total_degree()
+    terms = min(math.comb(half + len(base) - 1, half),
+                math.comb(degree + len(base.variables()), degree))
+    return terms * terms
 
 
 def _tokenize(src: str) -> list[tuple[str, object, int]]:
@@ -172,7 +197,15 @@ class _ExprParser:
                 raise ExprError("negative exponent", pos)
             if kind != "num" or not value.isdigit():
                 raise ExprError("expected a nonnegative integer exponent", pos)
-            return base ** int(value)
+            exponent = int(value)
+            # a degree past MAX_DEGREE is the kernel's to refuse, in `**`
+            if base.total_degree() * exponent <= MAX_DEGREE:
+                pairs = _power_term_pairs(base, exponent)
+                if pairs > MAX_POWER_TERM_PAIRS:
+                    raise ExprError(
+                        f"power too large: about {pairs} term products, more than "
+                        f"MAX_POWER_TERM_PAIRS = {MAX_POWER_TERM_PAIRS}", pos)
+            return base ** exponent
         return base
 
     def _atom(self) -> Poly:
@@ -297,11 +330,59 @@ class _JsonItems(list):
     """A JSON array of items already written, at the indentation of its items."""
 
 
+# The templates below write what json.dumps(..., sort_keys=True, indent=2)
+# writes for a term list and a report, without building the dicts first;
+# tests/test_cli.py pins them to _write_json of to_json_obj().
+
+# the alphabet's slots in the sorted order of their names, as sort_keys lists them
+_JSON_VAR_SLOTS = tuple(sorted(range(len(VAR_NAMES)), key=VAR_NAMES.__getitem__))
+
+
+def _joined(brackets: str, entries: list[str], newline: str) -> str:
+    # the object ("{}") or array ("[]") of `entries` already written, which
+    # starts on the line whose newline and indentation is `newline`
+    if not entries:
+        return brackets
+    inner = newline + "  "
+    return brackets[0] + inner + ("," + inner).join(entries) + newline + brackets[1]
+
+
+def _term_items(poly: Poly, depth: int) -> _JsonItems:
+    # the items of poly.to_json_obj() as an array `depth` levels deep holds them
+    newline = "\n" + "  " * depth
+    inner = newline + "  "
+    items = _JsonItems()
+    for exps, num, den in poly.canonical_terms():
+        powers = [f'"{VAR_NAMES[i]}": {exps[i]}' for i in _JSON_VAR_SLOTS if exps[i]]
+        items.append(f'{{{inner}"den": "{den}",{inner}"exps": {_joined("{}", powers, inner)},'
+                     f'{inner}"num": "{num}"{newline}}}')
+    return items
+
+
+def _poly_json(poly: Poly, depth: int) -> dict:
+    # a polynomial as an object whose line is `depth` levels deep: its text,
+    # and its terms two levels deeper
+    return {"text": poly.text(), "terms": _term_items(poly, depth + 2)}
+
+
 def _report_json(report: IdentityReport, depth: int) -> str:
     # the report as _write_json writes an item of an array `depth` levels deep
-    pieces: list[str] = []
-    _write_json(report.to_json_obj(), "", "\n" + "  " * depth, pieces)
-    return "".join(pieces)
+    newline = "\n" + "  " * depth
+    inner = newline + "  "
+    params = _joined("{}", [
+        f"{_json_str(key)}: {value if isinstance(value, int) else _json_str(value)}"
+        for key, value in sorted(report.params_json().items())
+    ], inner)
+    difference = _joined("[]", _term_items(report.difference, depth + 2), inner)
+    series_order = "null" if report.series_order is None else report.series_order
+    return (
+        f'{{{inner}"difference": {difference},'
+        f'{inner}"known_misprint": {"true" if report.known_misprint else "false"},'
+        f'{inner}"notes": {_json_str(report.notes)},{inner}"params": {params},'
+        f'{inner}"series_order": {series_order},{inner}"status": {_json_str(report.status)},'
+        f'{inner}"tag": {_json_str(report.tag.value)},'
+        f'{inner}"variant": {_json_str(report.variant)}{newline}}}'
+    )
 
 
 def _write_json(value, head: str, newline: str, pieces: list[str]) -> None:
@@ -330,13 +411,13 @@ def _write_json(value, head: str, newline: str, pieces: list[str]) -> None:
             sep = "," + inner
         pieces.append(newline + "}")
     elif isinstance(value, (list, tuple)):
+        if type(value) is _JsonItems:
+            pieces.append(head + _joined("[]", value, newline))
+            return
         if not value:
             pieces.append(head + "[]")
             return
         inner = newline + "  "
-        if type(value) is _JsonItems:
-            pieces.append(head + "[" + inner + ("," + inner).join(value) + newline + "]")
-            return
         sep = head + "[" + inner
         for item in value:
             _write_json(item, sep, inner, pieces)
@@ -344,10 +425,6 @@ def _write_json(value, head: str, newline: str, pieces: list[str]) -> None:
         pieces.append(newline + "]")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _poly_json(poly: Poly) -> dict:
-    return {"text": poly.text(), "terms": poly.to_json_obj()}
 
 
 def _poly_csv_rows(poly: Poly, columns: tuple[str, ...]) -> list[list[str]]:
@@ -484,7 +561,7 @@ def _cmd_compute(args) -> int:
             "params": {"p": args.p, "q": args.q, "n": args.n, "m": args.m},
             "substitution": {key: str(value) for key, value in bindings.items()} or None,
             "results": [
-                {"strategy": name, **_poly_json(poly)} for name, poly in results
+                {"strategy": name, **_poly_json(poly, 2)} for name, poly in results
             ],
         }
         sys.stdout.write(_dump_json(document))
@@ -628,9 +705,9 @@ def _cmd_heat(args) -> int:
             "p": args.p,
             "q": args.q,
             "c": str(problem.c),
-            "initial": _poly_json(problem.initial),
-            "solution": _poly_json(u),
-            "residual": _poly_json(res),
+            "initial": _poly_json(problem.initial, 1),
+            "solution": _poly_json(u, 1),
+            "residual": _poly_json(res, 1),
         }
         sys.stdout.write(_dump_json(document))
     elif args.format == "csv":

@@ -154,8 +154,12 @@ def _check_degree(degree: int) -> None:
         )
 
 
-def _pack(exps: Mapping[str, int]) -> int:
-    """The packed key of prod(var^e) for a {name: exponent} mapping."""
+def monomial_key(exps: Mapping[str, int]) -> int:
+    """The packed key of prod(var^e) for a {name: exponent} mapping.
+
+    Keys add as their monomials multiply, so ``Poly({key: numerator})``
+    built from them is a polynomial term by term, with no Fraction.
+    """
     key = total = 0
     for name, e in exps.items():
         if e < 0:
@@ -287,7 +291,7 @@ class Poly:
     __slots__ = ("_num", "_den")
 
     def __init__(self, num: dict[int, int] | None = None, den: int = 1):
-        # Internal: callers pass normalized data (packed keys, no zero
+        # Callers pass normalized data (keys from monomial_key, no zero
         # numerators, den positive and coprime to the numerators).  The
         # dict is taken over, not copied.
         self._num: dict[int, int] = {} if num is None else num
@@ -321,7 +325,7 @@ class Poly:
         c = as_scalar(coeff)
         if c == 0:
             return cls()
-        return cls({_pack(exps): c.numerator}, c.denominator)
+        return cls({monomial_key(exps): c.numerator}, c.denominator)
 
     # -- inspection ---------------------------------------------------
 
@@ -332,11 +336,14 @@ class Poly:
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms in canonical order: graded lex, leading term first."""
-        return [(exps, Fraction(n, d)) for exps, n, d in self._canonical_terms()]
+        return [(exps, Fraction(n, d)) for exps, n, d in self.canonical_terms()]
 
-    def _canonical_terms(self) -> list[tuple[tuple[int, ...], int, int]]:
-        # (exponents, numerator, denominator) in canonical order, each
-        # coefficient reduced on its own, as a Fraction would be
+    def canonical_terms(self) -> list[tuple[tuple[int, ...], int, int]]:
+        """(exponent tuple, numerator, denominator) in canonical order.
+
+        Each coefficient is reduced on its own, as a Fraction would be; the
+        serializations read these ints, so they never build a Fraction.
+        """
         num, den = self._num, self._den
         if den == 1:
             return [(_unpack(k), num[k], 1) for k in sorted(num, reverse=True)]
@@ -551,7 +558,7 @@ class Poly:
         if not self._num:
             return "0"
         chunks: list[str] = []
-        for position, (exps, num, den) in enumerate(self._canonical_terms()):
+        for position, (exps, num, den) in enumerate(self.canonical_terms()):
             mono = " ".join(
                 name if e == 1 else f"{name}^{e}"
                 for name, e in zip(VAR_NAMES, exps)
@@ -573,7 +580,7 @@ class Poly:
         if not self._num:
             return "0"
         chunks: list[str] = []
-        for position, (exps, num, den) in enumerate(self._canonical_terms()):
+        for position, (exps, num, den) in enumerate(self.canonical_terms()):
             factors = []
             for name in _LATEX_VAR_ORDER:
                 e = exps[VAR_INDEX[name]]
@@ -608,7 +615,7 @@ class Poly:
         with numerator/denominator as exact decimal strings.
         """
         out = []
-        for exps, num, den in self._canonical_terms():
+        for exps, num, den in self.canonical_terms():
             out.append({
                 "exps": {name: e for name, e in zip(VAR_NAMES, exps) if e},
                 "num": str(num),
@@ -621,7 +628,7 @@ class Poly:
         total = _Sum()
         for term in obj:
             coeff = Fraction(int(term["num"]), int(term["den"]))
-            total.add_term(_pack(dict(term["exps"])), coeff.numerator, coeff.denominator)
+            total.add_term(monomial_key(dict(term["exps"])), coeff.numerator, coeff.denominator)
         return total.poly()
 
     def __repr__(self) -> str:

@@ -37,6 +37,7 @@ from .exactalg import (
     Poly,
     SeriesUV,
     TruncationError,
+    monomial_key,
     rising_factorial,
     series_exp,
 )
@@ -92,14 +93,28 @@ _G = Poly.variable("g")
 # --mmax 10`, or 200 compute/heat requests in one process, fill.
 @lru_cache(maxsize=8192)
 def explicit_poly(p: int, q: int, n: int, m: int) -> Poly:
-    """The defining sum as a bare Poly in z, w, g (cached)."""
+    """The defining sum as a bare Poly in z, w, g (cached).
+
+    Every coefficient n!/(n-pk)! * m!/(m-qk)! / k! is a positive integer:
+    with p >= 1 it is C(n, pk) * (pk)!/k! * m!/(m-qk)!, a product of
+    integers since pk >= k, and with p = 0 the same holds with the roles
+    of (n, p) and (m, q) swapped.  So the sum is built as one dict of
+    integer numerators over the denominator 1, keyed by packed monomials:
+    the k-th key is the (k-1)-th minus the one step z^p w^q / g, and
+    c_(k+1) = c_k (n-pk)!/(n-pk-p)! (m-qk)!/(m-qk-q)! / (k+1) exactly.
+    """
     params = FamilyParams(p, q, n, m)
-    fact = math.factorial
-    return Poly.lincomb(
-        (Fraction(fact(n) * fact(m), fact(k) * fact(n - p * k) * fact(m - q * k)),
-         Poly.monomial({"z": n - p * k, "w": m - q * k, "g": k}))
-        for k in range(params.k_max + 1)
-    )
+    perm = math.perm
+    # the leading key has the top degree, so packing it checks MAX_DEGREE
+    key = monomial_key({"z": n, "w": m})
+    step = monomial_key({"z": p, "w": q}) - monomial_key({"g": 1})
+    num = {}
+    coeff = 1
+    for k in range(params.k_max + 1):
+        num[key] = coeff
+        key -= step
+        coeff = coeff * perm(n - p * k, p) * perm(m - q * k, q) // (k + 1)
+    return Poly(num)
 
 
 def explicit(params: FamilyParams) -> Poly:

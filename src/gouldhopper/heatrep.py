@@ -20,9 +20,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import Poly, VAR_INDEX, as_scalar
-from .ghcore import InvalidParamsError, explicit_poly
+from .ghcore import FamilyParams, InvalidParamsError, explicit_poly
 
 _T = Poly.variable("t")
+
+# The most terms a solution may have.  Each datum term z^n w^m evolves
+# into k_max + 1 terms, so their sum bounds the solution before any
+# arithmetic.  The benchmark's largest datum (60 terms of degree <= 50)
+# needs at most 60 * 51 = 3,060.  `heat --p 1 --q 1 --initial '(z+w)^600'`,
+# 90,601 terms, runs in 3.5 s and prints 95 MB of JSON; (z+w)^3000 would
+# hold 2,253,001 terms and run for minutes.
+MAX_SOLUTION_TERMS = 100_000
 
 
 @dataclass(frozen=True)
@@ -45,6 +53,19 @@ class HeatProblem:
         extra = self.initial.variables() - {"z", "w"}
         if extra:
             raise InvalidParamsError(f"initial datum may only use z and w, found {sorted(extra)}")
+        terms = solution_terms(self.p, self.q, self.initial)
+        if terms > MAX_SOLUTION_TERMS:
+            raise ValueError(f"the solution would have up to {terms} terms, more than "
+                             f"MAX_SOLUTION_TERMS = {MAX_SOLUTION_TERMS}")
+
+
+def solution_terms(p: int, q: int, initial: Poly) -> int:
+    """An upper bound on the terms of the solution, from the datum's exponents.
+
+    z^n w^m evolves into H^(p,q)_{n,m}, which has k_max + 1 terms.
+    """
+    zi, wi = VAR_INDEX["z"], VAR_INDEX["w"]
+    return sum(FamilyParams(p, q, exps[zi], exps[wi]).k_max + 1 for exps, _ in initial.terms())
 
 
 def solve(problem: HeatProblem) -> Poly:

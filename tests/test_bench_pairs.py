@@ -170,3 +170,54 @@ def test_large_grid_pair_fails_a_change_whose_stdout_differs():
     summary = bench_pairs.summarize([differing, same], bench_pairs.LARGE_GRID_METRICS)
     assert summary["failed"]["change"] == 1 and summary["failed"]["parent"] == 0
     assert summary["wall_s"]["change_better_pairs"] == 1
+
+
+def _shifted_pairs(scale):
+    # the change's op_p50_ms is the parent's times `scale` in every pair
+    return [{"seed": i, "first": "parent", "parent": _line(p, 1000 / p),
+             "change": _line(p * scale, 1000 / (p * scale))}
+            for i, p in enumerate([6.0, 6.2, 5.8, 6.4, 6.1, 6.3, 5.9, 6.0, 6.2, 6.1])]
+
+
+def test_claimable_needs_nine_of_ten_wins_and_a_gain_past_the_iqr():
+    summary = bench_pairs.summarize(_shifted_pairs(0.8), METRICS)
+    assert summary["op_p50_ms"]["claimable"] and summary["ops_per_s"]["claimable"]
+    # 4 of 5 wins is not 9 of 10
+    assert not bench_pairs.summarize(_pairs(), METRICS)["op_p50_ms"]["claimable"]
+    # 9 of 10 wins is, 8 of 10 is not
+    pairs = _shifted_pairs(0.8)
+    pairs[0]["change"] = _line(7.0, 1000 / 7.0)
+    assert bench_pairs.summarize(pairs, METRICS)["op_p50_ms"]["claimable"]
+    pairs[1]["change"] = _line(7.0, 1000 / 7.0)
+    assert not bench_pairs.summarize(pairs, METRICS)["op_p50_ms"]["claimable"]
+    # winning every pair by less than the parent's IQR claims nothing
+    small = bench_pairs.summarize(_shifted_pairs(0.99), METRICS)["op_p50_ms"]
+    assert small["change_better_pairs"] == 10
+    assert small["parent_median"] - small["change_median"] < small["parent_iqr"]
+    assert not small["claimable"]
+    # a loss is never claimable
+    assert not bench_pairs.summarize(_shifted_pairs(1.2), METRICS)["op_p50_ms"]["claimable"]
+
+
+@pytest.mark.parametrize("scale, op_within, ops_within", [
+    (0.5, True, True),     # better on both
+    (1.2, True, True),     # 20 % slower: 1/1.2 of the rate, 17 % lower
+    (1.3, False, True),    # 30 % slower: the rate falls by 23 %
+    (1.4, False, False),   # the rate falls by 29 %
+])
+def test_within_bound_reads_each_metrics_bound(scale, op_within, ops_within):
+    summary = bench_pairs.summarize(_shifted_pairs(scale), METRICS)
+    assert summary["op_p50_ms"]["within_bound"] is op_within
+    assert summary["ops_per_s"]["within_bound"] is ops_within
+    # the bound is read from the metric, not fixed in the script
+    loose = [dict(spec, bound=1.0) for spec in METRICS]
+    assert bench_pairs.summarize(_shifted_pairs(scale), loose)["op_p50_ms"]["within_bound"]
+
+
+def test_metrics_without_a_bound_get_no_within_bound():
+    summary = bench_pairs.summarize(
+        [{"first": "parent", "parent": _grid_record(10.0 + i, "a"),
+          "change": _grid_record(5.0 + i, "a")} for i in range(3)],
+        bench_pairs.LARGE_GRID_METRICS)
+    assert "within_bound" not in summary["wall_s"]
+    assert summary["wall_s"]["claimable"] is True

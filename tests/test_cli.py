@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
 from importlib import resources
@@ -21,10 +22,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gouldhopper.cli import (
+    MAX_POWER_TERM_PAIRS,
     ExprError,
     _dump_json,
     _JsonItems,
     _make_ranges,
+    _poly_json,
+    _report_json,
+    _term_items,
     _write_json,
     build_parser,
     canonical_var,
@@ -34,8 +39,17 @@ from gouldhopper.cli import (
     parse_rational,
     parse_subst,
 )
-from gouldhopper.exactalg import MAX_DEGREE
-from gouldhopper.identity import MAX_JOBS, GridRanges, IdentityTag
+from gouldhopper.exactalg import MAX_DEGREE, VAR_NAMES, Poly
+from gouldhopper.heatrep import MAX_SOLUTION_TERMS
+from gouldhopper.identity import (
+    MAX_JOBS,
+    STATUS_EXACT_PASS,
+    STATUS_FAIL,
+    STATUS_SERIES_PASS,
+    GridRanges,
+    IdentityReport,
+    IdentityTag,
+)
 
 
 def run_cli(capsys, *argv):
@@ -642,6 +656,33 @@ def test_heat_rejects_degree_past_kernel_bound(capsys):
     assert f"error: total degree 100000 exceeds the kernel bound MAX_DEGREE = {MAX_DEGREE}" in err
 
 
+@pytest.mark.parametrize("initial", ["(z+w)^60000", "(z+w)^3000", "2 + ((z+w+1)^2)^90"])
+def test_heat_refuses_a_power_past_the_term_product_bound(capsys, initial):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "heat", "--p", "1", "--q", "1", "--initial", initial)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert err.startswith("error: power too large: about ")
+    assert f"more than MAX_POWER_TERM_PAIRS = {MAX_POWER_TERM_PAIRS}" in err
+
+
+def test_heat_refuses_a_solution_past_the_term_bound(capsys):
+    # (z+w)^1000 parses (501^2 term products), but evolves into 251,001 terms
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "heat", "--p", "1", "--q", "1", "--initial", "(z+w)^1000")
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert err == (f"error: the solution would have up to 251001 terms, more than "
+                   f"MAX_SOLUTION_TERMS = {MAX_SOLUTION_TERMS}\n")
+
+
+def test_power_bound_admits_monomial_powers_and_powers_under_it():
+    # a monomial's power is one key product, whatever its degree
+    assert parse_poly_expr("(2z)^60000") == Poly.monomial({"z": 60000}, 2 ** 60000)
+    # the last squaring of (z+w)^1400 is 701^2 = 491,401 term products
+    assert len(parse_poly_expr("(z+w)^1400")) == 1401
+
+
 # ---------------------------------------------------------------------
 # top-level behavior
 # ---------------------------------------------------------------------
@@ -780,3 +821,55 @@ def test_dump_json_nested_empties():
 def test_dump_json_rejects_types_the_cli_never_emits(value):
     with pytest.raises(TypeError):
         _dump_json(value)
+
+
+_TERM_POLYS = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * len(VAR_NAMES)),
+    st.fractions(max_denominator=50).filter(bool) | st.integers(-(2 ** 70), 2 ** 70).filter(bool),
+    max_size=6,
+).map(lambda terms: Poly.lincomb(
+    (coeff, Poly.monomial(dict(zip(VAR_NAMES, exps)))) for exps, coeff in terms.items()))
+_NOTES = st.text() | st.sampled_from(['"quoted"', "back\\slash", "tab\tnew\nline", "é ☃ 𝄞", ""])
+
+
+def _written(value, depth):
+    pieces = []
+    _write_json(value, "", "\n" + "  " * depth, pieces)
+    return "".join(pieces)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TERM_POLYS, st.integers(0, 5))
+def test_term_writer_matches_write_json(poly, depth):
+    items = _term_items(poly, depth)
+    assert type(items) is _JsonItems
+    assert list(items) == [_written(term, depth) for term in poly.to_json_obj()]
+    expected = {"text": poly.text(), "terms": poly.to_json_obj()}
+    assert _written(_poly_json(poly, depth), depth) == _written(expected, depth)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tag=st.sampled_from(list(IdentityTag)),
+    params=st.dictionaries(
+        st.text(min_size=1) | st.sampled_from(["n", "m", "p", "q", "a", "k"]),
+        st.integers(-(2 ** 40), 2 ** 40) | st.fractions(max_denominator=30),
+        max_size=5),
+    variant=_NOTES,
+    status=st.sampled_from([STATUS_EXACT_PASS, STATUS_SERIES_PASS, STATUS_FAIL]) | st.text(),
+    difference=_TERM_POLYS,
+    series_order=st.none() | st.integers(0, 40),
+    notes=_NOTES,
+    known_misprint=st.booleans(),
+    depth=st.integers(0, 5),
+)
+def test_report_template_matches_write_json(depth, **fields):
+    report = IdentityReport(**fields)
+    assert _report_json(report, depth) == _written(report.to_json_obj(), depth)
+
+
+def test_report_template_covers_the_zero_difference_and_empty_params():
+    report = IdentityReport(IdentityTag.SYMMETRY, {}, "printed", STATUS_EXACT_PASS, Poly.zero())
+    assert _report_json(report, 2) == _written(report.to_json_obj(), 2)
+    assert '"difference": []' in _report_json(report, 2)
+    assert '"params": {}' in _report_json(report, 2)

@@ -15,8 +15,8 @@ from gouldhopper.exactalg import (
     TruncationError,
     VAR_INDEX,
     VAR_NAMES,
-    _pack,
     as_scalar,
+    monomial_key,
     rising_factorial,
     series_binomial_neg,
     series_exp,
@@ -339,7 +339,7 @@ def _as_ref(poly):
     assert 0 not in num.values()
     terms = dict(poly.terms())
     # each key is the packing of its exponents, degree field included
-    assert sorted(num) == sorted(_pack(dict(zip(VAR_NAMES, e))) for e in terms)
+    assert sorted(num) == sorted(monomial_key(dict(zip(VAR_NAMES, e))) for e in terms)
     return terms
 
 

@@ -1,12 +1,13 @@
 """Construction tests: five independent strategies, classical anchors."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gouldhopper.exactalg import Poly, TruncationError
+from gouldhopper.exactalg import MAX_DEGREE, Poly, TruncationError
 from gouldhopper.ghcore import (
     STRATEGIES,
     FamilyParams,
@@ -70,6 +71,34 @@ def test_explicit_small_cases():
     assert explicit_poly(1, 1, 2, 2).text() == "z^2 w^2 + 4 * z w g + 2 * g^2"
     assert explicit_poly(2, 1, 4, 2).text() == "z^4 w^2 + 24 * z^2 w g + 24 * g^2"
     assert explicit_poly(3, 2, 3, 2).text() == "z^3 w^2 + 12 * g"
+
+
+def _explicit_reference(p, q, n, m):
+    # the defining sum term by term: Fraction coefficients, monomials, one lincomb
+    fact = math.factorial
+    return Poly.lincomb(
+        (F(fact(n) * fact(m), fact(k) * fact(n - p * k) * fact(m - q * k)),
+         Poly.monomial({"z": n - p * k, "w": m - q * k, "g": k}))
+        for k in range(FamilyParams(p, q, n, m).k_max + 1)
+    )
+
+
+def test_explicit_poly_matches_the_fraction_sum():
+    # every order pair up to 3 (zero orders included) and index up to 14:
+    # 15 * 15 * 15 = 3,375 members, each built afresh past the cache
+    build = explicit_poly.__wrapped__
+    for p in range(4):
+        for q in range(4):
+            if p + q == 0:
+                continue
+            for n in range(15):
+                for m in range(15):
+                    assert build(p, q, n, m) == _explicit_reference(p, q, n, m), (p, q, n, m)
+
+
+def test_explicit_poly_keeps_the_degree_bound():
+    with pytest.raises(ValueError, match=f"MAX_DEGREE = {MAX_DEGREE}"):
+        explicit_poly(1, 1, 40000, 40000)
 
 
 def test_explicit_zero_order_sides():

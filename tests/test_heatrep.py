@@ -7,12 +7,15 @@ import pytest
 
 from gouldhopper.exactalg import Poly
 from gouldhopper.ghcore import InvalidParamsError
+from gouldhopper import heatrep
 from gouldhopper.heatrep import (
+    MAX_SOLUTION_TERMS,
     HeatProblem,
     at_time,
     property_suite,
     random_polynomial,
     residual,
+    solution_terms,
     solve,
 )
 
@@ -49,6 +52,27 @@ def test_problem_normalizes_speed_to_fraction():
     problem = HeatProblem(1, 1, 2, Z)
     assert problem.c == F(2)
     assert isinstance(problem.c, F)
+
+
+def test_solution_terms_bounds_the_solution():
+    # z^n w^m evolves into k_max + 1 terms; a zero order leaves its degree unbounded
+    datum = 3 * Z ** 2 * W + W ** 3 - 7
+    assert solution_terms(1, 1, datum) == 2 + 1 + 1
+    assert solution_terms(0, 2, datum) == 1 + 2 + 1
+    assert solution_terms(2, 0, datum) == 2 + 1 + 1
+    for p, q in ((1, 1), (0, 2), (2, 0), (2, 1)):
+        assert len(solve(HeatProblem(p, q, F(1), datum))) <= solution_terms(p, q, datum)
+    assert solution_terms(1, 1, Poly.zero()) == 0
+
+
+def test_problem_refuses_a_solution_past_the_term_bound(monkeypatch):
+    datum = (Z + W) ** 4  # 1 + 2 + 3 + 2 + 1 = 9 solution terms at p = q = 1
+    assert len(solve(HeatProblem(1, 1, F(1), datum))) == 9
+    monkeypatch.setattr(heatrep, "MAX_SOLUTION_TERMS", 8)
+    with pytest.raises(ValueError, match="up to 9 terms, more than MAX_SOLUTION_TERMS = 8"):
+        HeatProblem(1, 1, F(1), datum)
+    # the benchmark's largest datum, 60 terms of degree <= 50, stays far inside the bound
+    assert 60 * 51 <= MAX_SOLUTION_TERMS
 
 
 # ---------------------------------------------------------------------
