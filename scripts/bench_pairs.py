@@ -21,6 +21,13 @@ and ``--jobs 2``, is timed in the same way: ten alternating pairs per
 RSS (the CLI process's own, in MB) go under ``large_grid``.  A change run
 whose stdout differs from its parent's in the same pair counts as failed.
 
+Outside the timed pairs, each side runs the first ``REQUEST_STREAM[1]``
+requests of perfbench's seeded ``requests`` stream (seed
+``REQUEST_STREAM[0]``, taken from the working tree's ``perfbench/inputs.py``
+for both sides) once, in a fresh interpreter, and the file records under
+``requests_stdout_identical`` whether both sides gave the same stdout and
+exit code for every request.
+
 The file keeps every result line (the last stdout line of
 ``perfbench/run.py``: correct, attempted, failed, metrics) and, per
 end-to-end metric of BENCHMARK.json, the medians of both sides, the
@@ -32,7 +39,7 @@ run that exits non-zero, prints no result line or outlasts
 ``RUN_TIMEOUT_S`` is kept in its pair as ``{"correct": false,
 "run_failed": reason, "stderr_tail": [...]}``, counted in the summary and
 left out of the medians; the file is written all the same and the script
-then exits 1.
+then exits 1, as it does when the request streams' stdout differs.
 """
 
 from __future__ import annotations
@@ -71,6 +78,23 @@ _CLI_WITH_PEAK_RSS = (
     "code = main(sys.argv[1:])\n"
     "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, file=sys.stderr)\n"
     "sys.exit(code)\n"
+)
+# (seed, count) of the requests whose stdout both sides must give alike
+REQUEST_STREAM = (1, 200)
+# runs the CLI in the checkout's src/ on the first `count` requests of the
+# stream in perfbench/inputs.py under argv[1], and prints each one's exit
+# code and the SHA-256 of its stdout
+_CLI_ON_REQUEST_STREAM = (
+    "import contextlib, hashlib, io, itertools, sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "import inputs\n"
+    "from gouldhopper.cli import main\n"
+    "stream = inputs.requests(int(sys.argv[2]), inputs.FULL)\n"
+    "for request in itertools.islice(stream, int(sys.argv[3])):\n"
+    "    out = io.StringIO()\n"
+    "    with contextlib.redirect_stdout(out):\n"
+    "        code = main(request.argv)\n"
+    "    print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())\n"
 )
 
 
@@ -138,6 +162,35 @@ def run_large_grid(checkout: Path, jobs: int) -> dict:
             "stdout_sha256": hashlib.sha256(done.stdout).hexdigest(),
             "metrics": {"wall_s": {"value": wall, "unit": "s"},
                         "peak_rss_mb": {"value": peak, "unit": "MB"}}}
+
+
+def run_request_stream(checkout: Path) -> dict:
+    """Record of the REQUEST_STREAM requests run by the CLI in `checkout`, in one interpreter.
+
+    It holds how many requests ran and the SHA-256 of their exit codes and
+    stdout digests; a run that fails gives a record with ``run_failed``,
+    as in run_once.
+    """
+    seed, count = REQUEST_STREAM
+    argv = [sys.executable, "-c", _CLI_ON_REQUEST_STREAM, str(ROOT / "perfbench"),
+            str(seed), str(count)]
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    try:
+        done = subprocess.run(argv, cwd=checkout, env=env, capture_output=True,
+                              timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired as exc:
+        return _failed_run(f"timed out after {RUN_TIMEOUT_S} s",
+                           (exc.stderr or b"").decode(errors="replace"))
+    if done.returncode != 0:
+        return _failed_run(f"exit status {done.returncode}",
+                           done.stderr.decode(errors="replace"))
+    return {"requests": len(done.stdout.splitlines()),
+            "stdout_sha256": hashlib.sha256(done.stdout).hexdigest()}
+
+
+def same_request_stdout(parent: dict, change: dict) -> bool:
+    """Whether two run_request_stream records both ran and agree."""
+    return "run_failed" not in parent and parent == change
 
 
 def large_grid_pair(run: Callable[[str], dict], first: str) -> dict:
@@ -267,6 +320,14 @@ def main(argv=None) -> int:
                     **{side: run_once(path, workload, args.trace_seed, seconds, True)[0]
                        for side, path in sides.items()},
                 }
+        streams = {side: run_request_stream(path) for side, path in sides.items()}
+        document["requests_stdout"] = {
+            "what": (f"exit code and stdout of the first {REQUEST_STREAM[1]} requests of "
+                     f"perfbench's requests stream, seed {REQUEST_STREAM[0]}, one interpreter "
+                     "per side"),
+            **streams,
+        }
+        document["requests_stdout_identical"] = same_request_stdout(**streams)
         document["large_grid"] = {
             "command": f"gouldhopper {' '.join(LARGE_GRID)} --jobs J",
             "what": (
@@ -299,9 +360,11 @@ def main(argv=None) -> int:
     large = [document["large_grid"][f"jobs_{jobs}"]["summary"] for jobs in LARGE_GRID_JOBS]
     failed_runs += sum(summary["failed"]["runs_parent"] + summary["failed"]["runs_change"]
                        + summary["failed"]["change"] for summary in large)
+    failed_runs += not document["requests_stdout_identical"]
     if failed_runs:
-        print(f"{failed_runs} run(s) failed or changed the large grid's stdout; "
-              f"see run_failed and failed in {out.name}", file=sys.stderr)
+        print(f"{failed_runs} run(s) failed or changed the stdout of the large grid or the "
+              f"request stream; see run_failed, failed and requests_stdout_identical in "
+              f"{out.name}", file=sys.stderr)
     return 1 if failed_runs else 0
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import io
 import json
 import math
 import re
@@ -76,28 +75,69 @@ _NUM_RE = re.compile(r"\d+(?:/\d+)?")
 _NAME_RE = re.compile(r"[A-Za-zγ][A-Za-z0-9]*'?")
 
 
-# The most term products one power in an expression may cost.  The last
-# squaring of (z+w)^1400 is 701^2 = 491,401 products and parses in about
-# 0.6 s; (z+w)^2000 takes 2 s and (z+w)^3000 7.75 s.  The heat solutions
-# of all three already lie past heatrep's MAX_SOLUTION_TERMS.
+# The most term products one power, or one product of powers, in an
+# expression may cost.  The last squaring of (z+w)^1400 is 701^2 = 491,401
+# products and parses in about 0.6 s; (z+w)^2000 takes 2 s and (z+w)^3000
+# 7.75 s, and (z+w)^1400*(z+w)^1400 would multiply for 7.8 s.  The heat
+# solutions of all four already lie past heatrep's MAX_SOLUTION_TERMS.
 MAX_POWER_TERM_PAIRS = 500_000
+
+
+def _power_terms(base: Poly, exponent: int) -> int:
+    """An upper bound on the terms of base ** exponent.
+
+    base^k has at most as many terms as there are multisets of k of the
+    base's terms, and as monomials of degree at most k * deg(base) in its
+    variables.
+    """
+    if exponent == 0:
+        return 1
+    if exponent == 1 or len(base) < 2:
+        return len(base)
+    degree = exponent * base.total_degree()
+    return min(math.comb(exponent + len(base) - 1, exponent),
+               math.comb(degree + len(base.variables()), degree))
 
 
 def _power_term_pairs(base: Poly, exponent: int) -> int:
     """Term products of the last squaring of base ** exponent, estimated.
 
-    base^k has at most as many terms as there are multisets of k of the
-    base's terms, and as monomials of degree at most k * deg(base) in its
-    variables; the last squaring multiplies base^(exponent // 2) by itself.
-    A monomial's power is one key product, and costs none.
+    The last squaring multiplies base^(exponent // 2) by itself.  A
+    monomial's power is one key product, and costs none.
     """
     if len(base) < 2 or exponent < 2:
         return 0
-    half = exponent // 2
-    degree = half * base.total_degree()
-    terms = min(math.comb(half + len(base) - 1, half),
-                math.comb(degree + len(base.variables()), degree))
-    return terms * terms
+    return _power_terms(base, exponent // 2) ** 2
+
+
+def _product_term_pairs(powers: list[tuple[Poly, int]], variables: int) -> int:
+    """Term products of multiplying the powers (base, exponent) in turn, estimated.
+
+    Poly.lincomb multiplies the running product by each factor in turn.
+    That product has at most as many terms as the product of the factors'
+    term bounds, and as monomials of its degree or less in `variables`
+    variables; a zero factor ends the product before any multiplication.
+    A monomial factor leaves the running product's term count as it is,
+    so a product of monomials costs one term product per factor.
+    """
+    if all(len(base) < 2 for base, _ in powers):
+        return len(powers)
+    pairs, terms, degree = 0, 1, 0
+    for base, exponent in powers:
+        size = _power_terms(base, exponent)
+        if not size:
+            return 0
+        pairs += terms * size
+        degree += exponent * base.total_degree()
+        if size > 1:
+            terms = min(terms * size, math.comb(degree + variables, variables))
+    return pairs
+
+
+def _refuse_past_bound(what: str, pairs: int, pos: int) -> None:
+    if pairs > MAX_POWER_TERM_PAIRS:
+        raise ExprError(f"{what} too large: about {pairs} term products, more than "
+                        f"MAX_POWER_TERM_PAIRS = {MAX_POWER_TERM_PAIRS}", pos)
 
 
 def _tokenize(src: str) -> list[tuple[str, object, int]]:
@@ -160,53 +200,53 @@ class _ExprParser:
 
     def _expr(self) -> Poly:
         # one linear combination of the signed products
-        terms = [(1, *self._term())]
+        terms = [self._term(1)]
         while True:
             kind, value, _ = self._peek()
             if kind == "op" and value in "+-":
                 self.k += 1
-                terms.append((1 if value == "+" else -1, *self._term()))
+                terms.append(self._term(1 if value == "+" else -1))
             else:
                 return Poly.lincomb(terms)
 
-    def _term(self) -> list[Poly]:
-        # the factors of one product
-        factors = [self._factor()]
+    def _term(self, sign: int) -> tuple:
+        # one product as lincomb takes it, (sign, *factors); its powers are
+        # raised only once the whole product is known to cost few enough
+        # term products
+        pos = self._peek()[2]
+        powers = []
         while True:
+            kind, value, _ = self._peek()
+            while kind == "op" and value == "-":
+                self.k += 1
+                sign = -sign
+                kind, value, _ = self._peek()
+            powers.append(self._power())
             kind, value, _ = self._peek()
             if kind == "op" and value == "*":
                 self.k += 1
             elif not (kind in ("num", "name") or (kind == "op" and value == "(")):
-                return factors
-            factors.append(self._factor())
+                break
+        _refuse_past_bound("product", _product_term_pairs(powers, len(self.allowed)), pos)
+        return (sign, *(base if exponent == 1 else base ** exponent for base, exponent in powers))
 
-    def _factor(self) -> Poly:
-        kind, value, _ = self._peek()
-        if kind == "op" and value == "-":
-            self.k += 1
-            return -self._factor()
-        return self._power()
-
-    def _power(self) -> Poly:
+    def _power(self) -> tuple[Poly, int]:
+        # a base and its exponent, 1 if none is written
         base = self._atom()
         kind, value, pos = self._peek()
-        if kind == "op" and value == "^":
-            self.k += 1
-            kind, value, pos = self._next()
-            if kind == "op" and value == "-":
-                raise ExprError("negative exponent", pos)
-            if kind != "num" or not value.isdigit():
-                raise ExprError("expected a nonnegative integer exponent", pos)
-            exponent = int(value)
-            # a degree past MAX_DEGREE is the kernel's to refuse, in `**`
-            if base.total_degree() * exponent <= MAX_DEGREE:
-                pairs = _power_term_pairs(base, exponent)
-                if pairs > MAX_POWER_TERM_PAIRS:
-                    raise ExprError(
-                        f"power too large: about {pairs} term products, more than "
-                        f"MAX_POWER_TERM_PAIRS = {MAX_POWER_TERM_PAIRS}", pos)
-            return base ** exponent
-        return base
+        if not (kind == "op" and value == "^"):
+            return base, 1
+        self.k += 1
+        kind, value, pos = self._next()
+        if kind == "op" and value == "-":
+            raise ExprError("negative exponent", pos)
+        if kind != "num" or not value.isdigit():
+            raise ExprError("expected a nonnegative integer exponent", pos)
+        exponent = int(value)
+        # a degree past MAX_DEGREE is the kernel's to refuse, in `**`
+        if base.total_degree() * exponent <= MAX_DEGREE:
+            _refuse_past_bound("power", _power_term_pairs(base, exponent), pos)
+        return base, exponent
 
     def _atom(self) -> Poly:
         kind, value, pos = self._next()
@@ -312,30 +352,20 @@ def parse_subst(text: str) -> dict[str, Fraction]:
 _json_str = json.encoder.encode_basestring_ascii
 
 
-def _dump_json(obj) -> str:
-    """Exactly ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, faster.
-
-    With `indent` set the json module falls back to its pure-Python
-    encoder; this writer emits the same bytes for the types the CLI
-    produces (dicts with str keys, lists, tuples, str, int, bool, None)
-    and raises TypeError for anything else.
-    """
-    pieces: list[str] = []
-    _write_json(obj, "", "\n", pieces)
-    pieces.append("\n")
-    return "".join(pieces)
+def _json_default(value) -> str:
+    # rationals travel as "num/den" strings; the CLI writes no other type
+    # that json does not know
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-class _JsonItems(list):
-    """A JSON array of items already written, at the indentation of its items."""
-
-
-# The templates below write what json.dumps(..., sort_keys=True, indent=2)
-# writes for a term list and a report, without building the dicts first;
-# tests/test_cli.py pins them to _write_json of to_json_obj().
-
-# the alphabet's slots in the sorted order of their names, as sort_keys lists them
-_JSON_VAR_SLOTS = tuple(sorted(range(len(VAR_NAMES)), key=VAR_NAMES.__getitem__))
+def _dumped(value, depth: int) -> str:
+    # json.dumps(value, sort_keys=True, indent=2) on a line `depth` levels
+    # deep; ensure_ascii escapes every newline inside a string, so each one
+    # the replace meets is a line break the indentation put there
+    text = json.dumps(value, sort_keys=True, indent=2, default=_json_default)
+    return text.replace("\n", "\n" + "  " * depth)
 
 
 def _joined(brackets: str, entries: list[str], newline: str) -> str:
@@ -347,11 +377,33 @@ def _joined(brackets: str, entries: list[str], newline: str) -> str:
     return brackets[0] + inner + ("," + inner).join(entries) + newline + brackets[1]
 
 
-def _term_items(poly: Poly, depth: int) -> _JsonItems:
+def _write_document(entries: dict[str, str]) -> None:
+    # write the top-level object of `entries`, each value written one level
+    # deep, piece by piece: the audit's reports are most of a document
+    # that no second copy needs to hold
+    sep = "{\n  "
+    for key in sorted(entries):
+        sys.stdout.write(f"{sep}{_json_str(key)}: ")
+        sys.stdout.write(entries[key])
+        sep = ",\n  "
+    sys.stdout.write("\n}\n")
+
+
+# The templates below write what _dumped writes for a polynomial and a
+# report, without building the dicts first.  tests/test_cli.py pins them
+# to json.dumps of Poly.to_json_obj() and IdentityReport.to_json_obj(), and
+# checks that every JSON document parses back to the bytes json.dumps
+# writes for it.
+
+# the alphabet's slots in the sorted order of their names, as sort_keys lists them
+_JSON_VAR_SLOTS = tuple(sorted(range(len(VAR_NAMES)), key=VAR_NAMES.__getitem__))
+
+
+def _term_items(poly: Poly, depth: int) -> list[str]:
     # the items of poly.to_json_obj() as an array `depth` levels deep holds them
     newline = "\n" + "  " * depth
     inner = newline + "  "
-    items = _JsonItems()
+    items = []
     for exps, num, den in poly.canonical_terms():
         powers = [f'"{VAR_NAMES[i]}": {exps[i]}' for i in _JSON_VAR_SLOTS if exps[i]]
         items.append(f'{{{inner}"den": "{den}",{inner}"exps": {_joined("{}", powers, inner)},'
@@ -359,14 +411,18 @@ def _term_items(poly: Poly, depth: int) -> _JsonItems:
     return items
 
 
-def _poly_json(poly: Poly, depth: int) -> dict:
-    # a polynomial as an object whose line is `depth` levels deep: its text,
-    # and its terms two levels deeper
-    return {"text": poly.text(), "terms": _term_items(poly, depth + 2)}
+def _poly_json(poly: Poly, depth: int, *first: str) -> str:
+    # a polynomial as an object on a line `depth` levels deep: the entries
+    # `first`, already written, whose keys sort before "terms", then its
+    # terms and its text
+    newline = "\n" + "  " * depth
+    terms = _joined("[]", _term_items(poly, depth + 2), newline + "  ")
+    return _joined("{}", [*first, f'"terms": {terms}', f'"text": {_json_str(poly.text())}'],
+                   newline)
 
 
 def _report_json(report: IdentityReport, depth: int) -> str:
-    # the report as _write_json writes an item of an array `depth` levels deep
+    # the report as an item of an array `depth` levels deep
     newline = "\n" + "  " * depth
     inner = newline + "  "
     params = _joined("{}", [
@@ -383,48 +439,6 @@ def _report_json(report: IdentityReport, depth: int) -> str:
         f'{inner}"tag": {_json_str(report.tag.value)},'
         f'{inner}"variant": {_json_str(report.variant)}{newline}}}'
     )
-
-
-def _write_json(value, head: str, newline: str, pieces: list[str]) -> None:
-    # append `head` followed by `value`; `newline` is "\n" plus the
-    # indentation of the line `value` starts on
-    if isinstance(value, str):
-        pieces.append(head + _json_str(value))
-    elif value is None:
-        pieces.append(head + "null")
-    elif value is True:
-        pieces.append(head + "true")
-    elif value is False:
-        pieces.append(head + "false")
-    elif isinstance(value, int):
-        pieces.append(head + int.__repr__(value))
-    elif isinstance(value, dict):
-        if not value:
-            pieces.append(head + "{}")
-            return
-        inner = newline + "  "
-        sep = head + "{" + inner
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be str, got {type(key).__name__}")
-            _write_json(value[key], sep + _json_str(key) + ": ", inner, pieces)
-            sep = "," + inner
-        pieces.append(newline + "}")
-    elif isinstance(value, (list, tuple)):
-        if type(value) is _JsonItems:
-            pieces.append(head + _joined("[]", value, newline))
-            return
-        if not value:
-            pieces.append(head + "[]")
-            return
-        inner = newline + "  "
-        sep = head + "[" + inner
-        for item in value:
-            _write_json(item, sep, inner, pieces)
-            sep = "," + inner
-        pieces.append(newline + "]")
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _poly_csv_rows(poly: Poly, columns: tuple[str, ...]) -> list[list[str]]:
@@ -507,20 +521,6 @@ def _junit_document(cases: list[str], summary: dict) -> str:
     return '<?xml version="1.0" encoding="utf-8"?>\n' + suite + "".join(cases) + "</testsuite>\n"
 
 
-def _grid_json(ranges: GridRanges) -> dict:
-    return {
-        field.name: _grid_value(getattr(ranges, field.name))
-        for field in dataclasses.fields(GridRanges)
-    }
-
-
-def _grid_value(value):
-    # ints stay ints, rationals travel as strings, tuples as lists
-    if isinstance(value, tuple):
-        return [_grid_value(item) for item in value]
-    return value if isinstance(value, int) else str(value)
-
-
 # ---------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------
@@ -557,14 +557,12 @@ def _cmd_compute(args) -> int:
         results.append((name, poly))
 
     if args.format == "json":
-        document = {
-            "params": {"p": args.p, "q": args.q, "n": args.n, "m": args.m},
-            "substitution": {key: str(value) for key, value in bindings.items()} or None,
-            "results": [
-                {"strategy": name, **_poly_json(poly, 2)} for name, poly in results
-            ],
-        }
-        sys.stdout.write(_dump_json(document))
+        items = [_poly_json(poly, 2, f'"strategy": {_json_str(name)}') for name, poly in results]
+        _write_document({
+            "params": _dumped({"p": args.p, "q": args.q, "n": args.n, "m": args.m}, 1),
+            "results": _joined("[]", items, "\n  "),
+            "substitution": _dumped(bindings or None, 1),
+        })
     elif args.format == "csv":
         header = ["strategy", "z", "w", "g", "num", "den"]
         rows = []
@@ -572,18 +570,12 @@ def _cmd_compute(args) -> int:
             for row in _poly_csv_rows(poly, ("z", "w", "g")):
                 rows.append([name] + row)
         sys.stdout.write(_csv_document(header, rows))
-    elif args.format == "latex":
-        if len(results) == 1:
-            sys.stdout.write(results[0][1].latex() + "\n")
-        else:
-            for name, poly in results:
-                sys.stdout.write(f"{name}: {poly.latex()}\n")
     else:
+        show = Poly.latex if args.format == "latex" else Poly.text
         if len(results) == 1:
-            sys.stdout.write(results[0][1].text() + "\n")
+            sys.stdout.write(show(results[0][1]) + "\n")
         else:
-            for name, poly in results:
-                sys.stdout.write(f"{name}: {poly.text()}\n")
+            sys.stdout.write("".join(f"{name}: {show(poly)}\n" for name, poly in results))
     return EXIT_OK
 
 
@@ -638,7 +630,7 @@ def _cmd_verify(args) -> int:
     summary = summarize(reports)
     texts = [report.text for report in reports]
     if args.format == "json":
-        sys.stdout.write(_dump_json(_JsonItems(texts)))
+        sys.stdout.write(_joined("[]", texts, "\n") + "\n")
     elif args.format == "junit":
         sys.stdout.write(_junit_document(texts, summary))
     else:
@@ -664,29 +656,21 @@ def _cmd_audit(args) -> int:
     texts = [report.text for report in reports]
     failed = summary["effective_fail"] > 0 or bool(heat["failures"])
     if args.format == "json":
-        document = {
-            "grid": _grid_json(ranges),
-            "policy": args.variant,
-            "reports": _JsonItems(texts),
-            "summary": summary,
-            "heat": heat,
-        }
-        sys.stdout.write(_dump_json(document))
+        _write_document({
+            "grid": _dumped(dataclasses.asdict(ranges), 1),
+            "heat": _dumped(heat, 1),
+            "policy": _json_str(args.variant),
+            "reports": _joined("[]", texts, "\n  "),
+            "summary": _dumped(summary, 1),
+        })
     else:
-        out = io.StringIO()
-        out.write("".join(texts) + _summary_text(summary))
-        out.write(
-            "heat: seed={seed} trials={trials} cases={cases} "
-            "failures={nfail}\n".format(
-                seed=heat["seed"],
-                trials=heat["trials"],
-                cases=heat["cases"],
-                nfail=len(heat["failures"]),
-            )
-        )
-        for line in heat["failures"]:
-            out.write(f"    {line}\n")
-        sys.stdout.write(out.getvalue())
+        sys.stdout.write("".join([
+            *texts,
+            _summary_text(summary),
+            f"heat: seed={heat['seed']} trials={heat['trials']} cases={heat['cases']} "
+            f"failures={len(heat['failures'])}\n",
+            *(f"    {line}\n" for line in heat["failures"]),
+        ]))
     return EXIT_FAIL if failed else EXIT_OK
 
 
@@ -701,15 +685,14 @@ def _cmd_heat(args) -> int:
     res = residual(problem, u)
 
     if args.format == "json":
-        document = {
-            "p": args.p,
-            "q": args.q,
-            "c": str(problem.c),
+        _write_document({
+            "c": _dumped(problem.c, 1),
             "initial": _poly_json(problem.initial, 1),
-            "solution": _poly_json(u, 1),
+            "p": _dumped(args.p, 1),
+            "q": _dumped(args.q, 1),
             "residual": _poly_json(res, 1),
-        }
-        sys.stdout.write(_dump_json(document))
+            "solution": _poly_json(u, 1),
+        })
     elif args.format == "csv":
         header = ["part", "z", "w", "t", "num", "den"]
         rows = []
@@ -717,12 +700,9 @@ def _cmd_heat(args) -> int:
             for row in _poly_csv_rows(poly, ("z", "w", "t")):
                 rows.append([part] + row)
         sys.stdout.write(_csv_document(header, rows))
-    elif args.format == "latex":
-        sys.stdout.write(f"solution: {u.latex()}\n")
-        sys.stdout.write(f"residual: {res.latex()}\n")
     else:
-        sys.stdout.write(f"solution: {u.text()}\n")
-        sys.stdout.write(f"residual: {res.text()}\n")
+        show = Poly.latex if args.format == "latex" else Poly.text
+        sys.stdout.write(f"solution: {show(u)}\nresidual: {show(res)}\n")
     return EXIT_OK
 
 

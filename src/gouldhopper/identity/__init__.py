@@ -12,9 +12,9 @@ writing its checker and one entry.
 run_check(tag, params, variant) returns one cell's two sides;
 run_cell(tag, params, policy) forms their difference and returns the
 list of reports produced under the chosen variant policy (two reports
-when a printed form fails and a documented correction exists); audit_grid runs every cell of a grid, on up to MAX_JOBS
-worker processes, and can have the workers render each report
-(RenderedReport).
+when a printed form fails and a documented correction exists).
+audit_grid runs every cell of a grid, on up to MAX_JOBS worker
+processes, and can have the workers render each report (RenderedReport).
 """
 
 from __future__ import annotations

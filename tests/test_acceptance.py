@@ -208,17 +208,42 @@ GOLDEN_DIGESTS = {
     ("verify", "--tag", "all", "--nmax", "2", "--mmax", "2", "--aux-max", "1", "--jk-max", "1",
      "--format", "junit"):
         "20360b55bf36556de92f51a50e96fda0b56e8064a1414e2255b3c21cf4e4be57",
+    # recorded before the hand-written JSON encoder was retired: a non-null
+    # substitution, the text and LaTeX forms, and the text audit
+    ("compute", "--p", "2", "--q", "1", "--n", "7", "--m", "5", "--strategy", "all",
+     "--subst", "z=1/2,gamma=3", "--format", "json"):
+        "a749bfe75462d041c2003578c7d1232651a80ddce5f06b76e4cbbd6af42c2301",
+    ("compute", "--p", "2", "--q", "3", "--n", "14", "--m", "12",
+     "--strategy", "all", "--format", "text"):
+        "34222f78f189203a8b05df875fcd705260cbfac5776fd15e6553d89ba653b1d4",
+    ("compute", "--p", "2", "--q", "3", "--n", "14", "--m", "12",
+     "--strategy", "all", "--format", "latex"):
+        "e3c3738050cbfef7c6122386ec9a4901d0590e199546e1d585d0b51a3b2ed8f5",
+    ("heat", "--p", "2", "--q", "1", "--c=3/7",
+     "--initial=1/2*z^3*w^2 - 5/3*z*w^4 + 7", "--format", "text"):
+        "e67594365fdf0de469bcb37e04861b41ba85979f4bd6cc886be19bf9d987d791",
+    ("heat", "--p", "2", "--q", "1", "--c=3/7",
+     "--initial=1/2*z^3*w^2 - 5/3*z*w^4 + 7", "--format", "latex"):
+        "32adfa3aff487dec6ad17b531c979a984a60f63f067fd6a1f779c65b73f95ebc",
+    ("heat", "--p", "2", "--q", "1", "--c=3/7",
+     "--initial=1/2*z^3*w^2 - 5/3*z*w^4 + 7", "--format", "csv"):
+        "a9dbdce0d3a477886f4b21a6e6c6ecf373c74681e729e92933ff78e03c141633",
+    ("audit", "--nmax", "2", "--mmax", "2", "--aux-max", "1", "--jk-max", "1", "--seed", "3",
+     "--trials", "3", "--variant", "both", "--format", "text"):
+        "d811610d338216e5a5e674a4c5b0acfb3f80994a9c6b03f75c96b192c8e3ce03",
 }
 # the default `audit --seed 42` document (6,535,293 bytes)
 DEFAULT_AUDIT_SEED42_SHA256 = "a4723f57be0fdac80ac152647e4fb257b529018278fdf28d38e97d13ea8fff70"
 
 
 def _digest_id(argv):
-    # verify runs are named by their tag, and by their format unless JSON
-    if argv[0] != "verify":
-        return argv[0]
-    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "text"
-    return argv[2] if fmt == "json" else f"{argv[2]}-{fmt}"
+    # a run is named by its command (a verify run by its tag), then by
+    # "subst" if it substitutes, and by its format unless JSON
+    default = "json" if argv[0] == "audit" else "text"
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else default
+    parts = [argv[2] if argv[0] == "verify" else argv[0]]
+    parts += ["subst"] * ("--subst" in argv) + [fmt] * (fmt != "json")
+    return "-".join(parts)
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN_DIGESTS), ids=_digest_id)

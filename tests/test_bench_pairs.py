@@ -221,3 +221,24 @@ def test_metrics_without_a_bound_get_no_within_bound():
         bench_pairs.LARGE_GRID_METRICS)
     assert "within_bound" not in summary["wall_s"]
     assert summary["wall_s"]["claimable"] is True
+
+
+_ECHO_CLI = "def main(argv):\n    print(' '.join(argv))\n    return 0\n"
+
+
+def test_request_stream_compares_each_requests_exit_code_and_stdout(tmp_path):
+    bodies = {
+        "echo": _ECHO_CLI,
+        "same": _ECHO_CLI,
+        "exit-code": _ECHO_CLI.replace("return 0", "return 2 if argv[0] == 'heat' else 0"),
+        "stdout": _ECHO_CLI.replace("' '.join", "','.join"),
+        "raises": "def main(argv):\n    raise RuntimeError('boom')\n",
+    }
+    runs = {name: bench_pairs.run_request_stream(_fake_cli(tmp_path / name, body))
+            for name, body in bodies.items()}
+    assert runs["echo"]["requests"] == bench_pairs.REQUEST_STREAM[1]
+    assert bench_pairs.same_request_stdout(runs["echo"], runs["same"])
+    assert not bench_pairs.same_request_stdout(runs["echo"], runs["exit-code"])
+    assert not bench_pairs.same_request_stdout(runs["echo"], runs["stdout"])
+    assert runs["raises"]["run_failed"] == "exit status 1"
+    assert not bench_pairs.same_request_stdout(runs["raises"], runs["raises"])

@@ -1,6 +1,7 @@
 """Command-line interface tests: parsing, formats, exit codes, schemas."""
 
 import csv
+import dataclasses
 import importlib
 import importlib.metadata
 import io
@@ -24,13 +25,11 @@ from hypothesis import strategies as st
 from gouldhopper.cli import (
     MAX_POWER_TERM_PAIRS,
     ExprError,
-    _dump_json,
-    _JsonItems,
+    _dumped,
     _make_ranges,
     _poly_json,
     _report_json,
     _term_items,
-    _write_json,
     build_parser,
     canonical_var,
     main,
@@ -676,6 +675,27 @@ def test_heat_refuses_a_solution_past_the_term_bound(capsys):
                    f"MAX_SOLUTION_TERMS = {MAX_SOLUTION_TERMS}\n")
 
 
+def test_heat_refuses_a_product_past_the_term_product_bound(capsys):
+    # each power passes, but their product would cost 1,962,801 term products
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "heat", "--p", "1", "--q", "1",
+                             "--initial", "(z+w)^1400*(z+w)^1400")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: product too large: about ")
+    assert f"more than MAX_POWER_TERM_PAIRS = {MAX_POWER_TERM_PAIRS}" in err
+
+
+def test_product_bound_admits_products_that_merge_cheaply():
+    # 2^20 products of the factors' terms, but the running product never
+    # holds more than 21 terms
+    assert parse_poly_expr("*".join(["(z+w)"] * 20)) == parse_poly_expr("(z+w)^20")
+    assert len(parse_poly_expr("(z+w)^700*(z+w)^700")) == 1401
+    assert parse_poly_expr("0*(z+w)^600*(z+w)^600").is_zero()
+    # signs ride on the product, wherever they are written
+    assert parse_poly_expr("-z*-w^2 - -2(z+w)") == parse_poly_expr("z*w^2 + 2z + 2w")
+
+
 def test_power_bound_admits_monomial_powers_and_powers_under_it():
     # a monomial's power is one key product, whatever its degree
     assert parse_poly_expr("(2z)^60000") == Poly.monomial({"z": 60000}, 2 ** 60000)
@@ -772,55 +792,40 @@ def test_installed_script_is_on_path():
 # JSON rendering
 # ---------------------------------------------------------------------
 
-_JSON_SCALARS = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=-(2 ** 200), max_value=2 ** 200)
-    | st.text()
-    | st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\x7f\t\n\r", "é ☃ 𝄞", "\u2028", ""])
-)
-_JSON_DOCS = st.recursive(
-    _JSON_SCALARS,
-    lambda children: (
-        st.lists(children, max_size=4)
-        | st.lists(children, max_size=3).map(tuple)
-        | st.dictionaries(st.text(), children, max_size=4)
-    ),
-    max_leaves=40,
-)
+def _dumps_at(value, depth):
+    # json.dumps(value, sort_keys=True, indent=2) on a line `depth` levels deep
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
 
 
-@settings(max_examples=300, deadline=None)
-@given(_JSON_DOCS)
-def test_dump_json_matches_json_dumps(doc):
-    assert _dump_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+_TINY_GRID = ("--nmax", "1", "--mmax", "1", "--aux-max", "0", "--jk-max", "1")
 
 
-@pytest.mark.parametrize("depth", [1, 2])
-def test_dump_json_splices_items_written_at_their_depth(depth):
-    items = [{"a": [1, {"b": None}], "c": "x"}, [], {}, "s", [[2, 3]]]
-    doc = {"k": items} if depth == 2 else items
-    written = []
-    for item in items:
-        pieces = []
-        _write_json(item, "", "\n" + "  " * depth, pieces)
-        written.append("".join(pieces))
-    spliced = {"k": _JsonItems(written)} if depth == 2 else _JsonItems(written)
-    assert _dump_json(spliced) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    assert _dump_json(_JsonItems()) == "[]\n"
+@pytest.mark.parametrize("argv", [
+    ["compute", "--p", "2", "--q", "1", "--n", "4", "--m", "3", "--strategy", "all",
+     "--format", "json"],
+    ["compute", "--p", "2", "--q", "1", "--n", "4", "--m", "3", "--strategy", "all",
+     "--subst", "z=1/2,gamma=3", "--format", "json"],
+    ["heat", "--p", "2", "--q", "1", "--c=3/7", "--initial=1/2*z^3*w^2 - 5/3*z*w^4 + 7",
+     "--format", "json"],
+    ["verify", "--tag", "all", *_TINY_GRID, "--variant", "both", "--format", "json"],
+    ["audit", *_TINY_GRID, "--trials", "1", "--variant", "both"],
+], ids=["compute", "compute-subst", "heat", "verify", "audit"])
+def test_json_documents_are_what_json_dumps_writes(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
-def test_dump_json_nested_empties():
-    doc = {"a": [], "b": {}, "c": [[], {}, [[]], {"d": {}}], "": None}
-    assert _dump_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-@pytest.mark.parametrize("value", [1.5, F(1, 2), {1: "x"}, {"a": [{2}]}, b"x"],
-                         ids=["float", "fraction", "int-key", "set", "bytes"])
-def test_dump_json_rejects_types_the_cli_never_emits(value):
-    with pytest.raises(TypeError):
-        _dump_json(value)
+def test_json_default_writes_rationals_and_refuses_other_types():
+    ranges = GridRanges(n_max=1, m_max=1, pq_pairs=((1, 0),), hyp_points=(F(-3, 7), 2))
+    grid = json.loads(_dumped(dataclasses.asdict(ranges), 1))
+    assert grid["pq_pairs"] == [[1, 0]]
+    assert grid["hyp_points"] == ["-3/7", 2]
+    assert _dumped({"c": F(4, 2), "n": [1]}, 1) == (
+        '{\n    "c": "2",\n    "n": [\n      1\n    ]\n  }')
+    for value in ({2}, b"x", 1j):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            _dumped({"a": [value]}, 0)
 
 
 _TERM_POLYS = st.dictionaries(
@@ -832,20 +837,14 @@ _TERM_POLYS = st.dictionaries(
 _NOTES = st.text() | st.sampled_from(['"quoted"', "back\\slash", "tab\tnew\nline", "é ☃ 𝄞", ""])
 
 
-def _written(value, depth):
-    pieces = []
-    _write_json(value, "", "\n" + "  " * depth, pieces)
-    return "".join(pieces)
-
-
 @settings(max_examples=200, deadline=None)
 @given(_TERM_POLYS, st.integers(0, 5))
 def test_term_writer_matches_write_json(poly, depth):
-    items = _term_items(poly, depth)
-    assert type(items) is _JsonItems
-    assert list(items) == [_written(term, depth) for term in poly.to_json_obj()]
+    assert _term_items(poly, depth) == [_dumps_at(term, depth) for term in poly.to_json_obj()]
     expected = {"text": poly.text(), "terms": poly.to_json_obj()}
-    assert _written(_poly_json(poly, depth), depth) == _written(expected, depth)
+    assert _poly_json(poly, depth) == _dumps_at(expected, depth)
+    expected["strategy"] = "via_genfun"
+    assert _poly_json(poly, depth, '"strategy": "via_genfun"') == _dumps_at(expected, depth)
 
 
 @settings(max_examples=200, deadline=None)
@@ -865,11 +864,11 @@ def test_term_writer_matches_write_json(poly, depth):
 )
 def test_report_template_matches_write_json(depth, **fields):
     report = IdentityReport(**fields)
-    assert _report_json(report, depth) == _written(report.to_json_obj(), depth)
+    assert _report_json(report, depth) == _dumps_at(report.to_json_obj(), depth)
 
 
 def test_report_template_covers_the_zero_difference_and_empty_params():
     report = IdentityReport(IdentityTag.SYMMETRY, {}, "printed", STATUS_EXACT_PASS, Poly.zero())
-    assert _report_json(report, 2) == _written(report.to_json_obj(), 2)
+    assert _report_json(report, 2) == _dumps_at(report.to_json_obj(), 2)
     assert '"difference": []' in _report_json(report, 2)
     assert '"params": {}' in _report_json(report, 2)
