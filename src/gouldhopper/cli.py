@@ -23,7 +23,7 @@ import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
-from .exactalg import MAX_DEGREE, Poly, VAR_NAMES
+from .exactalg import MAX_DEGREE, Poly, VAR_NAMES, terms_text
 from .ghcore import (
     STRATEGIES,
     FamilyParams,
@@ -75,12 +75,12 @@ _NUM_RE = re.compile(r"\d+(?:/\d+)?")
 _NAME_RE = re.compile(r"[A-Za-zγ][A-Za-z0-9]*'?")
 
 
-# The most term products one power, or one product of powers, in an
-# expression may cost.  The last squaring of (z+w)^1400 is 701^2 = 491,401
-# products and parses in about 0.6 s; (z+w)^2000 takes 2 s and (z+w)^3000
-# 7.75 s, and (z+w)^1400*(z+w)^1400 would multiply for 7.8 s.  The heat
-# solutions of all four already lie past heatrep's MAX_SOLUTION_TERMS.
-MAX_POWER_TERM_PAIRS = 500_000
+# The most term products a whole expression may cost, summed over the
+# last squaring of each power and the multiplications of each product.
+# (z+w)^1400 costs 492,802 and parses in about 0.5 s, (z+w)^700*(z+w)^700
+# costs 738,504, and (z+w)^1400 + (z+w)^1400 parses in about 1 s.
+# (z+w)^3000 would take 7.75 s and (z+w)^1400*(z+w)^1400 7.8 s.
+MAX_POWER_TERM_PAIRS = 1_000_000
 
 
 def _power_terms(base: Poly, exponent: int) -> int:
@@ -110,34 +110,25 @@ def _power_term_pairs(base: Poly, exponent: int) -> int:
     return _power_terms(base, exponent // 2) ** 2
 
 
-def _product_term_pairs(powers: list[tuple[Poly, int]], variables: int) -> int:
-    """Term products of multiplying the powers (base, exponent) in turn, estimated.
+def _product_term_pairs(powers: list[tuple[Poly, int, int]], variables: int) -> int:
+    """Term products of multiplying the nonzero powers (base, exponent, _) in turn, estimated.
 
     Poly.lincomb multiplies the running product by each factor in turn.
     That product has at most as many terms as the product of the factors'
     term bounds, and as monomials of its degree or less in `variables`
-    variables; a zero factor ends the product before any multiplication.
-    A monomial factor leaves the running product's term count as it is,
-    so a product of monomials costs one term product per factor.
+    variables.  A monomial factor leaves the running product's term count
+    as it is, so a product of monomials costs one term product per factor.
     """
-    if all(len(base) < 2 for base, _ in powers):
+    if all(len(base) < 2 for base, _, _ in powers):
         return len(powers)
     pairs, terms, degree = 0, 1, 0
-    for base, exponent in powers:
+    for base, exponent, _ in powers:
         size = _power_terms(base, exponent)
-        if not size:
-            return 0
         pairs += terms * size
         degree += exponent * base.total_degree()
         if size > 1:
             terms = min(terms * size, math.comb(degree + variables, variables))
     return pairs
-
-
-def _refuse_past_bound(what: str, pairs: int, pos: int) -> None:
-    if pairs > MAX_POWER_TERM_PAIRS:
-        raise ExprError(f"{what} too large: about {pairs} term products, more than "
-                        f"MAX_POWER_TERM_PAIRS = {MAX_POWER_TERM_PAIRS}", pos)
 
 
 def _tokenize(src: str) -> list[tuple[str, object, int]]:
@@ -180,6 +171,8 @@ class _ExprParser:
         self.tokens = _tokenize(src)
         self.k = 0
         self.allowed = allowed
+        # term products charged so far, against MAX_POWER_TERM_PAIRS
+        self.pairs = 0
 
     def _peek(self):
         return self.tokens[self.k] if self.k < len(self.tokens) else (None, None, len(self.src))
@@ -209,10 +202,17 @@ class _ExprParser:
             else:
                 return Poly.lincomb(terms)
 
+    def _charge(self, what: str, pairs: int, pos: int) -> None:
+        # add `pairs` to the expression's cost; refuse the expression past the budget
+        self.pairs += pairs
+        if self.pairs > MAX_POWER_TERM_PAIRS:
+            raise ExprError(f"{what} too large: about {self.pairs} term products, more than "
+                            f"MAX_POWER_TERM_PAIRS = {MAX_POWER_TERM_PAIRS}", pos)
+
     def _term(self, sign: int) -> tuple:
         # one product as lincomb takes it, (sign, *factors); its powers are
-        # raised only once the whole product is known to cost few enough
-        # term products
+        # raised only once the expression so far, this product included, is
+        # known to cost few enough term products
         pos = self._peek()[2]
         powers = []
         while True:
@@ -227,26 +227,28 @@ class _ExprParser:
                 self.k += 1
             elif not (kind in ("num", "name") or (kind == "op" and value == "(")):
                 break
-        _refuse_past_bound("product", _product_term_pairs(powers, len(self.allowed)), pos)
-        return (sign, *(base if exponent == 1 else base ** exponent for base, exponent in powers))
+        if any(exponent and not base for base, exponent, _ in powers):
+            return (0,)
+        for base, exponent, at in powers:
+            # a degree past MAX_DEGREE is the kernel's to refuse, in `**`
+            if base.total_degree() * exponent <= MAX_DEGREE:
+                self._charge("power", _power_term_pairs(base, exponent), at)
+        self._charge("product", _product_term_pairs(powers, len(self.allowed)), pos)
+        return (sign, *(base if exp == 1 else base ** exp for base, exp, _ in powers))
 
-    def _power(self) -> tuple[Poly, int]:
-        # a base and its exponent, 1 if none is written
+    def _power(self) -> tuple[Poly, int, int]:
+        # a base, its exponent (1 if none is written) and the exponent's position
         base = self._atom()
         kind, value, pos = self._peek()
         if not (kind == "op" and value == "^"):
-            return base, 1
+            return base, 1, pos
         self.k += 1
         kind, value, pos = self._next()
         if kind == "op" and value == "-":
             raise ExprError("negative exponent", pos)
         if kind != "num" or not value.isdigit():
             raise ExprError("expected a nonnegative integer exponent", pos)
-        exponent = int(value)
-        # a degree past MAX_DEGREE is the kernel's to refuse, in `**`
-        if base.total_degree() * exponent <= MAX_DEGREE:
-            _refuse_past_bound("power", _power_term_pairs(base, exponent), pos)
-        return base, exponent
+        return base, int(value), pos
 
     def _atom(self) -> Poly:
         kind, value, pos = self._next()
@@ -399,12 +401,13 @@ def _write_document(entries: dict[str, str]) -> None:
 _JSON_VAR_SLOTS = tuple(sorted(range(len(VAR_NAMES)), key=VAR_NAMES.__getitem__))
 
 
-def _term_items(poly: Poly, depth: int) -> list[str]:
-    # the items of poly.to_json_obj() as an array `depth` levels deep holds them
+def _term_items(terms: list, depth: int) -> list[str]:
+    # the items of to_json_obj() of the polynomial whose canonical_terms()
+    # are `terms`, as an array `depth` levels deep holds them
     newline = "\n" + "  " * depth
     inner = newline + "  "
     items = []
-    for exps, num, den in poly.canonical_terms():
+    for exps, num, den in terms:
         powers = [f'"{VAR_NAMES[i]}": {exps[i]}' for i in _JSON_VAR_SLOTS if exps[i]]
         items.append(f'{{{inner}"den": "{den}",{inner}"exps": {_joined("{}", powers, inner)},'
                      f'{inner}"num": "{num}"{newline}}}')
@@ -416,8 +419,9 @@ def _poly_json(poly: Poly, depth: int, *first: str) -> str:
     # `first`, already written, whose keys sort before "terms", then its
     # terms and its text
     newline = "\n" + "  " * depth
-    terms = _joined("[]", _term_items(poly, depth + 2), newline + "  ")
-    return _joined("{}", [*first, f'"terms": {terms}', f'"text": {_json_str(poly.text())}'],
+    terms = poly.canonical_terms()
+    items = _joined("[]", _term_items(terms, depth + 2), newline + "  ")
+    return _joined("{}", [*first, f'"terms": {items}', f'"text": {_json_str(terms_text(terms))}'],
                    newline)
 
 
@@ -429,7 +433,7 @@ def _report_json(report: IdentityReport, depth: int) -> str:
         f"{_json_str(key)}: {value if isinstance(value, int) else _json_str(value)}"
         for key, value in sorted(report.params_json().items())
     ], inner)
-    difference = _joined("[]", _term_items(report.difference, depth + 2), inner)
+    difference = _joined("[]", _term_items(report.difference.canonical_terms(), depth + 2), inner)
     series_order = "null" if report.series_order is None else report.series_order
     return (
         f'{{{inner}"difference": {difference},'
@@ -444,14 +448,11 @@ def _report_json(report: IdentityReport, depth: int) -> str:
 def _poly_csv_rows(poly: Poly, columns: tuple[str, ...]) -> list[list[str]]:
     rows = []
     indices = [VAR_NAMES.index(name) for name in columns]
-    for exps, coeff in poly.sorted_terms():
+    for exps, num, den in poly.canonical_terms():
         stray = [VAR_NAMES[i] for i, e in enumerate(exps) if e and i not in indices]
         if stray:
             raise ValueError(f"polynomial contains unexpected variables {stray}")
-        rows.append(
-            [str(exps[i]) for i in indices]
-            + [str(coeff.numerator), str(coeff.denominator)]
-        )
+        rows.append([str(exps[i]) for i in indices] + [str(num), str(den)])
     return rows
 
 

@@ -43,10 +43,11 @@ positive denominator per polynomial, kept reduced:
 coefficients, so ``den`` is almost always 1 and no gcd is taken.  Zero
 numerators are never stored, and the zero polynomial has ``den == 1``.
 This normal form is unique, so equality compares the dict and the
-denominator.  :meth:`Poly.terms` and :meth:`Poly.sorted_terms` hand each
-coefficient out as a reduced ``Fraction`` with the unpacked exponent
-tuple, so a serialization depends only on the polynomial, never on how
-it was computed.
+denominator.  :meth:`Poly.terms` hands each coefficient out as a reduced
+``Fraction`` with the unpacked exponent tuple, and
+:meth:`Poly.canonical_terms` as a reduced numerator and denominator in
+canonical order.  Every serialization reads that one term list, so it
+depends only on the polynomial, never on how it was computed.
 
 **Series kernel.**  :func:`series_exp` and :func:`series_binomial_neg`
 never multiply two series.  With the Euler operator theta = u d/du, the
@@ -278,6 +279,51 @@ class _Sum:
         return _reduced({k: c for k, c in self.num.items() if c}, self.den * den)
 
 
+def _render(terms: Sequence[tuple[tuple[int, ...], int, int]], monomial, fraction: str,
+            times: str) -> str:
+    """The signed sum of `terms`, a canonical_terms() list.
+
+    ``monomial(exps)`` writes a monomial, `fraction` formats a magnitude
+    num/den whose den is not 1, and `times` joins a magnitude other than
+    1 to its monomial.
+    """
+    if not terms:
+        return "0"
+    chunks = []
+    for exps, num, den in terms:
+        mag = str(abs(num)) if den == 1 else fraction.format(abs(num), den)
+        mono = monomial(exps)
+        if mono:
+            body = mono if mag == "1" else f"{mag}{times}{mono}"
+        else:
+            body = mag
+        chunks.append(f" - {body}" if num < 0 else f" + {body}")
+    out = "".join(chunks)
+    return out[3:] if out[1] == "+" else "-" + out[3:]
+
+
+def _text_monomial(exps: tuple[int, ...]) -> str:
+    return " ".join(name if e == 1 else f"{name}^{e}" for name, e in zip(VAR_NAMES, exps) if e)
+
+
+def _latex_monomial(exps: tuple[int, ...]) -> str:
+    mono = ""
+    for name in _LATEX_VAR_ORDER:
+        e = exps[VAR_INDEX[name]]
+        if e:
+            # keep a control word like \gamma from swallowing the next letter
+            if mono and _CONTROL_WORD_TAIL.search(mono):
+                mono += " "
+            sym = _LATEX_NAMES[name]
+            mono += sym if e == 1 else f"{sym}^{{{e}}}"
+    return mono
+
+
+def terms_text(terms: Sequence[tuple[tuple[int, ...], int, int]]) -> str:
+    """:meth:`Poly.text` of the polynomial whose canonical_terms() are `terms`."""
+    return _render(terms, _text_monomial, "{}/{}", " * ")
+
+
 class Poly:
     """Immutable sparse multivariate polynomial with rational coefficients.
 
@@ -334,12 +380,9 @@ class Poly:
         den = self._den
         return ((_unpack(k), Fraction(c, den)) for k, c in self._num.items())
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        """Terms in canonical order: graded lex, leading term first."""
-        return [(exps, Fraction(n, d)) for exps, n, d in self.canonical_terms()]
-
     def canonical_terms(self) -> list[tuple[tuple[int, ...], int, int]]:
-        """(exponent tuple, numerator, denominator) in canonical order.
+        """(exponent tuple, numerator, denominator) in canonical order:
+        graded lex, leading term first.
 
         Each coefficient is reduced on its own, as a Fraction would be; the
         serializations read these ints, so they never build a Fraction.
@@ -555,58 +598,11 @@ class Poly:
 
         Round-trips through the expression parser in :mod:`.cli`.
         """
-        if not self._num:
-            return "0"
-        chunks: list[str] = []
-        for position, (exps, num, den) in enumerate(self.canonical_terms()):
-            mono = " ".join(
-                name if e == 1 else f"{name}^{e}"
-                for name, e in zip(VAR_NAMES, exps)
-                if e
-            )
-            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
-            if mono:
-                body = mono if mag == "1" else f"{mag} * {mono}"
-            else:
-                body = mag
-            if position == 0:
-                chunks.append(f"-{body}" if num < 0 else body)
-            else:
-                chunks.append(f"- {body}" if num < 0 else f"+ {body}")
-        return " ".join(chunks)
+        return terms_text(self.canonical_terms())
 
     def latex(self) -> str:
         """LaTeX form, e.g. ``z^{2}w + 2\\gamma z``."""
-        if not self._num:
-            return "0"
-        chunks: list[str] = []
-        for position, (exps, num, den) in enumerate(self.canonical_terms()):
-            factors = []
-            for name in _LATEX_VAR_ORDER:
-                e = exps[VAR_INDEX[name]]
-                if not e:
-                    continue
-                sym = _LATEX_NAMES[name]
-                factors.append(sym if e == 1 else f"{sym}^{{{e}}}")
-            mono = ""
-            for factor in factors:
-                # keep a control word like \gamma from swallowing the next letter
-                if mono and _CONTROL_WORD_TAIL.search(mono):
-                    mono += " "
-                mono += factor
-            if den == 1:
-                mag_str = str(abs(num))
-            else:
-                mag_str = f"\\frac{{{abs(num)}}}{{{den}}}"
-            if mono:
-                body = mono if mag_str == "1" else f"{mag_str}{mono}"
-            else:
-                body = mag_str
-            if position == 0:
-                chunks.append(f"-{body}" if num < 0 else body)
-            else:
-                chunks.append(f" - {body}" if num < 0 else f" + {body}")
-        return "".join(chunks)
+        return _render(self.canonical_terms(), _latex_monomial, "\\frac{{{}}}{{{}}}", "")
 
     def to_json_obj(self) -> list[dict]:
         """JSON-ready form: a list of terms in canonical order.

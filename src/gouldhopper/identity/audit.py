@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import itertools
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from ..exactalg import Poly, as_scalar
+from ..exactalg import Poly
 from ..heatrep import property_suite
 from .checks import CHECKS, MISPRINT_LEDGER, IdentityTag, run_check
 
@@ -50,6 +50,8 @@ class GridRanges:
     the fixed index of the single-variable generating functions;
     jk_max bounds derivative counts and series weights; series_order
     and weighted_series_order truncate the generating-function checks.
+    hyp_points and weighted_points are fixed, not set by a caller;
+    asdict() still lists them, so an audit document records them.
     """
 
     n_max: int = 6
@@ -59,8 +61,8 @@ class GridRanges:
     jk_max: int = 3
     series_order: int = 10
     weighted_series_order: int = 8
-    hyp_points: tuple[Fraction, ...] = _HYP_POINTS
-    weighted_points: tuple[tuple[Fraction, ...], ...] = _WEIGHTED_POINTS
+    hyp_points: tuple[Fraction, ...] = field(default=_HYP_POINTS, init=False)
+    weighted_points: tuple[tuple[Fraction, ...], ...] = field(default=_WEIGHTED_POINTS, init=False)
 
     def __post_init__(self) -> None:
         for name in ("n_max", "m_max", "aux_max", "jk_max"):
@@ -80,34 +82,14 @@ class GridRanges:
                 raise ValueError(
                     f"{name} must be an integer >= {top} for these derivative orders"
                 )
-        # the checkers take exact scalars, and HYP_2F0_1F1 divides by its
-        # point; fail here, not mid-audit
-        for z in self.hyp_points:
-            _require_exact("hyp_points", z)
-            if z == 0:
-                raise ValueError("hyp_points must be nonzero")
-        for point in self.weighted_points:
-            if not isinstance(point, tuple) or len(point) != 5:
-                raise ValueError(f"weighted_points entries are (a, b, z, w, g), got {point!r}")
-            for value in point:
-                _require_exact("weighted_points", value)
-        # a repeated entry would check, and report, the same cells twice
-        for name in ("pq_pairs", "hyp_points", "weighted_points"):
-            entries = getattr(self, name)
-            if len(set(entries)) != len(entries):
-                raise ValueError(f"{name} repeats an entry: {entries!r}")
+        # a repeated pair would check, and report, the same cells twice
+        if len(set(self.pq_pairs)) != len(self.pq_pairs):
+            raise ValueError(f"pq_pairs repeats an entry: {self.pq_pairs!r}")
 
     @property
     def orders(self) -> tuple[int, ...]:
         """The distinct nonzero derivative orders in pq_pairs, ascending."""
         return tuple(sorted({x for pair in self.pq_pairs for x in pair if x >= 1}))
-
-
-def _require_exact(field: str, value) -> None:
-    try:
-        as_scalar(value)
-    except TypeError:
-        raise ValueError(f"{field} entries must be exact (int or Fraction), got {value!r}") from None
 
 
 @dataclass

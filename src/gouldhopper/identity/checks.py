@@ -101,6 +101,7 @@ from ..ghcore import (
     generating_series,
     gould_hopper_1d,
     hypergeom_form,
+    origin_value,
     via_creation,
 )
 
@@ -300,39 +301,19 @@ def _check_hyp_2f0_1f1(n, m, z, variant) -> Sides:
 def _check_origin_value(p, q, n, m, variant) -> Sides:
     """Closed form of the value at z = w = 0.
 
-    Printed: n!/(n/p)! g^(n/p) when p | n, q | m and the quotients agree
-    (plus the stated p = 0 special case).  Corrected: n! m! g^k / k!
-    for the unique k with n = pk and m = qk, zero when no such k exists.
+    Both variants take the unique k with n = pk and m = qk; the value is
+    zero when no such k exists.  Printed: n!/k! g^k, which the display
+    states separately as m!/k! g^k for p = 0.  Corrected: n! m! g^k / k!.
     """
-    actual = explicit_poly(p, q, n, m).subst({"z": 0, "w": 0})
+    lhs = origin_value(FamilyParams(p, q, n, m))
+    k = n // p if p else m // q
+    if (p * k, q * k) != (n, m):
+        return lhs, Poly.zero()
     if variant == "printed":
-        if p >= 1 and q >= 1:
-            if n % p == 0 and m % q == 0 and n // p == m // q:
-                predicted = Poly.monomial({"g": n // p}, Fraction(_fact(n), _fact(n // p)))
-            else:
-                predicted = Poly.zero()
-        elif p == 0:
-            # stated separately: nonzero only for n = 0 with q | m
-            if n == 0 and q >= 1 and m % q == 0:
-                predicted = Poly.monomial({"g": m // q}, Fraction(_fact(m), _fact(m // q)))
-            else:
-                predicted = Poly.zero()
-        else:  # q == 0
-            if m == 0 and p >= 1 and n % p == 0:
-                predicted = Poly.monomial({"g": n // p}, Fraction(_fact(n), _fact(n // p)))
-            else:
-                predicted = Poly.zero()
+        top = _fact(n) if p else _fact(m)
     else:
-        matches = [
-            k for k in range(FamilyParams(p, q, n, m).k_max + 1)
-            if n - p * k == 0 and m - q * k == 0
-        ]
-        if matches:
-            k = matches[0]
-            predicted = Poly.monomial({"g": k}, Fraction(_fact(n) * _fact(m), _fact(k)))
-        else:
-            predicted = Poly.zero()
-    return actual, predicted
+        top = _fact(n) * _fact(m)
+    return lhs, Poly.monomial({"g": k}, Fraction(top, _fact(k)))
 
 
 @identity("HOMOGENEITY", "algebraic")
@@ -705,13 +686,7 @@ def _check_inverse_sum(p, q, n, m) -> Sides:
 @identity("INVERSE_OP", "algebraic")
 def _check_inverse_op(p, q, n, m) -> Sides:
     """z^n w^m = exp(-g Dz^p Dw^q) H_{n,m}; the operator sum truncates."""
-    h = explicit_poly(p, q, n, m)
-    rhs = Poly.lincomb(
-        (Fraction((-1) ** k, _fact(k)), Poly.monomial({"g": k}),
-         h.diff("z", p * k).diff("w", q * k))
-        for k in range(FamilyParams(p, q, n, m).k_max + 1)
-    )
-    return Poly.monomial({"z": n, "w": m}), rhs
+    return Poly.monomial({"z": n, "w": m}), _op_exp(p, q, n, m, ((-1, 0, 0),))
 
 
 # ---------------------------------------------------------------------

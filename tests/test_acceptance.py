@@ -8,6 +8,7 @@ matches coefficient by coefficient through its stated order).
 import ast
 import hashlib
 import importlib
+import random
 import subprocess
 import sys
 import time
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from gouldhopper.exactalg import Poly
+from gouldhopper.exactalg import VAR_NAMES, Poly
 from gouldhopper.ghcore import (
     FamilyParams,
     explicit,
@@ -153,7 +154,6 @@ def test_heat_representation_properties():
         seed=0,
         trials=25,
         pq_pairs=PQ_PAIRS,
-        c_values=(F(1), F(-1), F(3, 7)),
     )
     assert report["failures"] == []
     # 25 trials x 9 derivative-order pairs x 3 speeds x 5 invariants
@@ -246,6 +246,42 @@ def _digest_id(argv):
     return "-".join(parts)
 
 
+def _renderer_polys():
+    # 500 seeded polynomials, the zero polynomial first: up to six terms
+    # over up to four of the twelve variables, exponents 0..3, and signed
+    # integer, fractional or 70-bit-over-40-bit coefficients
+    rng = random.Random(2019)
+    polys = [Poly.zero()]
+    for _ in range(499):
+        terms = []
+        for _ in range(rng.randint(1, 6)):
+            exps = {name: rng.randint(0, 3) for name in rng.sample(VAR_NAMES, rng.randint(0, 4))}
+            coeff = rng.choice((
+                F(rng.randint(-9, 9)),
+                F(rng.randint(-99, 99), rng.randint(1, 50)),
+                F(rng.randint(-2 ** 70, 2 ** 70), rng.randint(1, 2 ** 40)),
+            ))
+            terms.append((coeff, Poly.monomial(exps)))
+        polys.append(Poly.lincomb(terms))
+    return polys
+
+
+# SHA-256 of the newline-joined text() and latex() of _renderer_polys(),
+# recorded while each form had a term loop of its own
+RENDERER_DIGESTS = {
+    "text": "689e4a831e52bab95eb128dfc796eda27c8efa0e2def69f29bc2336552e7417e",
+    "latex": "c822393f8488b357f29a4d5d5835b6ac1d1416c4d0ffefcbdd74651389c3456e",
+}
+
+
+def test_renderer_digests():
+    polys = _renderer_polys()
+    assert set().union(*(poly.variables() for poly in polys)) == set(VAR_NAMES)
+    for form, digest in RENDERER_DIGESTS.items():
+        rendered = "\n".join(getattr(poly, form)() for poly in polys)
+        assert hashlib.sha256(rendered.encode()).hexdigest() == digest, form
+
+
 @pytest.mark.parametrize("argv", list(GOLDEN_DIGESTS), ids=_digest_id)
 def test_golden_digests(argv):
     run = subprocess.run([sys.executable, "-m", "gouldhopper.cli", *argv],
@@ -303,6 +339,11 @@ def test_readme_library_snippet_runs_and_shows_its_outputs():
     block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
     namespace: dict = {}
     exec(block, namespace)
+    # the package exports exactly what the block imports from it
+    imported = [alias.name for node in ast.walk(ast.parse(block))
+                if isinstance(node, ast.ImportFrom) and node.module == "gouldhopper"
+                for alias in node.names]
+    assert importlib.import_module("gouldhopper").__all__ == sorted(imported)
     shown = []
     lines = block.splitlines()
     for line, below in zip(lines, lines[1:] + [""]):

@@ -1,7 +1,6 @@
 """Command-line interface tests: parsing, formats, exit codes, schemas."""
 
 import csv
-import dataclasses
 import importlib
 import importlib.metadata
 import io
@@ -676,7 +675,7 @@ def test_heat_refuses_a_solution_past_the_term_bound(capsys):
 
 
 def test_heat_refuses_a_product_past_the_term_product_bound(capsys):
-    # each power passes, but their product would cost 1,962,801 term products
+    # both powers pass, but their product would cost 1,964,202 term products more
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "heat", "--p", "1", "--q", "1",
                              "--initial", "(z+w)^1400*(z+w)^1400")
@@ -690,6 +689,7 @@ def test_product_bound_admits_products_that_merge_cheaply():
     # 2^20 products of the factors' terms, but the running product never
     # holds more than 21 terms
     assert parse_poly_expr("*".join(["(z+w)"] * 20)) == parse_poly_expr("(z+w)^20")
+    # 2 x 351^2 for the powers and 701 + 701^2 for the product: 738,504
     assert len(parse_poly_expr("(z+w)^700*(z+w)^700")) == 1401
     assert parse_poly_expr("0*(z+w)^600*(z+w)^600").is_zero()
     # signs ride on the product, wherever they are written
@@ -701,6 +701,22 @@ def test_power_bound_admits_monomial_powers_and_powers_under_it():
     assert parse_poly_expr("(2z)^60000") == Poly.monomial({"z": 60000}, 2 ** 60000)
     # the last squaring of (z+w)^1400 is 701^2 = 491,401 term products
     assert len(parse_poly_expr("(z+w)^1400")) == 1401
+
+
+def test_term_product_budget_covers_the_whole_expression():
+    # each (z+w)^1400 costs 492,802 term products, so two fit in the
+    # budget and a third does not
+    assert len(parse_poly_expr("(z+w)^1400 + (z+w)^1400")) == 1401
+    with pytest.raises(ExprError, match="power too large: about 1477011 term products"):
+        parse_poly_expr(" + ".join(["(z+w)^1400"] * 3))
+
+
+def test_a_zero_factor_raises_no_power():
+    start = time.perf_counter()
+    assert parse_poly_expr("0*" + "*".join(["(z+w)^1400"] * 8)).is_zero()
+    assert time.perf_counter() - start < 0.1
+    # a zero base to the power 0 is 1, not a zero factor
+    assert parse_poly_expr("0^0*z - 2*0^3*w") == parse_poly_expr("z")
 
 
 # ---------------------------------------------------------------------
@@ -817,10 +833,8 @@ def test_json_documents_are_what_json_dumps_writes(capsys, argv):
 
 
 def test_json_default_writes_rationals_and_refuses_other_types():
-    ranges = GridRanges(n_max=1, m_max=1, pq_pairs=((1, 0),), hyp_points=(F(-3, 7), 2))
-    grid = json.loads(_dumped(dataclasses.asdict(ranges), 1))
-    assert grid["pq_pairs"] == [[1, 0]]
-    assert grid["hyp_points"] == ["-3/7", 2]
+    grid = json.loads(_dumped({"pq_pairs": ((1, 0),), "points": [F(-3, 7), 2]}, 1))
+    assert grid == {"pq_pairs": [[1, 0]], "points": ["-3/7", 2]}
     assert _dumped({"c": F(4, 2), "n": [1]}, 1) == (
         '{\n    "c": "2",\n    "n": [\n      1\n    ]\n  }')
     for value in ({2}, b"x", 1j):
@@ -840,7 +854,8 @@ _NOTES = st.text() | st.sampled_from(['"quoted"', "back\\slash", "tab\tnew\nline
 @settings(max_examples=200, deadline=None)
 @given(_TERM_POLYS, st.integers(0, 5))
 def test_term_writer_matches_write_json(poly, depth):
-    assert _term_items(poly, depth) == [_dumps_at(term, depth) for term in poly.to_json_obj()]
+    items = _term_items(poly.canonical_terms(), depth)
+    assert items == [_dumps_at(term, depth) for term in poly.to_json_obj()]
     expected = {"text": poly.text(), "terms": poly.to_json_obj()}
     assert _poly_json(poly, depth) == _dumps_at(expected, depth)
     expected["strategy"] = "via_genfun"

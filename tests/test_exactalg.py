@@ -376,8 +376,10 @@ def test_kernel_matches_reference(pair, scalar, k, order):
     assert _as_ref(a * b) == _ref_mul(ra, rb)
     assert _as_ref(a * scalar) == _ref_clean({e: c * scalar for e, c in ra.items()})
     assert _as_ref(a ** k) == _ref_pow(ra, k)
-    assert [e for e, _ in a.sorted_terms()] == sorted(
-        ra, key=lambda e: (sum(e), e), reverse=True)
+    # graded lex, leading term first, each coefficient reduced on its own
+    assert a.canonical_terms() == [
+        (e, c.numerator, c.denominator)
+        for e, c in sorted(ra.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)]
     for name in _REF_VARS:
         i = VAR_INDEX[name]
         assert _as_ref(a.diff(name, k)) == _ref_diff(ra, i, k)

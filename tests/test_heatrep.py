@@ -175,9 +175,10 @@ def test_property_suite_is_deterministic():
 
 
 def test_property_suite_custom_cells():
-    report = property_suite(seed=1, trials=2, pq_pairs=((3, 1),), c_values=(F(2),))
+    report = property_suite(seed=1, trials=2, pq_pairs=((3, 1),))
     assert report["failures"] == []
-    assert report["cases"] == 10
+    # 2 trials * 1 (p,q) pair * 3 speeds * 5 checks
+    assert report["cases"] == 30
     assert report["pq_pairs"] == [[3, 1]]
 
 

@@ -387,6 +387,12 @@ def test_run_cell_pde():
 # grid expansion and audits
 # ---------------------------------------------------------------------
 
+def _refused_point_field(field):
+    # hyp_points and weighted_points are fixed: passing any value for
+    # them is refused when the grid is built, before any checker runs
+    return pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'")
+
+
 @pytest.mark.parametrize("entries, field", [
     ({"pq_pairs": ((1, 1), (2, 1), (1, 1))}, "pq_pairs"),
     ({"hyp_points": (F(2), F(1, 2), 2)}, "hyp_points"),
@@ -394,7 +400,11 @@ def test_run_cell_pde():
 ], ids=["pq_pairs", "hyp_points", "weighted_points"])
 def test_grid_ranges_rejects_repeated_entries(entries, field):
     # a repeated entry would check and report the same cells twice
-    with pytest.raises(ValueError, match=f"{field} repeats an entry"):
+    if field == "pq_pairs":
+        refused = pytest.raises(ValueError, match=f"{field} repeats an entry")
+    else:
+        refused = _refused_point_field(field)
+    with refused:
         GridRanges(n_max=1, m_max=1, **entries)
 
 
@@ -405,14 +415,38 @@ def test_grid_ranges_validation():
         GridRanges(series_order=2, pq_pairs=((2, 1),))
 
 
-@pytest.mark.parametrize("points, message", [
-    ({"hyp_points": (F(2), F(0))}, "hyp_points must be nonzero"),
-    ({"weighted_points": ((F(1), F(2), F(3), F(4)),)}, r"entries are \(a, b, z, w, g\)"),
-    ({"weighted_points": (F(1),)}, r"entries are \(a, b, z, w, g\)"),
+def test_fixed_grid_points_meet_what_the_checkers_need():
+    # hyp_points and weighted_points are constants that no caller sets:
+    # the checkers take exact scalars, HYP_2F0_1F1 divides by its point,
+    # GEN_POCHHAMMER_S takes (a, b, z, w, g), and a repeated entry would
+    # check and report the same cells twice
+    ranges = GridRanges()
+    assert all(type(z) is F and z != 0 for z in ranges.hyp_points)
+    assert all(len(point) == 5 and all(type(value) is F for value in point)
+               for point in ranges.weighted_points)
+    for name in ("hyp_points", "weighted_points"):
+        entries = getattr(ranges, name)
+        assert entries and len(set(entries)) == len(entries)
+        assert name in dataclasses.asdict(ranges)
+
+
+@pytest.mark.parametrize("points, field", [
+    ({"hyp_points": (F(2), F(0))}, "hyp_points"),
+    ({"weighted_points": ((F(1), F(2), F(3), F(4)),)}, "weighted_points"),
+    ({"weighted_points": (F(1),)}, "weighted_points"),
 ], ids=["zero_hyp_point", "four_tuple", "bare_scalar"])
-def test_grid_ranges_rejects_points_the_checkers_divide_by(points, message):
-    # rejected when the grid is built, before any checker runs
-    with pytest.raises(ValueError, match=message):
+def test_grid_ranges_rejects_points_the_checkers_divide_by(points, field):
+    with _refused_point_field(field):
+        GridRanges(n_max=1, m_max=1, pq_pairs=((1, 1),), **points)
+
+
+@pytest.mark.parametrize("points, field", [
+    ({"hyp_points": (F(2), 0.5)}, "hyp_points"),
+    ({"weighted_points": ((F(1, 2), F(1, 3), F(2), F(3), 5.0),)}, "weighted_points"),
+], ids=["float_hyp_point", "float_weighted_point"])
+def test_grid_ranges_rejects_inexact_points(points, field):
+    # the checkers take exact scalars only; a float cannot reach one
+    with _refused_point_field(field):
         GridRanges(n_max=1, m_max=1, pq_pairs=((1, 1),), **points)
 
 
@@ -421,25 +455,15 @@ def test_weighted_points_may_put_z_or_w_at_zero(z, w):
     # GEN_POCHHAMMER_S's closed form divides by neither z nor w: the
     # corrected variant passes there, and the printed one fails only as
     # the excused misprint, never for (p, q) = (1, 1) where both agree
-    ranges = GridRanges(weighted_series_order=6,
-                        weighted_points=((F(1, 2), F(1, 3), F(z), F(w), F(5)),))
-    reports = audit_grid([IdentityTag.GEN_POCHHAMMER_S], ranges, policy="both")
-    assert len(reports) == 2 * len(ranges.pq_pairs)
-    assert not effective_failures(reports)
-    for report in reports:
-        misprinted = report.variant == "printed" and (report.params["p"], report.params["q"]) != (1, 1)
-        assert report.status == ("Fail" if misprinted else "SeriesPass")
-
-
-@pytest.mark.parametrize("points, field", [
-    ({"hyp_points": (F(2), 0.5)}, "hyp_points"),
-    ({"weighted_points": ((F(1, 2), F(1, 3), F(2), F(3), 5.0),)}, "weighted_points"),
-], ids=["float_hyp_point", "float_weighted_point"])
-def test_grid_ranges_rejects_inexact_points(points, field):
-    # the checkers take exact scalars only; a float used to pass here and
-    # then stop the audit with a TypeError inside the checker
-    with pytest.raises(ValueError, match=f"{field} entries must be exact"):
-        GridRanges(n_max=1, m_max=1, pq_pairs=((1, 1),), **points)
+    for p, q in GridRanges().pq_pairs:
+        cell = {"p": p, "q": q, "a": F(1, 2), "b": F(1, 3), "z": F(z), "w": F(w), "g": F(5),
+                "order": 6}
+        reports = run_cell(IdentityTag.GEN_POCHHAMMER_S, cell, policy="both")
+        assert len(reports) == 2
+        assert not effective_failures(reports)
+        for report in reports:
+            misprinted = report.variant == "printed" and (p, q) != (1, 1)
+            assert report.status == ("Fail" if misprinted else "SeriesPass")
 
 
 def test_cells_for_symmetry_grid():
