@@ -23,7 +23,7 @@ import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
-from .exactalg import MAX_DEGREE, Poly, VAR_NAMES, terms_text
+from .exactalg import Poly, VAR_NAMES, check_degree, terms_text
 from .ghcore import (
     STRATEGIES,
     FamilyParams,
@@ -71,8 +71,10 @@ class ExprError(ValueError):
         self.position = position
 
 
-_NUM_RE = re.compile(r"\d+(?:/\d+)?")
-_NAME_RE = re.compile(r"[A-Za-zγ][A-Za-z0-9]*'?")
+# one token per match: a number, a name, an operator, or any other
+# character that is not a space, which no expression may hold
+_TOKEN_RE = re.compile(r"(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-zγ][A-Za-z0-9]*'?)"
+                       r"|(?P<op>[-+*^()])|(?P<other>\S)")
 
 
 # The most term products a whole expression may cost, summed over the
@@ -119,8 +121,6 @@ def _product_term_pairs(powers: list[tuple[Poly, int, int]], variables: int) -> 
     variables.  A monomial factor leaves the running product's term count
     as it is, so a product of monomials costs one term product per factor.
     """
-    if all(len(base) < 2 for base, _, _ in powers):
-        return len(powers)
     pairs, terms, degree = 0, 1, 0
     for base, exponent, _ in powers:
         size = _power_terms(base, exponent)
@@ -131,31 +131,23 @@ def _product_term_pairs(powers: list[tuple[Poly, int, int]], variables: int) -> 
     return pairs
 
 
-def _tokenize(src: str) -> list[tuple[str, object, int]]:
-    tokens: list[tuple[str, object, int]] = []
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        match = _NUM_RE.match(src, i)
-        if match:
-            # keep the raw text: the power rule needs to tell 2 from 2/1
-            tokens.append(("num", match.group(), i))
-            i = match.end()
-            continue
-        match = _NAME_RE.match(src, i)
-        if match:
-            tokens.append(("name", match.group(), i))
-            i = match.end()
-            continue
-        if ch in "+-*^()":
-            tokens.append(("op", ch, i))
-            i += 1
-            continue
-        raise ExprError(f"unexpected character {ch!r}", i)
+def _tokenize(src: str) -> list[tuple[str, str, int]]:
+    # (kind, text, position) of each token; a number keeps its raw text,
+    # since the power rule needs to tell 2 from 2/1
+    tokens = []
+    for match in _TOKEN_RE.finditer(src):
+        kind, text, pos = match.lastgroup, match.group(), match.start()
+        if kind == "other":
+            raise ExprError(f"unexpected character {text!r}", pos)
+        tokens.append((kind, text, pos))
     return tokens
+
+
+def _raised(products: list) -> Poly:
+    # the sum of the signed products (sign, [(base, exponent, _), ...]),
+    # each power raised only as lincomb reaches its product
+    return Poly.lincomb((sign, *(base if exp == 1 else base ** exp for base, exp, _ in powers))
+                        for sign, powers in products)
 
 
 class _ExprParser:
@@ -164,6 +156,10 @@ class _ExprParser:
     Grammar: rational literals (``3``, ``3/2``), variables, ``+ - *``,
     ``^`` with nonnegative integer exponents, parentheses, and implicit
     multiplication by adjacency (``2z``, ``3(z+w)``).
+
+    The whole expression is read, and each of its products charged against
+    MAX_POWER_TERM_PAIRS, before any power of it is raised; only a
+    parenthesized sum is computed when it closes, as the base it is.
     """
 
     def __init__(self, src: str, allowed: frozenset[str]):
@@ -185,22 +181,22 @@ class _ExprParser:
     def parse(self) -> Poly:
         if not self.tokens:
             raise ExprError("empty expression", 0)
-        result = self._expr()
+        products = self._expr()
         kind, value, pos = self._peek()
         if kind is not None:
             raise ExprError(f"unexpected {value!r}", pos)
-        return result
+        return _raised(products)
 
-    def _expr(self) -> Poly:
-        # one linear combination of the signed products
-        terms = [self._term(1)]
+    def _expr(self) -> list:
+        # the signed products of one sum, each charged, none raised
+        products = [self._term(1)]
         while True:
             kind, value, _ = self._peek()
             if kind == "op" and value in "+-":
                 self.k += 1
-                terms.append(self._term(1 if value == "+" else -1))
+                products.append(self._term(1 if value == "+" else -1))
             else:
-                return Poly.lincomb(terms)
+                return products
 
     def _charge(self, what: str, pairs: int, pos: int) -> None:
         # add `pairs` to the expression's cost; refuse the expression past the budget
@@ -210,9 +206,8 @@ class _ExprParser:
                             f"MAX_POWER_TERM_PAIRS = {MAX_POWER_TERM_PAIRS}", pos)
 
     def _term(self, sign: int) -> tuple:
-        # one product as lincomb takes it, (sign, *factors); its powers are
-        # raised only once the expression so far, this product included, is
-        # known to cost few enough term products
+        # one product as (sign, its powers), its degree checked and its
+        # cost charged; a product with a zero factor is 0 and costs nothing
         pos = self._peek()[2]
         powers = []
         while True:
@@ -228,13 +223,12 @@ class _ExprParser:
             elif not (kind in ("num", "name") or (kind == "op" and value == "(")):
                 break
         if any(exponent and not base for base, exponent, _ in powers):
-            return (0,)
+            return 0, []
+        check_degree(sum(base.total_degree() * exponent for base, exponent, _ in powers))
         for base, exponent, at in powers:
-            # a degree past MAX_DEGREE is the kernel's to refuse, in `**`
-            if base.total_degree() * exponent <= MAX_DEGREE:
-                self._charge("power", _power_term_pairs(base, exponent), at)
+            self._charge("power", _power_term_pairs(base, exponent), at)
         self._charge("product", _product_term_pairs(powers, len(self.allowed)), pos)
-        return (sign, *(base if exp == 1 else base ** exp for base, exp, _ in powers))
+        return sign, powers
 
     def _power(self) -> tuple[Poly, int, int]:
         # a base, its exponent (1 if none is written) and the exponent's position
@@ -263,11 +257,11 @@ class _ExprParser:
                 raise ExprError(f"variable {value!r} is not allowed here", pos)
             return Poly.variable(var)
         if kind == "op" and value == "(":
-            inner = self._expr()
+            products = self._expr()
             kind, value, pos = self._next()
             if not (kind == "op" and value == ")"):
                 raise ExprError("expected ')'", pos)
-            return inner
+            return _raised(products)
         if kind is None:
             raise ExprError("unexpected end of expression", pos)
         raise ExprError(f"unexpected {value!r}", pos)
@@ -362,12 +356,32 @@ def _json_default(value) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+_json_encoder = json.JSONEncoder(sort_keys=True, indent=2, default=_json_default)
+
+
 def _dumped(value, depth: int) -> str:
     # json.dumps(value, sort_keys=True, indent=2) on a line `depth` levels
     # deep; ensure_ascii escapes every newline inside a string, so each one
     # the replace meets is a line break the indentation put there
-    text = json.dumps(value, sort_keys=True, indent=2, default=_json_default)
-    return text.replace("\n", "\n" + "  " * depth)
+    return _json_encoder.encode(value).replace("\n", "\n" + "  " * depth)
+
+
+def _check_printable(*polys: Poly) -> None:
+    """Refuse, with a ValueError, polynomials that hold an integer too long to print.
+
+    str() refuses an int of more than sys.get_int_max_str_digits() digits;
+    0 means no limit, and before Python 3.10.7 there is neither function
+    nor limit.  The writers print each coefficient reduced on its own.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    limit = get_limit() if get_limit else 0
+    for poly in polys:
+        # an int under 2 ** (3 * limit), which is less than 10 ** limit, prints
+        if limit and poly.height().bit_length() > 3 * limit:
+            bound = 10 ** limit
+            if any(abs(num) >= bound or den >= bound for _, num, den in poly.canonical_terms()):
+                raise ValueError(f"a coefficient has more than {limit} digits, past the limit "
+                                 f"sys.get_int_max_str_digits() = {limit}")
 
 
 def _joined(brackets: str, entries: list[str], newline: str) -> str:
@@ -464,12 +478,8 @@ def _csv_document(header: list[str], rows: list[list[str]]) -> str:
 
 
 def _report_params_text(report: IdentityReport) -> str:
-    keys = CHECKS[report.tag].keys
-    return " ".join(f"{key}={_scalar_text(report.params[key])}" for key in keys)
-
-
-def _scalar_text(value) -> str:
-    return str(value) if isinstance(value, int) else str(Fraction(value))
+    params = report.params_json()
+    return " ".join(f"{key}={params[key]}" for key in CHECKS[report.tag].keys)
 
 
 def _report_text(report: IdentityReport) -> str:
@@ -546,13 +556,15 @@ def _cmd_compute(args) -> int:
             poly = STRATEGIES[name](params, args.order)
             if bindings:
                 poly = poly.subst(bindings)
+            _check_printable(poly)
         except UnsupportedRepresentationError as exc:
             if args.strategy == "all":
                 continue
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         except ValueError as exc:
-            # a truncation order too low, or a degree past the kernel bound
+            # a truncation order too low, a degree past the kernel bound, or
+            # a coefficient too long to print
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         results.append((name, poly))
@@ -684,6 +696,11 @@ def _cmd_heat(args) -> int:
         return EXIT_USAGE
     u = solve(problem)
     res = residual(problem, u)
+    try:
+        _check_printable(problem.initial, u, res)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     if args.format == "json":
         _write_document({

@@ -148,7 +148,8 @@ def _var_index(name: str) -> int:
         raise ValueError(f"unknown variable {name!r}") from None
 
 
-def _check_degree(degree: int) -> None:
+def check_degree(degree: int) -> None:
+    """Refuse, with a ValueError, a total degree past MAX_DEGREE."""
     if degree > MAX_DEGREE:
         raise ValueError(
             f"total degree {degree} exceeds the kernel bound MAX_DEGREE = {MAX_DEGREE}"
@@ -167,7 +168,7 @@ def monomial_key(exps: Mapping[str, int]) -> int:
             raise ValueError(f"negative exponent for {name}")
         key += e * _UNIT[_var_index(name)]
         total += e
-    _check_degree(total)
+    check_degree(total)
     return key
 
 
@@ -253,7 +254,7 @@ class _Sum:
         """Add ``num/den * prod(factors)`` without building the product on its own."""
         if not num or not all(f._num for f in factors):
             return
-        _check_degree(sum(_top_degree(f._num) for f in factors))
+        check_degree(sum(_top_degree(f._num) for f in factors))
         for f in factors:
             den *= f._den
         rows = [(0, self._scale_for(den) * num)]
@@ -417,6 +418,10 @@ class Poly:
             return -1
         return _top_degree(self._num)
 
+    def height(self) -> int:
+        """The largest of the numerators' absolute values and the denominator."""
+        return max(max(map(abs, self._num.values()), default=0), self._den)
+
     def variables(self) -> set[str]:
         used = 0
         for k in self._num:
@@ -485,7 +490,7 @@ class Poly:
             big, small = small, big
         if not small:
             return Poly()
-        _check_degree(_top_degree(big) + _top_degree(small))
+        check_degree(_top_degree(big) + _top_degree(small))
         # one row per term of the smaller factor; the first row cannot
         # collide with itself, so it is built in one comprehension
         rows = iter(small.items())
@@ -507,7 +512,7 @@ class Poly:
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
         if exponent and self._num:
-            _check_degree(exponent * _top_degree(self._num))
+            check_degree(exponent * _top_degree(self._num))
         if len(self._num) == 1:
             # c x^key: raising the monomial multiplies its packed key
             ((key, c),) = self._num.items()
@@ -582,7 +587,7 @@ class Poly:
                 total.add_term(kept, coeff)
                 continue
             # the term's image has exactly this degree; check it before powering
-            _check_degree((kept >> _DEG_SHIFT) + degree)
+            check_degree((kept >> _DEG_SHIFT) + degree)
             acc: Poly | None = None
             for powers, e in factors:
                 while len(powers) <= e:
@@ -691,7 +696,7 @@ class SeriesUV:
         """Fold the series back into a polynomial carrying u, v factors."""
         total = _Sum()
         for (i, j), poly in self._coeffs.items():
-            _check_degree(_top_degree(poly._num) + i + j)
+            check_degree(_top_degree(poly._num) + i + j)
             total.add(poly, i * _U_UNIT + j * _V_UNIT)
         return total.poly()
 
@@ -824,7 +829,7 @@ def _euler_series(base: SeriesUV, order: int, alpha: int, beta: Fraction) -> Ser
                 x = k if i else l
                 weight = alpha * s * (n - x) + r * x
                 if weight:
-                    _check_degree(tops[(i - k, j - l)] + degree)
+                    check_degree(tops[(i - k, j - l)] + degree)
                     total.add(prev, key, c * weight)
             poly = total.poly(common * s * n)
             if poly:

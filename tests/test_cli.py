@@ -109,6 +109,8 @@ def test_parse_poly_expr_errors_carry_positions():
         parse_poly_expr("2 ** 3")
     with pytest.raises(ExprError, match=r"expected '\)' \(at position 2\)"):
         parse_poly_expr("(z")
+    with pytest.raises(ExprError, match=r"unexpected character '\$' \(at position 4\)"):
+        parse_poly_expr("z + $")
 
 
 def test_parse_poly_expr_round_trips_canonical_text():
@@ -116,6 +118,25 @@ def test_parse_poly_expr_round_trips_canonical_text():
 
     p = explicit_poly(2, 1, 4, 2)
     assert parse_poly_expr(p.text(), allowed_vars=("z", "w", "g")) == p
+
+
+_ZW_POLYS = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    st.fractions(max_denominator=50).filter(bool) | st.integers(-(2 ** 70), 2 ** 70).filter(bool),
+    max_size=6,
+).map(lambda terms: Poly.lincomb(
+    (coeff, Poly.monomial({"z": a, "w": b})) for (a, b), coeff in terms.items()))
+# ASCII whitespace, no-break space, em space, ideographic space
+_SPACE_RUNS = st.text(alphabet=" \t\n\r\f\v\u00a0\u2003\u3000", min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ZW_POLYS, st.data())
+def test_parse_poly_expr_reads_any_whitespace(poly, data):
+    first, *rest = poly.text().split(" ")
+    runs = data.draw(st.lists(_SPACE_RUNS, min_size=len(rest), max_size=len(rest)))
+    text = first + "".join(run + piece for run, piece in zip(runs, rest))
+    assert parse_poly_expr(text) == poly
 
 
 def test_parse_rational():
@@ -306,6 +327,52 @@ def test_compute_rejects_degree_past_kernel_bound(capsys):
     assert code == 2
     assert out == ""
     assert f"error: total degree {MAX_DEGREE + 1} exceeds the kernel bound" in err
+
+
+needs_print_limit = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                       reason="before Python 3.10.7 any int prints")
+
+
+@needs_print_limit
+@pytest.mark.parametrize("fmt", ["text", "json", "csv", "latex"])
+@pytest.mark.parametrize("argv", [
+    ["compute", "--p", "1", "--q", "1", "--n", "2000", "--m", "2000"],
+    ["compute", "--p", "1", "--q", "1", "--n", "2000", "--m", "2000", "--strategy", "all"],
+    ["heat", "--p", "1", "--q", "1", "--initial", "(z*w)^2000"],
+    ["heat", "--p", "1", "--q", "1", "--initial", "2^20000"],
+], ids=["compute", "compute-all", "heat", "heat-constant"])
+def test_a_coefficient_too_long_to_print_is_refused(capsys, argv, fmt):
+    # each result holds an integer of more digits than str() writes
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    limit = sys.get_int_max_str_digits()
+    assert (code, out) == (2, "")
+    assert err == (f"error: a coefficient has more than {limit} digits, "
+                   f"past the limit sys.get_int_max_str_digits() = {limit}\n")
+
+
+def test_coefficients_under_the_print_limit_are_printed(capsys):
+    code, out, _ = run_cli(capsys, "compute", "--p", "1", "--q", "1", "--n", "1500", "--m", "1500")
+    assert code == 0
+    assert out.startswith("z^1500 w^1500 + 2250000 * z^1499 w^1499 g + ")
+    # the shared denominator 3^5000 * 2^8000 has 4,795 digits, but each
+    # coefficient is printed reduced on its own, 1/3^5000 and 1/2^8000
+    initial = f"1/{3 ** 5000} * z + 1/{2 ** 8000} * w"
+    code, out, _ = run_cli(capsys, "heat", "--p", "1", "--q", "1", "--initial", initial)
+    assert (code, out) == (0, f"solution: {initial}\nresidual: 0\n")
+
+
+@needs_print_limit
+def test_no_print_limit_refuses_nothing(capsys, monkeypatch):
+    # 0 is no limit; before Python 3.10.7 there is no get_int_max_str_digits at all
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code, out, _ = run_cli(capsys, "heat", "--p", "1", "--q", "1", "--initial", "2^20000")
+        assert (code, out) == (0, f"solution: {2 ** 20000}\nresidual: 0\n")
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        assert run_cli(capsys, "heat", "--p", "1", "--q", "1", "--initial", "2^20000")[:2] == (0, out)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------------
@@ -652,6 +719,13 @@ def test_heat_rejects_degree_past_kernel_bound(capsys):
     assert code == 2
     assert out == ""
     assert f"error: total degree 100000 exceeds the kernel bound MAX_DEGREE = {MAX_DEGREE}" in err
+    # the degree is checked before any power or product is charged
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "heat", "--p", "1", "--q", "1",
+                             "--initial", "(z+w+1)^70000")
+    assert time.perf_counter() - start < 0.1
+    assert (code, out) == (2, "")
+    assert err == f"error: total degree 70000 exceeds the kernel bound MAX_DEGREE = {MAX_DEGREE}\n"
 
 
 @pytest.mark.parametrize("initial", ["(z+w)^60000", "(z+w)^3000", "2 + ((z+w+1)^2)^90"])
@@ -707,8 +781,20 @@ def test_term_product_budget_covers_the_whole_expression():
     # each (z+w)^1400 costs 492,802 term products, so two fit in the
     # budget and a third does not
     assert len(parse_poly_expr("(z+w)^1400 + (z+w)^1400")) == 1401
+    # every product is charged before any power is raised
+    start = time.perf_counter()
     with pytest.raises(ExprError, match="power too large: about 1477011 term products"):
         parse_poly_expr(" + ".join(["(z+w)^1400"] * 3))
+    assert time.perf_counter() - start < 0.1
+
+
+def test_the_whole_expression_is_read_before_any_power_is_raised():
+    start = time.perf_counter()
+    with pytest.raises(ExprError, match=r"unexpected '\)' \(at position 11\)"):
+        parse_poly_expr("(z+w)^1400 )")
+    with pytest.raises(ExprError, match=r"expected '\)' \(at position 12\)"):
+        parse_poly_expr("((z+w)^1400 ")
+    assert time.perf_counter() - start < 0.1
 
 
 def test_a_zero_factor_raises_no_power():

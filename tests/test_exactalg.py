@@ -106,6 +106,12 @@ def test_degree_and_variables():
     assert p.variables() == {"z", "w", "g"}
 
 
+def test_height_is_the_largest_integer_held():
+    assert Poly.zero().height() == 1
+    assert (F(-7, 3) * Z + F(5, 2) * W).height() == 15
+    assert (F(1, 9) * Z).height() == 9
+
+
 def test_coefficient_extraction():
     p = Z ** 2 * W + 3 * Z * G + 5
     assert p.coefficient("z", 2) == W
