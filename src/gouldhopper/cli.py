@@ -35,6 +35,7 @@ from .identity import (
     CHECKS,
     MAX_JOBS,
     POLICIES,
+    STATUS_FAIL,
     GridRanges,
     IdentityReport,
     audit_grid,
@@ -61,6 +62,21 @@ _VAR_ALIASES = {
 
 def canonical_var(name: str) -> str:
     return _VAR_ALIASES.get(name, name)
+
+
+def _max_str_digits() -> int:
+    """The most digits str() and int() convert, sys.get_int_max_str_digits().
+
+    0 means no limit, and before Python 3.10.7 there is neither function
+    nor limit.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    return get_limit() if get_limit else 0
+
+
+def _too_many_digits(limit: int) -> str:
+    return (f"a number has more than {limit} digits, past the limit "
+            f"sys.get_int_max_str_digits() = {limit}")
 
 
 class ExprError(ValueError):
@@ -169,6 +185,8 @@ class _ExprParser:
         self.allowed = allowed
         # term products charged so far, against MAX_POWER_TERM_PAIRS
         self.pairs = 0
+        # the most digits a number may have
+        self.limit = _max_str_digits()
 
     def _peek(self):
         return self.tokens[self.k] if self.k < len(self.tokens) else (None, None, len(self.src))
@@ -247,6 +265,8 @@ class _ExprParser:
     def _atom(self) -> Poly:
         kind, value, pos = self._next()
         if kind == "num":
+            if self.limit and max(map(len, value.split("/"))) > self.limit:
+                raise ExprError(_too_many_digits(self.limit), pos)
             try:
                 return Poly.const(Fraction(value))
             except ZeroDivisionError:
@@ -277,6 +297,9 @@ def parse_poly_expr(src: str, allowed_vars=("z", "w")) -> Poly:
 
 
 def parse_rational(text: str) -> Fraction:
+    limit = _max_str_digits()
+    if limit and any(len(run) > limit for run in re.findall(r"\d+", text)):
+        raise ValueError(_too_many_digits(limit))
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -369,12 +392,10 @@ def _dumped(value, depth: int) -> str:
 def _check_printable(*polys: Poly) -> None:
     """Refuse, with a ValueError, polynomials that hold an integer too long to print.
 
-    str() refuses an int of more than sys.get_int_max_str_digits() digits;
-    0 means no limit, and before Python 3.10.7 there is neither function
-    nor limit.  The writers print each coefficient reduced on its own.
+    str() refuses an int of more than _max_str_digits() digits.  The
+    writers print each coefficient reduced on its own.
     """
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    limit = get_limit() if get_limit else 0
+    limit = _max_str_digits()
     for poly in polys:
         # an int under 2 ** (3 * limit), which is less than 10 ** limit, prints
         if limit and poly.height().bit_length() > 3 * limit:
@@ -487,7 +508,7 @@ def _report_text(report: IdentityReport) -> str:
         f"{report.status:<10} {report.tag.value:<18} "
         f"{_report_params_text(report)}  [{report.variant}]\n"
     )
-    if report.status == "Fail":
+    if report.status == STATUS_FAIL:
         text += f"    difference: {report.difference.text()}\n"
     if report.notes:
         text += f"    notes: {report.notes}\n"
@@ -496,7 +517,7 @@ def _report_text(report: IdentityReport) -> str:
 
 def _failure_text(report: IdentityReport) -> str:
     # the audit's text lists the failed reports only
-    return _report_text(report) if report.status == "Fail" else ""
+    return _report_text(report) if report.status == STATUS_FAIL else ""
 
 
 def _summary_text(summary: dict) -> str:
@@ -513,7 +534,7 @@ def _report_junit(report: IdentityReport) -> str:
         classname=report.tag.value,
         name=f"{_report_params_text(report)} [{report.variant}]",
     )
-    if report.status == "Fail":
+    if report.status == STATUS_FAIL:
         if report.known_misprint:
             ET.SubElement(case, "skipped", message=report.notes or "known misprint")
         else:
@@ -691,13 +712,15 @@ def _cmd_heat(args) -> int:
     try:
         initial = parse_poly_expr(args.initial, ("z", "w"))
         problem = HeatProblem(args.p, args.q, args.c, initial)
+        # JSON prints c, and the solution's t^0 part is the datum
+        _check_printable(Poly.const(problem.c), problem.initial)
     except (ExprError, InvalidParamsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     u = solve(problem)
     res = residual(problem, u)
     try:
-        _check_printable(problem.initial, u, res)
+        _check_printable(u, res)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

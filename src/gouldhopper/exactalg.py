@@ -49,16 +49,13 @@ denominator.  :meth:`Poly.terms` hands each coefficient out as a reduced
 canonical order.  Every serialization reads that one term list, so it
 depends only on the polynomial, never on how it was computed.
 
-**Series kernel.**  :func:`series_exp` and :func:`series_binomial_neg`
-never multiply two series.  With the Euler operator theta = u d/du, the
-series E = exp(A) solves theta E = (theta A) E and F = (1 - B)^(-a)
-solves (1 - B) theta F = a (theta B) F.  Comparing coefficients gives
-each coefficient of u^i v^j from at most as many earlier ones as the
-argument has terms (Knuth, TAOCP Vol. 2, section 4.7; Brent & Kung, "Fast
-algorithms for manipulating formal power series", J. ACM 25, 1978)::
+**Series kernel.**  :func:`series_exp` never multiplies two series.
+With the Euler operator theta = u d/du, the series E = exp(A) solves
+theta E = (theta A) E.  Comparing coefficients gives each coefficient of
+u^i v^j from at most as many earlier ones as the argument has terms
+(Knuth, TAOCP Vol. 2, section 4.7)::
 
     i E_ij = sum_kl k A_kl E_(i-k)(j-l)
-    i F_ij = sum_kl B_kl (i - k + a k) F_(i-k)(j-l)
 
 with v d/dv in place of u d/du on the row i = 0.  Every argument the
 package passes is a short sum of monomials, so each term of such a sum
@@ -406,13 +403,6 @@ class Poly:
     def __len__(self) -> int:
         return len(self._num)
 
-    def degree(self, name: str) -> int:
-        """Largest exponent of `name`; -1 for the zero polynomial."""
-        if not self._num:
-            return -1
-        shift = _SHIFT[_var_index(name)]
-        return max((k >> shift) & _MASK for k in self._num)
-
     def total_degree(self) -> int:
         if not self._num:
             return -1
@@ -624,14 +614,6 @@ class Poly:
             })
         return out
 
-    @classmethod
-    def from_json_obj(cls, obj: Iterable[Mapping]) -> "Poly":
-        total = _Sum()
-        for term in obj:
-            coeff = Fraction(int(term["num"]), int(term["den"]))
-            total.add_term(monomial_key(dict(term["exps"])), coeff.numerator, coeff.denominator)
-        return total.poly()
-
     def __repr__(self) -> str:
         return f"Poly({self.text()})"
 
@@ -660,10 +642,6 @@ class SeriesUV:
     @property
     def order(self) -> int:
         return self._order
-
-    @classmethod
-    def one(cls, order: int) -> "SeriesUV":
-        return cls(order, {(0, 0): Poly.one()})
 
     @classmethod
     def from_poly(cls, poly: Poly, order: int) -> "SeriesUV":
@@ -753,60 +731,23 @@ class SeriesUV:
         return f"SeriesUV(order={self._order}, {self.to_poly().text()})"
 
 
-def series_exp(arg: SeriesUV | Poly, order: int | None = None) -> SeriesUV:
-    """exp(arg), truncated at the series order, by the Euler recurrence.
+def series_exp(arg: Poly, order: int) -> SeriesUV:
+    """exp(arg), truncated at total order `order`, by the Euler recurrence.
 
-    E = exp(A) solves u dE/du = (u dA/du) E, so with A = sum A_kl u^k v^l
+    `arg` is read as a series in u, v.  E = exp(A) solves
+    u dE/du = (u dA/du) E, so with A = sum A_kl u^k v^l
 
         i E_ij = sum_kl k A_kl E_(i-k)(j-l),    E_00 = 1,
 
-    and row i = 0 follows from v d/dv the same way (Knuth, TAOCP Vol. 2,
-    section 4.7).  A Poly argument is read as a series to `order`, which
-    it then requires.  A SeriesUV argument is truncated at `order`, or at
-    its own order if that is lower or `order` is None.  The argument must
-    have zero constant term, otherwise the exponential would not be a
-    polynomial-coefficient series.
+    and row i = 0 follows from v d/dv the same way, with l for k (Knuth,
+    TAOCP Vol. 2, section 4.7).  The argument must have zero constant
+    term, otherwise the exponential would not be a polynomial-coefficient
+    series.
     """
-    if isinstance(arg, Poly):
-        if order is None:
-            raise ValueError("order is required when the argument is a Poly")
-        arg = SeriesUV.from_poly(arg, order)
-    if not arg.coeff(0, 0).is_zero():
-        raise SeriesArgumentError("series_exp needs a zero constant term")
-    top = arg.order if order is None else min(order, arg.order)
-    return _euler_series(arg, top, 0, Fraction(1))
-
-
-def series_binomial_neg(base: Poly | SeriesUV, exponent: ScalarLike, order: int) -> SeriesUV:
-    """(1 - base)^(-exponent), truncated at the series order.
-
-    F = (1 - B)^(-a) solves (1 - B) u dF/du = a (u dB/du) F, so
-
-        i F_ij = sum_kl B_kl (i - k + a k) F_(i-k)(j-l),    F_00 = 1,
-
-    and row i = 0 follows from v d/dv (Brent & Kung, "Fast algorithms for
-    manipulating formal power series", J. ACM 25, 1978).  The result is
-    truncated at `order`, or at the order of a SeriesUV base if that is
-    lower; `base` must have zero constant term.
-    """
-    if isinstance(base, Poly):
-        base = SeriesUV.from_poly(base, order)
+    base = SeriesUV.from_poly(arg, order)
     if not base.coeff(0, 0).is_zero():
-        raise SeriesArgumentError("series_binomial_neg needs a zero constant term")
-    return _euler_series(base, min(order, base.order), 1, as_scalar(exponent))
-
-
-def _euler_series(base: SeriesUV, order: int, alpha: int, beta: Fraction) -> SeriesUV:
-    """F with F_00 = 1 and (1 - alpha B) theta F = beta (theta B) F.
-
-    alpha = 0 gives exp(beta B), alpha = 1 gives (1 - B)^(-beta); B has
-    zero constant term.  With n = i and x = k (n = j and x = l on row 0,
-    where theta is v d/dv), each coefficient is one in-place sum
-
-        n F_ij = sum_kl B_kl (alpha (n - x) + beta x) F_(i-k)(j-l).
-    """
-    r, s = beta.numerator, beta.denominator
-    # the monomial terms of B over one common denominator `common`:
+        raise SeriesArgumentError("series_exp needs a zero constant term")
+    # the monomial terms of A over one common denominator `common`:
     # (k, l, packed key, numerator, total degree of the key)
     common = math.lcm(*(poly._den for _, poly in base.items()))
     terms = [
@@ -826,12 +767,11 @@ def _euler_series(base: SeriesUV, order: int, alpha: int, beta: Fraction) -> Ser
                 prev = coeffs.get((i - k, j - l))
                 if prev is None:
                     continue
-                x = k if i else l
-                weight = alpha * s * (n - x) + r * x
+                weight = k if i else l
                 if weight:
                     check_degree(tops[(i - k, j - l)] + degree)
                     total.add(prev, key, c * weight)
-            poly = total.poly(common * s * n)
+            poly = total.poly(common * n)
             if poly:
                 coeffs[(i, j)] = poly
                 tops[(i, j)] = _top_degree(poly._num)

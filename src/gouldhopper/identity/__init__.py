@@ -31,7 +31,6 @@ from .audit import (
     audit_grid,
     cells_for,
     corrected_variant_label,
-    effective_failures,
     run_cell,
     summarize,
     unchecked_tags,
@@ -62,7 +61,6 @@ __all__ = [
     "audit_grid",
     "cells_for",
     "corrected_variant_label",
-    "effective_failures",
     "parse_tag",
     "pochhammer_tail",
     "run_cell",

@@ -105,14 +105,6 @@ class IdentityReport:
     notes: str = ""
     known_misprint: bool = False  # printed Fail excused by a passing corrected run
 
-    @property
-    def passed(self) -> bool:
-        return self.status != STATUS_FAIL
-
-    @property
-    def effective_fail(self) -> bool:
-        return self.status == STATUS_FAIL and not self.known_misprint
-
     def params_json(self) -> dict:
         return {key: _scalar_json(value) for key, value in self.params.items()}
 
@@ -142,18 +134,14 @@ class IdentityReport:
 class RenderedReport(NamedTuple):
     """A report as audit_grid's `render` turned it into text in the worker.
 
-    It keeps what summarize and effective_failures read, so the parent
-    never needs the report itself.
+    It keeps what summarize reads, so the parent never needs the report
+    itself.
     """
 
     tag: IdentityTag
     status: str
     known_misprint: bool
     text: str
-
-    @property
-    def effective_fail(self) -> bool:
-        return self.status == STATUS_FAIL and not self.known_misprint
 
 
 def _scalar_json(value):
@@ -208,16 +196,15 @@ def run_cell(tag: IdentityTag, params: Mapping, policy: str = "auto") -> list[Id
     if policy == "corrected":
         return [one("corrected" if ledgered else "printed")]
 
-    reports = [one("printed")]
-    wants_corrected = ledgered and (policy == "both" or not reports[0].passed)
-    if wants_corrected:
+    printed = one("printed")
+    reports = [printed]
+    failed = printed.status == STATUS_FAIL
+    if ledgered and (policy == "both" or failed):
         corrected = one("corrected")
         reports.append(corrected)
-        if not reports[0].passed and corrected.passed:
-            reports[0].known_misprint = True
-            reports[0].notes = _join_notes(
-                reports[0].notes, f"known misprint; {MISPRINT_LEDGER[tag]}"
-            )
+        if failed and corrected.status != STATUS_FAIL:
+            printed.known_misprint = True
+            printed.notes = _join_notes(printed.notes, f"known misprint; {MISPRINT_LEDGER[tag]}")
     return reports
 
 
@@ -369,11 +356,7 @@ def summarize(reports: Sequence[IdentityReport | RenderedReport]) -> dict:
             if report.known_misprint:
                 summary["known_misprints"] += 1
                 bucket["known_misprints"] += 1
-            if report.effective_fail:
+            else:
                 summary["effective_fail"] += 1
     summary["by_tag"] = dict(sorted(summary["by_tag"].items()))
     return summary
-
-
-def effective_failures(reports: Sequence[IdentityReport | RenderedReport]) -> list:
-    return [report for report in reports if report.effective_fail]

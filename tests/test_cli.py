@@ -340,7 +340,9 @@ needs_print_limit = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"
     ["compute", "--p", "1", "--q", "1", "--n", "2000", "--m", "2000", "--strategy", "all"],
     ["heat", "--p", "1", "--q", "1", "--initial", "(z*w)^2000"],
     ["heat", "--p", "1", "--q", "1", "--initial", "2^20000"],
-], ids=["compute", "compute-all", "heat", "heat-constant"])
+    # the datum z solves as it is, so only the JSON document holds c
+    ["heat", "--p", "1", "--q", "1", "--initial", "z", "--c", "1e5000"],
+], ids=["compute", "compute-all", "heat", "heat-constant", "heat-c"])
 def test_a_coefficient_too_long_to_print_is_refused(capsys, argv, fmt):
     # each result holds an integer of more digits than str() writes
     code, out, err = run_cli(capsys, *argv, "--format", fmt)
@@ -348,6 +350,48 @@ def test_a_coefficient_too_long_to_print_is_refused(capsys, argv, fmt):
     assert (code, out) == (2, "")
     assert err == (f"error: a coefficient has more than {limit} digits, "
                    f"past the limit sys.get_int_max_str_digits() = {limit}\n")
+
+
+@needs_print_limit
+def test_an_unprintable_heat_datum_is_refused_before_solve(capsys, monkeypatch):
+    limit = sys.get_int_max_str_digits()
+    solved = []
+    cli = importlib.import_module("gouldhopper.cli")
+    monkeypatch.setattr(cli, "solve", solved.append)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "heat", "--p", "1", "--q", "1",
+                             "--initial", "2^15000*(z+w)^300")
+    assert time.perf_counter() - start < 0.1
+    assert (code, out, solved) == (2, "", [])
+    assert err == (f"error: a coefficient has more than {limit} digits, "
+                   f"past the limit sys.get_int_max_str_digits() = {limit}\n")
+
+
+@needs_print_limit
+def test_an_over_long_number_is_refused_with_the_readers_reason(capsys):
+    limit = sys.get_int_max_str_digits()
+    digits = "1" * (limit + 1)
+    reason = (f"a number has more than {limit} digits, "
+              f"past the limit sys.get_int_max_str_digits() = {limit}")
+    code, out, err = run_cli(capsys, "heat", "--p", "1", "--q", "1", "--initial", f"z + {digits}")
+    assert (code, out, err) == (2, "", f"error: {reason} (at position 4)\n")
+    with pytest.raises(ExprError) as refused:
+        parse_poly_expr(f"w - 1/{digits}")
+    assert str(refused.value) == f"{reason} (at position 4)"
+    with pytest.raises(ValueError) as refused:
+        parse_rational(f"1/{digits}")
+    assert str(refused.value) == reason
+    for argv in (["heat", "--p", "1", "--q", "1", "--initial", "z", f"--c={digits}"],
+                 ["compute", "--p", "1", "--q", "1", "--n", "1", "--m", "1", f"--gamma={digits}"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        # argparse's usage lines, then one short line with the reason
+        assert err.endswith(f": {reason}\n")
+        assert len(err.splitlines()[-1]) < 300
+        assert "1" * 100 not in err
+    # a number of exactly `limit` digits is read
+    assert parse_rational("1" * limit) == int("1" * limit)
+    assert parse_poly_expr("1" * limit) == Poly.const(int("1" * limit))
 
 
 def test_coefficients_under_the_print_limit_are_printed(capsys):
@@ -365,12 +409,15 @@ def test_coefficients_under_the_print_limit_are_printed(capsys):
 def test_no_print_limit_refuses_nothing(capsys, monkeypatch):
     # 0 is no limit; before Python 3.10.7 there is no get_int_max_str_digits at all
     limit = sys.get_int_max_str_digits()
+    digits = "1" * (limit + 1)
     sys.set_int_max_str_digits(0)
     try:
-        code, out, _ = run_cli(capsys, "heat", "--p", "1", "--q", "1", "--initial", "2^20000")
-        assert (code, out) == (0, f"solution: {2 ** 20000}\nresidual: 0\n")
-        monkeypatch.delattr(sys, "get_int_max_str_digits")
-        assert run_cli(capsys, "heat", "--p", "1", "--q", "1", "--initial", "2^20000")[:2] == (0, out)
+        for _ in range(2):
+            code, out, _ = run_cli(capsys, "heat", "--p", "1", "--q", "1", "--initial", "2^20000")
+            assert (code, out) == (0, f"solution: {2 ** 20000}\nresidual: 0\n")
+            assert parse_rational(digits) == int(digits)
+            assert parse_poly_expr(f"z + {digits}") == Poly.variable("z") + int(digits)
+            monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
     finally:
         sys.set_int_max_str_digits(limit)
 

@@ -11,21 +11,21 @@ from fractions import Fraction as F
 
 import pytest
 
-from gouldhopper import ghcore
-from gouldhopper.exactalg import Poly, SeriesUV, rising_factorial, series_binomial_neg
-from gouldhopper.ghcore import explicit_poly
+from gouldhopper import ghcore, heatrep
+from gouldhopper.exactalg import Poly, SeriesUV, rising_factorial
+from gouldhopper.ghcore import _comb0, explicit_poly
 from gouldhopper.heatrep import property_suite
 from gouldhopper.identity import (
     CHECKS,
     MAX_JOBS,
     MISPRINT_LEDGER,
+    STATUS_FAIL,
     GridRanges,
     IdentityTag,
     RenderedReport,
     audit_grid,
     cells_for,
     corrected_variant_label,
-    effective_failures,
     parse_tag,
     pochhammer_tail,
     run_cell,
@@ -264,6 +264,16 @@ def test_series_identities_pass():
         assert report.series_order == cell["order"]
 
 
+def _power_sum_binomial_neg(base, a, order):
+    # (1 - base)^(-a) = sum_k (a)_k base^k / k!, one series product per power
+    acc = power = SeriesUV(order, {(0, 0): Poly.one()})
+    base = SeriesUV.from_poly(base, order)
+    for k in range(1, order + 1):
+        power = power * base
+        acc = acc + power * (rising_factorial(a, k) / math.factorial(k))
+    return acc
+
+
 @pytest.mark.parametrize("variant", ["printed", "corrected"])
 def test_pochhammer_s_closed_form_matches_the_series_products(variant):
     # the right-hand side as displayed: (1-uz)^-a (1-vw)^-b sum_K c_K X^K,
@@ -275,8 +285,8 @@ def test_pochhammer_s_closed_form_matches_the_series_products(variant):
     uz, vw = Poly.monomial({"u": 1}, z), Poly.monomial({"v": 1}, w)
     arg = {"u": 1, "v": 1} if variant == "printed" else {"u": p, "v": q}
     x = (SeriesUV.from_poly(Poly.monomial(arg, g * p ** p * q ** q), order)
-         * series_binomial_neg(uz, F(p), order) * series_binomial_neg(vw, F(q), order))
-    hyp = power = SeriesUV.one(order)
+         * _power_sum_binomial_neg(uz, F(p), order) * _power_sum_binomial_neg(vw, F(q), order))
+    hyp = power = SeriesUV(order, {(0, 0): Poly.one()})
     for k in range(1, order + 1):
         power = power * x
         coeff = F(1, math.factorial(k))
@@ -285,7 +295,7 @@ def test_pochhammer_s_closed_form_matches_the_series_products(variant):
         for r in range(1, q + 1):
             coeff *= rising_factorial((b + r - 1) / q, k)
         hyp = hyp + power * coeff
-    expected = series_binomial_neg(uz, a, order) * series_binomial_neg(vw, b, order) * hyp
+    expected = _power_sum_binomial_neg(uz, a, order) * _power_sum_binomial_neg(vw, b, order) * hyp
     assert not rhs.is_zero()
     assert rhs == expected
 
@@ -329,7 +339,7 @@ def test_auto_policy_excuses_documented_misprints(tag):
     assert "known misprint" in printed.notes
     assert corrected.status in ("ExactPass", "SeriesPass")
     assert not corrected.known_misprint
-    assert not effective_failures(reports)
+    assert summarize(reports)["effective_fail"] == 0
 
 
 def test_auto_policy_returns_single_report_when_printed_passes():
@@ -460,7 +470,7 @@ def test_weighted_points_may_put_z_or_w_at_zero(z, w):
                 "order": 6}
         reports = run_cell(IdentityTag.GEN_POCHHAMMER_S, cell, policy="both")
         assert len(reports) == 2
-        assert not effective_failures(reports)
+        assert summarize(reports)["effective_fail"] == 0
         for report in reports:
             misprinted = report.variant == "printed" and (p, q) != (1, 1)
             assert report.status == ("Fail" if misprinted else "SeriesPass")
@@ -556,10 +566,9 @@ def test_audit_misprint_accounting():
     assert stats["fail"] > 0
     assert stats["fail"] == stats["known_misprints"]
     assert stats["effective_fail"] == 0
-    assert effective_failures(reports) == []
     # under the printed-only policy the same failures count
     printed = audit_grid([IdentityTag.PARAM_REC], ranges, policy="printed")
-    assert effective_failures(printed)
+    assert summarize(printed)["effective_fail"] == stats["fail"]
 
 
 def _report_line(report):
@@ -580,7 +589,7 @@ def test_audit_parallel_matches_serial():
         RenderedReport(r.tag, r.status, r.known_misprint, _report_line(r)) for r in serial
     ]
     assert summarize(rendered) == summarize(serial)
-    assert effective_failures(rendered) == effective_failures(serial) == []
+    assert summarize(serial)["effective_fail"] == 0
 
 
 def test_audit_heat_suite_is_one_more_task():
@@ -750,3 +759,67 @@ def test_cross_sum_sides_match_the_sums_by_term(tag):
         _, rhs = run_check(tag, cell, "printed")
         expected = _conn_rhs_by_term(tag, cell.get("p", 1), cell.get("q", 1), cell["n"])
         assert rhs == expected, cell
+
+
+# ---------------------------------------------------------------------
+# the audit can fail: one wrong family, binomial or heat solver each
+# ---------------------------------------------------------------------
+
+def _gamma_squared_negated(p, q, n, m):
+    h = explicit_poly(p, q, n, m)
+    return h - 2 * Poly.monomial({"g": 2}) * h.coefficient("g", 2)
+
+
+def _comb0_off_by_one(n, k):
+    return _comb0(n + 1, k)
+
+
+def _solve_with_c_negated(problem, solve=heatrep.solve):
+    return solve(dataclasses.replace(problem, c=-problem.c))
+
+
+# (modules patched, name, mutant, tags with an unexcused Fail, heat suite fails)
+_MUTANTS = {
+    "unpatched": ((), None, None, set(), False),
+    "gamma_squared_negated": (
+        (ghcore, checks, heatrep), "explicit_poly", _gamma_squared_negated,
+        {"CONN_GH_FROM_PQ", "CONN_PQ_FROM_GH", "CREATION", "CREATION_BOTH", "DERIV_GAMMA",
+         "DERIV_GAMMA_K", "GEN_FULL", "GEN_POCHHAMMER_S", "HYPERGEOM", "INVERSE_OP",
+         "INVERSE_SUM", "MULT_ABC", "MULT_C", "ORIGIN_VALUE", "PARAM_OP_P", "PARAM_OP_PQ",
+         "PARAM_OP_Q", "PARAM_REC", "PDE_EIGEN_M", "PDE_EIGEN_N", "PDE_HEAT", "PDE_PRODUCT",
+         "REC_RAISE_M", "REC_RAISE_M_OP", "REC_RAISE_N", "REC_RAISE_N_OP", "RUNGE_CANCEL",
+         "RUNGE_GENERAL", "RUNGE_HALF", "RUNGE_SCALED"},
+        True),
+    "comb0_off_by_one": (
+        (ghcore, checks), "_comb0", _comb0_off_by_one,
+        {"ADD_HALF", "ADD_ZW", "CONN_GH_FROM_PQ", "CONN_GH_SUM", "CONN_ITO", "NIELSEN_FULL",
+         "NIELSEN_M", "NIELSEN_N", "PARAM_REC", "REC_RAISE_M", "REC_RAISE_N", "RUNGE_CANCEL",
+         "RUNGE_GENERAL", "RUNGE_HALF", "RUNGE_SCALED"},
+        False),
+    "c_negated": ((heatrep,), "solve", _solve_with_c_negated, set(), True),
+}
+
+
+def _clear_caches():
+    # the memoized family members and sides, so no run reads another's
+    for module in (ghcore, checks):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+def test_mutants_fail_the_audit():
+    ranges = GridRanges(n_max=3, m_max=3, aux_max=1, jk_max=2, pq_pairs=((1, 1), (2, 1)),
+                        series_order=4, weighted_series_order=4)
+    for label, (modules, name, mutant, failing_tags, heat_fails) in _MUTANTS.items():
+        _clear_caches()
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                for module in modules:
+                    patch.setattr(module, name, mutant)
+                reports, heat = audit_grid(None, ranges, heat=(0, 1))
+        finally:
+            _clear_caches()
+        failed = {r.tag.value for r in reports if r.status == STATUS_FAIL and not r.known_misprint}
+        assert failed == failing_tags, label
+        assert bool(heat["failures"]) == heat_fails, label
