@@ -8,7 +8,7 @@ reported in one line on stderr).
 
 The deformation parameter is spelled ``gamma`` (or ``g``) in all
 textual interfaces; the Unicode letter is accepted on input and ASCII
-is emitted on output.  Rationals travel as ``num/den`` strings.
+is emitted on output.  Rationals are read and written as ``num/den`` strings.
 """
 
 from __future__ import annotations
@@ -49,21 +49,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-_VAR_ALIASES = {
-    "gamma": "g",
-    "γ": "g",
-    "z'": "zp",
-    "w'": "wp",
-    "g'": "gp",
-    "gamma'": "gp",
-    "γ'": "gp",
-}
-
-
-def canonical_var(name: str) -> str:
-    return _VAR_ALIASES.get(name, name)
-
-
 def _max_str_digits() -> int:
     """The most digits str() and int() convert, sys.get_int_max_str_digits().
 
@@ -74,11 +59,6 @@ def _max_str_digits() -> int:
     return get_limit() if get_limit else 0
 
 
-def _too_many_digits(limit: int) -> str:
-    return (f"a number has more than {limit} digits, past the limit "
-            f"sys.get_int_max_str_digits() = {limit}")
-
-
 class ExprError(ValueError):
     """Expression syntax/semantic error carrying a source position."""
 
@@ -87,10 +67,23 @@ class ExprError(ValueError):
         self.position = position
 
 
+def _check_digits(limit: int, text: str, position: int | None = None) -> None:
+    # refuse the number `text` if a run of its digits is longer than `limit`, the most
+    # int() reads (0: no limit); inside an expression, as an ExprError at `position`
+    if limit and max(map(len, text.lstrip("-+").split("/"))) > limit:
+        message = (f"a number has more than {limit} digits, past the limit "
+                   f"sys.get_int_max_str_digits() = {limit}")
+        raise ValueError(message) if position is None else ExprError(message, position)
+
+
+# the one number grammar, with an optional sign in a --c, --gamma or --subst value
+_NUMBER = r"\d+(?:/\d+)?"
+_RATIONAL_RE = re.compile(rf"[-+]?{_NUMBER}")
 # one token per match: a number, a name, an operator, or any other
 # character that is not a space, which no expression may hold
-_TOKEN_RE = re.compile(r"(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-zγ][A-Za-z0-9]*'?)"
+_TOKEN_RE = re.compile(rf"(?P<num>{_NUMBER})|(?P<name>[A-Za-zγ][A-Za-z0-9]*)"
                        r"|(?P<op>[-+*^()])|(?P<other>\S)")
+_EXPR_VARS = ("z", "w")
 
 
 # The most term products a whole expression may cost, summed over the
@@ -178,11 +171,10 @@ class _ExprParser:
     parenthesized sum is computed when it closes, as the base it is.
     """
 
-    def __init__(self, src: str, allowed: frozenset[str]):
+    def __init__(self, src: str):
         self.src = src
         self.tokens = _tokenize(src)
         self.k = 0
-        self.allowed = allowed
         # term products charged so far, against MAX_POWER_TERM_PAIRS
         self.pairs = 0
         # the most digits a number may have
@@ -245,7 +237,7 @@ class _ExprParser:
         check_degree(sum(base.total_degree() * exponent for base, exponent, _ in powers))
         for base, exponent, at in powers:
             self._charge("power", _power_term_pairs(base, exponent), at)
-        self._charge("product", _product_term_pairs(powers, len(self.allowed)), pos)
+        self._charge("product", _product_term_pairs(powers, len(_EXPR_VARS)), pos)
         return sign, powers
 
     def _power(self) -> tuple[Poly, int, int]:
@@ -260,22 +252,21 @@ class _ExprParser:
             raise ExprError("negative exponent", pos)
         if kind != "num" or not value.isdigit():
             raise ExprError("expected a nonnegative integer exponent", pos)
+        _check_digits(self.limit, value, pos)
         return base, int(value), pos
 
     def _atom(self) -> Poly:
         kind, value, pos = self._next()
         if kind == "num":
-            if self.limit and max(map(len, value.split("/"))) > self.limit:
-                raise ExprError(_too_many_digits(self.limit), pos)
+            _check_digits(self.limit, value, pos)
             try:
                 return Poly.const(Fraction(value))
             except ZeroDivisionError:
                 raise ExprError("zero denominator", pos) from None
         if kind == "name":
-            var = canonical_var(value)
-            if var not in self.allowed:
+            if value not in _EXPR_VARS:
                 raise ExprError(f"variable {value!r} is not allowed here", pos)
-            return Poly.variable(var)
+            return Poly.variable(value)
         if kind == "op" and value == "(":
             products = self._expr()
             kind, value, pos = self._next()
@@ -287,23 +278,21 @@ class _ExprParser:
         raise ExprError(f"unexpected {value!r}", pos)
 
 
-def parse_poly_expr(src: str, allowed_vars=("z", "w")) -> Poly:
-    """Parse a polynomial expression over the allowed variables."""
-    allowed = frozenset(canonical_var(name) for name in allowed_vars)
-    unknown = allowed - set(VAR_NAMES)
-    if unknown:
-        raise ValueError(f"unknown variables in allowed_vars: {sorted(unknown)}")
-    return _ExprParser(src, allowed).parse()
+def parse_poly_expr(src: str) -> Poly:
+    """Parse a polynomial expression in z and w."""
+    return _ExprParser(src).parse()
 
 
 def parse_rational(text: str) -> Fraction:
-    limit = _max_str_digits()
-    if limit and any(len(run) > limit for run in re.findall(r"\d+", text)):
-        raise ValueError(_too_many_digits(limit))
+    """Parse an optional sign, digits and an optional slash and digits, e.g. '-7/3'."""
+    number = text.strip()
+    if not _RATIONAL_RE.fullmatch(number):
+        raise ValueError(f"not a rational number: {text!r}")
+    _check_digits(_max_str_digits(), number)
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational number: {text!r}") from exc
+        return Fraction(number)
+    except ZeroDivisionError:
+        raise ValueError(f"not a rational number: {text!r}") from None
 
 
 def parse_count(text: str, most: int | None = None) -> int:
@@ -311,11 +300,11 @@ def parse_count(text: str, most: int | None = None) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        raise ValueError(f"expected an integer, got {text!r}") from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        raise ValueError(f"must be >= 1, got {value}")
     if most is not None and value > most:
-        raise argparse.ArgumentTypeError(f"must be <= {most}, got {value}")
+        raise ValueError(f"must be <= {most}, got {value}")
     return value
 
 
@@ -353,7 +342,7 @@ def parse_subst(text: str) -> dict[str, Fraction]:
         if "=" not in piece:
             raise ValueError(f"expected 'var=value' but got {piece!r}")
         key, _, value = piece.partition("=")
-        var = canonical_var(key.strip())
+        var = {"gamma": "g", "γ": "g"}.get(key.strip(), key.strip())
         if var not in ("z", "w", "g"):
             raise ValueError(f"cannot substitute {key.strip()!r}; use z, w, or gamma")
         if var in bindings:
@@ -480,21 +469,18 @@ def _report_json(report: IdentityReport, depth: int) -> str:
     )
 
 
-def _poly_csv_rows(poly: Poly, columns: tuple[str, ...]) -> list[list[str]]:
-    rows = []
+def _csv_document(label: str, columns: tuple[str, ...], parts) -> str:
+    # one row per term of each (name, poly) in `parts`: the name under
+    # `label`, the exponents of `columns`, the numerator and denominator;
+    # plain joins, since every field is an integer or a bare identifier
+    lines = [",".join([label, *columns, "num", "den"])]
     indices = [VAR_NAMES.index(name) for name in columns]
-    for exps, num, den in poly.canonical_terms():
-        stray = [VAR_NAMES[i] for i, e in enumerate(exps) if e and i not in indices]
-        if stray:
-            raise ValueError(f"polynomial contains unexpected variables {stray}")
-        rows.append([str(exps[i]) for i in indices] + [str(num), str(den)])
-    return rows
-
-
-def _csv_document(header: list[str], rows: list[list[str]]) -> str:
-    # plain joins: every field is an integer or a bare identifier
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
+    for name, poly in parts:
+        for exps, num, den in poly.canonical_terms():
+            stray = [VAR_NAMES[i] for i, e in enumerate(exps) if e and i not in indices]
+            if stray:
+                raise ValueError(f"polynomial contains unexpected variables {stray}")
+            lines.append(",".join([name, *(str(exps[i]) for i in indices), str(num), str(den)]))
     return "\n".join(lines) + "\n"
 
 
@@ -557,37 +543,38 @@ def _junit_document(cases: list[str], summary: dict) -> str:
 # subcommands
 # ---------------------------------------------------------------------
 
+def _usage(message) -> int:
+    # a usage error: one line on stderr, and exit 2
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _cmd_compute(args) -> int:
     try:
         params = FamilyParams(args.p, args.q, args.n, args.m)
     except InvalidParamsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage(exc)
     bindings = dict(args.subst or {})
     if args.gamma is not None:
         if "g" in bindings:
-            print("error: --gamma and --subst both bind gamma", file=sys.stderr)
-            return EXIT_USAGE
+            return _usage("--gamma and --subst both bind gamma")
         bindings["g"] = args.gamma
 
     names = tuple(STRATEGIES) if args.strategy == "all" else (args.strategy,)
     results = []
     for name in names:
         try:
-            poly = STRATEGIES[name](params, args.order)
+            poly = STRATEGIES[name](params)
             if bindings:
                 poly = poly.subst(bindings)
             _check_printable(poly)
         except UnsupportedRepresentationError as exc:
             if args.strategy == "all":
                 continue
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            return _usage(exc)
         except ValueError as exc:
-            # a truncation order too low, a degree past the kernel bound, or
-            # a coefficient too long to print
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            # a degree past the kernel bound, or a coefficient too long to print
+            return _usage(exc)
         results.append((name, poly))
 
     if args.format == "json":
@@ -598,12 +585,7 @@ def _cmd_compute(args) -> int:
             "substitution": _dumped(bindings or None, 1),
         })
     elif args.format == "csv":
-        header = ["strategy", "z", "w", "g", "num", "den"]
-        rows = []
-        for name, poly in results:
-            for row in _poly_csv_rows(poly, ("z", "w", "g")):
-                rows.append([name] + row)
-        sys.stdout.write(_csv_document(header, rows))
+        sys.stdout.write(_csv_document("strategy", ("z", "w", "g"), results))
     else:
         show = Poly.latex if args.format == "latex" else Poly.text
         if len(results) == 1:
@@ -640,19 +622,15 @@ def _cmd_verify(args) -> int:
         try:
             tags = {parse_tag(args.tag)}
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            return _usage(exc)
     try:
         ranges = _make_ranges(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage(exc)
     unchecked = unchecked_tags(tags, ranges)
     if unchecked and tags is not None:
         # a verify that checked nothing must not read as a pass
-        print(f"error: the grid gives {unchecked[0].value} no cells; nothing to verify",
-              file=sys.stderr)
-        return EXIT_USAGE
+        return _usage(f"the grid gives {unchecked[0].value} no cells; nothing to verify")
     _warn_unchecked(unchecked)
     # the workers render each report; the document is an array of them
     render = {
@@ -676,8 +654,7 @@ def _cmd_audit(args) -> int:
     try:
         ranges = _make_ranges(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage(exc)
     _warn_unchecked(unchecked_tags(None, ranges))
     # the workers render each report: as an item of the document's
     # "reports" array, two levels deep, or as text if it failed
@@ -710,20 +687,18 @@ def _cmd_audit(args) -> int:
 
 def _cmd_heat(args) -> int:
     try:
-        initial = parse_poly_expr(args.initial, ("z", "w"))
+        initial = parse_poly_expr(args.initial)
         problem = HeatProblem(args.p, args.q, args.c, initial)
-        # JSON prints c, and the solution's t^0 part is the datum
-        _check_printable(Poly.const(problem.c), problem.initial)
+        # the solution's t^0 part is the datum; every c that parses prints
+        _check_printable(problem.initial)
     except (ExprError, InvalidParamsError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage(exc)
     u = solve(problem)
     res = residual(problem, u)
     try:
         _check_printable(u, res)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage(exc)
 
     if args.format == "json":
         _write_document({
@@ -735,12 +710,8 @@ def _cmd_heat(args) -> int:
             "solution": _poly_json(u, 1),
         })
     elif args.format == "csv":
-        header = ["part", "z", "w", "t", "num", "den"]
-        rows = []
-        for part, poly in (("solution", u), ("residual", res)):
-            for row in _poly_csv_rows(poly, ("z", "w", "t")):
-                rows.append([part] + row)
-        sys.stdout.write(_csv_document(header, rows))
+        parts = (("solution", u), ("residual", res))
+        sys.stdout.write(_csv_document("part", ("z", "w", "t"), parts))
     else:
         show = Poly.latex if args.format == "latex" else Poly.text
         sys.stdout.write(f"solution: {show(u)}\nresidual: {show(res)}\n")
@@ -788,7 +759,8 @@ def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
         help="printed form, corrected form, both, or printed-else-corrected",
     )
     sub.add_argument(
-        "--jobs", type=parse_jobs, default=1, help=f"worker processes (1 to {MAX_JOBS})"
+        "--jobs", type=_arg_type(parse_jobs), default=1,
+        help=f"worker processes (1 to {MAX_JOBS})",
     )
 
 
@@ -826,10 +798,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="partial substitution, e.g. 'z=1/2,w=2,gamma=3'",
     )
     compute.add_argument(
-        "--order", type=int, default=None,
-        help="series truncation for the genfun strategy (default n+m)",
-    )
-    compute.add_argument(
         "--format", choices=("text", "json", "csv", "latex"), default="text"
     )
     compute.set_defaults(handler=_cmd_compute)
@@ -851,7 +819,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(audit)
     audit.add_argument("--seed", type=int, default=0, help="seed for the property suite")
     audit.add_argument(
-        "--trials", type=parse_count, default=25, help="random initial data count (>= 1)"
+        "--trials", type=_arg_type(parse_count), default=25,
+        help="random initial data count (>= 1)",
     )
     audit.add_argument("--format", choices=("text", "json"), default="json")
     audit.set_defaults(handler=_cmd_audit)

@@ -36,7 +36,6 @@ from functools import lru_cache
 from .exactalg import (
     Poly,
     SeriesUV,
-    TruncationError,
     monomial_key,
     rising_factorial,
     series_exp,
@@ -222,15 +221,14 @@ def generating_series(p: int, q: int, order: int) -> SeriesUV:
     return series_exp(arg, order)
 
 
-def via_genfun(params: FamilyParams, order: int) -> Poly:
+def via_genfun(params: FamilyParams) -> Poly:
     """Extract n! m! [u^n v^m] exp(zu + wv + g u^p v^q).
 
-    `order` is the series truncation order and must be at least n + m.
+    The series is truncated at total order n + m, the lowest that fixes
+    the coefficient; no higher order changes it.
     """
     p, q, n, m = params.p, params.q, params.n, params.m
-    if order < n + m:
-        raise TruncationError(f"order {order} cannot reach the coefficient ({n},{m})")
-    series = generating_series(p, q, order)
+    series = generating_series(p, q, n + m)
     scale = math.factorial(n) * math.factorial(m)
     return series.coeff(n, m) * Fraction(scale)
 
@@ -309,11 +307,13 @@ def ito_hermite(n: int, m: int) -> Poly:
 
 
 # Strategy registry used by the command-line front end.
+# Each entry looks its constructor up when called, so a constructor
+# rebound on the module (as a tracer does) is the one that runs.
 STRATEGIES = {
-    "explicit": lambda params, order: explicit(params),
-    "operational": lambda params, order: operational(params),
-    "creation": lambda params, order: via_creation(params),
-    "recurrence": lambda params, order: via_recurrence(params),
-    "genfun": lambda params, order: via_genfun(params, order if order is not None else params.n + params.m),
-    "hypergeom": lambda params, order: hypergeom_form(params),
+    "explicit": lambda params: explicit(params),
+    "operational": lambda params: operational(params),
+    "creation": lambda params: via_creation(params),
+    "recurrence": lambda params: via_recurrence(params),
+    "genfun": lambda params: via_genfun(params),
+    "hypergeom": lambda params: hypergeom_form(params),
 }

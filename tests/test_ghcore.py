@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gouldhopper.exactalg import MAX_DEGREE, Poly, TruncationError
+from gouldhopper.exactalg import MAX_DEGREE, Poly
 from gouldhopper.ghcore import (
     STRATEGIES,
     FamilyParams,
@@ -15,6 +15,7 @@ from gouldhopper.ghcore import (
     UnsupportedRepresentationError,
     explicit,
     explicit_poly,
+    generating_series,
     gould_hopper_1d,
     hermite_classical,
     hypergeom_form,
@@ -145,19 +146,15 @@ def test_all_strategies_agree(p, q, n, m):
     assert operational(params) == reference
     assert via_creation(params) == reference
     assert via_recurrence(params) == reference
-    assert via_genfun(params, n + m) == reference
+    assert via_genfun(params) == reference
     if p >= 1 and q >= 1:
         assert hypergeom_form(params) == reference
 
 
 def test_genfun_higher_order_is_harmless():
+    # via_genfun truncates at n + m; a longer series holds the same coefficient
     params = FamilyParams(2, 1, 3, 2)
-    assert via_genfun(params, 12) == explicit(params)
-
-
-def test_genfun_rejects_short_order():
-    with pytest.raises(TruncationError, match="cannot reach the coefficient"):
-        via_genfun(FamilyParams(1, 1, 3, 2), 4)
+    assert generating_series(2, 1, 12).coeff(3, 2) * 12 == via_genfun(params) == explicit(params)
 
 
 def test_hypergeom_needs_positive_orders():
@@ -174,7 +171,7 @@ def test_strategy_registry():
     params = FamilyParams(2, 1, 3, 2)
     reference = explicit(params)
     for name, build in STRATEGIES.items():
-        assert build(params, None) == reference, name
+        assert build(params) == reference, name
 
 
 @settings(max_examples=25, deadline=None)
