@@ -353,7 +353,9 @@ needs_print_limit = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"
     ["compute", "--p", "1", "--q", "1", "--n", "2000", "--m", "2000", "--strategy", "all"],
     ["heat", "--p", "1", "--q", "1", "--initial", "(z*w)^2000"],
     ["heat", "--p", "1", "--q", "1", "--initial", "2^20000"],
-], ids=["compute", "compute-all", "heat", "heat-constant"])
+    # c prints, but c^2 in the solution does not
+    ["heat", "--p", "1", "--q", "1", "--initial", "(z*w)^2", "--c", "9" * 3000],
+], ids=["compute", "compute-all", "heat", "heat-constant", "heat-c"])
 def test_a_coefficient_too_long_to_print_is_refused(capsys, argv, fmt):
     # each result holds an integer of more digits than str() writes
     code, out, err = run_cli(capsys, *argv, "--format", fmt)
