@@ -6,9 +6,10 @@ Exit codes: 0 success, 1 at least one effective identity/property
 failure, 2 usage error, 3 internal error (an unexpected exception,
 reported in one line on stderr).
 
-The deformation parameter is spelled ``gamma`` (or ``g``) in all
-textual interfaces; the Unicode letter is accepted on input and ASCII
-is emitted on output.  Rationals are read and written as ``num/den`` strings.
+Numbers are ASCII digits: ``[-+]digits`` for an integer flag and
+``[-+]digits[/digits]`` for a rational (``--c``, a ``--subst`` value), spaces
+stripped.  ``--subst`` binds the deformation parameter as ``gamma``, ``g`` or
+``γ``; ASCII ``g`` is emitted on output, rationals as ``num/den`` strings.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
-from .exactalg import Poly, VAR_NAMES, check_degree, terms_text
+from .exactalg import Poly, VAR_NAMES, check_degree, quoted, terms_text
 from .ghcore import (
     STRATEGIES,
     FamilyParams,
@@ -76,9 +77,10 @@ def _check_digits(limit: int, text: str, position: int | None = None) -> None:
         raise ValueError(message) if position is None else ExprError(message, position)
 
 
-# the one number grammar, with an optional sign in a --c, --gamma or --subst value
-_NUMBER = r"\d+(?:/\d+)?"
+# the one number grammar, with an optional sign in a flag's value
+_NUMBER = r"[0-9]+(?:/[0-9]+)?"
 _RATIONAL_RE = re.compile(rf"[-+]?{_NUMBER}")
+_INTEGER_RE = re.compile(r"[-+]?[0-9]+")
 # one token per match: a number, a name, an operator, or any other
 # character that is not a space, which no expression may hold
 _TOKEN_RE = re.compile(rf"(?P<num>{_NUMBER})|(?P<name>[A-Za-zγ][A-Za-z0-9]*)"
@@ -194,7 +196,7 @@ class _ExprParser:
         products = self._expr()
         kind, value, pos = self._peek()
         if kind is not None:
-            raise ExprError(f"unexpected {value!r}", pos)
+            raise ExprError(f"unexpected {quoted(value)}", pos)
         return _raised(products)
 
     def _expr(self) -> list:
@@ -265,7 +267,7 @@ class _ExprParser:
                 raise ExprError("zero denominator", pos) from None
         if kind == "name":
             if value not in _EXPR_VARS:
-                raise ExprError(f"variable {value!r} is not allowed here", pos)
+                raise ExprError(f"variable {quoted(value)} is not allowed here", pos)
             return Poly.variable(value)
         if kind == "op" and value == "(":
             products = self._expr()
@@ -275,7 +277,7 @@ class _ExprParser:
             return _raised(products)
         if kind is None:
             raise ExprError("unexpected end of expression", pos)
-        raise ExprError(f"unexpected {value!r}", pos)
+        raise ExprError(f"unexpected {quoted(value)}", pos)
 
 
 def parse_poly_expr(src: str) -> Poly:
@@ -287,30 +289,26 @@ def parse_rational(text: str) -> Fraction:
     """Parse an optional sign, digits and an optional slash and digits, e.g. '-7/3'."""
     number = text.strip()
     if not _RATIONAL_RE.fullmatch(number):
-        raise ValueError(f"not a rational number: {text!r}")
+        raise ValueError(f"not a rational number: {quoted(text)}")
     _check_digits(_max_str_digits(), number)
     try:
         return Fraction(number)
     except ZeroDivisionError:
-        raise ValueError(f"not a rational number: {text!r}") from None
+        raise ValueError(f"not a rational number: {quoted(text)}") from None
 
 
-def parse_count(text: str, most: int | None = None) -> int:
-    """Parse a count that must be at least 1 (workers, trials) and at most `most`."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise ValueError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise ValueError(f"must be >= 1, got {value}")
+def parse_integer(text: str, least: int | None = None, most: int | None = None) -> int:
+    """Parse an optional sign and digits, e.g. '-5', from `least` to `most`."""
+    number = text.strip()
+    if not _INTEGER_RE.fullmatch(number):
+        raise ValueError(f"not an integer: {quoted(text)}")
+    _check_digits(_max_str_digits(), number)
+    value = int(number)
+    if least is not None and value < least:
+        raise ValueError(f"must be >= {least}, got {value}")
     if most is not None and value > most:
         raise ValueError(f"must be <= {most}, got {value}")
     return value
-
-
-def parse_jobs(text: str) -> int:
-    """Parse a worker count, 1 to MAX_JOBS."""
-    return parse_count(text, most=MAX_JOBS)
 
 
 def parse_pq_list(text: str) -> tuple[tuple[int, int], ...]:
@@ -322,11 +320,8 @@ def parse_pq_list(text: str) -> tuple[tuple[int, int], ...]:
             continue
         parts = piece.split(",")
         if len(parts) != 2:
-            raise ValueError(f"expected 'p,q' but got {piece!r}")
-        try:
-            pairs.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise ValueError(f"expected integers in {piece!r}") from None
+            raise ValueError(f"expected 'p,q' but got {quoted(piece)}")
+        pairs.append((parse_integer(parts[0]), parse_integer(parts[1])))
     if not pairs:
         raise ValueError("no (p,q) pairs given")
     return tuple(pairs)
@@ -340,13 +335,13 @@ def parse_subst(text: str) -> dict[str, Fraction]:
         if not piece:
             continue
         if "=" not in piece:
-            raise ValueError(f"expected 'var=value' but got {piece!r}")
+            raise ValueError(f"expected 'var=value' but got {quoted(piece)}")
         key, _, value = piece.partition("=")
         var = {"gamma": "g", "γ": "g"}.get(key.strip(), key.strip())
         if var not in ("z", "w", "g"):
-            raise ValueError(f"cannot substitute {key.strip()!r}; use z, w, or gamma")
+            raise ValueError(f"cannot substitute {quoted(key.strip())}; use z, w, or gamma")
         if var in bindings:
-            raise ValueError(f"variable {key.strip()!r} is bound twice")
+            raise ValueError(f"variable {quoted(key.strip())} is bound twice")
         bindings[var] = parse_rational(value)
     if not bindings:
         raise ValueError("empty substitution")
@@ -554,19 +549,14 @@ def _cmd_compute(args) -> int:
         params = FamilyParams(args.p, args.q, args.n, args.m)
     except InvalidParamsError as exc:
         return _usage(exc)
-    bindings = dict(args.subst or {})
-    if args.gamma is not None:
-        if "g" in bindings:
-            return _usage("--gamma and --subst both bind gamma")
-        bindings["g"] = args.gamma
 
     names = tuple(STRATEGIES) if args.strategy == "all" else (args.strategy,)
     results = []
     for name in names:
         try:
             poly = STRATEGIES[name](params)
-            if bindings:
-                poly = poly.subst(bindings)
+            if args.subst:
+                poly = poly.subst(args.subst)
             _check_printable(poly)
         except UnsupportedRepresentationError as exc:
             if args.strategy == "all":
@@ -582,7 +572,7 @@ def _cmd_compute(args) -> int:
         _write_document({
             "params": _dumped({"p": args.p, "q": args.q, "n": args.n, "m": args.m}, 1),
             "results": _joined("[]", items, "\n  "),
-            "substitution": _dumped(bindings or None, 1),
+            "substitution": _dumped(args.subst, 1),
         })
     elif args.format == "csv":
         sys.stdout.write(_csv_document("strategy", ("z", "w", "g"), results))
@@ -722,21 +712,28 @@ def _cmd_heat(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------
 
-def _arg_type(parse):
-    """`parse` as an argparse type whose ValueError message reaches the user."""
+def _arg_type(parse, **bounds):
+    """`parse`, given `bounds`, as an argparse type whose ValueError message reaches the user."""
     @functools.wraps(parse)
     def parse_arg(text: str):
         try:
-            return parse(text)
+            return parse(text, **bounds)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     return parse_arg
 
 
+_integer = _arg_type(parse_integer)
+
+
 def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
     # the defaults are GridRanges' own, so a bare audit or verify sweeps GridRanges()
-    sub.add_argument("--nmax", type=int, default=GridRanges.n_max, help="largest first index n")
-    sub.add_argument("--mmax", type=int, default=GridRanges.m_max, help="largest second index m")
+    sub.add_argument(
+        "--nmax", type=_integer, default=GridRanges.n_max, help="largest first index n"
+    )
+    sub.add_argument(
+        "--mmax", type=_integer, default=GridRanges.m_max, help="largest second index m"
+    )
     sub.add_argument(
         "--pq",
         type=_arg_type(parse_pq_list),
@@ -744,13 +741,13 @@ def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
         help="semicolon-separated derivative orders, e.g. '1,1;2,1'",
     )
     sub.add_argument(
-        "--aux-max", type=int, default=GridRanges.aux_max, help="largest shifted index n', m'"
+        "--aux-max", type=_integer, default=GridRanges.aux_max, help="largest shifted index n', m'"
     )
     sub.add_argument(
-        "--jk-max", type=int, default=GridRanges.jk_max, help="largest derivative/weight order"
+        "--jk-max", type=_integer, default=GridRanges.jk_max, help="largest derivative/weight order"
     )
     sub.add_argument(
-        "--order", type=int, default=GridRanges.series_order, help="series truncation order"
+        "--order", type=_integer, default=GridRanges.series_order, help="series truncation order"
     )
     sub.add_argument(
         "--variant",
@@ -759,7 +756,7 @@ def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
         help="printed form, corrected form, both, or printed-else-corrected",
     )
     sub.add_argument(
-        "--jobs", type=_arg_type(parse_jobs), default=1,
+        "--jobs", type=_arg_type(parse_integer, least=1, most=MAX_JOBS), default=1,
         help=f"worker processes (1 to {MAX_JOBS})",
     )
 
@@ -780,18 +777,14 @@ def build_parser() -> argparse.ArgumentParser:
     compute = subparsers.add_parser(
         "compute", help="construct one family member by any strategy"
     )
-    compute.add_argument("--p", type=int, required=True)
-    compute.add_argument("--q", type=int, required=True)
-    compute.add_argument("--n", type=int, required=True)
-    compute.add_argument("--m", type=int, required=True)
+    compute.add_argument("--p", type=_integer, required=True)
+    compute.add_argument("--q", type=_integer, required=True)
+    compute.add_argument("--n", type=_integer, required=True)
+    compute.add_argument("--m", type=_integer, required=True)
     compute.add_argument(
         "--strategy",
         choices=tuple(STRATEGIES) + ("all",),
         default="explicit",
-    )
-    compute.add_argument(
-        "--gamma", type=_arg_type(parse_rational), default=None,
-        help="substitute a rational value for the deformation parameter",
     )
     compute.add_argument(
         "--subst", type=_arg_type(parse_subst), default=None,
@@ -817,9 +810,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the whole identity catalog plus the heat property suite",
     )
     _add_grid_flags(audit)
-    audit.add_argument("--seed", type=int, default=0, help="seed for the property suite")
+    audit.add_argument("--seed", type=_integer, default=0, help="seed for the property suite")
     audit.add_argument(
-        "--trials", type=_arg_type(parse_count), default=25,
+        "--trials", type=_arg_type(parse_integer, least=1), default=25,
         help="random initial data count (>= 1)",
     )
     audit.add_argument("--format", choices=("text", "json"), default="json")
@@ -828,8 +821,8 @@ def build_parser() -> argparse.ArgumentParser:
     heat = subparsers.add_parser(
         "heat", help="solve the higher-order heat equation for polynomial data"
     )
-    heat.add_argument("--p", type=int, required=True)
-    heat.add_argument("--q", type=int, required=True)
+    heat.add_argument("--p", type=_integer, required=True)
+    heat.add_argument("--q", type=_integer, required=True)
     heat.add_argument("--c", type=_arg_type(parse_rational), default=Fraction(1))
     heat.add_argument("--initial", required=True, help="polynomial in z and w")
     heat.add_argument(

@@ -153,6 +153,11 @@ def check_degree(degree: int) -> None:
         )
 
 
+def quoted(text: str) -> str:
+    """repr(text) for an error message; past 40 characters, its first 40 and its length."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}… ({len(text)} characters)"
+
+
 def monomial_key(exps: Mapping[str, int]) -> int:
     """The packed key of prod(var^e) for a {name: exponent} mapping.
 

@@ -89,6 +89,7 @@ from ..exactalg import (
     Poly,
     SeriesUV,
     as_scalar,
+    quoted,
     rising_factorial,
     series_exp,
 )
@@ -1071,7 +1072,7 @@ def parse_tag(name: str) -> IdentityTag:
     try:
         return IdentityTag[name.strip().upper()]
     except KeyError:
-        raise ValueError(f"unknown identity tag: {name!r}") from None
+        raise ValueError(f"unknown identity tag: {quoted(name)}") from None
 
 
 def run_check(tag: IdentityTag, params: Mapping, variant: str) -> Sides:

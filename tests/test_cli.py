@@ -49,6 +49,13 @@ from gouldhopper.identity import (
 )
 
 
+needs_print_limit = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                       reason="before Python 3.10.7 any int prints")
+_LIMIT = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+_TOO_MANY_DIGITS = (f"a number has more than {_LIMIT} digits, "
+                    f"past the limit sys.get_int_max_str_digits() = {_LIMIT}")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -109,6 +116,9 @@ def test_parse_poly_expr_errors_carry_positions():
         parse_poly_expr("(z")
     with pytest.raises(ExprError, match=r"unexpected character '\$' \(at position 4\)"):
         parse_poly_expr("z + $")
+    # digits are ASCII
+    with pytest.raises(ExprError, match=r"unexpected character '٣' \(at position 0\)"):
+        parse_poly_expr("٣z")
 
 
 def test_parse_poly_expr_round_trips_canonical_text():
@@ -153,7 +163,7 @@ def test_parse_pq_list():
     assert parse_pq_list(" 2,2 ") == ((2, 2),)
     with pytest.raises(ValueError, match="expected 'p,q'"):
         parse_pq_list("1")
-    with pytest.raises(ValueError, match="expected integers"):
+    with pytest.raises(ValueError, match="not an integer: 'a'"):
         parse_pq_list("a,b")
     with pytest.raises(ValueError, match="no \\(p,q\\) pairs"):
         parse_pq_list(";")
@@ -227,7 +237,7 @@ def test_compute_json_matches_schema(capsys):
 
 def test_compute_gamma_binding(capsys):
     code, out, _ = run_cli(capsys, "compute", "--p", "1", "--q", "1",
-                           "--n", "2", "--m", "1", "--gamma", "1/2")
+                           "--n", "2", "--m", "1", "--subst", "gamma=1/2")
     assert code == 0
     assert out == "z^2 w + z\n"
 
@@ -242,23 +252,20 @@ def test_compute_subst(capsys):
 @pytest.mark.parametrize("flags", [
     ["--subst", "gamma=3,g=2"],
     ["--subst", "γ=3,gamma=3"],
-    ["--gamma", "3", "--subst", "gamma=2"],
-    ["--gamma", "3", "--subst", "z=1,g=3"],
 ])
 def test_compute_rejects_a_variable_bound_twice(capsys, flags):
     code, out, err = run_cli(capsys, "compute", "--p", "1", "--q", "1",
                              "--n", "1", "--m", "1", *flags)
     assert code == 2
     assert out == ""
-    assert ("--gamma and --subst both bind gamma" in err if "--gamma" in flags
-            else "argument --subst: variable " in err and "is bound twice" in err)
+    assert "argument --subst: variable " in err and "is bound twice" in err
 
 
 @pytest.mark.parametrize("argv, reason", [
     (["heat", "--p", "1", "--q", "1", "--c", "1/0", "--initial", "z"],
      "argument --c: not a rational number: '1/0'"),
-    (["compute", "--p", "1", "--q", "1", "--n", "1", "--m", "1", "--gamma", "x"],
-     "argument --gamma: not a rational number: 'x'"),
+    (["compute", "--p", "1", "--q", "1", "--n", "1", "--m", "1", "--subst", "gamma=x"],
+     "argument --subst: not a rational number: 'x'"),
     (["audit", "--pq", "1"], "argument --pq: expected 'p,q' but got '1'"),
     (["compute", "--p", "1", "--q", "1", "--n", "1", "--m", "1", "--subst", "t=1"],
      "argument --subst: cannot substitute 't'"),
@@ -267,10 +274,46 @@ def test_compute_rejects_a_variable_bound_twice(capsys, flags):
      "argument --c: not a rational number: '1e1000000'"),
     (["heat", "--p", "1", "--q", "1", "--initial", "z", "--c=1e5000"],
      "argument --c: not a rational number: '1e5000'"),
-    (["compute", "--p", "1", "--q", "1", "--n", "1", "--m", "1", "--gamma", "0.5"],
-     "argument --gamma: not a rational number: '0.5'"),
+    (["compute", "--p", "1", "--q", "1", "--n", "1", "--m", "1", "--subst", "gamma=0.5"],
+     "argument --subst: not a rational number: '0.5'"),
     (["compute", "--p", "1", "--q", "1", "--n", "1", "--m", "1", "--subst", "z=1_0"],
      "argument --subst: not a rational number: '1_0'"),
+    # an integer is ASCII digits with an optional sign, read by one reader
+    pytest.param(["compute", "--p", "1_0", "--q", "1", "--n", "1", "--m", "1"],
+                 "argument --p: not an integer: '1_0'", id="p-underscore"),
+    pytest.param(["compute", "--p", "1", "--q", "1", "--n", "٣", "--m", "1"],
+                 "argument --n: not an integer: '٣'", id="n-arabic-indic"),
+    pytest.param(["audit", "--trials", "1_0"], "argument --trials: not an integer: '1_0'",
+                 id="trials-underscore"),
+    pytest.param(["verify", "--pq", "1_0,1"], "argument --pq: not an integer: '1_0'",
+                 id="pq-underscore"),
+    pytest.param(["audit", "--nmax", "9" * (_LIMIT + 1)], f"argument --nmax: {_TOO_MANY_DIGITS}",
+                 marks=needs_print_limit, id="nmax-too-many-digits"),
+    pytest.param(["audit", "--jobs", "9" * 5000], f"argument --jobs: {_TOO_MANY_DIGITS}",
+                 marks=needs_print_limit, id="jobs-too-many-digits"),
+    pytest.param(["heat", "--p", "1", "--q", "1", "--initial", "z", "--c", "٣"],
+                 "argument --c: not a rational number: '٣'", id="c-arabic-indic"),
+    # a refused value is echoed cut to 40 characters and its length
+    pytest.param(["heat", "--p", "1", "--q", "1", "--initial", "z", "--c", "x" * 100_000],
+                 f"argument --c: not a rational number: '{'x' * 40}'… (100000 characters)\n",
+                 id="c-echo"),
+    pytest.param(["heat", "--p", "1", "--q", "1", "--initial", "q" * 100_000],
+                 f"error: variable '{'q' * 40}'… (100000 characters) is not allowed here "
+                 "(at position 0)\n", id="initial-echo"),
+    pytest.param(["compute", "--p", "1", "--q", "1", "--n", "1", "--m", "1",
+                  "--subst", "x" * 100_000],
+                 f"argument --subst: expected 'var=value' but got '{'x' * 40}'… "
+                 "(100000 characters)\n", id="subst-piece-echo"),
+    pytest.param(["compute", "--p", "1", "--q", "1", "--n", "1", "--m", "1",
+                  "--subst", "y" * 5000 + "=1"],
+                 f"argument --subst: cannot substitute '{'y' * 40}'… (5000 characters); "
+                 "use z, w, or gamma", id="subst-key-echo"),
+    pytest.param(["verify", "--pq", "x" * 5000],
+                 f"argument --pq: expected 'p,q' but got '{'x' * 40}'… (5000 characters)\n",
+                 id="pq-echo"),
+    pytest.param(["verify", "--tag", "x" * 5000],
+                 f"error: unknown identity tag: '{'x' * 40}'… (5000 characters)\n",
+                 id="tag-echo"),
 ])
 def test_argument_errors_say_why(capsys, argv, reason):
     start = time.perf_counter()
@@ -283,9 +326,17 @@ def test_argument_errors_say_why(capsys, argv, reason):
 
 def test_compute_gamma_with_another_binding(capsys):
     code, out, _ = run_cli(capsys, "compute", "--p", "1", "--q", "1", "--n", "1",
-                           "--m", "1", "--gamma", "3", "--subst", "z=2")
+                           "--m", "1", "--subst", "gamma=3,z=2")
     assert code == 0
     assert out == "2 * w + 3\n"
+
+
+def test_signed_and_spaced_integers_are_read():
+    parser = build_parser()
+    args = parser.parse_args(["audit", "--seed", "-5", "--jobs", " 2 "])
+    assert (args.seed, args.jobs) == (-5, 2)
+    args = parser.parse_args(["compute", "--p", "+3", "--q", "1", "--n", "1", "--m", "1"])
+    assert args.p == 3
 
 
 def test_compute_all_strategies_agree(capsys):
@@ -342,10 +393,6 @@ def test_compute_rejects_degree_past_kernel_bound(capsys):
     assert f"error: total degree {MAX_DEGREE + 1} exceeds the kernel bound" in err
 
 
-needs_print_limit = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
-                                       reason="before Python 3.10.7 any int prints")
-
-
 @needs_print_limit
 @pytest.mark.parametrize("fmt", ["text", "json", "csv", "latex"])
 @pytest.mark.parametrize("argv", [
@@ -399,7 +446,7 @@ def test_an_over_long_number_is_refused_with_the_readers_reason(capsys):
         parse_rational(f"1/{digits}")
     assert str(refused.value) == reason
     for argv in (["heat", "--p", "1", "--q", "1", "--initial", "z", f"--c={digits}"],
-                 ["compute", "--p", "1", "--q", "1", "--n", "1", "--m", "1", f"--gamma={digits}"]):
+                 ["compute", "--p", "1", "--q", "1", "--n", "1", "--m", "1", f"--subst=gamma={digits}"]):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         # argparse's usage lines, then one short line with the reason

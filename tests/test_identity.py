@@ -12,7 +12,7 @@ from fractions import Fraction as F
 import pytest
 
 from gouldhopper import ghcore, heatrep
-from gouldhopper.exactalg import Poly, SeriesUV, rising_factorial
+from gouldhopper.exactalg import Poly, SeriesUV, _reduced, rising_factorial, series_exp
 from gouldhopper.ghcore import _comb0, explicit_poly
 from gouldhopper.heatrep import property_suite
 from gouldhopper.identity import (
@@ -762,7 +762,8 @@ def test_cross_sum_sides_match_the_sums_by_term(tag):
 
 
 # ---------------------------------------------------------------------
-# the audit can fail: one wrong family, binomial or heat solver each
+# the audit can fail: one wrong family, binomial, derivative, exp series
+# or heat solver each
 # ---------------------------------------------------------------------
 
 def _gamma_squared_negated(p, q, n, m):
@@ -778,7 +779,24 @@ def _solve_with_c_negated(problem, solve=heatrep.solve):
     return solve(dataclasses.replace(problem, c=-problem.c))
 
 
-# (modules patched, name, mutant, tags with an unexcused Fail, heat suite fails)
+def _diff_drops_a_term(self, name, order=1, diff=Poly.diff):
+    # the derivative less its term of smallest packed key, if it has another
+    derivative = diff(self, name, order)
+    if len(derivative) < 2:
+        return derivative
+    num = dict(derivative._num)
+    del num[min(num)]
+    return _reduced(num, derivative._den)
+
+
+def _series_exp_uv_doubled(arg, order):
+    series = series_exp(arg, order)
+    if order < 2:
+        return series
+    return SeriesUV(order, {**dict(series.items()), (1, 1): 2 * series.coeff(1, 1)})
+
+
+# (modules or classes patched, name, mutant, tags with an unexcused Fail, heat suite fails)
 _MUTANTS = {
     "unpatched": ((), None, None, set(), False),
     "gamma_squared_negated": (
@@ -797,6 +815,16 @@ _MUTANTS = {
          "RUNGE_GENERAL", "RUNGE_HALF", "RUNGE_SCALED"},
         False),
     "c_negated": ((heatrep,), "solve", _solve_with_c_negated, set(), True),
+    "diff_drops_a_term": (
+        (Poly,), "diff", _diff_drops_a_term,
+        {"CREATION", "CREATION_BOTH", "DERIV_GAMMA", "DERIV_GAMMA_K", "DERIV_JK", "DERIV_W",
+         "DERIV_Z", "GEN_POCHHAMMER_G", "INVERSE_OP", "PARAM_OP_P", "PARAM_OP_PQ", "PARAM_OP_Q",
+         "PDE_EIGEN_M", "PDE_EIGEN_N", "PDE_HEAT", "PDE_PRODUCT", "REC_RAISE_M_OP",
+         "REC_RAISE_N_OP"},
+        False),
+    "series_exp_uv_doubled": (
+        (ghcore, checks), "series_exp", _series_exp_uv_doubled, {"GEN_FULL", "GEN_POCHHAMMER_G"},
+        False),
 }
 
 
