@@ -726,6 +726,28 @@ def _arg_type(parse, **bounds):
 _integer = _arg_type(parse_integer)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with its two echoes of a refused value cut by `quoted`.
+
+    Subparsers are built from the same class, so the cut holds for every
+    subcommand.  The messages are argparse's own otherwise.
+    """
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {quoted(value)} (choose from {choices})"
+            )
+
+    def parse_args(self, args=None, namespace=None):
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            text = " ".join(extras)
+            self.error(f"unrecognized arguments: {text if len(text) <= 40 else quoted(text)}")
+        return args
+
+
 def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
     # the defaults are GridRanges' own, so a bare audit or verify sweeps GridRanges()
     sub.add_argument(
@@ -764,7 +786,7 @@ def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on first use and shared by every `main` call: do not mutate it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gouldhopper",
         description=(
             "Exact construction and identity auditing for two-variable "

@@ -142,7 +142,7 @@ def _var_index(name: str) -> int:
     try:
         return VAR_INDEX[name]
     except KeyError:
-        raise ValueError(f"unknown variable {name!r}") from None
+        raise ValueError(f"unknown variable {quoted(name)}") from None
 
 
 def check_degree(degree: int) -> None:

@@ -16,10 +16,11 @@ polynomial:
 * `operational`   - expand exp(g * Dz^p Dw^q) applied to z^n w^m;
 * `via_creation`  - iterate the raising operators z + p g Dz^(p-1) Dw^q
                     and w + q g Dz^p Dw^(q-1);
-* `via_recurrence`- fill an (n+1) x (m+1) table from the two-term
-                    raising recurrences, starting at H_{0,0} = 1;
+* `via_recurrence`- fill, from the two-term raising recurrences and
+                    H_{0,0} = 1, only the table entries H_{n,m} reads;
 * `via_genfun`    - read n! m! times the u^n v^m coefficient off the
-                    generating series exp(zu + wv + g u^p v^q);
+                    widest generating series exp(zu + wv + g u^p v^q)
+                    built so far for (p, q);
 * `hypergeom_form`- the terminating hypergeometric rewriting (p, q >= 1).
 
 Agreeing exactly across all routes is part of the package's test gate,
@@ -89,7 +90,8 @@ _G = Poly.variable("g")
 
 
 # The cache bounds here hold at least twice what one `audit --nmax 10
-# --mmax 10`, or 200 compute/heat requests in one process, fill.
+# --mmax 10`, or 200 compute/heat requests in one process, fill; the
+# generating series are held one per (p, q), the widest built so far.
 @lru_cache(maxsize=8192)
 def explicit_poly(p: int, q: int, n: int, m: int) -> Poly:
     """The defining sum as a bare Poly in z, w, g (cached).
@@ -190,45 +192,81 @@ def _comb0(n: int, k: int) -> int:
 
 
 def via_recurrence(params: FamilyParams) -> Poly:
-    """Fill the full index table from the two raising recurrences.
+    """Fill, from the two raising recurrences, only the entries H_{n,m} reads.
 
     H_{i+1,j} = z H_{i,j} + g p! q! C(i,p-1) C(j,q)   H_{i+1-p,j-q}
     H_{i,j+1} = w H_{i,j} + g p! q! C(i,p)   C(j,q-1) H_{i-p,j+1-q}
 
-    Out-of-range binomials and negative indices contribute nothing.
+    The second fills the w-chain H_{0,j}, j <= m, from H_{0,0} = 1.  The
+    first then fills column m - tq up to row n - tp, from the lowest
+    column to column m: an entry of column j reads only its own column
+    and, through a weight that is zero unless p >= 1, column j - q.  A
+    zero weight reads nothing, and a negative index reads zero (that
+    member is off the table); any other read finds an entry already
+    filled, or is a KeyError, never a silent zero.
     """
     p, q, n, m = params.p, params.q, params.n, params.m
     pq_fact = math.factorial(p) * math.factorial(q)
     table: dict[tuple[int, int], Poly] = {(0, 0): Poly.one()}
-    # a member off the table is zero; only a zero weight reads one not filled yet
-    zero = Poly.zero()
+
+    def raised(var: Poly, below: tuple[int, int], c: int, other: tuple[int, int]) -> Poly:
+        parts = [(1, var, table[below])]
+        if c and min(other) >= 0:
+            parts.append((c, _G, table[other]))
+        return Poly.lincomb(parts)
+
     for j in range(m):
         c = pq_fact * _comb0(0, p) * _comb0(j, q - 1)
-        table[(0, j + 1)] = Poly.lincomb((
-            (1, _W, table[(0, j)]), (c, _G, table.get((0 - p, j + 1 - q), zero))))
-    for i in range(n):
-        for j in range(m + 1):
+        table[(0, j + 1)] = raised(_W, (0, j), c, (0 - p, j + 1 - q))
+    # with p = 0 or q = 0 no weight leaves column m
+    last = min(n // p, m // q) if p and q else 0
+    for t in range(last, -1, -1):
+        j = m - t * q
+        for i in range(n - t * p):
             c = pq_fact * _comb0(i, p - 1) * _comb0(j, q)
-            table[(i + 1, j)] = Poly.lincomb((
-                (1, _Z, table[(i, j)]), (c, _G, table.get((i + 1 - p, j - q), zero))))
+            table[(i + 1, j)] = raised(_Z, (i, j), c, (i + 1 - p, j - q))
     return table[(n, m)]
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=64)
+def _widest_series(p: int, q: int) -> list[SeriesUV]:
+    # one slot per (p, q): the widest exp(zu + wv + g u^p v^q) built so far
+    return []
+
+
+def _series_through(p: int, q: int, order: int) -> SeriesUV:
+    """The widest stored series for (p, q), rebuilt first if its order is below `order`.
+
+    A series of order N holds every coefficient of total order <= N
+    exactly, so one series per (p, q) serves every lower order.
+    """
+    held = _widest_series(p, q)
+    if not held or held[0].order < order:
+        arg = (_Z * Poly.variable("u") + _W * Poly.variable("v")
+               + _G * Poly.monomial({"u": p, "v": q}))
+        held[:] = [series_exp(arg, order)]
+    return held[0]
+
+
 def generating_series(p: int, q: int, order: int) -> SeriesUV:
-    """exp(zu + wv + g u^p v^q) truncated at total u,v-order `order` (cached)."""
-    arg = _Z * Poly.variable("u") + _W * Poly.variable("v") + _G * Poly.monomial({"u": p, "v": q})
-    return series_exp(arg, order)
+    """exp(zu + wv + g u^p v^q) truncated at total u,v-order `order`.
+
+    Cut from the widest series stored for (p, q), so its order is always
+    `order` even when a wider one has been built.
+    """
+    series = _series_through(p, q, order)
+    return series if series.order == order else SeriesUV(order, dict(series.items()))
 
 
 def via_genfun(params: FamilyParams) -> Poly:
     """Extract n! m! [u^n v^m] exp(zu + wv + g u^p v^q).
 
-    The series is truncated at total order n + m, the lowest that fixes
-    the coefficient; no higher order changes it.
+    The coefficient is read off the widest series stored for (p, q),
+    built through total order n + m (the lowest that fixes it) if no
+    stored series reaches that far; a wider one holds the same coefficient.
     """
     p, q, n, m = params.p, params.q, params.n, params.m
-    series = generating_series(p, q, n + m)
+    series = _series_through(p, q, n + m)
     scale = math.factorial(n) * math.factorial(m)
     return series.coeff(n, m) * Fraction(scale)
 

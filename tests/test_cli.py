@@ -7,6 +7,7 @@ import io
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -314,6 +315,14 @@ def test_compute_rejects_a_variable_bound_twice(capsys, flags):
     pytest.param(["verify", "--tag", "x" * 5000],
                  f"error: unknown identity tag: '{'x' * 40}'… (5000 characters)\n",
                  id="tag-echo"),
+    # argparse's own refusals are cut the same way
+    pytest.param(["compute", "--p", "1", "--q", "1", "--n", "1", "--m", "1",
+                  "--strategy", "x" * 5000],
+                 f"argument --strategy: invalid choice: '{'x' * 40}'… (5000 characters) "
+                 "(choose from 'explicit', ", id="strategy-echo"),
+    pytest.param(["compute", "--p", "1", "--q", "1", "--n", "1", "--m", "1", "x" * 5000],
+                 f"error: unrecognized arguments: '{'x' * 40}'… (5000 characters)\n",
+                 id="stray-positional-echo"),
 ])
 def test_argument_errors_say_why(capsys, argv, reason):
     start = time.perf_counter()
@@ -322,6 +331,7 @@ def test_argument_errors_say_why(capsys, argv, reason):
     assert code == 2 and out == ""
     assert reason in err
     assert len(err.splitlines()[-1].encode()) < 300
+    assert not re.search(r"(.)\1{99}", err)
 
 
 def test_compute_gamma_with_another_binding(capsys):

@@ -89,6 +89,14 @@ def test_unknown_variable_raises_value_error():
         Z.coefficient("x", 0)
 
 
+def test_an_unknown_variable_is_quoted_short():
+    with pytest.raises(ValueError) as info:
+        Poly.variable("x" * 5000)
+    message = str(info.value)
+    assert len(message) < 100
+    assert f"unknown variable '{'x' * 40}'" in message
+
+
 def test_monomial_rejects_negative_exponent():
     with pytest.raises(ValueError, match="negative exponent"):
         Poly.monomial({"z": -1})

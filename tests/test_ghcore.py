@@ -1,13 +1,15 @@
 """Construction tests: five independent strategies, classical anchors."""
 
 import math
+import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gouldhopper.exactalg import MAX_DEGREE, Poly
+from gouldhopper import ghcore
+from gouldhopper.exactalg import MAX_DEGREE, Poly, series_exp
 from gouldhopper.ghcore import (
     STRATEGIES,
     FamilyParams,
@@ -155,6 +157,77 @@ def test_genfun_higher_order_is_harmless():
     # via_genfun truncates at n + m; a longer series holds the same coefficient
     params = FamilyParams(2, 1, 3, 2)
     assert generating_series(2, 1, 12).coeff(3, 2) * 12 == via_genfun(params) == explicit(params)
+
+
+@pytest.mark.parametrize("p,q,n,m,entries", [
+    (1, 1, 20, 20, 230),
+    (2, 1, 16, 16, 88),
+    (0, 2, 10, 10, 20),
+])
+def test_recurrence_fills_only_the_entries_it_reads(monkeypatch, p, q, n, m, entries):
+    # one lincomb per table entry it fills, of (n + 1)(m + 1) - 1 in all
+    lincomb = Poly.lincomb
+    built = []
+
+    def counted(cls, terms):
+        built.append(1)
+        return lincomb(terms)
+
+    monkeypatch.setattr(Poly, "lincomb", classmethod(counted))
+    params = FamilyParams(p, q, n, m)
+    result = via_recurrence(params)
+    monkeypatch.undo()
+    assert len(built) == entries
+    assert result == explicit(params)
+
+
+def test_recurrence_never_reads_an_unfilled_entry_as_zero(monkeypatch):
+    # every weight nonzero: with p = 0 column m then reads column m - q,
+    # which it does not fill
+    monkeypatch.setattr(ghcore, "_comb0", lambda n, k: 1)
+    with pytest.raises(KeyError):
+        via_recurrence(FamilyParams(0, 2, 3, 3))
+
+
+def test_genfun_reads_the_widest_series(monkeypatch):
+    for value in vars(ghcore).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    assert via_genfun(FamilyParams(2, 1, 8, 8)) == explicit(FamilyParams(2, 1, 8, 8))
+    calls = []
+
+    def counted(arg, order):
+        calls.append(order)
+        return series_exp(arg, order)
+
+    monkeypatch.setattr(ghcore, "series_exp", counted)
+    params = FamilyParams(2, 1, 3, 2)
+    assert via_genfun(params) == explicit(params)
+    series = generating_series(2, 1, 5)
+    assert calls == []
+    monkeypatch.undo()
+    # the exact-order contract holds below, at and past the widest order
+    assert series.order == 5
+    U, V = Poly.variable("u"), Poly.variable("v")
+    arg = Z * U + W * V + G * U ** 2 * V
+    assert series == series_exp(arg, 5)
+    assert generating_series(2, 1, 16) == series_exp(arg, 16)
+    assert generating_series(2, 1, 17).order == 17
+
+
+def test_one_sided_orders_agree_through_twelve():
+    # with p = 0 or q = 0 the recurrence reads column m alone
+    started = time.monotonic()
+    for p, q in ((1, 0), (0, 1), (3, 0), (0, 3)):
+        for n in range(13):
+            for m in range(13):
+                params = FamilyParams(p, q, n, m)
+                reference = explicit(params)
+                assert operational(params) == reference, params
+                assert via_creation(params) == reference, params
+                assert via_recurrence(params) == reference, params
+                assert via_genfun(params) == reference, params
+    assert time.monotonic() - started < 5
 
 
 def test_hypergeom_needs_positive_orders():
