@@ -29,7 +29,10 @@ for both sides) once, in a fresh interpreter, and the file records under
 exit code for every request.
 
 The file keeps every result line (the last stdout line of
-``perfbench/run.py``: correct, attempted, failed, metrics) and, per
+``perfbench/run.py``: correct, attempted, failed, metrics), with the run's
+``NOTES`` note lines (the medians per request kind of a ``requests`` run)
+under ``notes`` and their medians per side in the workload's
+``notes_summary``, and, per
 end-to-end metric of BENCHMARK.json, the medians of both sides, the
 parent's interquartile range, in how many pairs the change was better,
 the ratio of the medians, and two verdicts: ``claimable`` (a gain won in
@@ -79,6 +82,9 @@ _CLI_WITH_PEAK_RSS = (
     "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
+# the note lines of perfbench/run.py kept next to a run's result line:
+# they show which kind of request a change of op_p50_ms comes from
+NOTES = ("compute_p50_ms", "heat_p50_ms")
 # (seed, count) of the requests whose stdout both sides must give alike
 REQUEST_STREAM = (1, 200)
 # runs the CLI in the checkout's src/ on the first `count` requests of the
@@ -111,8 +117,9 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float,
              trace: bool) -> tuple[dict, str]:
     """(result line, env line) of one perfbench run in `checkout`.
 
-    A run that fails gives a record with ``run_failed`` in place of the
-    result line, and an empty env line.
+    The run's NOTES lines, ``<workload> <name> = <value>``, go into the
+    result line as ``notes``.  A run that fails gives a record with
+    ``run_failed`` in place of the result line, and an empty env line.
     """
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(int(trace))]
@@ -131,6 +138,13 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float,
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         return _failed_run("no result line on stdout", done.stderr), ""
+    notes = {}
+    for line in lines:
+        name, sep, value = line.removeprefix(f"{workload} ").partition(" = ")
+        if sep and name in NOTES:
+            notes[name] = None if value == "None" else float(value)
+    if notes:
+        result["notes"] = notes
     return result, next((line for line in lines if line.startswith("env: ")), "")
 
 
@@ -267,6 +281,20 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     return summary
 
 
+def summarize_notes(pairs: list[dict]) -> dict:
+    """Each NOTES value's median per side, over the complete pairs whose runs both carry it."""
+    summary = {}
+    for name in NOTES:
+        both = [(pair["parent"]["notes"][name], pair["change"]["notes"][name]) for pair in pairs
+                if all(pair[side].get("notes", {}).get(name) is not None
+                       for side in ("parent", "change"))]
+        if both:
+            summary[name] = {"pairs": len(both),
+                             "parent_median": statistics.median(p for p, _ in both),
+                             "change_median": statistics.median(c for _, c in both)}
+    return summary
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
@@ -312,6 +340,9 @@ def main(argv=None) -> int:
                 pairs.append(pair)
             document["workloads"][workload] = {
                 "summary": summarize(pairs, declared["end_to_end"]), "pairs": pairs}
+            notes = summarize_notes(pairs)
+            if notes:
+                document["workloads"][workload]["notes_summary"] = notes
         if args.trace_seed is not None:
             for workload in workloads:
                 document[f"traced_{workload}"] = {

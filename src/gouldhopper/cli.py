@@ -24,7 +24,16 @@ import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
-from .exactalg import Poly, VAR_NAMES, check_degree, quoted, terms_text
+from .exactalg import (
+    Poly,
+    VAR_NAMES,
+    check_degree,
+    exponents,
+    monomial_key,
+    quoted,
+    terms_text,
+    text_monomial,
+)
 from .ghcore import (
     STRATEGIES,
     FamilyParams,
@@ -154,11 +163,34 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-def _raised(products: list) -> Poly:
-    # the sum of the signed products (sign, [(base, exponent, _), ...]),
-    # each power raised only as lincomb reaches its product
-    return Poly.lincomb((sign, *(base if exp == 1 else base ** exp for base, exp, _ in powers))
-                        for sign, powers in products)
+def _raised(monomials: list, products: list) -> Poly:
+    # the sum of the folded monomial products (sign, key, [(num, den, exponent), ...])
+    # and the signed products (sign, [(base, exponent, _), ...]), each power
+    # raised only here; the monomials are added over one denominator, their lcm
+    terms = []
+    for sign, key, numbers in monomials:
+        num, den = sign, 1
+        for n, d, e in numbers:
+            num *= n ** e
+            den *= d ** e
+        terms.append((key, num, den))
+    common = math.lcm(*(den for _, _, den in terms))
+    total: dict[int, int] = {}
+    get = total.get
+    for key, num, den in terms:
+        total[key] = get(key, 0) + num * (common // den)
+    folded = Poly.from_numerators(total, common)
+    if not products:
+        return folded
+    return Poly.lincomb([(1, folded), *((sign, *(base if exp == 1 else base ** exp
+                                                 for base, exp, _ in powers))
+                                        for sign, powers in products)])
+
+
+def _atom_poly(atom: tuple) -> Poly:
+    # the Poly of an atom (name, num, den) that _ExprParser._atom reads
+    name, num, den = atom
+    return Poly.variable(name) if name else Poly.const(Fraction(num, den))
 
 
 class _ExprParser:
@@ -193,22 +225,26 @@ class _ExprParser:
     def parse(self) -> Poly:
         if not self.tokens:
             raise ExprError("empty expression", 0)
-        products = self._expr()
+        monomials, products = self._expr()
         kind, value, pos = self._peek()
         if kind is not None:
             raise ExprError(f"unexpected {quoted(value)}", pos)
-        return _raised(products)
+        return _raised(monomials, products)
 
-    def _expr(self) -> list:
-        # the signed products of one sum, each charged, none raised
-        products = [self._term(1)]
+    def _expr(self) -> tuple[list, list]:
+        # the folded monomial products and the other signed products of one
+        # sum, each charged, none raised
+        monomials, products = [], []
+        sign = 1
         while True:
+            kind, product = self._term(sign)
+            if kind:
+                (monomials if kind == "monomial" else products).append(product)
             kind, value, _ = self._peek()
-            if kind == "op" and value in "+-":
-                self.k += 1
-                products.append(self._term(1 if value == "+" else -1))
-            else:
-                return products
+            if not (kind == "op" and value in "+-"):
+                return monomials, products
+            self.k += 1
+            sign = 1 if value == "+" else -1
 
     def _charge(self, what: str, pairs: int, pos: int) -> None:
         # add `pairs` to the expression's cost; refuse the expression past the budget
@@ -218,8 +254,10 @@ class _ExprParser:
                             f"MAX_POWER_TERM_PAIRS = {MAX_POWER_TERM_PAIRS}", pos)
 
     def _term(self, sign: int) -> tuple:
-        # one product as (sign, its powers), its degree checked and its
-        # cost charged; a product with a zero factor is 0 and costs nothing
+        # one product, its degree checked and its cost charged, as
+        # ("monomial", (sign, key, number powers)) when every base is a
+        # number or a variable, as ("product", (sign, its powers)) otherwise,
+        # and as (None, None) if it has a zero factor: 0 costs nothing
         pos = self._peek()[2]
         powers = []
         while True:
@@ -234,15 +272,36 @@ class _ExprParser:
                 self.k += 1
             elif not (kind in ("num", "name") or (kind == "op" and value == "(")):
                 break
+        if all(isinstance(base, tuple) for base, _, _ in powers):
+            return self._monomial(sign, powers, pos)
+        powers = [(_atom_poly(base) if isinstance(base, tuple) else base, exponent, at)
+                  for base, exponent, at in powers]
         if any(exponent and not base for base, exponent, _ in powers):
-            return 0, []
+            return None, None
         check_degree(sum(base.total_degree() * exponent for base, exponent, _ in powers))
         for base, exponent, at in powers:
             self._charge("power", _power_term_pairs(base, exponent), at)
         self._charge("product", _product_term_pairs(powers, len(_EXPR_VARS)), pos)
-        return sign, powers
+        return "product", (sign, powers)
 
-    def _power(self) -> tuple[Poly, int, int]:
+    def _monomial(self, sign: int, powers: list, pos: int) -> tuple:
+        # _term of a product of numbers and variables, folded into one packed
+        # key and its number powers; it is charged one term product per
+        # factor, as _product_term_pairs charges it
+        exps = dict.fromkeys(_EXPR_VARS, 0)
+        numbers = []
+        for (name, num, den), exponent, _ in powers:
+            if name:
+                exps[name] += exponent
+            elif exponent:
+                if not num:
+                    return None, None
+                numbers.append((num, den, exponent))
+        key = monomial_key(exps)
+        self._charge("product", len(powers), pos)
+        return "monomial", (sign, key, numbers)
+
+    def _power(self) -> tuple:
         # a base, its exponent (1 if none is written) and the exponent's position
         base = self._atom()
         kind, value, pos = self._peek()
@@ -257,24 +316,27 @@ class _ExprParser:
         _check_digits(self.limit, value, pos)
         return base, int(value), pos
 
-    def _atom(self) -> Poly:
+    def _atom(self):
+        # a number or a variable as (name, num, den), name "" for a number
+        # and num = den = 1 for a variable; a parenthesized sum as its Poly
         kind, value, pos = self._next()
         if kind == "num":
             _check_digits(self.limit, value, pos)
-            try:
-                return Poly.const(Fraction(value))
-            except ZeroDivisionError:
-                raise ExprError("zero denominator", pos) from None
+            num, _, den = value.partition("/")
+            den = int(den or 1)
+            if not den:
+                raise ExprError("zero denominator", pos)
+            return "", int(num), den
         if kind == "name":
             if value not in _EXPR_VARS:
                 raise ExprError(f"variable {quoted(value)} is not allowed here", pos)
-            return Poly.variable(value)
+            return value, 1, 1
         if kind == "op" and value == "(":
-            products = self._expr()
+            monomials, products = self._expr()
             kind, value, pos = self._next()
             if not (kind == "op" and value == ")"):
                 raise ExprError("expected ')'", pos)
-            return _raised(products)
+            return _raised(monomials, products)
         if kind is None:
             raise ExprError("unexpected end of expression", pos)
         raise ExprError(f"unexpected {quoted(value)}", pos)
@@ -420,17 +482,32 @@ def _write_document(entries: dict[str, str]) -> None:
 _JSON_VAR_SLOTS = tuple(sorted(range(len(VAR_NAMES)), key=VAR_NAMES.__getitem__))
 
 
-def _term_items(terms: list, depth: int) -> list[str]:
-    # the items of to_json_obj() of the polynomial whose canonical_terms()
-    # are `terms`, as an array `depth` levels deep holds them
+# The written monomials, one entry per (packed key, depth), about 0.5 kB
+# each.  200 compute/heat requests write about 7,600 distinct ones, and
+# 4,096 entries serve 54 % of their lookups (an unbounded cache 63 %) for
+# about 2 MB; `audit --nmax 4 --mmax 4 --aux-max 2` writes 337.
+@functools.lru_cache(maxsize=4096)
+def _monomial_strings(key: int, depth: int) -> tuple[str, str]:
+    # the "exps" object of the term with packed key `key` in an array `depth`
+    # levels deep, and its text monomial
+    exps = exponents(key)
+    inner = "\n" + "  " * (depth + 1)
+    powers = [f'"{VAR_NAMES[i]}": {exps[i]}' for i in _JSON_VAR_SLOTS if exps[i]]
+    return _joined("{}", powers, inner), text_monomial(exps)
+
+
+def _term_items(poly: Poly, depth: int) -> tuple[list[str], list[tuple[str, int, int]]]:
+    # in one pass over the canonical terms: the items of to_json_obj() of
+    # `poly`, as an array `depth` levels deep holds them, and its terms as
+    # terms_text reads them
     newline = "\n" + "  " * depth
     inner = newline + "  "
-    items = []
-    for exps, num, den in terms:
-        powers = [f'"{VAR_NAMES[i]}": {exps[i]}' for i in _JSON_VAR_SLOTS if exps[i]]
-        items.append(f'{{{inner}"den": "{den}",{inner}"exps": {_joined("{}", powers, inner)},'
-                     f'{inner}"num": "{num}"{newline}}}')
-    return items
+    items, texts = [], []
+    for key, num, den in poly.packed_terms():
+        exps, mono = _monomial_strings(key, depth)
+        items.append(f'{{{inner}"den": "{den}",{inner}"exps": {exps},{inner}"num": "{num}"{newline}}}')
+        texts.append((mono, num, den))
+    return items, texts
 
 
 def _poly_json(poly: Poly, depth: int, *first: str) -> str:
@@ -438,10 +515,9 @@ def _poly_json(poly: Poly, depth: int, *first: str) -> str:
     # `first`, already written, whose keys sort before "terms", then its
     # terms and its text
     newline = "\n" + "  " * depth
-    terms = poly.canonical_terms()
-    items = _joined("[]", _term_items(terms, depth + 2), newline + "  ")
-    return _joined("{}", [*first, f'"terms": {items}', f'"text": {_json_str(terms_text(terms))}'],
-                   newline)
+    items, texts = _term_items(poly, depth + 2)
+    return _joined("{}", [*first, f'"terms": {_joined("[]", items, newline + "  ")}',
+                          f'"text": {_json_str(terms_text(texts))}'], newline)
 
 
 def _report_json(report: IdentityReport, depth: int) -> str:
@@ -452,7 +528,7 @@ def _report_json(report: IdentityReport, depth: int) -> str:
         f"{_json_str(key)}: {value if isinstance(value, int) else _json_str(value)}"
         for key, value in sorted(report.params_json().items())
     ], inner)
-    difference = _joined("[]", _term_items(report.difference.canonical_terms(), depth + 2), inner)
+    difference = _joined("[]", _term_items(report.difference, depth + 2)[0], inner)
     series_order = "null" if report.series_order is None else report.series_order
     return (
         f'{{{inner}"difference": {difference},'

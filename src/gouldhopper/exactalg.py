@@ -23,7 +23,10 @@ slot, ``z`` highest, and the total degree in a field above them all::
 
 Multiplying two monomials is one int addition, and dividing out
 ``var^e`` subtracts ``e * unit[var]`` (a one in the field of ``var`` and
-in the degree field).  Comparing keys as ints compares the total degree
+in the degree field).  So a substitution whose bindings each have one
+term (a scalar, a variable, ``c*t``) maps each key to one key,
+``key + e * (repl_key - unit[var])``, and builds no polynomial power or
+product.  Comparing keys as ints compares the total degree
 first and then the exponents in alphabet order, which is the canonical
 graded lexicographic order.  Read descending, it is the order every
 serialization (text, LaTeX, JSON, CSV) follows, and what makes the output
@@ -174,7 +177,7 @@ def monomial_key(exps: Mapping[str, int]) -> int:
     return key
 
 
-def _unpack(key: int) -> tuple[int, ...]:
+def exponents(key: int) -> tuple[int, ...]:
     """The exponent tuple (alphabet order) of a packed key."""
     return _KEY_LAYOUT.unpack(key.to_bytes(_KEY_LAYOUT.size, "big"))[1:]
 
@@ -282,20 +285,17 @@ class _Sum:
         return _reduced({k: c for k, c in self.num.items() if c}, self.den * den)
 
 
-def _render(terms: Sequence[tuple[tuple[int, ...], int, int]], monomial, fraction: str,
-            times: str) -> str:
-    """The signed sum of `terms`, a canonical_terms() list.
+def _render(terms: Sequence[tuple[str, int, int]], fraction: str, times: str) -> str:
+    """The signed sum of `terms`, (written monomial, numerator, denominator) in canonical order.
 
-    ``monomial(exps)`` writes a monomial, `fraction` formats a magnitude
-    num/den whose den is not 1, and `times` joins a magnitude other than
-    1 to its monomial.
+    `fraction` formats a magnitude num/den whose den is not 1, and `times`
+    joins a magnitude other than 1 to its monomial.
     """
     if not terms:
         return "0"
     chunks = []
-    for exps, num, den in terms:
+    for mono, num, den in terms:
         mag = str(abs(num)) if den == 1 else fraction.format(abs(num), den)
-        mono = monomial(exps)
         if mono:
             body = mono if mag == "1" else f"{mag}{times}{mono}"
         else:
@@ -305,7 +305,8 @@ def _render(terms: Sequence[tuple[tuple[int, ...], int, int]], monomial, fractio
     return out[3:] if out[1] == "+" else "-" + out[3:]
 
 
-def _text_monomial(exps: tuple[int, ...]) -> str:
+def text_monomial(exps: tuple[int, ...]) -> str:
+    """The monomial of an exponent tuple as :meth:`Poly.text` writes it, e.g. ``z^2 w``; "" for 1."""
     return " ".join(name if e == 1 else f"{name}^{e}" for name, e in zip(VAR_NAMES, exps) if e)
 
 
@@ -322,9 +323,10 @@ def _latex_monomial(exps: tuple[int, ...]) -> str:
     return mono
 
 
-def terms_text(terms: Sequence[tuple[tuple[int, ...], int, int]]) -> str:
-    """:meth:`Poly.text` of the polynomial whose canonical_terms() are `terms`."""
-    return _render(terms, _text_monomial, "{}/{}", " * ")
+def terms_text(terms: Sequence[tuple[str, int, int]]) -> str:
+    """:meth:`Poly.text` of the polynomial whose terms, in canonical order, are
+    (text_monomial of the exponents, numerator, denominator)."""
+    return _render(terms, "{}/{}", " * ")
 
 
 class Poly:
@@ -376,15 +378,33 @@ class Poly:
             return cls()
         return cls({monomial_key(exps): c.numerator}, c.denominator)
 
+    @classmethod
+    def from_numerators(cls, num: dict[int, int], den: int = 1) -> "Poly":
+        """The sum of ``num[key] * x^key`` over a positive `den`, `num` keyed by monomial_key.
+
+        Zero numerators are dropped and the result is reduced; the dict is
+        taken over, not copied.
+        """
+        if 0 in num.values():
+            num = {k: c for k, c in num.items() if c}
+        return _reduced(num, den)
+
     # -- inspection ---------------------------------------------------
 
     def terms(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
         """(exponent tuple, coefficient) pairs, in no particular order."""
         den = self._den
-        return ((_unpack(k), Fraction(c, den)) for k, c in self._num.items())
+        return ((exponents(k), Fraction(c, den)) for k, c in self._num.items())
 
-    def canonical_terms(self) -> list[tuple[tuple[int, ...], int, int]]:
-        """(exponent tuple, numerator, denominator) in canonical order:
+    def packed(self) -> tuple[Mapping[int, int], int]:
+        """The stored form: {packed key: integer numerator} and the shared denominator.
+
+        The mapping is the polynomial's own, to be read, never changed.
+        """
+        return self._num, self._den
+
+    def packed_terms(self) -> list[tuple[int, int, int]]:
+        """(packed key, numerator, denominator) in canonical order:
         graded lex, leading term first.
 
         Each coefficient is reduced on its own, as a Fraction would be; the
@@ -392,12 +412,16 @@ class Poly:
         """
         num, den = self._num, self._den
         if den == 1:
-            return [(_unpack(k), num[k], 1) for k in sorted(num, reverse=True)]
+            return [(k, num[k], 1) for k in sorted(num, reverse=True)]
         out = []
         for k in sorted(num, reverse=True):
             g = math.gcd(num[k], den)
-            out.append((_unpack(k), num[k] // g, den // g))
+            out.append((k, num[k] // g, den // g))
         return out
+
+    def canonical_terms(self) -> list[tuple[tuple[int, ...], int, int]]:
+        """:meth:`packed_terms` with each key unpacked into its exponent tuple."""
+        return [(exponents(k), num, den) for k, num, den in self.packed_terms()]
 
     def is_zero(self) -> bool:
         return not self._num
@@ -560,14 +584,23 @@ class Poly:
         """Substitute polynomials (or exact scalars) for variables.
 
         All substitutions happen simultaneously, so swapping two
-        variables with ``{"z": w, "w": z}`` behaves as expected.
+        variables with ``{"z": w, "w": z}`` behaves as expected.  When
+        every replacement has at most one term (a scalar, a variable,
+        ``c*t``), each term maps to one term, found by key arithmetic;
+        otherwise each term's image is a product of powers of the
+        replacements.  Either way a term's image is checked against
+        MAX_DEGREE before its coefficient is computed.
         """
         if not bindings:
             return self
-        fields = []  # (shift, unit, degree of the replacement, its powers)
+        repls = {}
         for name, value in bindings.items():
             idx = _var_index(name)
-            repl = value if isinstance(value, Poly) else Poly.const(value)
+            repls[idx] = value if isinstance(value, Poly) else Poly.const(value)
+        if all(len(repl._num) <= 1 for repl in repls.values()):
+            return self._subst_monomials(repls)
+        fields = []  # (shift, unit, degree of the replacement, its powers)
+        for idx, repl in repls.items():
             fields.append((_SHIFT[idx], _UNIT[idx], max(repl.total_degree(), 0), [Poly.one(), repl]))
         total = _Sum()
         for key, coeff in self._num.items():
@@ -591,6 +624,53 @@ class Poly:
             total.add(acc, kept, coeff)
         return total.poly(self._den)
 
+    def _subst_monomials(self, repls: Mapping[int, "Poly"]) -> "Poly":
+        # subst for replacements of at most one term each, r = rnum/rden x^rkey:
+        # var^e goes to x^(e*rkey) with rnum^e/rden^e, or to zero if r is.
+        # Over den * rden^top, top the highest e of var, the coefficient
+        # is num * rnum^e * rden^(top - e), an integer.
+        fields = []  # (shift, key step rkey - unit or None for zero, degree step, rnum, rden)
+        for idx, repl in repls.items():
+            if repl._num:
+                ((rkey, rnum),) = repl._num.items()
+                fields.append((_SHIFT[idx], rkey - _UNIT[idx], (rkey >> _DEG_SHIFT) - 1,
+                               rnum, repl._den))
+            else:
+                fields.append((_SHIFT[idx], None, 0, 0, 1))
+        # each term's image key and exponents, read off the original key and
+        # checked before any coefficient arithmetic; None where it is zero
+        images = []
+        used = [set() for _ in fields]
+        for key in self._num:
+            image, degree, es = key, key >> _DEG_SHIFT, []
+            for (shift, step, degree_step, _, _), seen in zip(fields, used):
+                e = (key >> shift) & _MASK
+                if e:
+                    if step is None:
+                        image = None
+                        break
+                    image += e * step
+                    degree += e * degree_step
+                    seen.add(e)
+                es.append(e)
+            if image is not None:
+                check_degree(degree)
+            images.append((image, es))
+        den = self._den
+        factors = []  # per field, {e: rnum^e * rden^(top - e)}
+        for (_, _, _, rnum, rden), seen in zip(fields, used):
+            top = max(seen, default=0)
+            den *= rden ** top
+            factors.append({e: rnum ** e * rden ** (top - e) for e in seen | {0}})
+        out: dict[int, int] = {}
+        get = out.get
+        for (image, es), coeff in zip(images, self._num.values()):
+            if image is not None:
+                for factor, e in zip(factors, es):
+                    coeff *= factor[e]
+                out[image] = get(image, 0) + coeff
+        return Poly.from_numerators(out, den)
+
     # -- serialization ------------------------------------------------
 
     def text(self) -> str:
@@ -598,11 +678,12 @@ class Poly:
 
         Round-trips through the expression parser in :mod:`.cli`.
         """
-        return terms_text(self.canonical_terms())
+        return terms_text([(text_monomial(e), n, d) for e, n, d in self.canonical_terms()])
 
     def latex(self) -> str:
         """LaTeX form, e.g. ``z^{2}w + 2\\gamma z``."""
-        return _render(self.canonical_terms(), _latex_monomial, "\\frac{{{}}}{{{}}}", "")
+        terms = [(_latex_monomial(e), n, d) for e, n, d in self.canonical_terms()]
+        return _render(terms, "\\frac{{{}}}{{{}}}", "")
 
     def to_json_obj(self) -> list[dict]:
         """JSON-ready form: a list of terms in canonical order.

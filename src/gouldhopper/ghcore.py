@@ -92,6 +92,8 @@ _G = Poly.variable("g")
 # The cache bounds here hold at least twice what one `audit --nmax 10
 # --mmax 10`, or 200 compute/heat requests in one process, fill; the
 # generating series are held one per (p, q), the widest built so far.
+# The CLI's cache of written monomials, cli._monomial_strings, holds 4,096,
+# about half of what 200 requests write.
 @lru_cache(maxsize=8192)
 def explicit_poly(p: int, q: int, n: int, m: int) -> Poly:
     """The defining sum as a bare Poly in z, w, g (cached).

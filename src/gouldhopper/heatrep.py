@@ -19,10 +19,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import Poly, VAR_INDEX, as_scalar
-from .ghcore import FamilyParams, InvalidParamsError, explicit_poly
+from .exactalg import Poly, VAR_INDEX, as_scalar, exponents
+from .ghcore import InvalidParamsError, explicit_poly
 
 _T = Poly.variable("t")
+_ZI, _WI = VAR_INDEX["z"], VAR_INDEX["w"]
 
 # The most terms a solution may have.  Each datum term z^n w^m evolves
 # into k_max + 1 terms, so their sum bounds the solution before any
@@ -62,24 +63,35 @@ class HeatProblem:
 def solution_terms(p: int, q: int, initial: Poly) -> int:
     """An upper bound on the terms of the solution, from the datum's exponents.
 
-    z^n w^m evolves into H^(p,q)_{n,m}, which has k_max + 1 terms.
+    z^n w^m evolves into H^(p,q)_{n,m}, which has k_max + 1 terms, with
+    k_max = min(n // p, m // q) over the nonzero orders (p + q >= 1).
     """
-    zi, wi = VAR_INDEX["z"], VAR_INDEX["w"]
-    return sum(FamilyParams(p, q, exps[zi], exps[wi]).k_max + 1 for exps, _ in initial.terms())
+    total = 0
+    for key in initial.packed()[0]:
+        exps = exponents(key)
+        n, m = exps[_ZI], exps[_WI]
+        total += 1 + (min(n // p, m // q) if p and q else n // p if p else m // q)
+    return total
 
 
 def solve(problem: HeatProblem) -> Poly:
     """Evolve the initial polynomial monomial by monomial into u(z, w, t).
 
     z^n w^m goes to H^(p,q)_{n,m}(z, w | g) with g replaced by c*t, once
-    for the whole sum: substitution is a ring map.
+    for the whole sum: substitution is a ring map.  Every member has
+    integer coefficients, so the sum is kept as integer numerators over
+    the datum's one denominator.
     """
-    zi, wi = VAR_INDEX["z"], VAR_INDEX["w"]
-    u = Poly.lincomb(
-        (coeff, explicit_poly(problem.p, problem.q, exps[zi], exps[wi]))
-        for exps, coeff in problem.initial.terms()
-    )
-    return u.subst({"g": problem.c * _T})
+    p, q = problem.p, problem.q
+    num, den = problem.initial.packed()
+    total: dict[int, int] = {}
+    get = total.get
+    for key, coeff in num.items():
+        exps = exponents(key)
+        member, _ = explicit_poly(p, q, exps[_ZI], exps[_WI]).packed()
+        for k, c in member.items():
+            total[k] = get(k, 0) + coeff * c
+    return Poly.from_numerators(total, den).subst({"g": problem.c * _T})
 
 
 def residual(problem: HeatProblem, u: Poly) -> Poly:

@@ -181,6 +181,20 @@ def test_pde_suite():
 # Fraction/tuple kernel (the verify runs: before their checkers' sides
 # were memoized); any kernel or audit change must reproduce them byte for
 # byte.
+def _large_datum():
+    # 41 terms over the distinct denominators 2..42, every third one
+    # negative, then two repeated monomials (one cancelling a term), a
+    # bare integer, adjacency and a parenthesized factor
+    chunks = []
+    for i in range(41):
+        sign = "-" if i % 3 == 1 else ("+" if i else "")
+        chunks.append(f"{sign}{(13 * i) % 29 + 1}/{i + 2}*z^{(7 * i) % 23}*w^{(11 * i) % 17}")
+    chunks += ["+ 5/4*z^21*w^16", "- 27/4*z^14*w^5", "+ 3z w", "- 7", "+ 2/9*z^2*(w)^3"]
+    return " ".join(chunks)
+
+
+_LARGE_HEAT = ("heat", "--p", "2", "--q", "1", "--c=-5/6", "--initial=" + _large_datum())
+
 GOLDEN_DIGESTS = {
     ("audit", "--nmax", "4", "--mmax", "4", "--aux-max", "2", "--seed", "1"):
         "c69d74c10f7f9f76a7664673ac774d0b9eeef0c763a1c904cd4bd66144e4891f",
@@ -229,6 +243,16 @@ GOLDEN_DIGESTS = {
     ("audit", "--nmax", "2", "--mmax", "2", "--aux-max", "1", "--jk-max", "1", "--seed", "3",
      "--trials", "3", "--variant", "both", "--format", "text"):
         "d811610d338216e5a5e674a4c5b0acfb3f80994a9c6b03f75c96b192c8e3ce03",
+    # a 46-term datum, recorded while each of its factors was parsed into a
+    # Poly of its own and solve built a Fraction per term
+    (*_LARGE_HEAT, "--format", "json"):
+        "5bbdc725b92e493284b7c4a09a793b531ae0831cd1acc80b05ca075141fbd260",
+    (*_LARGE_HEAT, "--format", "text"):
+        "da0aa9fddc85bc44256e53dbfaef2b3bab7587977c4a3f3e8ea242cc27a30111",
+    (*_LARGE_HEAT, "--format", "latex"):
+        "03bd50000cc90fa1e7aa8670d6ae4dc048b08d9a06d7e3aa4f77338b93e25e06",
+    (*_LARGE_HEAT, "--format", "csv"):
+        "8fa74d0b6f0aeb422ba160fe8d24834dd24cf60cd20dbe67ca9ded175cb2073b",
 }
 # the default `audit --seed 42` document (6,535,293 bytes)
 DEFAULT_AUDIT_SEED42_SHA256 = "a4723f57be0fdac80ac152647e4fb257b529018278fdf28d38e97d13ea8fff70"
@@ -236,11 +260,13 @@ DEFAULT_AUDIT_SEED42_SHA256 = "a4723f57be0fdac80ac152647e4fb257b529018278fdf28d3
 
 def _digest_id(argv):
     # a run is named by its command (a verify run by its tag), then by
-    # "subst" if it substitutes, and by its format unless JSON
+    # "subst" if it substitutes, "large" if it solves the large datum, and
+    # by its format unless JSON
     default = "json" if argv[0] == "audit" else "text"
     fmt = argv[argv.index("--format") + 1] if "--format" in argv else default
     parts = [argv[2] if argv[0] == "verify" else argv[0]]
-    parts += ["subst"] * ("--subst" in argv) + [fmt] * (fmt != "json")
+    parts += ["subst"] * ("--subst" in argv) + ["large"] * (argv[:-2] == _LARGE_HEAT)
+    parts += [fmt] * (fmt != "json")
     return "-".join(parts)
 
 

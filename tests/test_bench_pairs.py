@@ -242,3 +242,28 @@ def test_request_stream_compares_each_requests_exit_code_and_stdout(tmp_path):
     assert not bench_pairs.same_request_stdout(runs["echo"], runs["stdout"])
     assert runs["raises"]["run_failed"] == "exit status 1"
     assert not bench_pairs.same_request_stdout(runs["raises"], runs["raises"])
+
+
+def test_run_once_keeps_the_request_kind_notes(tmp_path):
+    line = _line(4.0, 250.0)
+    body = ("import json\nprint('env: python x')\nprint('requests passes = 3')\n"
+            "print('requests compute_p50_ms = 1.25')\nprint('requests heat_p50_ms = 3.5')\n"
+            "print('requests heat_p90_ms = None')\n"
+            f"print(json.dumps({line!r}))\n")
+    checkout = _fake_checkout(tmp_path, body)
+    result, _ = bench_pairs.run_once(checkout, "requests", 1, 1, False)
+    assert result == {**line, "notes": {"compute_p50_ms": 1.25, "heat_p50_ms": 3.5}}
+    # another workload's lines are not its own
+    assert bench_pairs.run_once(checkout, "audit_serial", 1, 1, False)[0] == line
+
+
+def test_summarize_notes_takes_medians_over_pairs_that_carry_them():
+    pairs = _pairs()
+    for i, pair in enumerate(pairs):
+        pair["parent"]["notes"] = {"heat_p50_ms": 4.0 + i, "compute_p50_ms": 1.0}
+        pair["change"]["notes"] = {"heat_p50_ms": 3.0 + i, "compute_p50_ms": None if i else 1.0}
+    del pairs[4]["change"]["notes"]
+    notes = bench_pairs.summarize_notes(pairs)
+    assert notes["heat_p50_ms"] == {"pairs": 4, "parent_median": 5.5, "change_median": 4.5}
+    assert notes["compute_p50_ms"] == {"pairs": 1, "parent_median": 1.0, "change_median": 1.0}
+    assert bench_pairs.summarize_notes(_pairs()) == {}

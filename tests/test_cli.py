@@ -4,6 +4,7 @@ import csv
 import importlib
 import importlib.metadata
 import io
+import itertools
 import json
 import multiprocessing
 import os
@@ -26,6 +27,7 @@ from gouldhopper.cli import (
     MAX_POWER_TERM_PAIRS,
     ExprError,
     _dumped,
+    _ExprParser,
     _make_ranges,
     _poly_json,
     _report_json,
@@ -37,7 +39,7 @@ from gouldhopper.cli import (
     parse_rational,
     parse_subst,
 )
-from gouldhopper.exactalg import MAX_DEGREE, VAR_NAMES, Poly
+from gouldhopper.exactalg import MAX_DEGREE, VAR_NAMES, Poly, monomial_key, terms_text
 from gouldhopper.heatrep import MAX_SOLUTION_TERMS
 from gouldhopper.identity import (
     MAX_JOBS,
@@ -926,6 +928,55 @@ def test_a_zero_factor_raises_no_power():
     assert parse_poly_expr("0^0*z - 2*0^3*w") == parse_poly_expr("z")
 
 
+# term products each expression is charged, recorded while every factor
+# was parsed into a Poly of its own: a product of numbers and variables
+# costs one per factor, whichever way it is read
+PARSER_PAIRS = {
+    "3*z^2*w^5": 3,
+    "z*w*z*w^3": 4,
+    "-2/3*z^4*w - 5*w^2 + 7/2*z": 7,
+    "3z^2 w": 3,
+    "z^0*w^0": 2,
+    "5": 1,
+    "2^3*z": 2,
+    "2/4*z": 2,
+    "(z)^3*w": 3,
+    "(2/3)^2*z": 3,
+    "(z+w)^5": 17,
+    "(z+w)^3*(z-w)^2 + (1+z)^4": 44,
+    "2*(z+w)^4*z^2": 22,
+    "z^2*(w+1)*w": 7,
+    "-(z+1)^2*-w": 12,
+    "(z+w)^40*(z-w)^40": 2608,
+    "0*z^3*w": 0,
+    "z^3*0^2*w": 0,
+    "0^0*z^2": 2,
+    "(z-z)*(z+w)^3": 4,
+}
+
+
+@pytest.mark.parametrize("src", list(PARSER_PAIRS))
+def test_parser_charges_what_it_charged_per_factor(src):
+    parser = _ExprParser(src)
+    parser.parse()
+    assert parser.pairs == PARSER_PAIRS[src]
+
+
+def test_heat_data_parse_to_their_monomials(monkeypatch):
+    # the first 200 heat data of the benchmark's seeded request stream
+    spec = importlib.util.spec_from_file_location(
+        "bench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, inputs)  # its dataclasses look it up
+    spec.loader.exec_module(inputs)
+    stream = (request for request in inputs.requests(1, inputs.FULL) if request.kind == "heat")
+    for request in itertools.islice(stream, 200):
+        initial = next(arg for arg in request.argv if arg.startswith("--initial="))
+        expected = Poly.lincomb((coeff, Poly({monomial_key({"z": dz, "w": dw}): 1}))
+                                for (dz, dw), coeff in request.datum.items())
+        assert parse_poly_expr(initial.partition("=")[2]) == expected
+
+
 # ---------------------------------------------------------------------
 # top-level behavior
 # ---------------------------------------------------------------------
@@ -1061,8 +1112,9 @@ _NOTES = st.text() | st.sampled_from(['"quoted"', "back\\slash", "tab\tnew\nline
 @settings(max_examples=200, deadline=None)
 @given(_TERM_POLYS, st.integers(0, 5))
 def test_term_writer_matches_write_json(poly, depth):
-    items = _term_items(poly.canonical_terms(), depth)
+    items, texts = _term_items(poly, depth)
     assert items == [_dumps_at(term, depth) for term in poly.to_json_obj()]
+    assert terms_text(texts) == poly.text()
     expected = {"text": poly.text(), "terms": poly.to_json_obj()}
     assert _poly_json(poly, depth) == _dumps_at(expected, depth)
     expected["strategy"] = "via_genfun"

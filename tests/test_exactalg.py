@@ -481,6 +481,69 @@ def test_lincomb_and_power_check_the_degree_before_any_arithmetic():
         (F(2, 3) * Z) ** 10 ** 15
 
 
+def _subst_by_products(poly, bindings):
+    # subst built term by term from Poly products: each term's coefficient
+    # times its exponent's worth of each replacement, every exponent read
+    # off the original term
+    total = Poly.zero()
+    for exps, coeff in poly.terms():
+        term = Poly.monomial(
+            {name: e for name, e in zip(VAR_NAMES, exps) if name not in bindings}, coeff)
+        for name, value in bindings.items():
+            repl = value if isinstance(value, Poly) else Poly.const(value)
+            for _ in range(exps[VAR_INDEX[name]]):
+                term = term * repl
+        total = total + term
+    return total
+
+
+T = Poly.variable("t")
+# replacements of at most one term: a scalar (0 among them), a variable,
+# or a rational times a power of one variable
+_ONE_TERM = (
+    _MIXED
+    | st.sampled_from([Z, W, G, T])
+    | st.builds(lambda name, e, c: Poly.monomial({name: e}, c),
+                st.sampled_from(["z", "w", "g", "t"]), st.integers(0, 3), _MIXED)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ref_polys(max_terms=6), st.dictionaries(st.sampled_from(["z", "w", "g", "t"]), _ONE_TERM,
+                                                min_size=1, max_size=4))
+def test_one_term_subst_matches_products(terms, bindings):
+    poly = _ref_to_poly(terms)
+    result = poly.subst(bindings)
+    assert result == _subst_by_products(poly, bindings)
+    _as_ref(result)  # in normal form
+
+
+def test_one_term_subst_cases():
+    p = Z ** 3 * W - F(5, 4) * W ** 2 + Z * G
+    # simultaneous: each exponent is read off the original term
+    swap = {"z": 2 * W, "w": Z * F(1, 3)}
+    assert p.subst(swap) == _subst_by_products(p, swap) == (
+        F(8, 3) * W ** 3 * Z - F(5, 36) * Z ** 2 + 2 * W * G)
+    # a zero scalar drops every term holding its variable
+    assert p.subst({"z": 0}) == -F(5, 4) * W ** 2
+    assert p.subst({"z": 0, "w": F(2, 3)}) == F(-5, 9)
+    # g -> c t on a polynomial that already holds t: the images collide and add up
+    c = F(-5, 6)
+    q = G ** 2 * Z + F(7, 2) * T ** 2 * Z - G * T + F(5, 6) * T ** 2 + 3
+    expected = (c ** 2 + F(7, 2)) * T ** 2 * Z + (F(5, 6) - c) * T ** 2 + 3
+    assert q.subst({"g": c * T}) == _subst_by_products(q, {"g": c * T}) == expected
+    assert (G * T - T ** 2).subst({"g": T}).is_zero()
+
+
+def test_one_term_subst_checks_the_degree_before_any_arithmetic():
+    # z^40000 w^3 -> t^80000 w^3: refused while only the keys are read
+    top = Poly(_Unread({monomial_key({"z": 40000, "w": 3}): 7}), 2)
+    with pytest.raises(ValueError, match="total degree 80003 exceeds the kernel bound"):
+        top.subst({"z": Poly.monomial({"t": 2}, F(3, 5))})
+    with pytest.raises(ValueError, match=f"MAX_DEGREE = {MAX_DEGREE}"):
+        Poly.monomial({"z": 40000}).subst({"z": Poly.monomial({"t": 2}, F(3, 5))})
+
+
 def test_reduction_and_emptied_polynomials():
     half = Z * F(1, 2)
     assert half + half == Z
