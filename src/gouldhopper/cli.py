@@ -202,7 +202,9 @@ class _ExprParser:
 
     The whole expression is read, and each of its products charged against
     MAX_POWER_TERM_PAIRS, before any power of it is raised; only a
-    parenthesized sum is computed when it closes, as the base it is.
+    parenthesized sum is computed when it closes, as the base it is.  A
+    product of numbers and variables is read into one packed key and its
+    number powers, with no Poly per factor.
     """
 
     def __init__(self, src: str):
