@@ -194,6 +194,8 @@ def _large_datum():
 
 
 _LARGE_HEAT = ("heat", "--p", "2", "--q", "1", "--c=-5/6", "--initial=" + _large_datum())
+_ZERO_SPEED_HEAT = ("heat", "--p", "2", "--q", "1", "--c", "0",
+                    "--initial", "3/2*z^5*w^2 - 2/5*z^2*w + 4/3*z*w^3 - 7")
 
 GOLDEN_DIGESTS = {
     ("audit", "--nmax", "4", "--mmax", "4", "--aux-max", "2", "--seed", "1"):
@@ -253,6 +255,19 @@ GOLDEN_DIGESTS = {
         "03bd50000cc90fa1e7aa8670d6ae4dc048b08d9a06d7e3aa4f77338b93e25e06",
     (*_LARGE_HEAT, "--format", "csv"):
         "8fa74d0b6f0aeb422ba160fe8d24834dd24cf60cd20dbe67ca9ded175cb2073b",
+    # recorded while solve substituted g -> c*t over the summed solution and
+    # residual built derivative polynomials: the README's example (q = 0,
+    # negative c), a p = 0 datum over mixed denominators, and c = 0, which
+    # drops every g^e term (e >= 1)
+    ("heat", "--p", "2", "--q", "0", "--c=-3/7", "--initial", "(z + w)^2", "--format", "json"):
+        "96af1fa97aa6de68c20aedbe651dd22b1fd81b99f1c064db65de00b574512fe2",
+    ("heat", "--p", "0", "--q", "3", "--c=7/4",
+     "--initial", "2/3*z^2*w^7 - 1/4*w^5 + 5/6*z*w^3 - 3/10*z^4 + 1/9", "--format", "json"):
+        "31738b1ded8dbdf17f7e14a26333f23716a786a18b465f6dd898746aa92096f2",
+    (*_ZERO_SPEED_HEAT, "--format", "json"):
+        "1e554d9c63669e8b2c7f31f8533aac864698602eb193eed186d2440656564286",
+    (*_ZERO_SPEED_HEAT, "--format", "csv"):
+        "1a1867d95d93428476be8d555304c1fcd315867358ab4331e538db8ddecd133f",
 }
 # the default `audit --seed 42` document (6,535,293 bytes)
 DEFAULT_AUDIT_SEED42_SHA256 = "a4723f57be0fdac80ac152647e4fb257b529018278fdf28d38e97d13ea8fff70"
@@ -260,12 +275,16 @@ DEFAULT_AUDIT_SEED42_SHA256 = "a4723f57be0fdac80ac152647e4fb257b529018278fdf28d3
 
 def _digest_id(argv):
     # a run is named by its command (a verify run by its tag), then by
-    # "subst" if it substitutes, "large" if it solves the large datum, and
-    # by its format unless JSON
+    # "subst" if it substitutes, "large" if it solves the large datum, by
+    # its orders if a heat run's are not p = 2, q = 1, "c0" if it solves
+    # with c = 0, and by its format unless JSON
     default = "json" if argv[0] == "audit" else "text"
     fmt = argv[argv.index("--format") + 1] if "--format" in argv else default
     parts = [argv[2] if argv[0] == "verify" else argv[0]]
     parts += ["subst"] * ("--subst" in argv) + ["large"] * (argv[:-2] == _LARGE_HEAT)
+    if argv[0] == "heat":
+        p, q = argv[argv.index("--p") + 1], argv[argv.index("--q") + 1]
+        parts += [f"p{p}q{q}"] * ((p, q) != ("2", "1")) + ["c0"] * (argv[:-2] == _ZERO_SPEED_HEAT)
     parts += [fmt] * (fmt != "json")
     return "-".join(parts)
 
