@@ -21,12 +21,13 @@ and ``--jobs 2``, is timed in the same way: ten alternating pairs per
 RSS (the CLI process's own, in MB) go under ``large_grid``.  A change run
 whose stdout differs from its parent's in the same pair counts as failed.
 
-Outside the timed pairs, each side runs the first ``REQUEST_STREAM[1]``
-requests of perfbench's seeded ``requests`` stream (seed
-``REQUEST_STREAM[0]``, taken from the working tree's ``perfbench/inputs.py``
-for both sides) once, in a fresh interpreter, and the file records under
-``requests_stdout_identical`` whether both sides gave the same stdout and
-exit code for every request.
+Outside the timed pairs, each side runs, for each ``(seed, count)`` of
+``REQUEST_STREAMS``, the first ``count`` requests of perfbench's seeded
+``requests`` stream (taken from the working tree's ``perfbench/inputs.py``
+for both sides) once, in a fresh interpreter per stream.  The file
+records per seed, under ``requests_stdout``, whether both sides gave the
+same stdout and exit code for every request, and under
+``requests_stdout_identical`` whether they did on every seed.
 
 The file keeps every result line (the last stdout line of
 ``perfbench/run.py``: correct, attempted, failed, metrics), with the run's
@@ -85,8 +86,9 @@ _CLI_WITH_PEAK_RSS = (
 # the note lines of perfbench/run.py kept next to a run's result line:
 # they show which kind of request a change of op_p50_ms comes from
 NOTES = ("compute_p50_ms", "heat_p50_ms")
-# (seed, count) of the requests whose stdout both sides must give alike
-REQUEST_STREAM = (1, 200)
+# (seed, count) of each request stream whose stdout both sides must give
+# alike: 1,000 requests, 500 of them heat
+REQUEST_STREAMS = ((1, 250), (1000, 250), (1001, 250), (1002, 250))
 # runs the CLI in the checkout's src/ on the first `count` requests of the
 # stream in perfbench/inputs.py under argv[1], and prints each one's exit
 # code and the SHA-256 of its stdout
@@ -178,14 +180,14 @@ def run_large_grid(checkout: Path, jobs: int) -> dict:
                         "peak_rss_mb": {"value": peak, "unit": "MB"}}}
 
 
-def run_request_stream(checkout: Path) -> dict:
-    """Record of the REQUEST_STREAM requests run by the CLI in `checkout`, in one interpreter.
+def run_request_stream(checkout: Path, seed: int, count: int) -> dict:
+    """Record of the first `count` requests of stream `seed` run by the CLI in
+    `checkout`, in one interpreter.
 
     It holds how many requests ran and the SHA-256 of their exit codes and
     stdout digests; a run that fails gives a record with ``run_failed``,
     as in run_once.
     """
-    seed, count = REQUEST_STREAM
     argv = [sys.executable, "-c", _CLI_ON_REQUEST_STREAM, str(ROOT / "perfbench"),
             str(seed), str(count)]
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
@@ -205,6 +207,16 @@ def run_request_stream(checkout: Path) -> dict:
 def same_request_stdout(parent: dict, change: dict) -> bool:
     """Whether two run_request_stream records both ran and agree."""
     return "run_failed" not in parent and parent == change
+
+
+def compare_request_streams(sides: dict[str, Path]) -> dict:
+    """Per seed of REQUEST_STREAMS, both sides' run_request_stream records
+    and whether they agree."""
+    streams = {}
+    for seed, count in REQUEST_STREAMS:
+        runs = {side: run_request_stream(path, seed, count) for side, path in sides.items()}
+        streams[str(seed)] = {**runs, "identical": same_request_stdout(**runs)}
+    return streams
 
 
 def large_grid_pair(run: Callable[[str], dict], first: str) -> dict:
@@ -351,14 +363,14 @@ def main(argv=None) -> int:
                     **{side: run_once(path, workload, args.trace_seed, seconds, True)[0]
                        for side, path in sides.items()},
                 }
-        streams = {side: run_request_stream(path) for side, path in sides.items()}
+        streams = compare_request_streams(sides)
         document["requests_stdout"] = {
-            "what": (f"exit code and stdout of the first {REQUEST_STREAM[1]} requests of "
-                     f"perfbench's requests stream, seed {REQUEST_STREAM[0]}, one interpreter "
-                     "per side"),
-            **streams,
+            "what": ("exit code and stdout of the first `requests` requests of perfbench's "
+                     "requests stream, per seed, one interpreter per side and seed"),
+            "seeds": streams,
         }
-        document["requests_stdout_identical"] = same_request_stdout(**streams)
+        document["requests_stdout_identical"] = all(
+            entry["identical"] for entry in streams.values())
         document["large_grid"] = {
             "command": f"gouldhopper {' '.join(LARGE_GRID)} --jobs J",
             "what": (

@@ -46,10 +46,9 @@ positive denominator per polynomial, kept reduced:
 coefficients, so ``den`` is almost always 1 and no gcd is taken.  Zero
 numerators are never stored, and the zero polynomial has ``den == 1``.
 This normal form is unique, so equality compares the dict and the
-denominator.  :meth:`Poly.terms` hands each coefficient out as a reduced
-``Fraction`` with the unpacked exponent tuple, and
-:meth:`Poly.canonical_terms` as a reduced numerator and denominator in
-canonical order.  Every serialization reads that one term list, so it
+denominator.  :meth:`Poly.canonical_terms` hands each coefficient out
+as a reduced numerator and denominator with the unpacked exponent tuple,
+in canonical order.  Every serialization reads that one term list, so it
 depends only on the polynomial, never on how it was computed.
 
 **Series kernel.**  :func:`series_exp` never multiplies two series.
@@ -180,6 +179,12 @@ def monomial_key(exps: Mapping[str, int]) -> int:
 def exponents(key: int) -> tuple[int, ...]:
     """The exponent tuple (alphabet order) of a packed key."""
     return _KEY_LAYOUT.unpack(key.to_bytes(_KEY_LAYOUT.size, "big"))[1:]
+
+
+def field_shift(name: str) -> int:
+    """The bit offset of `name`'s exponent field: its exponent in a key is
+    ``(key >> field_shift(name)) & MAX_DEGREE``."""
+    return _SHIFT[_var_index(name)]
 
 
 def _top_degree(num: Mapping[int, int]) -> int:
@@ -390,11 +395,6 @@ class Poly:
         return _reduced(num, den)
 
     # -- inspection ---------------------------------------------------
-
-    def terms(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-        """(exponent tuple, coefficient) pairs, in no particular order."""
-        den = self._den
-        return ((exponents(k), Fraction(c, den)) for k, c in self._num.items())
 
     def packed(self) -> tuple[Mapping[int, int], int]:
         """The stored form: {packed key: integer numerator} and the shared denominator.

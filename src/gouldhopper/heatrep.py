@@ -11,19 +11,27 @@ H^(p,q)_{n,m}(z, w | c t), and the solution is assembled by linearity.
 Poly at a rational instant.  Everything stays in exact rational
 arithmetic, so the residual of a solution is identically zero as a
 polynomial, not merely small.
+
+`solve` and `residual` each make one pass over packed keys (see
+:mod:`.exactalg`) and build no intermediate Poly: `solve` maps every
+member term x^key g^e straight to its image under g -> c t while it sums,
+and `residual` adds each term's two derivative images in place.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import Poly, VAR_INDEX, as_scalar, exponents
+from .exactalg import MAX_DEGREE, Poly, as_scalar, field_shift, monomial_key
 from .ghcore import InvalidParamsError, explicit_poly
 
-_T = Poly.variable("t")
-_ZI, _WI = VAR_INDEX["z"], VAR_INDEX["w"]
+_Z_SHIFT, _W_SHIFT, _G_SHIFT, _T_SHIFT = map(field_shift, ("z", "w", "g", "t"))
+_T_KEY = monomial_key({"t": 1})
+# g and t both have degree 1, so g^e -> t^e moves the key by e times this
+_G_TO_T = _T_KEY - monomial_key({"g": 1})
 
 # The most terms a solution may have.  Each datum term z^n w^m evolves
 # into k_max + 1 terms, so their sum bounds the solution before any
@@ -60,43 +68,81 @@ class HeatProblem:
                              f"MAX_SOLUTION_TERMS = {MAX_SOLUTION_TERMS}")
 
 
+def k_max(p: int, q: int, n: int, m: int) -> int:
+    """The top power of g in H^(p,q)_{n,m}: min(n // p, m // q) over the nonzero orders."""
+    return min(n // p, m // q) if p and q else n // p if p else m // q
+
+
+def _orders(key: int) -> tuple[int, int]:
+    # the exponents of z and w in a key
+    return (key >> _Z_SHIFT) & MAX_DEGREE, (key >> _W_SHIFT) & MAX_DEGREE
+
+
 def solution_terms(p: int, q: int, initial: Poly) -> int:
     """An upper bound on the terms of the solution, from the datum's exponents.
 
-    z^n w^m evolves into H^(p,q)_{n,m}, which has k_max + 1 terms, with
-    k_max = min(n // p, m // q) over the nonzero orders (p + q >= 1).
+    z^n w^m evolves into H^(p,q)_{n,m}, which has k_max + 1 terms (p + q >= 1).
     """
-    total = 0
-    for key in initial.packed()[0]:
-        exps = exponents(key)
-        n, m = exps[_ZI], exps[_WI]
-        total += 1 + (min(n // p, m // q) if p and q else n // p if p else m // q)
-    return total
+    return sum(1 + k_max(p, q, *_orders(key)) for key in initial.packed()[0])
 
 
 def solve(problem: HeatProblem) -> Poly:
     """Evolve the initial polynomial monomial by monomial into u(z, w, t).
 
-    z^n w^m goes to H^(p,q)_{n,m}(z, w | g) with g replaced by c*t, once
-    for the whole sum: substitution is a ring map.  Every member has
-    integer coefficients, so the sum is kept as integer numerators over
-    the datum's one denominator.
+    z^n w^m goes to H^(p,q)_{n,m}(z, w | g) with g replaced by c*t, in one
+    pass: every member term x^key g^e goes straight to the key
+    key + e (t - g), and c^e = c_num^e / c_den^e becomes the integer
+    c_num^e c_den^(top - e) over c_den^top, top the largest k_max of the
+    datum.  Every member has integer coefficients, so the sum is kept as
+    integer numerators over den * c_den^top, den the datum's denominator.
+    A member term past g^top has no weight and raises IndexError.
     """
     p, q = problem.p, problem.q
     num, den = problem.initial.packed()
+    members = []
+    top = 0
+    for key, coeff in num.items():
+        n, m = _orders(key)
+        top = max(top, k_max(p, q, n, m))
+        members.append((explicit_poly(p, q, n, m).packed()[0], coeff))
+    c_num, c_den = problem.c.numerator, problem.c.denominator
+    weights = [c_num ** e * c_den ** (top - e) for e in range(top + 1)]
     total: dict[int, int] = {}
     get = total.get
-    for key, coeff in num.items():
-        exps = exponents(key)
-        member, _ = explicit_poly(p, q, exps[_ZI], exps[_WI]).packed()
-        for k, c in member.items():
-            total[k] = get(k, 0) + coeff * c
-    return Poly.from_numerators(total, den).subst({"g": problem.c * _T})
+    for member, coeff in members:
+        for key, value in member.items():
+            e = (key >> _G_SHIFT) & MAX_DEGREE
+            image = key + e * _G_TO_T
+            total[image] = get(image, 0) + coeff * value * weights[e]
+    return Poly.from_numerators(total, den * c_den ** top)
 
 
 def residual(problem: HeatProblem, u: Poly) -> Poly:
-    """c * Dz^p Dw^q u - Dt u; identically zero for a true solution."""
-    return problem.c * u.diff("z", problem.p).diff("w", problem.q) - u.diff("t")
+    """c * Dz^p Dw^q u - Dt u; identically zero for a true solution.
+
+    One pass over u's terms, over den * c_den (u = num / den, c =
+    c_num / c_den): a term with z, w, t exponents a, b, s adds
+    c_num * a!/(a-p)! * b!/(b-q)! times its numerator at its key less
+    z^p w^q when a >= p and b >= q, and -c_den * s times it at its key
+    less t when s >= 1.
+    """
+    p, q = problem.p, problem.q
+    c_num, c_den = problem.c.numerator, problem.c.denominator
+    num, den = u.packed()
+    drop = monomial_key({"z": p, "w": q})
+    perm = math.perm
+    out: dict[int, int] = {}
+    get = out.get
+    for key, coeff in num.items():
+        a, b = _orders(key)
+        if a >= p and b >= q:
+            image = key - drop
+            out[image] = get(image, 0) + coeff * c_num * perm(a, p) * perm(b, q)
+        s = (key >> _T_SHIFT) & MAX_DEGREE
+        if s:
+            image = key - _T_KEY
+            out[image] = get(image, 0) - coeff * c_den * s
+    return Poly.from_numerators(out, den * c_den)
 
 
 def at_time(u: Poly, instant: Fraction) -> Poly:

@@ -234,14 +234,31 @@ def test_request_stream_compares_each_requests_exit_code_and_stdout(tmp_path):
         "stdout": _ECHO_CLI.replace("' '.join", "','.join"),
         "raises": "def main(argv):\n    raise RuntimeError('boom')\n",
     }
-    runs = {name: bench_pairs.run_request_stream(_fake_cli(tmp_path / name, body))
+    runs = {name: bench_pairs.run_request_stream(_fake_cli(tmp_path / name, body), 1, 40)
             for name, body in bodies.items()}
-    assert runs["echo"]["requests"] == bench_pairs.REQUEST_STREAM[1]
+    assert runs["echo"]["requests"] == 40
     assert bench_pairs.same_request_stdout(runs["echo"], runs["same"])
     assert not bench_pairs.same_request_stdout(runs["echo"], runs["exit-code"])
     assert not bench_pairs.same_request_stdout(runs["echo"], runs["stdout"])
     assert runs["raises"]["run_failed"] == "exit status 1"
     assert not bench_pairs.same_request_stdout(runs["raises"], runs["raises"])
+
+
+def test_request_streams_are_compared_per_seed(monkeypatch):
+    # a change whose stdout differs on one seed only is caught on that seed
+    def fake_run(checkout, seed, count):
+        differs = checkout.name == "change" and seed == 1001
+        return {"requests": count, "stdout_sha256": f"{seed}{'x' * differs}"}
+
+    monkeypatch.setattr(bench_pairs, "run_request_stream", fake_run)
+    sides = {"parent": Path("parent"), "change": Path("change")}
+    streams = bench_pairs.compare_request_streams(sides)
+    assert list(streams) == [str(seed) for seed, _ in bench_pairs.REQUEST_STREAMS]
+    assert {seed for seed, entry in streams.items() if not entry["identical"]} == {"1001"}
+    assert streams["1"]["parent"] == {"requests": 250, "stdout_sha256": "1"}
+    # several seeds, together holding more heat requests than seed 1's first 200
+    assert len(bench_pairs.REQUEST_STREAMS) >= 4
+    assert sum(count for _, count in bench_pairs.REQUEST_STREAMS) >= 1000
 
 
 def test_run_once_keeps_the_request_kind_notes(tmp_path):

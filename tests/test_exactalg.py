@@ -355,7 +355,7 @@ def _as_ref(poly):
     num, den = poly._num, poly._den
     assert den > 0 and math.gcd(den, *num.values()) == 1
     assert 0 not in num.values()
-    terms = dict(poly.terms())
+    terms = {exps: F(n, d) for exps, n, d in poly.canonical_terms()}
     # each key is the packing of its exponents, degree field included
     assert sorted(num) == sorted(monomial_key(dict(zip(VAR_NAMES, e))) for e in terms)
     return terms
@@ -486,9 +486,9 @@ def _subst_by_products(poly, bindings):
     # times its exponent's worth of each replacement, every exponent read
     # off the original term
     total = Poly.zero()
-    for exps, coeff in poly.terms():
+    for exps, num, den in poly.canonical_terms():
         term = Poly.monomial(
-            {name: e for name, e in zip(VAR_NAMES, exps) if name not in bindings}, coeff)
+            {name: e for name, e in zip(VAR_NAMES, exps) if name not in bindings}, F(num, den))
         for name, value in bindings.items():
             repl = value if isinstance(value, Poly) else Poly.const(value)
             for _ in range(exps[VAR_INDEX[name]]):

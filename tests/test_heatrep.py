@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from gouldhopper.exactalg import Poly
-from gouldhopper.ghcore import InvalidParamsError
+from gouldhopper.ghcore import InvalidParamsError, explicit_poly
 from gouldhopper import heatrep
 from gouldhopper.heatrep import (
     MAX_SOLUTION_TERMS,
@@ -129,10 +129,90 @@ def test_at_time_freezes_solution():
 
 def test_solution_reduces_to_family_member():
     # z^n w^m evolves into the (p, q) family member with gamma = c t.
-    from gouldhopper.ghcore import explicit_poly
-
     u = solve(HeatProblem(2, 1, F(1), Z ** 4 * W ** 2))
     assert u == explicit_poly(2, 1, 4, 2).subst({"g": T})
+
+
+# ---------------------------------------------------------------------
+# solve and residual against their Poly-operation forms
+# ---------------------------------------------------------------------
+
+# (p, q, c): a zero order on either side, c = 0, negative c, and c over a
+# denominator other than 1
+_CELLS = [
+    (1, 1, F(1)), (2, 1, F(3, 7)), (0, 3, F(-5, 2)), (2, 0, F(-3, 7)),
+    (1, 2, F(0)), (0, 1, F(0)), (3, 1, F(-9, 4)), (2, 2, F(7, 6)),
+]
+
+
+def _solve_by_subst(problem):
+    # the members summed as polynomials in z, w, g, then g -> c t over the sum
+    members = Poly.lincomb(
+        (F(num, den), explicit_poly(problem.p, problem.q, exps[0], exps[1]))
+        for exps, num, den in problem.initial.canonical_terms()
+    )
+    return members.subst({"g": problem.c * T})
+
+
+def _residual_by_derivatives(problem, u):
+    return problem.c * u.diff("z", problem.p).diff("w", problem.q) - u.diff("t")
+
+
+def _random_candidate(rng):
+    # a polynomial in z, w, t with mixed denominators, almost never a solution
+    return Poly.lincomb(
+        (F(rng.randint(-9, 9) or 1, rng.randint(1, 12)),
+         Poly.monomial({"z": rng.randint(0, 5), "w": rng.randint(0, 5), "t": rng.randint(0, 3)}))
+        for _ in range(rng.randint(1, 8))
+    )
+
+
+@pytest.mark.parametrize("p,q,c", _CELLS)
+def test_solve_matches_the_member_sum_then_subst(p, q, c):
+    rng = random.Random(1000 * p + 10 * q + c.denominator)
+    for _ in range(15):
+        datum = random_polynomial(rng, max_total_degree=9, max_terms=8)
+        problem = HeatProblem(p, q, c, datum)
+        assert solve(problem) == _solve_by_subst(problem)
+
+
+@pytest.mark.parametrize("p,q,c", _CELLS)
+def test_residual_matches_the_derivative_form(p, q, c):
+    rng = random.Random(1000 * p + 10 * q + c.denominator)
+    nonzero = 0
+    for _ in range(15):
+        problem = HeatProblem(p, q, c, random_polynomial(rng))
+        candidate = _random_candidate(rng)
+        expected = _residual_by_derivatives(problem, candidate)
+        assert residual(problem, candidate) == expected
+        nonzero += not expected.is_zero()
+    # the candidates are not solutions, so a residual that read 0 would fail
+    assert nonzero >= 12
+
+
+def test_zero_speed_gives_the_datum_back():
+    datum = F(3, 2) * Z ** 5 * W ** 2 - F(2, 5) * Z ** 2 * W + 7
+    for p, q in ((2, 1), (1, 0), (0, 1)):
+        assert solve(HeatProblem(p, q, F(0), datum)) == datum
+
+
+@pytest.mark.parametrize("c", [F(1), F(0), F(-2, 3)])
+def test_solve_refuses_a_member_term_past_k_max(monkeypatch, c):
+    # a member that carries g^(k_max + 1) has no weight to read: it raises,
+    # and is never dropped as if c^(k_max + 1) were zero
+    def patched(p, q, n, m):
+        past = Poly.monomial({"g": heatrep.k_max(p, q, n, m) + 1})
+        return explicit_poly(p, q, n, m) + past
+
+    monkeypatch.setattr(heatrep, "explicit_poly", patched)
+    with pytest.raises(IndexError):
+        solve(HeatProblem(2, 1, c, Z ** 4 * W ** 3))
+
+
+def test_k_max_is_the_top_power_of_g():
+    for p, q, n, m in ((1, 1, 3, 5), (2, 1, 7, 2), (0, 2, 4, 5), (3, 0, 7, 9)):
+        member = explicit_poly(p, q, n, m)
+        assert max(exps[2] for exps, _, _ in member.canonical_terms()) == heatrep.k_max(p, q, n, m)
 
 
 # ---------------------------------------------------------------------
