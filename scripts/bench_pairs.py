@@ -125,21 +125,14 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float,
     """
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(int(trace))]
-    try:
-        done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
-                              timeout=RUN_TIMEOUT_S)
-    except subprocess.TimeoutExpired as exc:
-        stderr = exc.stderr or ""  # bytes here even with text=True
-        if isinstance(stderr, bytes):
-            stderr = stderr.decode(errors="replace")
-        return _failed_run(f"timed out after {RUN_TIMEOUT_S} s", stderr), ""
-    lines = done.stdout.strip().splitlines()
-    if done.returncode != 0:
-        return _failed_run(f"exit status {done.returncode}", done.stderr), ""
+    done = _run(argv, checkout)
+    if isinstance(done, dict):
+        return done, ""
+    lines = done.stdout.decode().strip().splitlines()
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
-        return _failed_run("no result line on stdout", done.stderr), ""
+        return _failed_run("no result line on stdout", done.stderr.decode(errors="replace")), ""
     notes = {}
     for line in lines:
         name, sep, value = line.removeprefix(f"{workload} ").partition(" = ")
@@ -158,18 +151,12 @@ def run_large_grid(checkout: Path, jobs: int) -> dict:
     fails gives a record with ``run_failed``, as in run_once.
     """
     argv = [sys.executable, "-c", _CLI_WITH_PEAK_RSS, *LARGE_GRID, "--jobs", str(jobs)]
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     start = time.perf_counter()
-    try:
-        done = subprocess.run(argv, cwd=checkout, env=env, capture_output=True,
-                              timeout=RUN_TIMEOUT_S)
-    except subprocess.TimeoutExpired as exc:
-        return _failed_run(f"timed out after {RUN_TIMEOUT_S} s",
-                           (exc.stderr or b"").decode(errors="replace"))
+    done = _run(argv, checkout)
+    if isinstance(done, dict):
+        return done
     wall = time.perf_counter() - start
     stderr = done.stderr.decode(errors="replace")
-    if done.returncode != 0:
-        return _failed_run(f"exit status {done.returncode}", stderr)
     try:
         peak = float(stderr.strip().splitlines()[-1])
     except (IndexError, ValueError):
@@ -190,16 +177,9 @@ def run_request_stream(checkout: Path, seed: int, count: int) -> dict:
     """
     argv = [sys.executable, "-c", _CLI_ON_REQUEST_STREAM, str(ROOT / "perfbench"),
             str(seed), str(count)]
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-    try:
-        done = subprocess.run(argv, cwd=checkout, env=env, capture_output=True,
-                              timeout=RUN_TIMEOUT_S)
-    except subprocess.TimeoutExpired as exc:
-        return _failed_run(f"timed out after {RUN_TIMEOUT_S} s",
-                           (exc.stderr or b"").decode(errors="replace"))
-    if done.returncode != 0:
-        return _failed_run(f"exit status {done.returncode}",
-                           done.stderr.decode(errors="replace"))
+    done = _run(argv, checkout)
+    if isinstance(done, dict):
+        return done
     return {"requests": len(done.stdout.splitlines()),
             "stdout_sha256": hashlib.sha256(done.stdout).hexdigest()}
 
@@ -232,6 +212,23 @@ def large_grid_pair(run: Callable[[str], dict], first: str) -> dict:
         if change["stdout_sha256"] != parent["stdout_sha256"]:
             change.update(correct=False, failed=1)
     return pair
+
+
+def _run(argv: list[str], checkout: Path) -> subprocess.CompletedProcess | dict:
+    """The completed process of `argv` run in `checkout` with its ``src`` on
+    PYTHONPATH, output in bytes, or the ``run_failed`` record of a timeout
+    or a non-zero exit status."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    try:
+        done = subprocess.run(argv, cwd=checkout, env=env, capture_output=True,
+                              timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired as exc:
+        reason, stderr = f"timed out after {RUN_TIMEOUT_S} s", exc.stderr or b""
+    else:
+        if done.returncode == 0:
+            return done
+        reason, stderr = f"exit status {done.returncode}", done.stderr
+    return _failed_run(reason, stderr.decode(errors="replace"))
 
 
 def _failed_run(reason: str, stderr: str) -> dict:

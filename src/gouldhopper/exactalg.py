@@ -709,8 +709,10 @@ class SeriesUV:
 
     Coefficients are :class:`Poly` values free of u and v; the pair
     ``(i, j)`` indexes the coefficient of ``u^i v^j`` and only pairs with
-    ``i + j <= order`` are stored.  Multiplication silently drops
-    products beyond the truncation order.
+    ``i + j <= order`` are stored.  A series is built, read, multiplied
+    by another series (the product is at the lower of the two orders and
+    drops what lies beyond it) and folded back with :meth:`to_poly`.
+    There is no series sum: a sum or difference is taken on the folds.
     """
 
     __slots__ = ("_order", "_coeffs")
@@ -771,31 +773,7 @@ class SeriesUV:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def __add__(self, other: "SeriesUV") -> "SeriesUV":
-        if not isinstance(other, SeriesUV):
-            return NotImplemented
-        order = min(self._order, other._order)
-        out = dict(self._coeffs)
-        for key, poly in other._coeffs.items():
-            mine = out.get(key)
-            out[key] = poly if mine is None else mine + poly
-        # the constructor drops zero sums and pairs beyond `order`
-        return SeriesUV(order, out)
-
-    def __neg__(self) -> "SeriesUV":
-        return SeriesUV(self._order, {k: -p for k, p in self._coeffs.items()})
-
-    def __sub__(self, other: "SeriesUV") -> "SeriesUV":
-        return self + (-other)
-
-    def __mul__(self, other: "SeriesUV | Poly | ScalarLike") -> "SeriesUV":
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
-        if isinstance(other, Poly):
-            if {"u", "v"} & other.variables():
-                other = SeriesUV.from_poly(other, self._order)
-            else:
-                return SeriesUV(self._order, {k: p * other for k, p in self._coeffs.items()})
+    def __mul__(self, other: "SeriesUV") -> "SeriesUV":
         if not isinstance(other, SeriesUV):
             return NotImplemented
         order = min(self._order, other._order)
@@ -810,8 +788,6 @@ class SeriesUV:
                     total = sums[(i, j)] = _Sum()
                 total.add_product((p1, p2))
         return SeriesUV(order, {key: total.poly() for key, total in sums.items()})
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"SeriesUV(order={self._order}, {self.to_poly().text()})"

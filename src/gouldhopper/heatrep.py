@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import MAX_DEGREE, Poly, as_scalar, field_shift, monomial_key
-from .ghcore import InvalidParamsError, explicit_poly
+from .ghcore import InvalidParamsError, explicit_poly, k_max
 
 _Z_SHIFT, _W_SHIFT, _G_SHIFT, _T_SHIFT = map(field_shift, ("z", "w", "g", "t"))
 _T_KEY = monomial_key({"t": 1})
@@ -66,11 +66,6 @@ class HeatProblem:
         if terms > MAX_SOLUTION_TERMS:
             raise ValueError(f"the solution would have up to {terms} terms, more than "
                              f"MAX_SOLUTION_TERMS = {MAX_SOLUTION_TERMS}")
-
-
-def k_max(p: int, q: int, n: int, m: int) -> int:
-    """The top power of g in H^(p,q)_{n,m}: min(n // p, m // q) over the nonzero orders."""
-    return min(n // p, m // q) if p and q else n // p if p else m // q
 
 
 def _orders(key: int) -> tuple[int, int]:

@@ -165,6 +165,11 @@ def run_cell(tag: IdentityTag, params: Mapping, policy: str = "auto") -> list[Id
     variant is run too and a corrected pass excuses the printed Fail.
     printed / corrected: that single variant.  both: printed plus (for
     ledger tags) corrected, with the same excusal rule as auto.
+
+    The difference is lhs - rhs as a Poly.  A series identity's sides
+    must both be at the cell's order; each is folded with `to_poly` and
+    the folds are subtracted.  A side at another order would be compared
+    to the wrong order, so it raises RuntimeError, a program fault.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown variant policy {policy!r}")
@@ -175,7 +180,14 @@ def run_cell(tag: IdentityTag, params: Mapping, policy: str = "auto") -> list[Id
 
     def one(variant: str) -> IdentityReport:
         lhs, rhs = run_check(tag, params, variant)
-        difference = (lhs - rhs).to_poly() if series else lhs - rhs
+        if series:
+            if lhs.order != params["order"] or rhs.order != params["order"]:
+                raise RuntimeError(
+                    f"{tag.value}: series sides at orders {lhs.order} and {rhs.order}, "
+                    f"not at the cell's order {params['order']}"
+                )
+            lhs, rhs = lhs.to_poly(), rhs.to_poly()
+        difference = lhs - rhs
         status = passing if difference.is_zero() else STATUS_FAIL
         label = "printed" if variant == "printed" else corrected_variant_label(tag)
         notes = spec.notes

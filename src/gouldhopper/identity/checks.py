@@ -31,11 +31,12 @@ cell outside ``needs``.  To add an identity, write its checker and put
 one entry on it.
 
 Every checker returns the two sides (lhs, rhs) of one identity: Polys
-for algebraic and differential statements, truncated SeriesUVs for
-generating-function statements, and constant Polys for scalar
-hypergeometric statements.  ``audit.run_cell`` forms lhs - rhs, folds a
-series difference back into a Poly carrying u, v, and certifies the
-identity on that parameter cell when the difference is zero.
+for algebraic and differential statements, truncated SeriesUVs, both
+at the cell's ``order``, for generating-function statements, and constant
+Polys for scalar hypergeometric statements.
+``audit.run_cell`` folds each series side back into a Poly carrying u, v,
+forms lhs - rhs, and certifies the identity on that parameter cell when
+the difference is zero.
 
 Conventions shared by all the displays:
 
@@ -103,6 +104,7 @@ from ..ghcore import (
     generating_series,
     gould_hopper_1d,
     hypergeom_form,
+    k_max,
     origin_value,
     via_creation,
 )
@@ -564,7 +566,7 @@ def _check_mult_c(p, q, n, m) -> Sides:
     lhs = explicit_poly(p, q, n, m).subst({"g": _C * _G})
     rhs = Poly.lincomb(
         _lowered(p, q, n, m, k, (_C - 1) ** k, Poly.monomial({"g": k}))
-        for k in range(FamilyParams(p, q, n, m).k_max + 1)
+        for k in range(k_max(p, q, n, m) + 1)
     )
     return lhs, rhs
 
@@ -576,7 +578,7 @@ def _check_mult_abc(p, q, n, m) -> Sides:
     shift = _C - Poly.monomial({"a": p, "b": q})
     rhs = Poly.lincomb(
         _lowered(p, q, n, m, k, shift ** k, Poly.monomial({"g": k, "a": n - p * k, "b": m - q * k}))
-        for k in range(FamilyParams(p, q, n, m).k_max + 1)
+        for k in range(k_max(p, q, n, m) + 1)
     )
     return lhs, rhs
 
@@ -667,7 +669,7 @@ def _check_deriv_jk(p, q, n, m, j, k) -> Sides:
 def _check_deriv_gamma_k(p, q, n, m, k) -> Sides:
     """Dg^k H_{n,m} = n!m!/((n-pk)!(m-qk)!) H_{n-pk,m-qk}, zero past the bound."""
     lhs = explicit_poly(p, q, n, m).diff("g", k)
-    if k <= FamilyParams(p, q, n, m).k_max:
+    if k <= k_max(p, q, n, m):
         weight, member = _lowered(p, q, n, m, k)
         rhs = _fact(k) * weight * member
     else:
@@ -680,7 +682,7 @@ def _check_inverse_sum(p, q, n, m) -> Sides:
     """z^n w^m = n!m! sum_k (-g)^k/k! H_{n-pk,m-qk}/((n-pk)!(m-qk)!)."""
     rhs = Poly.lincomb(
         _lowered(p, q, n, m, k, Poly.monomial({"g": k}, (-1) ** k))
-        for k in range(FamilyParams(p, q, n, m).k_max + 1)
+        for k in range(k_max(p, q, n, m) + 1)
     )
     return Poly.monomial({"z": n, "w": m}), rhs
 
@@ -772,7 +774,7 @@ def _check_param_rec(p, q, n, m, variant) -> Sides:
     """
     lhs = explicit_poly(p + 1, q, n, m)
     terms = []
-    for k in range(FamilyParams(p, q, n, m).k_max + 1):
+    for k in range(k_max(p, q, n, m) + 1):
         for j in range(k + 1):
             if variant == "printed":
                 binom = _comb0(j, k)
@@ -802,7 +804,7 @@ def _op_exp(p: int, q: int, n: int, m: int, op: tuple[tuple[int, int, int], ...]
     """
     acc = explicit_poly(p, q, n, m)
     terms = []
-    for k in range(FamilyParams(p, q, n, m).k_max + 1):
+    for k in range(k_max(p, q, n, m) + 1):
         if k:
             acc = Poly.lincomb((c, acc.diff("z", p + i).diff("w", q + j)) for c, i, j in op)
         terms.append((Fraction(1, _fact(k)), Poly.monomial({"g": k}), acc))

@@ -769,6 +769,17 @@ def test_internal_error_in_compute_and_heat_exits_3(capsys, monkeypatch):
     assert (code, out, err) == (3, "", "error: internal error: ZeroDivisionError: kernel fault\n")
 
 
+def test_a_series_side_short_of_its_order_exits_3(capsys, monkeypatch):
+    # a right-hand side one order short is a program fault, not a failed identity
+    checks = importlib.import_module("gouldhopper.identity.checks")
+    real = checks.series_exp
+    monkeypatch.setattr(checks, "series_exp", lambda arg, order: real(arg, order - 1))
+    code, out, err = run_cli(capsys, "verify", "--tag", "GEN_PARTIAL_U")
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1
+    assert err.startswith("error: internal error: RuntimeError: GEN_PARTIAL_U: series sides at orders ")
+
+
 # ---------------------------------------------------------------------
 # heat subcommand
 # ---------------------------------------------------------------------

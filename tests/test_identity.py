@@ -264,14 +264,42 @@ def test_series_identities_pass():
         assert report.series_order == cell["order"]
 
 
+def _series_exp_one_order_short(arg, order):
+    return series_exp(arg, order - 1)
+
+
+@pytest.mark.parametrize("tag, cell", [
+    (IdentityTag.GEN_PARTIAL_U, {"p": 1, "q": 1, "m": 2, "order": 6}),
+    (IdentityTag.GEN_PARTIAL_V, {"p": 2, "q": 1, "n": 2, "order": 6}),
+], ids=["GEN_PARTIAL_U", "GEN_PARTIAL_V"])
+@pytest.mark.parametrize("swapped", [False, True], ids=["rhs_short", "lhs_short"])
+def test_a_series_side_short_of_the_cell_order_raises(monkeypatch, tag, cell, swapped):
+    # the right-hand product with a short exp series stops at order 5, so a
+    # zero difference would certify orders up to 5 only, not the cell's 6
+    monkeypatch.setattr(checks, "series_exp", _series_exp_one_order_short)
+    lhs, rhs = run_check(tag, cell, "printed")
+    assert (lhs.order, rhs.order) == (6, 5)
+    orders = "6 and 5"
+    if swapped:
+        audit = importlib.import_module("gouldhopper.identity.audit")
+        monkeypatch.setattr(audit, "run_check", lambda *args: run_check(*args)[::-1])
+        orders = "5 and 6"
+    with pytest.raises(RuntimeError, match=(
+        f"^{tag.value}: series sides at orders {orders}, not at the cell's order 6$"
+    )):
+        run_cell(tag, cell, "printed")
+
+
 def _power_sum_binomial_neg(base, a, order):
-    # (1 - base)^(-a) = sum_k (a)_k base^k / k!, one series product per power
-    acc = power = SeriesUV(order, {(0, 0): Poly.one()})
+    # (1 - base)^(-a) = sum_k (a)_k base^k / k!, one series product per power,
+    # summed over the folded powers
+    acc = Poly.one()
+    power = SeriesUV(order, {(0, 0): Poly.one()})
     base = SeriesUV.from_poly(base, order)
     for k in range(1, order + 1):
         power = power * base
-        acc = acc + power * (rising_factorial(a, k) / math.factorial(k))
-    return acc
+        acc = acc + power.to_poly() * (rising_factorial(a, k) / math.factorial(k))
+    return SeriesUV.from_poly(acc, order)
 
 
 @pytest.mark.parametrize("variant", ["printed", "corrected"])
@@ -286,7 +314,8 @@ def test_pochhammer_s_closed_form_matches_the_series_products(variant):
     arg = {"u": 1, "v": 1} if variant == "printed" else {"u": p, "v": q}
     x = (SeriesUV.from_poly(Poly.monomial(arg, g * p ** p * q ** q), order)
          * _power_sum_binomial_neg(uz, F(p), order) * _power_sum_binomial_neg(vw, F(q), order))
-    hyp = power = SeriesUV(order, {(0, 0): Poly.one()})
+    hyp = Poly.one()
+    power = SeriesUV(order, {(0, 0): Poly.one()})
     for k in range(1, order + 1):
         power = power * x
         coeff = F(1, math.factorial(k))
@@ -294,10 +323,12 @@ def test_pochhammer_s_closed_form_matches_the_series_products(variant):
             coeff *= rising_factorial((a + r - 1) / p, k)
         for r in range(1, q + 1):
             coeff *= rising_factorial((b + r - 1) / q, k)
-        hyp = hyp + power * coeff
-    expected = _power_sum_binomial_neg(uz, a, order) * _power_sum_binomial_neg(vw, b, order) * hyp
+        hyp = hyp + power.to_poly() * coeff
+    expected = (_power_sum_binomial_neg(uz, a, order) * _power_sum_binomial_neg(vw, b, order)
+                * SeriesUV.from_poly(hyp, order))
     assert not rhs.is_zero()
-    assert rhs == expected
+    assert rhs.order == expected.order == order
+    assert rhs.to_poly() == expected.to_poly()
 
 
 def test_weighted_series_printed_passes_when_orders_are_one():
