@@ -20,6 +20,10 @@ and ``--jobs 2``, is timed in the same way: ten alternating pairs per
 ``--jobs`` value, each run a fresh interpreter whose wall time and peak
 RSS (the CLI process's own, in MB) go under ``large_grid``.  A change run
 whose stdout differs from its parent's in the same pair counts as failed.
+``compute`` at large degree is timed the same way, ten pairs per command
+of ``LARGE_COMPUTE``, under ``large_compute``, each with
+``stdout_identical``: whether both sides ran and gave the same stdout in
+every pair.
 
 Outside the timed pairs, each side runs, for each ``(seed, count)`` of
 ``REQUEST_STREAMS``, the first ``count`` requests of perfbench's seeded
@@ -75,12 +79,25 @@ LARGE_GRID = ("audit", "--nmax", "10", "--mmax", "10")
 LARGE_GRID_JOBS = (1, 2)
 LARGE_GRID_METRICS = [{"name": "wall_s", "better": "lower"},
                       {"name": "peak_rss_mb", "better": "lower"}]
+# compute at large degree: a thin box each way, then every strategy
+LARGE_COMPUTE = {
+    "genfun_300_2": ("compute", "--p", "1", "--q", "1", "--n", "300", "--m", "2",
+                     "--strategy", "genfun"),
+    "genfun_2_300": ("compute", "--p", "1", "--q", "1", "--n", "2", "--m", "300",
+                     "--strategy", "genfun"),
+    "all_60_60": ("compute", "--p", "1", "--q", "1", "--n", "60", "--m", "60",
+                  "--strategy", "all"),
+}
 # runs the CLI in the checkout's src/ and, last on stderr, its own peak RSS
+# in MB: Linux's VmHWM, since ru_maxrss keeps across exec the peak of the
+# process that started it and so never reads below this script's own RSS
 _CLI_WITH_PEAK_RSS = (
-    "import resource, sys\n"
+    "import sys\n"
     "from gouldhopper.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, file=sys.stderr)\n"
+    "with open('/proc/self/status') as status:\n"
+    "    peak = next(line.split()[1] for line in status if line.startswith('VmHWM:'))\n"
+    "print(int(peak) / 1024, file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
 # the note lines of perfbench/run.py kept next to a run's result line:
@@ -143,14 +160,14 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float,
     return result, next((line for line in lines if line.startswith("env: ")), "")
 
 
-def run_large_grid(checkout: Path, jobs: int) -> dict:
-    """Result record of one large-grid audit in a fresh interpreter in `checkout`.
+def run_cli(checkout: Path, args: tuple[str, ...]) -> dict:
+    """Result record of the CLI on `args` in a fresh interpreter in `checkout`.
 
     It has the shape of a perfbench result line, one operation, with the
     metrics wall_s and peak_rss_mb and the SHA-256 of stdout; a run that
     fails gives a record with ``run_failed``, as in run_once.
     """
-    argv = [sys.executable, "-c", _CLI_WITH_PEAK_RSS, *LARGE_GRID, "--jobs", str(jobs)]
+    argv = [sys.executable, "-c", _CLI_WITH_PEAK_RSS, *args]
     start = time.perf_counter()
     done = _run(argv, checkout)
     if isinstance(done, dict):
@@ -212,6 +229,25 @@ def large_grid_pair(run: Callable[[str], dict], first: str) -> dict:
         if change["stdout_sha256"] != parent["stdout_sha256"]:
             change.update(correct=False, failed=1)
     return pair
+
+
+def cli_pairs(sides: dict[str, Path], args: tuple[str, ...], label: str) -> dict:
+    """PAIRS alternating large_grid_pair runs of the CLI on `args`, parent
+    first on even pair indices, with their summary and whether every pair
+    ran on both sides and gave the same stdout."""
+    pairs = []
+    for index in range(PAIRS):
+        first = "parent" if index % 2 == 0 else "change"
+        pair = large_grid_pair(lambda side: run_cli(sides[side], args), first)
+        print(f"{label} pair {index}: "
+              f"{json.dumps({side: pair[side].get('metrics', pair[side]) for side in sides})}",
+              file=sys.stderr)
+        pairs.append(pair)
+    identical = all("run_failed" not in pair["parent"] and "run_failed" not in pair["change"]
+                    and pair["parent"]["stdout_sha256"] == pair["change"]["stdout_sha256"]
+                    for pair in pairs)
+    return {"summary": summarize(pairs, LARGE_GRID_METRICS), "stdout_identical": identical,
+            "pairs": pairs}
 
 
 def _run(argv: list[str], checkout: Path) -> subprocess.CompletedProcess | dict:
@@ -378,16 +414,18 @@ def main(argv=None) -> int:
             ),
         }
         for jobs in LARGE_GRID_JOBS:
-            pairs = []
-            for index in range(PAIRS):
-                first = "parent" if index % 2 == 0 else "change"
-                pair = large_grid_pair(lambda side: run_large_grid(sides[side], jobs), first)
-                print(f"large grid --jobs {jobs} pair {index}: "
-                      f"{json.dumps({side: pair[side].get('metrics', pair[side]) for side in sides})}",
-                      file=sys.stderr)
-                pairs.append(pair)
-            document["large_grid"][f"jobs_{jobs}"] = {
-                "summary": summarize(pairs, LARGE_GRID_METRICS), "pairs": pairs}
+            document["large_grid"][f"jobs_{jobs}"] = cli_pairs(
+                sides, (*LARGE_GRID, "--jobs", str(jobs)), f"large grid --jobs {jobs}")
+        document["large_compute"] = {
+            "what": (
+                "wall seconds and the CLI process's own peak RSS of `gouldhopper <command>` in "
+                f"a fresh interpreter, {PAIRS} alternating pairs per command, as for the large "
+                "grid; stdout_identical says whether every pair ran and gave the same stdout"
+            ),
+            **{name: {"command": f"gouldhopper {' '.join(args)}",
+                      **cli_pairs(sides, args, f"large compute {name}")}
+               for name, args in LARGE_COMPUTE.items()},
+        }
     out = ROOT / f"BENCH_{args.number}.json"
     out.write_text(json.dumps(document, indent=2) + "\n")
     print(f"wrote {out.name}", file=sys.stderr)
@@ -398,13 +436,14 @@ def main(argv=None) -> int:
                        for key in document if key.startswith("traced_")
                        for side in ("parent", "change"))
     large = [document["large_grid"][f"jobs_{jobs}"]["summary"] for jobs in LARGE_GRID_JOBS]
+    large += [document["large_compute"][name]["summary"] for name in LARGE_COMPUTE]
     failed_runs += sum(summary["failed"]["runs_parent"] + summary["failed"]["runs_change"]
                        + summary["failed"]["change"] for summary in large)
     failed_runs += not document["requests_stdout_identical"]
     if failed_runs:
-        print(f"{failed_runs} run(s) failed or changed the stdout of the large grid or the "
-              f"request stream; see run_failed, failed and requests_stdout_identical in "
-              f"{out.name}", file=sys.stderr)
+        print(f"{failed_runs} run(s) failed or changed the stdout of the large grid, a large "
+              f"compute or the request stream; see run_failed, failed and "
+              f"requests_stdout_identical in {out.name}", file=sys.stderr)
     return 1 if failed_runs else 0
 
 

@@ -485,10 +485,9 @@ _JSON_VAR_SLOTS = tuple(sorted(range(len(VAR_NAMES)), key=VAR_NAMES.__getitem__)
 
 
 # The written monomials, one entry per (packed key, depth), about 0.5 kB
-# each.  On the benchmark's request stream (seed 1, in one process) the
-# 4,096 entries are full within 1,000 requests; over 6,000 requests, which
-# write 13,772 distinct ones, they serve 369,634 lookups against 251,384
-# misses (60 %; an unbounded cache 98 %) for about 2 MB.
+# each.  The benchmark's `requests` workload runs passes of 200 requests,
+# each pass in a fresh process; in one pass (seeds 1001, 2001 and 3001)
+# the 4,096 entries fill up and serve 54 % of about 20,700 lookups.
 # `audit --nmax 4 --mmax 4 --aux-max 2` writes 337.
 @functools.lru_cache(maxsize=4096)
 def _monomial_strings(key: int, depth: int) -> tuple[str, str]:

@@ -709,27 +709,41 @@ class SeriesUV:
 
     Coefficients are :class:`Poly` values free of u and v; the pair
     ``(i, j)`` indexes the coefficient of ``u^i v^j`` and only pairs with
-    ``i + j <= order`` are stored.  A series is built, read, multiplied
-    by another series (the product is at the lower of the two orders and
-    drops what lies beyond it) and folded back with :meth:`to_poly`.
-    There is no series sum: a sum or difference is taken on the folds.
+    ``i + j <= order`` inside the series' ``box`` are stored.  The box
+    ``(bu, bv)`` bounds each variable on its own, ``i <= bu`` and
+    ``j <= bv``; it is ``(order, order)``, no bound beyond the order, unless
+    given.  :meth:`coeff` raises :class:`TruncationError` past the order or
+    outside the box.  A series is built, read, multiplied by another series
+    (the product is at the lower of the two orders and in the overlap of
+    the two boxes, and drops what lies beyond) and folded back with
+    :meth:`to_poly`.  There is no series sum: a sum or difference is taken
+    on the folds.
     """
 
-    __slots__ = ("_order", "_coeffs")
+    __slots__ = ("_order", "_box", "_coeffs")
 
-    def __init__(self, order: int, coeffs: Mapping[tuple[int, int], Poly] | None = None):
+    def __init__(self, order: int, coeffs: Mapping[tuple[int, int], Poly] | None = None,
+                 box: tuple[int, int] | None = None):
         if order < 0:
             raise ValueError("series order must be >= 0")
+        bu, bv = box = (order, order) if box is None else box
+        if min(box) < 0:
+            raise ValueError("series box bounds must be >= 0")
         self._order = order
+        self._box = box
         self._coeffs: dict[tuple[int, int], Poly] = {}
         if coeffs:
             for (i, j), poly in coeffs.items():
-                if i + j <= order and not poly.is_zero():
+                if i + j <= order and i <= bu and j <= bv and not poly.is_zero():
                     self._coeffs[(i, j)] = poly
 
     @property
     def order(self) -> int:
         return self._order
+
+    @property
+    def box(self) -> tuple[int, int]:
+        return self._box
 
     @classmethod
     def from_poly(cls, poly: Poly, order: int) -> "SeriesUV":
@@ -745,11 +759,13 @@ class SeriesUV:
         return cls(order, {key: _reduced(num, poly._den) for key, num in groups.items()})
 
     def coeff(self, i: int, j: int) -> Poly:
-        """Coefficient of u^i v^j; raises beyond the truncation order."""
+        """Coefficient of u^i v^j; raises beyond the truncation order or outside the box."""
         if i < 0 or j < 0:
             raise ValueError("series indices must be >= 0")
         if i + j > self._order:
             raise TruncationError(f"coefficient ({i},{j}) lies beyond order {self._order}")
+        if i > self._box[0] or j > self._box[1]:
+            raise TruncationError(f"coefficient ({i},{j}) lies outside box {self._box}")
         return self._coeffs.get((i, j), Poly.zero())
 
     def is_zero(self) -> bool:
@@ -769,7 +785,8 @@ class SeriesUV:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SeriesUV):
             return NotImplemented
-        return self._order == other._order and self._coeffs == other._coeffs
+        return (self._order == other._order and self._box == other._box
+                and self._coeffs == other._coeffs)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -777,23 +794,26 @@ class SeriesUV:
         if not isinstance(other, SeriesUV):
             return NotImplemented
         order = min(self._order, other._order)
+        bu, bv = box = min(self._box[0], other._box[0]), min(self._box[1], other._box[1])
         sums: dict[tuple[int, int], _Sum] = {}
         for (i1, j1), p1 in self._coeffs.items():
             for (i2, j2), p2 in other._coeffs.items():
                 i, j = i1 + i2, j1 + j2
-                if i + j > order:
+                if i + j > order or i > bu or j > bv:
                     continue
                 total = sums.get((i, j))
                 if total is None:
                     total = sums[(i, j)] = _Sum()
                 total.add_product((p1, p2))
-        return SeriesUV(order, {key: total.poly() for key, total in sums.items()})
+        return SeriesUV(order, {key: total.poly() for key, total in sums.items()}, box)
 
     def __repr__(self) -> str:
-        return f"SeriesUV(order={self._order}, {self.to_poly().text()})"
+        box = "" if self._box == (self._order, self._order) else f", box={self._box}"
+        return f"SeriesUV(order={self._order}{box}, {self.to_poly().text()})"
 
 
-def series_exp(arg: Poly, order: int) -> SeriesUV:
+def series_exp(arg: Poly, order: int, *, box: tuple[int, int] | None = None,
+               start: SeriesUV | None = None) -> SeriesUV:
     """exp(arg), truncated at total order `order`, by the Euler recurrence.
 
     `arg` is read as a series in u, v.  E = exp(A) solves
@@ -805,22 +825,40 @@ def series_exp(arg: Poly, order: int) -> SeriesUV:
     TAOCP Vol. 2, section 4.7).  The argument must have zero constant
     term, otherwise the exponential would not be a polynomial-coefficient
     series.
+
+    With ``box=(bu, bv)`` only the coefficients with i <= bu and j <= bv
+    are built: E_ij reads only E_(i-k)(j-l) with k, l >= 0, so nothing
+    outside the box is needed.  `start` is a series of exp(arg) already
+    built over a smaller box and order; its coefficients are kept as they
+    are, and only the rest of the box is computed.
     """
+    bu, bv = box = (order, order) if box is None else box
     base = SeriesUV.from_poly(arg, order)
     if not base.coeff(0, 0).is_zero():
         raise SeriesArgumentError("series_exp needs a zero constant term")
-    # the monomial terms of A over one common denominator `common`:
-    # (k, l, packed key, numerator, total degree of the key)
+    # the monomial terms of A inside the box over one common denominator
+    # `common`: (k, l, packed key, numerator, total degree of the key)
     common = math.lcm(*(poly._den for _, poly in base.items()))
     terms = [
         (k, l, key, c * (common // poly._den), key >> _DEG_SHIFT)
-        for (k, l), poly in base.items()
+        for (k, l), poly in base.items() if k <= bu and l <= bv
         for key, c in poly._num.items()
     ]
     coeffs: dict[tuple[int, int], Poly] = {(0, 0): Poly.one()}
-    tops = {(0, 0): 0}  # the total degree of each stored coefficient
-    for i in range(order + 1):
-        for j in range(order + 1 - i):
+    held_u, held_v, held_order = -1, -1, -1
+    if start is not None:
+        held_u, held_v = start.box
+        held_order = start.order
+        if held_u > bu or held_v > bv or held_order > order:
+            raise ValueError(f"start series over box {start.box} at order {held_order} "
+                             f"is not within box {box} at order {order}")
+        coeffs.update(start.items())
+    # the total degree of each stored coefficient
+    tops = {key: _top_degree(poly._num) for key, poly in coeffs.items()}
+    for i in range(min(bu, order) + 1):
+        # the start already holds row i up to column min(held_v, held_order - i)
+        first = max(0, min(held_v, held_order - i) + 1) if i <= held_u else 0
+        for j in range(first, min(bv, order - i) + 1):
             n = i or j
             if not n:
                 continue
@@ -837,4 +875,4 @@ def series_exp(arg: Poly, order: int) -> SeriesUV:
             if poly:
                 coeffs[(i, j)] = poly
                 tops[(i, j)] = _top_degree(poly._num)
-    return SeriesUV(order, coeffs)
+    return SeriesUV(order, coeffs, box)

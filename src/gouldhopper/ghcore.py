@@ -19,9 +19,15 @@ polynomial:
 * `via_recurrence`- fill, from the two-term raising recurrences and
                     H_{0,0} = 1, only the table entries H_{n,m} reads;
 * `via_genfun`    - read n! m! times the u^n v^m coefficient off the
-                    widest generating series exp(zu + wv + g u^p v^q)
-                    built so far for (p, q);
+                    generating series exp(zu + wv + g u^p v^q), built only
+                    over the box i <= n, j <= m;
 * `hypergeom_form`- the terminating hypergeometric rewriting (p, q >= 1).
+
+The three table-building routes keep their work in one store per (p, q)
+that grows with the requests and is never rebuilt: the recurrence table,
+the creation chains and the box series.  A later request reads what an
+earlier one built and builds only what is missing.  No store is read by
+another route.
 
 Agreeing exactly across all routes is part of the package's test gate,
 so none of them shares code with `explicit` beyond the base ring.
@@ -90,13 +96,11 @@ _G = Poly.variable("g")
 
 
 # The cache bounds here hold at least twice what one `audit --nmax 10
-# --mmax 10` fills; the generating series are held one per (p, q), the
-# widest built so far.  A long-lived process serving compute/heat requests
-# (a 30 s run of the benchmark's `requests` workload serves about 13,500)
-# outgrows explicit_poly's bound: on that stream (seed 1, in one process)
-# it holds 7,343 entries after 1,000 requests, is full by 2,000 and evicts
-# from then on; over 6,000 requests it serves 71,142 hits against 19,944
-# misses (78 %), and the process levels off at 35 MB RSS.
+# --mmax 10` fills; the stores further down are held one per (p, q).
+# The benchmark's `requests` workload runs passes of 200 requests, each
+# pass in a fresh process.  In one pass (seeds 1001, 2001 and 3001)
+# explicit_poly takes 2,493-2,520 misses against 525-553 hits and is never
+# full, so no bound here moves that workload.
 # The CLI's cache of written monomials, cli._monomial_strings, holds 4,096.
 @lru_cache(maxsize=8192)
 def explicit_poly(p: int, q: int, n: int, m: int) -> Poly:
@@ -175,19 +179,29 @@ def apply_w_raise(poly: Poly, p: int, q: int) -> Poly:
     return Poly.lincomb(((1, _W, poly), (q, _G, poly.diff("z", p).diff("w", q - 1))))
 
 
+@lru_cache(maxsize=64)
+def _creation_chain(p: int, q: int) -> tuple[list[Poly], dict[int, list[Poly]]]:
+    # the w-chain [W^j{1}] and, per column j, the z-chain [Z^i H_{0,j}]
+    return [Poly.one()], {}
+
+
 def via_creation(params: FamilyParams) -> Poly:
     """Iterate the two raising operators on the constant 1.
 
     The w-operator is applied m times first, then the z-operator n
     times: (z + p g Dz^(p-1) Dw^q)^n (w + q g Dz^p Dw^(q-1))^m {1}.
+    Both chains are kept per (p, q): the w-chain H_{0,j} = W^j{1} and,
+    per column j, the z-chain H_{i,j} = Z^i H_{0,j}.  A request starts
+    from the longest stored prefix of each, in the same operator order.
     """
     p, q, n, m = params.p, params.q, params.n, params.m
-    poly = Poly.one()
-    for _ in range(m):
-        poly = apply_w_raise(poly, p, q)
-    for _ in range(n):
-        poly = apply_z_raise(poly, p, q)
-    return poly
+    wchain, zchains = _creation_chain(p, q)
+    while len(wchain) <= m:
+        wchain.append(apply_w_raise(wchain[-1], p, q))
+    zchain = zchains.setdefault(m, [wchain[m]])
+    while len(zchain) <= n:
+        zchain.append(apply_z_raise(zchain[-1], p, q))
+    return zchain[n]
 
 
 def _comb0(n: int, k: int) -> int:
@@ -195,6 +209,12 @@ def _comb0(n: int, k: int) -> int:
     if k < 0 or n < 0 or k > n:
         return 0
     return math.comb(n, k)
+
+
+@lru_cache(maxsize=64)
+def _recurrence_table(p: int, q: int) -> dict[tuple[int, int], Poly]:
+    # the entries H_{i,j} filled so far for (p, q)
+    return {(0, 0): Poly.one()}
 
 
 def via_recurrence(params: FamilyParams) -> Poly:
@@ -210,10 +230,13 @@ def via_recurrence(params: FamilyParams) -> Poly:
     zero weight reads nothing, and a negative index reads zero (that
     member is off the table); any other read finds an entry already
     filled, or is a KeyError, never a silent zero.
+
+    The table is kept per (p, q) and grows with the requests: the fill
+    order is the same, and an entry already in the table is not refilled.
     """
     p, q, n, m = params.p, params.q, params.n, params.m
     pq_fact = math.factorial(p) * math.factorial(q)
-    table: dict[tuple[int, int], Poly] = {(0, 0): Poly.one()}
+    table = _recurrence_table(p, q)
 
     def raised(var: Poly, below: tuple[int, int], c: int, other: tuple[int, int]) -> Poly:
         parts = [(1, var, table[below])]
@@ -222,22 +245,30 @@ def via_recurrence(params: FamilyParams) -> Poly:
         return Poly.lincomb(parts)
 
     for j in range(m):
-        c = pq_fact * _comb0(0, p) * _comb0(j, q - 1)
-        table[(0, j + 1)] = raised(_W, (0, j), c, (0 - p, j + 1 - q))
+        if (0, j + 1) not in table:
+            c = pq_fact * _comb0(0, p) * _comb0(j, q - 1)
+            table[(0, j + 1)] = raised(_W, (0, j), c, (0 - p, j + 1 - q))
     # with p = 0 or q = 0 no weight leaves column m
     last = min(n // p, m // q) if p and q else 0
     for t in range(last, -1, -1):
         j = m - t * q
         for i in range(n - t * p):
-            c = pq_fact * _comb0(i, p - 1) * _comb0(j, q)
-            table[(i + 1, j)] = raised(_Z, (i, j), c, (i + 1 - p, j - q))
+            if (i + 1, j) not in table:
+                c = pq_fact * _comb0(i, p - 1) * _comb0(j, q)
+                table[(i + 1, j)] = raised(_Z, (i, j), c, (i + 1 - p, j - q))
     return table[(n, m)]
 
 
 @lru_cache(maxsize=64)
 def _widest_series(p: int, q: int) -> list[SeriesUV]:
-    # one slot per (p, q): the widest exp(zu + wv + g u^p v^q) built so far
+    # one slot per (p, q): the widest exp(zu + wv + g u^p v^q) built so far,
+    # which generating_series cuts to its order
     return []
+
+
+def _generating_arg(p: int, q: int) -> Poly:
+    # zu + wv + g u^p v^q
+    return _Z * Poly.variable("u") + _W * Poly.variable("v") + _G * Poly.monomial({"u": p, "v": q})
 
 
 def _series_through(p: int, q: int, order: int) -> SeriesUV:
@@ -248,9 +279,7 @@ def _series_through(p: int, q: int, order: int) -> SeriesUV:
     """
     held = _widest_series(p, q)
     if not held or held[0].order < order:
-        arg = (_Z * Poly.variable("u") + _W * Poly.variable("v")
-               + _G * Poly.monomial({"u": p, "v": q}))
-        held[:] = [series_exp(arg, order)]
+        held[:] = [series_exp(_generating_arg(p, q), order)]
     return held[0]
 
 
@@ -264,15 +293,48 @@ def generating_series(p: int, q: int, order: int) -> SeriesUV:
     return series if series.order == order else SeriesUV(order, dict(series.items()))
 
 
+@lru_cache(maxsize=64)
+def _box_series(p: int, q: int) -> list[SeriesUV]:
+    # one slot per (p, q): the box series via_genfun reads
+    return []
+
+
+def _series_over(p: int, q: int, n: int, m: int) -> SeriesUV:
+    """A stored series for (p, q) whose box holds (n, m).
+
+    A held box that misses (n, m) is extended to the component-wise
+    maximum of both boxes, keeping its coefficients, when that adds at
+    most twice the (n + 1)(m + 1) coefficients of the box (n, m) itself;
+    otherwise the box (n, m) is built alone and held instead, so that a
+    thin box never widens to the square of its long side.
+    """
+    held = _box_series(p, q)
+    start = held[0] if held else None
+    box = (n, m)
+    if start is not None:
+        hu, hv = start.box
+        if n <= hu and m <= hv:
+            return start
+        wide = (max(n, hu), max(m, hv))
+        if (wide[0] + 1) * (wide[1] + 1) - (hu + 1) * (hv + 1) <= 2 * (n + 1) * (m + 1):
+            box = wide
+        else:
+            start = None
+    # the order bu + bv bounds nothing inside the box
+    held[:] = [series_exp(_generating_arg(p, q), sum(box), box=box, start=start)]
+    return held[0]
+
+
 def via_genfun(params: FamilyParams) -> Poly:
     """Extract n! m! [u^n v^m] exp(zu + wv + g u^p v^q).
 
-    The coefficient is read off the widest series stored for (p, q),
-    built through total order n + m (the lowest that fixes it) if no
-    stored series reaches that far; a wider one holds the same coefficient.
+    The coefficient is read off the box series stored for (p, q), which
+    holds only [u^i v^j] with i <= n and j <= m of the requests so far:
+    the exp recurrence reads nothing outside such a box.  A box that
+    misses (n, m) is extended, or replaced, as :func:`_series_over` says.
     """
     p, q, n, m = params.p, params.q, params.n, params.m
-    series = _series_through(p, q, n + m)
+    series = _series_over(p, q, n, m)
     scale = math.factorial(n) * math.factorial(m)
     return series.coeff(n, m) * Fraction(scale)
 

@@ -130,7 +130,8 @@ def _fake_cli(tmp_path, body):
 
 def test_run_large_grid_times_the_audit_and_hashes_its_stdout(tmp_path):
     body = "def main(argv):\n    print(' '.join(argv))\n    return 0\n"
-    result = bench_pairs.run_large_grid(_fake_cli(tmp_path, body), 2)
+    result = bench_pairs.run_cli(_fake_cli(tmp_path, body),
+                                 (*bench_pairs.LARGE_GRID, "--jobs", "2"))
     stdout = "audit --nmax 10 --mmax 10 --jobs 2\n".encode()
     assert result["stdout_sha256"] == hashlib.sha256(stdout).hexdigest()
     assert result["correct"] is True and (result["attempted"], result["failed"]) == (1, 0)
@@ -144,7 +145,8 @@ def test_run_large_grid_times_the_audit_and_hashes_its_stdout(tmp_path):
     ("import os\ndef main(argv):\n    os._exit(0)\n", "no peak RSS line on stderr"),
 ])
 def test_run_large_grid_records_a_failed_run(tmp_path, body, reason):
-    result = bench_pairs.run_large_grid(_fake_cli(tmp_path, body), 1)
+    result = bench_pairs.run_cli(_fake_cli(tmp_path, body),
+                                 (*bench_pairs.LARGE_GRID, "--jobs", "1"))
     assert result["correct"] is False and result["run_failed"] == reason
 
 
@@ -170,6 +172,37 @@ def test_large_grid_pair_fails_a_change_whose_stdout_differs():
     summary = bench_pairs.summarize([differing, same], bench_pairs.LARGE_GRID_METRICS)
     assert summary["failed"]["change"] == 1 and summary["failed"]["parent"] == 0
     assert summary["wall_s"]["change_better_pairs"] == 1
+
+
+def test_large_compute_times_a_thin_box_each_way_and_every_strategy():
+    fixed = ("compute", "--p", "1", "--q", "1")
+    assert bench_pairs.LARGE_COMPUTE == {
+        "genfun_300_2": (*fixed, "--n", "300", "--m", "2", "--strategy", "genfun"),
+        "genfun_2_300": (*fixed, "--n", "2", "--m", "300", "--strategy", "genfun"),
+        "all_60_60": (*fixed, "--n", "60", "--m", "60", "--strategy", "all"),
+    }
+
+
+def test_cli_pairs_record_whether_every_pair_gave_the_same_stdout(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_pairs, "PAIRS", 2)
+    echo = "def main(argv):\n    print(' '.join(argv))\n    return 0\n"
+    sides = {"parent": _fake_cli(tmp_path / "parent", echo),
+             "change": _fake_cli(tmp_path / "change", echo)}
+    args = bench_pairs.LARGE_COMPUTE["genfun_300_2"]
+    same = bench_pairs.cli_pairs(sides, args, "same")
+    assert same["stdout_identical"] is True
+    assert [pair["first"] for pair in same["pairs"]] == ["parent", "change"]
+    assert same["summary"]["complete_pairs"] == 2 and same["summary"]["failed"]["change"] == 0
+    assert set(same["summary"]) >= {"wall_s", "peak_rss_mb"}
+    other = "def main(argv):\n    print('x')\n    return 0\n"
+    sides["change"] = _fake_cli(tmp_path / "other", other)
+    differing = bench_pairs.cli_pairs(sides, args, "differing")
+    assert differing["stdout_identical"] is False
+    assert differing["summary"]["failed"]["change"] == 2
+    sides["change"] = _fake_cli(tmp_path / "failing", "def main(argv):\n    return 1\n")
+    failing = bench_pairs.cli_pairs(sides, args, "failing")
+    assert failing["stdout_identical"] is False
+    assert failing["summary"]["failed"]["runs_change"] == 2
 
 
 def _shifted_pairs(scale):

@@ -755,6 +755,7 @@ def test_internal_error_exits_3_with_one_line(capsys, monkeypatch, command, jobs
     assert (pid == os.getpid()) == (jobs == "1")
 
 
+@pytest.mark.usefixtures("fresh_caches")
 def test_internal_error_in_compute_and_heat_exits_3(capsys, monkeypatch):
     cli = importlib.import_module("gouldhopper.cli")
 
@@ -769,6 +770,7 @@ def test_internal_error_in_compute_and_heat_exits_3(capsys, monkeypatch):
     assert (code, out, err) == (3, "", "error: internal error: ZeroDivisionError: kernel fault\n")
 
 
+@pytest.mark.usefixtures("fresh_caches")
 def test_a_series_side_short_of_its_order_exits_3(capsys, monkeypatch):
     # a right-hand side one order short is a program fault, not a failed identity
     checks = importlib.import_module("gouldhopper.identity.checks")

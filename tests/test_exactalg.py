@@ -680,6 +680,47 @@ def test_series_kernel_matches_power_sums(arg, order):
     assert series.to_poly() == _power_sum_exp(SeriesUV.from_poly(arg, order))
 
 
+@settings(max_examples=60, deadline=None)
+@given(sparse_series_polys(), st.integers(min_value=0, max_value=10),
+       st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=12))
+def test_box_series_equal_the_triangle_inside_the_box(arg, order, bu, bv):
+    full = series_exp(arg, order)
+    boxed = series_exp(arg, order, box=(bu, bv))
+    assert (boxed.order, boxed.box) == (order, (bu, bv))
+    for i in range(order + 1):
+        for j in range(order + 1 - i):
+            if i <= bu and j <= bv:
+                assert boxed.coeff(i, j) == full.coeff(i, j), (i, j)
+            else:
+                with pytest.raises(TruncationError, match="outside box"):
+                    boxed.coeff(i, j)
+    with pytest.raises(TruncationError, match="beyond order"):
+        boxed.coeff(0, order + 1)
+
+
+def test_box_series_extend_a_held_start():
+    u, v = Poly.variable("u"), Poly.variable("v")
+    for arg in (Z * u + W * v + G * u * v, Z * u + W * v + G * u ** 2 * v ** 3,
+                F(1, 2) * u + F(2, 3) * v ** 2 + Z * u * v, Z * u ** 2):
+        held = series_exp(arg, 5, box=(3, 2))
+        wide = series_exp(arg, 9, box=(5, 4), start=held)
+        assert wide == series_exp(arg, 9, box=(5, 4))
+        # the held coefficients are kept, not recomputed
+        assert all(wide.coeff(i, j) is poly for (i, j), poly in held.items())
+        assert series_exp(arg, 9, start=held) == series_exp(arg, 9)
+        for box, order in (((2, 2), 9), ((5, 1), 9), ((5, 4), 4)):
+            with pytest.raises(ValueError, match="is not within box"):
+                series_exp(arg, order, box=box, start=held)
+
+
+def test_box_series_products_stay_in_both_boxes():
+    u, v = Poly.variable("u"), Poly.variable("v")
+    arg = Z * u + W * v
+    product = series_exp(arg, 6, box=(4, 2)) * series_exp(arg, 5, box=(3, 5))
+    assert (product.order, product.box) == (5, (3, 2))
+    assert product == series_exp(2 * arg, 5, box=(3, 2))
+
+
 def test_series_kernel_degree_bound():
     # the coefficient of u^2 would have degree 2 * 40000 in z: raise, never wrap
     big = Poly.monomial({"z": 40000, "u": 1})

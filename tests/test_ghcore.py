@@ -1,6 +1,7 @@
 """Construction tests: five independent strategies, classical anchors."""
 
 import math
+import random
 import time
 from fractions import Fraction as F
 
@@ -159,13 +160,15 @@ def test_genfun_higher_order_is_harmless():
     assert generating_series(2, 1, 12).coeff(3, 2) * 12 == via_genfun(params) == explicit(params)
 
 
-@pytest.mark.parametrize("p,q,n,m,entries", [
-    (1, 1, 20, 20, 230),
-    (2, 1, 16, 16, 88),
-    (0, 2, 10, 10, 20),
+@pytest.mark.usefixtures("fresh_caches")
+@pytest.mark.parametrize("p,q,n,m,entries,smaller", [
+    pytest.param(1, 1, 20, 20, 230, (12, 12), id="1-1-20-20-230"),
+    pytest.param(2, 1, 16, 16, 88, (12, 14), id="2-1-16-16-88"),
+    pytest.param(0, 2, 10, 10, 20, (5, 10), id="0-2-10-10-20"),
 ])
-def test_recurrence_fills_only_the_entries_it_reads(monkeypatch, p, q, n, m, entries):
-    # one lincomb per table entry it fills, of (n + 1)(m + 1) - 1 in all
+def test_recurrence_fills_only_the_entries_it_reads(monkeypatch, p, q, n, m, entries, smaller):
+    # one lincomb per table entry it fills, of (n + 1)(m + 1) - 1 in all;
+    # a smaller member whose entries are all in the stored table fills none
     lincomb = Poly.lincomb
     built = []
 
@@ -176,11 +179,16 @@ def test_recurrence_fills_only_the_entries_it_reads(monkeypatch, p, q, n, m, ent
     monkeypatch.setattr(Poly, "lincomb", classmethod(counted))
     params = FamilyParams(p, q, n, m)
     result = via_recurrence(params)
-    monkeypatch.undo()
     assert len(built) == entries
+    built.clear()
+    again = via_recurrence(FamilyParams(p, q, *smaller))
+    monkeypatch.undo()
+    assert len(built) == 0
     assert result == explicit(params)
+    assert again == explicit(FamilyParams(p, q, *smaller))
 
 
+@pytest.mark.usefixtures("fresh_caches")
 def test_recurrence_never_reads_an_unfilled_entry_as_zero(monkeypatch):
     # every weight nonzero: with p = 0 column m then reads column m - q,
     # which it does not fill
@@ -189,30 +197,107 @@ def test_recurrence_never_reads_an_unfilled_entry_as_zero(monkeypatch):
         via_recurrence(FamilyParams(0, 2, 3, 3))
 
 
-def test_genfun_reads_the_widest_series(monkeypatch):
-    for value in vars(ghcore).values():
-        if hasattr(value, "cache_clear"):
-            value.cache_clear()
-    assert via_genfun(FamilyParams(2, 1, 8, 8)) == explicit(FamilyParams(2, 1, 8, 8))
+def _counted_series_exp(monkeypatch):
+    # records (order, box, coefficients built) of each series_exp call of ghcore
     calls = []
 
-    def counted(arg, order):
-        calls.append(order)
-        return series_exp(arg, order)
+    def counted(arg, order, **kwargs):
+        series = series_exp(arg, order, **kwargs)
+        start = kwargs.get("start")
+        kept = len(list(start.items())) if start is not None else 0
+        calls.append((order, kwargs.get("box"), len(list(series.items())) - kept))
+        return series
 
     monkeypatch.setattr(ghcore, "series_exp", counted)
+    return calls
+
+
+@pytest.mark.usefixtures("fresh_caches")
+def test_genfun_reads_and_extends_the_box_series(monkeypatch):
+    assert via_genfun(FamilyParams(2, 1, 8, 8)) == explicit(FamilyParams(2, 1, 8, 8))
+    calls = _counted_series_exp(monkeypatch)
     params = FamilyParams(2, 1, 3, 2)
     assert via_genfun(params) == explicit(params)
-    series = generating_series(2, 1, 5)
     assert calls == []
-    monkeypatch.undo()
-    # the exact-order contract holds below, at and past the widest order
-    assert series.order == 5
+    # a box one row longer keeps the 81 coefficients it holds and adds 9
+    assert via_genfun(FamilyParams(2, 1, 9, 0)) == explicit(FamilyParams(2, 1, 9, 0))
+    assert calls == [(17, (9, 8), 9)]
+    # via_genfun builds no triangle for generating_series to cut
+    assert generating_series(2, 1, 5).order == 5
+    assert calls[1:] == [(5, None, 21)]
+
+
+@pytest.mark.usefixtures("fresh_caches")
+def test_generating_series_reads_the_widest_series(monkeypatch):
     U, V = Poly.variable("u"), Poly.variable("v")
     arg = Z * U + W * V + G * U ** 2 * V
+    assert generating_series(2, 1, 16) == series_exp(arg, 16)
+    calls = _counted_series_exp(monkeypatch)
+    series = generating_series(2, 1, 5)
+    assert calls == []
+    assert via_genfun(FamilyParams(2, 1, 3, 2)) == explicit(FamilyParams(2, 1, 3, 2))
+    assert calls == [(5, (3, 2), 12)]
+    monkeypatch.undo()
+    # the exact-order contract holds below, at and past the widest order
+    assert series.order == 5 and series.box == (5, 5)
     assert series == series_exp(arg, 5)
     assert generating_series(2, 1, 16) == series_exp(arg, 16)
     assert generating_series(2, 1, 17).order == 17
+
+
+@pytest.mark.usefixtures("fresh_caches")
+def test_genfun_builds_only_the_box_it_reads(monkeypatch):
+    # the triangle of order 302 holds 46,056 coefficients; the box 301 * 3
+    calls = _counted_series_exp(monkeypatch)
+    started = time.monotonic()
+    params = FamilyParams(1, 1, 300, 2)
+    assert via_genfun(params) == explicit(params)
+    assert time.monotonic() - started < 2
+    assert calls == [(302, (300, 2), 903)]
+
+
+@pytest.mark.usefixtures("fresh_caches")
+def test_genfun_widens_a_box_by_at_most_twice_the_requested_one(monkeypatch):
+    # the component-wise maximum of (300, 2) and (2, 300) would add 89,698
+    # coefficients, so the box (2, 300) is built alone and held instead;
+    # a box that adds few is extended and keeps what it holds
+    calls = _counted_series_exp(monkeypatch)
+    started = time.monotonic()
+    for n, m in ((300, 2), (2, 300), (4, 300), (3, 3)):
+        params = FamilyParams(1, 1, n, m)
+        before = len(calls)
+        assert via_genfun(params) == explicit(params)
+        assert sum(built for _, _, built in calls[before:]) <= 2 * (n + 1) * (m + 1), (n, m)
+    assert time.monotonic() - started < 2
+    assert calls == [(302, (300, 2), 903), (302, (2, 300), 903), (304, (4, 300), 602)]
+    assert ghcore._box_series(1, 1)[0].box == (4, 300)
+
+
+def _agree_on_shared_stores(cells):
+    for p, q, n, m in cells:
+        params = FamilyParams(p, q, n, m)
+        reference = explicit(params)
+        assert via_creation(params) == reference, params
+        assert via_recurrence(params) == reference, params
+        assert via_genfun(params) == reference, params
+
+
+def test_all_strategies_agree_on_shared_stores_in_any_order():
+    # the three stored routes in ascending, descending and shuffled order,
+    # each order on stores shared by all its cells and cleared before it
+    pqs = [(p, q) for p in range(4) for q in range(4) if p or q]
+    cells = [(p, q, n, m) for p, q in pqs for n in range(13) for m in range(13)]
+    shuffled = cells[:]
+    random.Random(25).shuffle(shuffled)
+    for order in (cells, cells[::-1], shuffled):
+        for store in (ghcore._recurrence_table, ghcore._creation_chain, ghcore._box_series):
+            store.cache_clear()
+        _agree_on_shared_stores(order)
+    for p, q, n, m in cells:
+        params = FamilyParams(p, q, n, m)
+        assert operational(params) == explicit(params), params
+        if p and q:
+            assert hypergeom_form(params) == explicit(params), params
 
 
 def test_one_sided_orders_agree_through_twelve():

@@ -196,6 +196,7 @@ def test_zero_speed_gives_the_datum_back():
         assert solve(HeatProblem(p, q, F(0), datum)) == datum
 
 
+@pytest.mark.usefixtures("fresh_caches")
 @pytest.mark.parametrize("c", [F(1), F(0), F(-2, 3)])
 def test_solve_refuses_a_member_term_past_k_max(monkeypatch, c):
     # a member that carries g^(k_max + 1) has no weight to read: it raises,

@@ -268,6 +268,7 @@ def _series_exp_one_order_short(arg, order):
     return series_exp(arg, order - 1)
 
 
+@pytest.mark.usefixtures("fresh_caches")
 @pytest.mark.parametrize("tag, cell", [
     (IdentityTag.GEN_PARTIAL_U, {"p": 1, "q": 1, "m": 2, "order": 6}),
     (IdentityTag.GEN_PARTIAL_V, {"p": 2, "q": 1, "n": 2, "order": 6}),
