@@ -20,8 +20,9 @@ and ``--jobs 2``, is timed in the same way: ten alternating pairs per
 ``--jobs`` value, each run a fresh interpreter whose wall time and peak
 RSS (the CLI process's own, in MB) go under ``large_grid``.  A change run
 whose stdout differs from its parent's in the same pair counts as failed.
-``compute`` at large degree is timed the same way, ten pairs per command
-of ``LARGE_COMPUTE``, under ``large_compute``, each with
+``compute`` at large degree, and a ``heat`` request with a large JSON
+document, are timed the same way, ten pairs per command of
+``LARGE_COMPUTE``, under ``large_compute``, each with
 ``stdout_identical``: whether both sides ran and gave the same stdout in
 every pair.
 
@@ -79,7 +80,8 @@ LARGE_GRID = ("audit", "--nmax", "10", "--mmax", "10")
 LARGE_GRID_JOBS = (1, 2)
 LARGE_GRID_METRICS = [{"name": "wall_s", "better": "lower"},
                       {"name": "peak_rss_mb", "better": "lower"}]
-# compute at large degree: a thin box each way, then every strategy
+# compute at large degree: a thin box each way, then every strategy; and
+# a heat request whose time goes mostly to writing its JSON (about 6 MB)
 LARGE_COMPUTE = {
     "genfun_300_2": ("compute", "--p", "1", "--q", "1", "--n", "300", "--m", "2",
                      "--strategy", "genfun"),
@@ -87,6 +89,8 @@ LARGE_COMPUTE = {
                      "--strategy", "genfun"),
     "all_60_60": ("compute", "--p", "1", "--q", "1", "--n", "60", "--m", "60",
                   "--strategy", "all"),
+    "heat_json_60": ("heat", "--p", "1", "--q", "1", "--c", "3/7",
+                     "--initial", "(1/3*z-2/7*w+1)^60", "--format", "json"),
 }
 # runs the CLI in the checkout's src/ and, last on stderr, its own peak RSS
 # in MB: Linux's VmHWM, since ru_maxrss keeps across exec the peak of the

@@ -17,22 +17,25 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import re
 import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from typing import Iterable
 
 from .exactalg import (
+    MAX_DEGREE,
     Poly,
     VAR_NAMES,
     check_degree,
-    exponents,
+    field_shift,
     monomial_key,
     quoted,
     terms_text,
-    text_monomial,
+    text_power,
 )
 from .ghcore import (
     STRATEGIES,
@@ -80,7 +83,7 @@ class ExprError(ValueError):
 def _check_digits(limit: int, text: str, position: int | None = None) -> None:
     # refuse the number `text` if a run of its digits is longer than `limit`, the most
     # int() reads (0: no limit); inside an expression, as an ExprError at `position`
-    if limit and max(map(len, text.lstrip("-+").split("/"))) > limit:
+    if limit and len(text) > limit and max(map(len, text.lstrip("-+").split("/"))) > limit:
         message = (f"a number has more than {limit} digits, past the limit "
                    f"sys.get_int_max_str_digits() = {limit}")
         raise ValueError(message) if position is None else ExprError(message, position)
@@ -90,11 +93,28 @@ def _check_digits(limit: int, text: str, position: int | None = None) -> None:
 _NUMBER = r"[0-9]+(?:/[0-9]+)?"
 _RATIONAL_RE = re.compile(rf"[-+]?{_NUMBER}")
 _INTEGER_RE = re.compile(r"[-+]?[0-9]+")
-# one token per match: a number, a name, an operator, or any other
-# character that is not a space, which no expression may hold
-_TOKEN_RE = re.compile(rf"(?P<num>{_NUMBER})|(?P<name>[A-Za-zγ][A-Za-z0-9]*)"
+# A factor of a product token: a number or z or w, and an exponent if one is
+# written, each digit run and name ending where the single tokens below end
+# it.  _FACTOR_RE reads a product token factor by factor.
+_DIGITS = r"[0-9]+(?![0-9])"
+_FACTOR = rf"(?:{_DIGITS}(?:/{_DIGITS})?|[zw](?![A-Za-z0-9]))(?:\^{_DIGITS})?"
+_FACTOR_RE = re.compile(rf"\*?(?:(?P<num>{_DIGITS}(?:/{_DIGITS})?)|(?P<name>[zw]))"
+                        rf"(?:\^(?P<exp>{_DIGITS}))?")
+# One token per match.  First a whole product of factors with no space
+# inside, such as "3/4*z^5*w^2" or "2z^3", taken only where it is a whole
+# term, so that the single tokens would read the same product: after the
+# start, a sign or "(" (at most one space between) and before a sign, ")"
+# or the end.  Elsewhere, as after "^" or before "(", the single tokens
+# are read: a number, a name, an operator, or any other character that is
+# not a space, which no expression may hold.
+_TOKEN_RE = re.compile(rf"(?P<product>(?:(?<![^-+(])|(?<=[-+(]\s)){_FACTOR}(?:\*?{_FACTOR})*"
+                       r"(?=\s*(?:[-+)]|$)))"
+                       rf"|(?P<num>{_NUMBER})|(?P<name>[A-Za-zγ][A-Za-z0-9]*)"
                        r"|(?P<op>[-+*^()])|(?P<other>\S)")
 _EXPR_VARS = ("z", "w")
+# the packed key of each variable; a monomial's key is their sum, weighted
+# by its exponents, once its degree is checked
+_EXPR_UNITS = {name: monomial_key({name: 1}) for name in _EXPR_VARS}
 
 
 # The most term products a whole expression may cost, summed over the
@@ -204,7 +224,9 @@ class _ExprParser:
     MAX_POWER_TERM_PAIRS, before any power of it is raised; only a
     parenthesized sum is computed when it closes, as the base it is.  A
     product of numbers and variables is read into one packed key and its
-    number powers, with no Poly per factor.
+    number powers, with no Poly per factor.  A term written with no space
+    inside, such as ``-3/4*z^5*w^2``, is one product token, read factor by
+    factor with the checks and positions its single tokens would get.
     """
 
     def __init__(self, src: str):
@@ -263,11 +285,19 @@ class _ExprParser:
         pos = self._peek()[2]
         powers = []
         while True:
-            kind, value, _ = self._peek()
+            kind, value, at = self._peek()
             while kind == "op" and value == "-":
                 self.k += 1
                 sign = -sign
-                kind, value, _ = self._peek()
+                kind, value, at = self._peek()
+            if kind == "product":
+                # a product token ends its term, and most often is all of it
+                self.k += 1
+                factors = self._factors(at, at + len(value))
+                if not powers:
+                    return self._monomial(sign, factors, pos)
+                powers += factors
+                break
             powers.append(self._power())
             kind, value, _ = self._peek()
             if kind == "op" and value == "*":
@@ -290,18 +320,43 @@ class _ExprParser:
         # _term of a product of numbers and variables, folded into one packed
         # key and its number powers; it is charged one term product per
         # factor, as _product_term_pairs charges it
-        exps = dict.fromkeys(_EXPR_VARS, 0)
+        key = degree = 0
         numbers = []
         for (name, num, den), exponent, _ in powers:
             if name:
-                exps[name] += exponent
+                key += exponent * _EXPR_UNITS[name]
+                degree += exponent
             elif exponent:
                 if not num:
                     return None, None
                 numbers.append((num, den, exponent))
-        key = monomial_key(exps)
+        check_degree(degree)
         self._charge("product", len(powers), pos)
         return "monomial", (sign, key, numbers)
+
+    def _factors(self, start: int, end: int) -> list:
+        # the powers of the product token src[start:end], as _power reads
+        # them from its single tokens, each checked where they would be
+        powers = []
+        for factor in _FACTOR_RE.finditer(self.src, start, end):
+            num, name, exp = factor.group("num", "name", "exp")
+            base = (name, 1, 1) if name else self._number(num, factor.start("num"))
+            if exp is None:
+                powers.append((base, 1, factor.end()))
+            else:
+                at = factor.start("exp")
+                _check_digits(self.limit, exp, at)
+                powers.append((base, int(exp), at))
+        return powers
+
+    def _number(self, value: str, pos: int) -> tuple:
+        # a number token's atom ("", num, den)
+        _check_digits(self.limit, value, pos)
+        num, _, den = value.partition("/")
+        den = int(den or 1)
+        if not den:
+            raise ExprError("zero denominator", pos)
+        return "", int(num), den
 
     def _power(self) -> tuple:
         # a base, its exponent (1 if none is written) and the exponent's position
@@ -323,12 +378,7 @@ class _ExprParser:
         # and num = den = 1 for a variable; a parenthesized sum as its Poly
         kind, value, pos = self._next()
         if kind == "num":
-            _check_digits(self.limit, value, pos)
-            num, _, den = value.partition("/")
-            den = int(den or 1)
-            if not den:
-                raise ExprError("zero denominator", pos)
-            return "", int(num), den
+            return self._number(value, pos)
         if kind == "name":
             if value not in _EXPR_VARS:
                 raise ExprError(f"variable {quoted(value)} is not allowed here", pos)
@@ -480,47 +530,103 @@ def _write_document(entries: dict[str, str]) -> None:
 # checks that every JSON document parses back to the bytes json.dumps
 # writes for it.
 
-# the alphabet's slots in the sorted order of their names, as sort_keys lists them
-_JSON_VAR_SLOTS = tuple(sorted(range(len(VAR_NAMES)), key=VAR_NAMES.__getitem__))
+# Per variable, the fragments of its powers that a term is joined from:
+# " z^3" of its text monomial and ',\n<indentation>"z": 3' of its "exps"
+# object, "" for the power 0.  A table writes each fragment on first use
+# and keeps those of the exponents below _KEPT_POWERS, at most 128 strings
+# of under 100 bytes.  With 12 variables, one text table each and one
+# "exps" table each for each of at most 8 depths, all of them hold at most
+# 13,824 strings, about 1.4 MB.  The benchmark's `requests` workload writes
+# exponents up to 50 in z, w, t (heat) and z, w, g (compute) at the depths
+# 3 and 4, about 600 strings.
+_KEPT_POWERS = 128
 
 
-# The written monomials, one entry per (packed key, depth), about 0.5 kB
-# each.  The benchmark's `requests` workload runs passes of 200 requests,
-# each pass in a fresh process; in one pass (seeds 1001, 2001 and 3001)
-# the 4,096 entries fill up and serve 54 % of about 20,700 lookups.
-# `audit --nmax 4 --mmax 4 --aux-max 2` writes 337.
-@functools.lru_cache(maxsize=4096)
-def _monomial_strings(key: int, depth: int) -> tuple[str, str]:
-    # the "exps" object of the term with packed key `key` in an array `depth`
-    # levels deep, and its text monomial
-    exps = exponents(key)
-    inner = "\n" + "  " * (depth + 1)
-    powers = [f'"{VAR_NAMES[i]}": {exps[i]}' for i in _JSON_VAR_SLOTS if exps[i]]
-    return _joined("{}", powers, inner), text_monomial(exps)
+class _Powers(dict):
+    """exponent -> the fragment `write(exponent)` of one variable's power."""
+
+    __slots__ = ("_write",)
+
+    def __init__(self, write):
+        super().__init__({0: ""})
+        self._write = write
+
+    def __missing__(self, exponent: int) -> str:
+        fragment = self._write(exponent)
+        if exponent < _KEPT_POWERS:
+            self[exponent] = fragment
+        return fragment
 
 
-def _term_items(poly: Poly, depth: int) -> tuple[list[str], list[tuple[str, int, int]]]:
+_TEXT_POWERS = {name: _Powers(lambda e, name=name: " " + text_power(name, e))
+                for name in VAR_NAMES}
+
+
+@functools.lru_cache(maxsize=8)
+def _exps_powers(depth: int) -> dict[str, _Powers]:
+    # each variable's fragments of the "exps" object of a term `depth` levels deep
+    entry = ",\n" + "  " * (depth + 2)
+    return {name: _Powers(lambda e, head=f"{entry}{_json_str(name)}: ": f"{head}{e}")
+            for name in VAR_NAMES}
+
+
+def _term_items(poly: Poly, depth: int) -> tuple[list[str], list[tuple[str, str, str]]]:
     # in one pass over the canonical terms: the items of to_json_obj() of
     # `poly`, as an array `depth` levels deep holds them, and its terms as
-    # terms_text reads them
+    # terms_text reads them; each integer is written once for both, and
+    # each monomial joined from the fragments of the variables `poly` uses
+    if not poly:
+        return [], []
     newline = "\n" + "  " * depth
     inner = newline + "  "
+    used = poly.variables()
+    exps_powers = _exps_powers(depth)
+    # the "exps" entries in the sorted order of their names, as sort_keys lists them
+    exps_parts = [(field_shift(name), exps_powers[name]) for name in sorted(used)]
+    text_parts = [(field_shift(name), _TEXT_POWERS[name]) for name in VAR_NAMES if name in used]
+    head = f'{{{inner}"den": "'
+    exps_head = f'",{inner}"exps": '
+    num_head = f',{inner}"num": "'
+    tail = f'"{newline}}}'
+    terms = poly.packed_terms()
+    keys = [key for key, _, _ in terms]
     items, texts = [], []
-    for key, num, den in poly.packed_terms():
-        exps, mono = _monomial_strings(key, depth)
-        items.append(f'{{{inner}"den": "{den}",{inner}"exps": {exps},{inner}"num": "{num}"{newline}}}')
-        texts.append((mono, num, den))
+    for (_, num, den), exps, mono in zip(terms, _joined_powers(keys, exps_parts),
+                                         _joined_powers(keys, text_parts)):
+        num, den = str(num), str(den)
+        if exps:
+            items.append(f"{head}{den}{exps_head}{{{exps[1:]}{inner}}}{num_head}{num}{tail}")
+        else:
+            items.append(f"{head}{den}{exps_head}{{}}{num_head}{num}{tail}")
+        texts.append((mono[1:], num, den))
     return items, texts
+
+
+def _joined_powers(keys: list[int], parts: list) -> Iterable[str]:
+    # for each key, the fragments of the variables of `parts`, (shift, fragments), joined
+    if not parts:
+        return itertools.repeat("")
+    return map("".join, zip(*[map(powers.__getitem__, [key >> shift & MAX_DEGREE for key in keys])
+                              for shift, powers in parts]))
+
+
+def _poly_entries(poly: Poly, depth: int) -> list[str]:
+    # the "terms" and "text" entries of a polynomial's object on a line
+    # `depth` levels deep
+    items, texts = _term_items(poly, depth + 2)
+    # the text first, and its terms freed before the items are joined: the
+    # process then peaks lower on a large polynomial
+    text = _json_str(terms_text(texts))
+    del texts
+    terms = _joined("[]", items, "\n" + "  " * (depth + 1))
+    return [f'"terms": {terms}', f'"text": {text}']
 
 
 def _poly_json(poly: Poly, depth: int, *first: str) -> str:
     # a polynomial as an object on a line `depth` levels deep: the entries
     # `first`, already written, whose keys sort before "terms", then its
     # terms and its text
-    newline = "\n" + "  " * depth
-    items, texts = _term_items(poly, depth + 2)
-    return _joined("{}", [*first, f'"terms": {_joined("[]", items, newline + "  ")}',
-                          f'"text": {_json_str(terms_text(texts))}'], newline)
+    return _joined("{}", [*first, *_poly_entries(poly, depth)], "\n" + "  " * depth)
 
 
 def _report_json(report: IdentityReport, depth: int) -> str:
@@ -529,7 +635,7 @@ def _report_json(report: IdentityReport, depth: int) -> str:
     inner = newline + "  "
     params = _joined("{}", [
         f"{_json_str(key)}: {value if isinstance(value, int) else _json_str(value)}"
-        for key, value in sorted(report.params_json().items())
+        for key, value in report.sorted_params
     ], inner)
     difference = _joined("[]", _term_items(report.difference, depth + 2)[0], inner)
     series_order = "null" if report.series_order is None else report.series_order
@@ -647,7 +753,15 @@ def _cmd_compute(args) -> int:
         results.append((name, poly))
 
     if args.format == "json":
-        items = [_poly_json(poly, 2, f'"strategy": {_json_str(name)}') for name, poly in results]
+        # the strategies agree, so each distinct result is written once
+        written: list[tuple[Poly, list[str]]] = []
+        items = []
+        for name, poly in results:
+            entries = next((entries for other, entries in written if other == poly), None)
+            if entries is None:
+                entries = _poly_entries(poly, 2)
+                written.append((poly, entries))
+            items.append(_joined("{}", [f'"strategy": {_json_str(name)}', *entries], "\n    "))
         _write_document({
             "params": _dumped({"p": args.p, "q": args.q, "n": args.n, "m": args.m}, 1),
             "results": _joined("[]", items, "\n  "),

@@ -290,29 +290,38 @@ class _Sum:
         return _reduced({k: c for k, c in self.num.items() if c}, self.den * den)
 
 
-def _render(terms: Sequence[tuple[str, int, int]], fraction: str, times: str) -> str:
+def _render(terms: Sequence[tuple[str, str, str]], fraction: str, times: str) -> str:
     """The signed sum of `terms`, (written monomial, numerator, denominator) in canonical order.
 
-    `fraction` formats a magnitude num/den whose den is not 1, and `times`
-    joins a magnitude other than 1 to its monomial.
+    The numerator is written in decimal with its sign, the denominator in
+    decimal, "1" for an integer coefficient.  `fraction` formats a
+    magnitude num/den whose den is not 1, and `times` joins a magnitude
+    other than 1 to its monomial.
     """
     if not terms:
         return "0"
     chunks = []
     for mono, num, den in terms:
-        mag = str(abs(num)) if den == 1 else fraction.format(abs(num), den)
+        sign, mag = (" - ", num[1:]) if num[0] == "-" else (" + ", num)
+        if den != "1":
+            mag = fraction.format(mag, den)
         if mono:
             body = mono if mag == "1" else f"{mag}{times}{mono}"
         else:
             body = mag
-        chunks.append(f" - {body}" if num < 0 else f" + {body}")
+        chunks.append(sign + body)
     out = "".join(chunks)
     return out[3:] if out[1] == "+" else "-" + out[3:]
 
 
+def text_power(name: str, e: int) -> str:
+    """The power name^e as :meth:`Poly.text` writes it, e.g. ``z^2``; ``z`` for e = 1."""
+    return name if e == 1 else f"{name}^{e}"
+
+
 def text_monomial(exps: tuple[int, ...]) -> str:
     """The monomial of an exponent tuple as :meth:`Poly.text` writes it, e.g. ``z^2 w``; "" for 1."""
-    return " ".join(name if e == 1 else f"{name}^{e}" for name, e in zip(VAR_NAMES, exps) if e)
+    return " ".join(text_power(name, e) for name, e in zip(VAR_NAMES, exps) if e)
 
 
 def _latex_monomial(exps: tuple[int, ...]) -> str:
@@ -328,9 +337,10 @@ def _latex_monomial(exps: tuple[int, ...]) -> str:
     return mono
 
 
-def terms_text(terms: Sequence[tuple[str, int, int]]) -> str:
+def terms_text(terms: Sequence[tuple[str, str, str]]) -> str:
     """:meth:`Poly.text` of the polynomial whose terms, in canonical order, are
-    (text_monomial of the exponents, numerator, denominator)."""
+    (text_monomial of the exponents, numerator, denominator), each integer
+    written in decimal."""
     return _render(terms, "{}/{}", " * ")
 
 
@@ -678,11 +688,12 @@ class Poly:
 
         Round-trips through the expression parser in :mod:`.cli`.
         """
-        return terms_text([(text_monomial(e), n, d) for e, n, d in self.canonical_terms()])
+        return terms_text([(text_monomial(e), str(n), str(d))
+                           for e, n, d in self.canonical_terms()])
 
     def latex(self) -> str:
         """LaTeX form, e.g. ``z^{2}w + 2\\gamma z``."""
-        terms = [(_latex_monomial(e), n, d) for e, n, d in self.canonical_terms()]
+        terms = [(_latex_monomial(e), str(n), str(d)) for e, n, d in self.canonical_terms()]
         return _render(terms, "\\frac{{{}}}{{{}}}", "")
 
     def to_json_obj(self) -> list[dict]:

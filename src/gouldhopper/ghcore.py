@@ -101,7 +101,6 @@ _G = Poly.variable("g")
 # pass in a fresh process.  In one pass (seeds 1001, 2001 and 3001)
 # explicit_poly takes 2,493-2,520 misses against 525-553 hits and is never
 # full, so no bound here moves that workload.
-# The CLI's cache of written monomials, cli._monomial_strings, holds 4,096.
 @lru_cache(maxsize=8192)
 def explicit_poly(p: int, q: int, n: int, m: int) -> Poly:
     """The defining sum as a bare Poly in z, w, g (cached).

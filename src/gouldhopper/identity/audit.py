@@ -8,6 +8,7 @@ identical invocations produce identical documents.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -105,8 +106,14 @@ class IdentityReport:
     notes: str = ""
     known_misprint: bool = False  # printed Fail excused by a passing corrected run
 
+    @functools.cached_property
+    def sorted_params(self) -> tuple[tuple[str, int | str], ...]:
+        """The (key, value) pairs of params_json() in the order of their keys,
+        built once for the sort key and the JSON writer alike."""
+        return tuple(sorted((key, _scalar_json(value)) for key, value in self.params.items()))
+
     def params_json(self) -> dict:
-        return {key: _scalar_json(value) for key, value in self.params.items()}
+        return dict(self.sorted_params)
 
     def sort_key(self) -> tuple:
         # the params as json.dumps(params_json(), sort_keys=True) writes them;
@@ -114,7 +121,7 @@ class IdentityReport:
         # so nothing needs escaping
         params = ", ".join(
             f'"{key}": {value}' if isinstance(value, int) else f'"{key}": "{value}"'
-            for key, value in sorted(self.params_json().items())
+            for key, value in self.sorted_params
         )
         return (self.tag.value, "{" + params + "}", 0 if self.variant == "printed" else 1)
 

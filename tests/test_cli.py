@@ -224,6 +224,22 @@ def test_compute_csv(capsys):
     assert rows[2] == ["explicit", "1", "0", "1", "2", "1"]
 
 
+def test_compute_json_writes_each_result_as_itself(capsys, monkeypatch):
+    # equal results share one writing, and a result that differs from the
+    # others is written as what it is
+    z, w = Poly.variable("z"), Poly.variable("w")
+    monkeypatch.setattr("gouldhopper.cli.STRATEGIES",
+                        {"a": lambda params: z, "b": lambda params: w, "c": lambda params: z})
+    code, out, _ = run_cli(capsys, "compute", "--p", "1", "--q", "1", "--n", "1", "--m", "0",
+                           "--strategy", "all", "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    results = [(result["strategy"], result["text"], result["terms"])
+               for result in json.loads(out)["results"]]
+    assert results == [("a", "z", z.to_json_obj()), ("b", "w", w.to_json_obj()),
+                       ("c", "z", z.to_json_obj())]
+
+
 def test_compute_json_matches_schema(capsys):
     code, out, _ = run_cli(capsys, "compute", "--p", "2", "--q", "1",
                            "--n", "4", "--m", "2", "--format", "json")
@@ -975,6 +991,57 @@ def test_parser_charges_what_it_charged_per_factor(src):
     assert parser.pairs == PARSER_PAIRS[src]
 
 
+# Where a run of numbers and z/w powers stops being one whole product: what
+# each input parses to (its text and the term products charged) or the
+# error it raises, recorded while every token was a single number, name or
+# operator.  The too-long numbers have sys.get_int_max_str_digits() + 1 digits.
+_LONG = "1" * (_LIMIT + 1)
+_TOKEN_BOUNDARY = [
+    ("z^2^3", (ExprError, "unexpected '^' (at position 3)", 3)),
+    ("z^2/2", (ExprError, "expected a nonnegative integer exponent (at position 2)", 2)),
+    ("3/0*z", (ExprError, "zero denominator (at position 0)", 0)),
+    ("1/2z", ("1/2 * z", 2)),
+    ("2z(z+w)", ("2 * z^2 + 2 * z w", 6)),
+    ("3z^2 w", ("3 * z^2 w", 3)),
+    ("2*z^ 3", ("2 * z^3", 2)),
+    ("z^٣", (ExprError, "unexpected character '٣' (at position 2)", 2)),
+    ("-3/4*z^2*w)", (ExprError, "unexpected ')' (at position 10)", 10)),
+    ("z^70000*w", (ValueError,
+                   f"total degree 70001 exceeds the kernel bound MAX_DEGREE = {MAX_DEGREE}", None)),
+    ("0/5*z^3", ("0", 0)),
+    ("--2z", ("2 * z", 2)),
+    (f"-{_LONG}/7*z^2*w", (ExprError, f"{_TOO_MANY_DIGITS} (at position 1)", 1)),
+    (f"z^{_LONG}*w", (ExprError, f"{_TOO_MANY_DIGITS} (at position 2)", 2)),
+    ("-2/3*z^4*w - 5*w^2 + 7/2*z", ("-2/3 * z^4 w - 5 * w^2 + 7/2 * z", 7)),
+    ("3/4*z^2*w-1", ("3/4 * z^2 w - 1", 4)),
+    ("z^02*w^0", ("z^2", 2)),
+    ("(-3/4*z^2*w)^2", ("9/16 * z^4 w^2", 4)),
+    ("z*-3w", ("-3 * z w", 3)),
+    ("(z+w)^2z", ("z^3 + 2 * z^2 w + z w^2", 12)),
+    ("z^ 3w", ("z^3 w", 2)),
+    ("2 *z", ("2 * z", 2)),
+    ("1/23/4", (ExprError, "unexpected character '/' (at position 4)", 4)),
+    ("zw", (ExprError, "variable 'zw' is not allowed here (at position 0)", 0)),
+    ("2zw", (ExprError, "variable 'zw' is not allowed here (at position 1)", 1)),
+    ("z2 + 1", (ExprError, "variable 'z2' is not allowed here (at position 0)", 0)),
+]
+
+
+@pytest.mark.parametrize("src, expected", _TOKEN_BOUNDARY,
+                         ids=[src[:24] for src, _ in _TOKEN_BOUNDARY])
+def test_token_boundary_reads_as_single_tokens_read(src, expected):
+    if isinstance(expected[0], str):
+        parser = _ExprParser(src)
+        assert (parser.parse().text(), parser.pairs) == expected
+        return
+    error, message, position = expected
+    with pytest.raises(error) as raised:
+        _ExprParser(src).parse()
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+    assert getattr(raised.value, "position", None) == position
+
+
 def test_heat_data_parse_to_their_monomials(monkeypatch):
     # the first 200 heat data of the benchmark's seeded request stream
     spec = importlib.util.spec_from_file_location(
@@ -1113,8 +1180,15 @@ def test_json_default_writes_rationals_and_refuses_other_types():
             _dumped({"a": [value]}, 0)
 
 
+# exponents small, of two and three digits (past the writer's kept
+# fragments), and terms of one variable up to MAX_DEGREE
+_TERM_EXPS = (
+    st.tuples(*[st.integers(0, 3) | st.integers(10, 300)] * len(VAR_NAMES))
+    | st.builds(lambda slot, e: tuple(e if i == slot else 0 for i in range(len(VAR_NAMES))),
+                st.integers(0, len(VAR_NAMES) - 1), st.integers(MAX_DEGREE - 3, MAX_DEGREE))
+)
 _TERM_POLYS = st.dictionaries(
-    st.tuples(*[st.integers(0, 3)] * len(VAR_NAMES)),
+    _TERM_EXPS,
     st.fractions(max_denominator=50).filter(bool) | st.integers(-(2 ** 70), 2 ** 70).filter(bool),
     max_size=6,
 ).map(lambda terms: Poly.lincomb(
