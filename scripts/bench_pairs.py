@@ -20,8 +20,9 @@ and ``--jobs 2``, is timed in the same way: ten alternating pairs per
 ``--jobs`` value, each run a fresh interpreter whose wall time and peak
 RSS (the CLI process's own, in MB) go under ``large_grid``.  A change run
 whose stdout differs from its parent's in the same pair counts as failed.
-``compute`` at large degree, and a ``heat`` request with a large JSON
-document, are timed the same way, ten pairs per command of
+``compute`` at large degree, a ``heat`` request with a large JSON
+document, and ``verify`` of GEN_POCHHAMMER_G's series at large weights
+and order, are timed the same way, ten pairs per command of
 ``LARGE_COMPUTE``, under ``large_compute``, each with
 ``stdout_identical``: whether both sides ran and gave the same stdout in
 every pair.
@@ -91,6 +92,8 @@ LARGE_COMPUTE = {
                   "--strategy", "all"),
     "heat_json_60": ("heat", "--p", "1", "--q", "1", "--c", "3/7",
                      "--initial", "(1/3*z-2/7*w+1)^60", "--format", "json"),
+    "pochhammer_g_large": ("verify", "--tag", "GEN_POCHHAMMER_G", "--jk-max", "5",
+                           "--order", "14", "--format", "json"),
 }
 # runs the CLI in the checkout's src/ and, last on stderr, its own peak RSS
 # in MB: Linux's VmHWM, since ru_maxrss keeps across exec the peak of the

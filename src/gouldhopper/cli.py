@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import re
@@ -27,15 +26,16 @@ from fractions import Fraction
 from typing import Iterable
 
 from .exactalg import (
-    MAX_DEGREE,
-    Poly,
+    TEXT_POWERS,
     VAR_NAMES,
+    Poly,
+    PowerTable,
     check_degree,
     field_shift,
+    joined_powers,
     monomial_key,
     quoted,
     terms_text,
-    text_power,
 )
 from .ghcore import (
     STRATEGIES,
@@ -528,45 +528,16 @@ def _write_document(entries: dict[str, str]) -> None:
 # report, without building the dicts first.  tests/test_cli.py pins them
 # to json.dumps of Poly.to_json_obj() and IdentityReport.to_json_obj(), and
 # checks that every JSON document parses back to the bytes json.dumps
-# writes for it.
-
-# Per variable, the fragments of its powers that a term is joined from:
-# " z^3" of its text monomial and ',\n<indentation>"z": 3' of its "exps"
-# object, "" for the power 0.  A table writes each fragment on first use
-# and keeps those of the exponents below _KEPT_POWERS, at most 128 strings
-# of under 100 bytes.  With 12 variables, one text table each and one
-# "exps" table each for each of at most 8 depths, all of them hold at most
-# 13,824 strings, about 1.4 MB.  The benchmark's `requests` workload writes
-# exponents up to 50 in z, w, t (heat) and z, w, g (compute) at the depths
-# 3 and 4, about 600 strings.
-_KEPT_POWERS = 128
-
-
-class _Powers(dict):
-    """exponent -> the fragment `write(exponent)` of one variable's power."""
-
-    __slots__ = ("_write",)
-
-    def __init__(self, write):
-        super().__init__({0: ""})
-        self._write = write
-
-    def __missing__(self, exponent: int) -> str:
-        fragment = self._write(exponent)
-        if exponent < _KEPT_POWERS:
-            self[exponent] = fragment
-        return fragment
-
-
-_TEXT_POWERS = {name: _Powers(lambda e, name=name: " " + text_power(name, e))
-                for name in VAR_NAMES}
+# writes for it.  A term is joined from per-variable fragments of its
+# powers, kept in exactalg.PowerTable tables: "z^3 " of its text monomial
+# (exactalg.TEXT_POWERS) and ',\n<indentation>"z": 3' of its "exps" object.
 
 
 @functools.lru_cache(maxsize=8)
-def _exps_powers(depth: int) -> dict[str, _Powers]:
+def _exps_powers(depth: int) -> dict[str, PowerTable]:
     # each variable's fragments of the "exps" object of a term `depth` levels deep
     entry = ",\n" + "  " * (depth + 2)
-    return {name: _Powers(lambda e, head=f"{entry}{_json_str(name)}: ": f"{head}{e}")
+    return {name: PowerTable(lambda e, head=f"{entry}{_json_str(name)}: ": f"{head}{e}")
             for name in VAR_NAMES}
 
 
@@ -583,7 +554,7 @@ def _term_items(poly: Poly, depth: int) -> tuple[list[str], list[tuple[str, str,
     exps_powers = _exps_powers(depth)
     # the "exps" entries in the sorted order of their names, as sort_keys lists them
     exps_parts = [(field_shift(name), exps_powers[name]) for name in sorted(used)]
-    text_parts = [(field_shift(name), _TEXT_POWERS[name]) for name in VAR_NAMES if name in used]
+    text_parts = [(field_shift(name), TEXT_POWERS[name]) for name in VAR_NAMES if name in used]
     head = f'{{{inner}"den": "'
     exps_head = f'",{inner}"exps": '
     num_head = f',{inner}"num": "'
@@ -591,23 +562,15 @@ def _term_items(poly: Poly, depth: int) -> tuple[list[str], list[tuple[str, str,
     terms = poly.packed_terms()
     keys = [key for key, _, _ in terms]
     items, texts = [], []
-    for (_, num, den), exps, mono in zip(terms, _joined_powers(keys, exps_parts),
-                                         _joined_powers(keys, text_parts)):
+    for (_, num, den), exps, mono in zip(terms, joined_powers(keys, exps_parts),
+                                         joined_powers(keys, text_parts)):
         num, den = str(num), str(den)
         if exps:
             items.append(f"{head}{den}{exps_head}{{{exps[1:]}{inner}}}{num_head}{num}{tail}")
         else:
             items.append(f"{head}{den}{exps_head}{{}}{num_head}{num}{tail}")
-        texts.append((mono[1:], num, den))
+        texts.append((mono[:-1], num, den))
     return items, texts
-
-
-def _joined_powers(keys: list[int], parts: list) -> Iterable[str]:
-    # for each key, the fragments of the variables of `parts`, (shift, fragments), joined
-    if not parts:
-        return itertools.repeat("")
-    return map("".join, zip(*[map(powers.__getitem__, [key >> shift & MAX_DEGREE for key in keys])
-                              for shift, powers in parts]))
 
 
 def _poly_entries(poly: Poly, depth: int) -> list[str]:
@@ -633,10 +596,7 @@ def _report_json(report: IdentityReport, depth: int) -> str:
     # the report as an item of an array `depth` levels deep
     newline = "\n" + "  " * depth
     inner = newline + "  "
-    params = _joined("{}", [
-        f"{_json_str(key)}: {value if isinstance(value, int) else _json_str(value)}"
-        for key, value in report.sorted_params
-    ], inner)
+    params = _joined("{}", report.param_entries(), inner)
     difference = _joined("[]", _term_items(report.difference, depth + 2)[0], inner)
     series_order = "null" if report.series_order is None else report.series_order
     return (

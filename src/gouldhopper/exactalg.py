@@ -71,6 +71,7 @@ substitution, formal differentiation, and truncated series in ``u``,
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import struct
@@ -251,9 +252,9 @@ class _Sum:
                 self.den = common
         return self.den // den
 
-    def add(self, poly: "Poly", shift: int = 0, factor: int = 1) -> None:
-        """Add ``factor * x^shift * poly``, `shift` a packed monomial key."""
-        scale = self._scale_for(poly._den) * factor
+    def add(self, poly: "Poly", shift: int = 0, factor: int = 1, den: int = 1) -> None:
+        """Add ``factor/den * x^shift * poly``, `shift` a packed monomial key."""
+        scale = self._scale_for(poly._den * den) * factor
         num = self.num
         get = num.get
         for k, c in poly._num.items():
@@ -319,27 +320,59 @@ def text_power(name: str, e: int) -> str:
     return name if e == 1 else f"{name}^{e}"
 
 
-def text_monomial(exps: tuple[int, ...]) -> str:
-    """The monomial of an exponent tuple as :meth:`Poly.text` writes it, e.g. ``z^2 w``; "" for 1."""
-    return " ".join(text_power(name, e) for name, e in zip(VAR_NAMES, exps) if e)
+# A written monomial is joined from one fragment per variable, the power
+# of that variable, "" for the power 0.  A table writes each fragment on
+# first use and keeps those of the exponents below _KEPT_POWERS, at most 128
+# strings of under 100 bytes.  Poly.text and Poly.latex keep one table per
+# variable each, and the JSON writer of .cli one per variable and depth of
+# at most 8 depths: at most 15,360 strings, about 1.5 MB.  The benchmark's
+# `requests` workload writes exponents up to 50 in z, w, t (heat) and
+# z, w, g (compute), about 600 strings.
+_KEPT_POWERS = 128
 
 
-def _latex_monomial(exps: tuple[int, ...]) -> str:
-    mono = ""
-    for name in _LATEX_VAR_ORDER:
-        e = exps[VAR_INDEX[name]]
-        if e:
-            # keep a control word like \gamma from swallowing the next letter
-            if mono and _CONTROL_WORD_TAIL.search(mono):
-                mono += " "
-            sym = _LATEX_NAMES[name]
-            mono += sym if e == 1 else f"{sym}^{{{e}}}"
-    return mono
+class PowerTable(dict):
+    """exponent -> the fragment `write(exponent)` of one variable's power."""
+
+    __slots__ = ("_write",)
+
+    def __init__(self, write):
+        super().__init__({0: ""})
+        self._write = write
+
+    def __missing__(self, exponent: int) -> str:
+        fragment = self._write(exponent)
+        if exponent < _KEPT_POWERS:
+            self[exponent] = fragment
+        return fragment
+
+
+def joined_powers(keys: Sequence[int], parts: Sequence[tuple[int, PowerTable]]) -> Iterable[str]:
+    """For each packed key, the fragments of the (field shift, table) `parts`
+    for its exponents, joined in the order of `parts`."""
+    if not parts:
+        return itertools.repeat("")
+    return map("".join, zip(*[map(powers.__getitem__, [key >> shift & _MASK for key in keys])
+                              for shift, powers in parts]))
+
+
+def _latex_power(name: str, e: int) -> str:
+    power = _LATEX_NAMES[name] if e == 1 else f"{_LATEX_NAMES[name]}^{{{e}}}"
+    # a space keeps a control word like \gamma from swallowing the next letter
+    return power + " " if _CONTROL_WORD_TAIL.search(power) else power
+
+
+# each power followed by a space in text; in LaTeX only a control word is,
+# so a monomial is its joined fragments without the trailing space
+TEXT_POWERS = {name: PowerTable(lambda e, name=name: text_power(name, e) + " ")
+               for name in VAR_NAMES}
+_LATEX_POWERS = {name: PowerTable(lambda e, name=name: _latex_power(name, e))
+                 for name in VAR_NAMES}
 
 
 def terms_text(terms: Sequence[tuple[str, str, str]]) -> str:
     """:meth:`Poly.text` of the polynomial whose terms, in canonical order, are
-    (text_monomial of the exponents, numerator, denominator), each integer
+    (monomial as Poly.text writes it, numerator, denominator), each integer
     written in decimal."""
     return _render(terms, "{}/{}", " * ")
 
@@ -683,18 +716,28 @@ class Poly:
 
     # -- serialization ------------------------------------------------
 
+    def _written(self, names: Sequence[str], tables: Mapping[str, PowerTable],
+                 fraction: str, times: str) -> str:
+        # _render of the terms in one pass over the packed terms, each
+        # monomial joined from the fragments in `tables` of the variables
+        # the polynomial uses, in the order of `names`
+        terms = self.packed_terms()
+        used = self.variables()
+        parts = [(_SHIFT[VAR_INDEX[name]], tables[name]) for name in names if name in used]
+        monomials = joined_powers([key for key, _, _ in terms], parts)
+        return _render([(mono.rstrip(" "), str(num), str(den))
+                        for (_, num, den), mono in zip(terms, monomials)], fraction, times)
+
     def text(self) -> str:
         """Canonical plain-text form, e.g. ``z^2 w + 2 * g z``.
 
         Round-trips through the expression parser in :mod:`.cli`.
         """
-        return terms_text([(text_monomial(e), str(n), str(d))
-                           for e, n, d in self.canonical_terms()])
+        return self._written(VAR_NAMES, TEXT_POWERS, "{}/{}", " * ")
 
     def latex(self) -> str:
         """LaTeX form, e.g. ``z^{2}w + 2\\gamma z``."""
-        terms = [(_latex_monomial(e), str(n), str(d)) for e, n, d in self.canonical_terms()]
-        return _render(terms, "\\frac{{{}}}{{{}}}", "")
+        return self._written(_LATEX_VAR_ORDER, _LATEX_POWERS, "\\frac{{{}}}{{{}}}", "")
 
     def to_json_obj(self) -> list[dict]:
         """JSON-ready form: a list of terms in canonical order.
@@ -815,7 +858,14 @@ class SeriesUV:
                 total = sums.get((i, j))
                 if total is None:
                     total = sums[(i, j)] = _Sum()
-                total.add_product((p1, p2))
+                # times a coefficient of one term, the other is shifted by its key
+                mono, rest = (p1, p2) if len(p1._num) == 1 else (p2, p1)
+                if len(mono._num) == 1:
+                    (key,) = mono._num
+                    check_degree((key >> _DEG_SHIFT) + _top_degree(rest._num))
+                    total.add(rest, key, mono._num[key], mono._den)
+                else:
+                    total.add_product((p1, p2))
         return SeriesUV(order, {key: total.poly() for key, total in sums.items()}, box)
 
     def __repr__(self) -> str:

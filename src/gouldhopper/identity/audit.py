@@ -8,8 +8,8 @@ identical invocations produce identical documents.
 
 from __future__ import annotations
 
-import functools
 import itertools
+import json
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,6 +25,8 @@ STATUS_SERIES_PASS = "SeriesPass"
 STATUS_FAIL = "Fail"
 
 POLICIES = ("printed", "corrected", "both", "auto")
+
+_json_str = json.encoder.encode_basestring_ascii
 
 # the most worker processes audit_grid starts; a process pool starts all
 # of its workers at once
@@ -105,25 +107,23 @@ class IdentityReport:
     series_order: int | None = None
     notes: str = ""
     known_misprint: bool = False  # printed Fail excused by a passing corrected run
-
-    @functools.cached_property
-    def sorted_params(self) -> tuple[tuple[str, int | str], ...]:
-        """The (key, value) pairs of params_json() in the order of their keys,
-        built once for the sort key and the JSON writer alike."""
-        return tuple(sorted((key, _scalar_json(value)) for key, value in self.params.items()))
+    # the entries of params_json() as param_entries() writes them; run_cell
+    # writes them once for all reports of a cell, any other report on first use
+    _entries: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def params_json(self) -> dict:
-        return dict(self.sorted_params)
+        return {key: _scalar_json(self.params[key]) for key in sorted(self.params)}
+
+    def param_entries(self) -> tuple[str, ...]:
+        """The entries of params_json(), '"key": value', in the order of their keys."""
+        if self._entries is None:
+            self._entries = _param_entries(self.params)
+        return self._entries
 
     def sort_key(self) -> tuple:
-        # the params as json.dumps(params_json(), sort_keys=True) writes them;
-        # the keys are plain names and the values ints or "num/den" strings,
-        # so nothing needs escaping
-        params = ", ".join(
-            f'"{key}": {value}' if isinstance(value, int) else f'"{key}": "{value}"'
-            for key, value in self.sorted_params
-        )
-        return (self.tag.value, "{" + params + "}", 0 if self.variant == "printed" else 1)
+        # the params as json.dumps(params_json(), sort_keys=True) writes them
+        params = "{" + ", ".join(self.param_entries()) + "}"
+        return (self.tag.value, params, 0 if self.variant == "printed" else 1)
 
     def to_json_obj(self) -> dict:
         return {
@@ -149,6 +149,18 @@ class RenderedReport(NamedTuple):
     status: str
     known_misprint: bool
     text: str
+
+
+def _param_entries(params: Mapping) -> tuple[str, ...]:
+    """The entries '"key": value' of a params object in the order of their
+    keys, each as json.dumps writes it; a value is an int or a "num/den"
+    string, which needs no escaping."""
+    entries = []
+    for key in sorted(params):
+        value = _scalar_json(params[key])
+        key = _json_str(key)
+        entries.append(f"{key}: {value}" if isinstance(value, int) else f'{key}: "{value}"')
+    return tuple(entries)
 
 
 def _scalar_json(value):
@@ -177,6 +189,9 @@ def run_cell(tag: IdentityTag, params: Mapping, policy: str = "auto") -> list[Id
     must both be at the cell's order; each is folded with `to_poly` and
     the folds are subtracted.  A side at another order would be compared
     to the wrong order, so it raises RuntimeError, a program fault.
+    Equal sides (the same Poly, or series with the same coefficients)
+    give the zero difference without a fold or a subtraction: both forms
+    are unique, so equality is the same proof, and it is cheaper.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown variant policy {policy!r}")
@@ -184,23 +199,25 @@ def run_cell(tag: IdentityTag, params: Mapping, policy: str = "auto") -> list[Id
     spec = CHECKS[tag]
     series = spec.kind == "series"
     passing = STATUS_SERIES_PASS if series else STATUS_EXACT_PASS
+    entries = _param_entries(params)
 
     def one(variant: str) -> IdentityReport:
         lhs, rhs = run_check(tag, params, variant)
-        if series:
-            if lhs.order != params["order"] or rhs.order != params["order"]:
-                raise RuntimeError(
-                    f"{tag.value}: series sides at orders {lhs.order} and {rhs.order}, "
-                    f"not at the cell's order {params['order']}"
-                )
-            lhs, rhs = lhs.to_poly(), rhs.to_poly()
-        difference = lhs - rhs
+        if series and (lhs.order != params["order"] or rhs.order != params["order"]):
+            raise RuntimeError(
+                f"{tag.value}: series sides at orders {lhs.order} and {rhs.order}, "
+                f"not at the cell's order {params['order']}"
+            )
+        if lhs == rhs:
+            difference = Poly.zero()
+        else:
+            difference = lhs.to_poly() - rhs.to_poly() if series else lhs - rhs
         status = passing if difference.is_zero() else STATUS_FAIL
         label = "printed" if variant == "printed" else corrected_variant_label(tag)
         notes = spec.notes
         if variant == "corrected":
             notes = _join_notes(notes, MISPRINT_LEDGER[tag])
-        return IdentityReport(
+        report = IdentityReport(
             tag=tag,
             params=dict(params),
             variant=label,
@@ -209,6 +226,8 @@ def run_cell(tag: IdentityTag, params: Mapping, policy: str = "auto") -> list[Id
             series_order=params["order"] if series else None,
             notes=notes,
         )
+        report._entries = entries
+        return report
 
     if policy == "printed":
         return [one("printed")]

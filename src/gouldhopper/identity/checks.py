@@ -88,9 +88,11 @@ from types import MappingProxyType
 from typing import Callable, Mapping
 
 from ..exactalg import (
+    MAX_DEGREE,
     Poly,
     SeriesUV,
     as_scalar,
+    field_shift,
     quoted,
     rising_factorial,
     series_exp,
@@ -411,17 +413,27 @@ def _check_gen_pochhammer_g(p, q, j, k, order, variant) -> Sides:
     Printed left-hand side weights H_{n,m} by (n)_j (m)_k; the corrected
     variant instead applies the degree-weight operators z Dz^j z^(j-1)
     and w Dw^k w^(k-1) to H_{n,m}, matching the right-hand side exactly.
+    Those operators take z^a w^b to (a)_j (b)_k z^a w^b, so each term of
+    H_{n,m} is weighted by the rising factorials of its own degrees, read
+    off its packed key; (a)_j = perm(a+j-1, j) is 0 at a = 0.
     """
+    perm = math.perm
+    z_shift, w_shift = field_shift("z"), field_shift("w")
     coeffs = {}
     for n in range(order + 1):
         for m in range(order + 1 - n):
-            h = explicit_poly(p, q, n, m)
+            num, den = explicit_poly(p, q, n, m).packed()
+            den *= _fact(n) * _fact(m)
             if variant == "printed":
-                weighted = rising_factorial(n, j) * rising_factorial(m, k) * h
+                weight = perm(n + j - 1, j) * perm(m + k - 1, k)
+                weighted = {key: c * weight for key, c in num.items()}
             else:
-                inner = _W * (Poly.monomial({"w": k - 1}) * h).diff("w", k)
-                weighted = _Z * (Poly.monomial({"z": j - 1}) * inner).diff("z", j)
-            coeffs[(n, m)] = weighted * Fraction(1, _fact(n) * _fact(m))
+                weighted = {
+                    key: c * perm((key >> z_shift & MAX_DEGREE) + j - 1, j)
+                    * perm((key >> w_shift & MAX_DEGREE) + k - 1, k)
+                    for key, c in num.items()
+                }
+            coeffs[(n, m)] = Poly.from_numerators(weighted, den)
     lhs = SeriesUV(order, coeffs)
     rhs = _pochhammer_g_rhs(p, q, j, k, order)
     return lhs, rhs

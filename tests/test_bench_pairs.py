@@ -182,6 +182,8 @@ def test_large_compute_times_a_thin_box_each_way_and_every_strategy():
         "all_60_60": (*fixed, "--n", "60", "--m", "60", "--strategy", "all"),
         "heat_json_60": ("heat", "--p", "1", "--q", "1", "--c", "3/7",
                          "--initial", "(1/3*z-2/7*w+1)^60", "--format", "json"),
+        "pochhammer_g_large": ("verify", "--tag", "GEN_POCHHAMMER_G", "--jk-max", "5",
+                               "--order", "14", "--format", "json"),
     }
 
 

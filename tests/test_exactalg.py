@@ -15,6 +15,7 @@ from gouldhopper.exactalg import (
     TruncationError,
     VAR_INDEX,
     VAR_NAMES,
+    _Sum,
     as_scalar,
     monomial_key,
     rising_factorial,
@@ -719,6 +720,49 @@ def test_box_series_products_stay_in_both_boxes():
     product = series_exp(arg, 6, box=(4, 2)) * series_exp(arg, 5, box=(3, 5))
     assert (product.order, product.box) == (5, (3, 2))
     assert product == series_exp(2 * arg, 5, box=(3, 2))
+
+
+def _product_by_add_product(a, b):
+    # SeriesUV.__mul__ with every pair of coefficients through _Sum.add_product
+    order = min(a.order, b.order)
+    box = min(a.box[0], b.box[0]), min(a.box[1], b.box[1])
+    sums = {}
+    for (i1, j1), p1 in a.items():
+        for (i2, j2), p2 in b.items():
+            i, j = i1 + i2, j1 + j2
+            if i + j <= order and i <= box[0] and j <= box[1]:
+                sums.setdefault((i, j), _Sum()).add_product((p1, p2))
+    return SeriesUV(order, {key: total.poly() for key, total in sums.items()}, box)
+
+
+@pytest.mark.parametrize("boxes", [(None, None), ((4, 2), (3, 5)), ((1, 6), None)])
+def test_series_products_by_one_term_coefficients_match_the_general_path(boxes):
+    u, v = Poly.variable("u"), Poly.variable("v")
+    # one-term coefficients over denominators 1, 4, 7 and 3; a two-term one
+    monomials = SeriesUV.from_poly(
+        u * v * Z * W + F(3, 4) * u ** 2 * Z ** 2 - F(5, 7) * v * W + F(1, 3) * u * v ** 3 * G, 6)
+    general = SeriesUV.from_poly(
+        F(2, 5) * u * Z + (Z + F(1, 6) * W) * v + G * u * v + (Z * W - F(7, 9) * G) * u ** 2, 6)
+    wide = SeriesUV(6, dict(general.items()), boxes[0])
+    for a, b in ((SeriesUV(6, dict(monomials.items()), boxes[1]), wide),
+                 (wide, SeriesUV(5, dict(monomials.items()), boxes[1])),
+                 (monomials, monomials), (general, general)):
+        product = a * b
+        assert product == _product_by_add_product(a, b)
+        assert not product.is_zero()
+
+
+def test_series_product_checks_the_degree_before_any_arithmetic():
+    big = Poly(_Unread({monomial_key({"z": 40000}): 3}), 2)
+    wide = Poly(_Unread({monomial_key({"w": 40000}): 1, monomial_key({"g": 2}): 5}), 7)
+    for a, b in ((big, big), (big, wide), (wide, big), (wide, wide)):
+        with pytest.raises(ValueError, match="exceeds the kernel bound"):
+            SeriesUV(2, {(1, 0): a}) * SeriesUV(2, {(0, 1): b})
+    # one-term coefficients whose product is just past the bound
+    z_side = SeriesUV(2, {(1, 0): Poly.monomial({"z": 40000})})
+    w_side = SeriesUV(2, {(1, 0): Poly.monomial({"w": MAX_DEGREE - 40000 + 1}, F(1, 3))})
+    with pytest.raises(ValueError, match=f"total degree {MAX_DEGREE + 1} exceeds"):
+        z_side * w_side
 
 
 def test_series_kernel_degree_bound():

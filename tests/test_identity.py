@@ -12,6 +12,7 @@ from fractions import Fraction as F
 import pytest
 
 from gouldhopper import ghcore, heatrep
+from gouldhopper.cli import _report_json
 from gouldhopper.exactalg import Poly, SeriesUV, _reduced, rising_factorial, series_exp
 from gouldhopper.ghcore import _comb0, explicit_poly
 from gouldhopper.heatrep import property_suite
@@ -291,6 +292,29 @@ def test_a_series_side_short_of_the_cell_order_raises(monkeypatch, tag, cell, sw
         run_cell(tag, cell, "printed")
 
 
+def test_run_cell_difference_from_equal_and_unequal_sides(monkeypatch):
+    # equal sides give the zero difference at once; unequal ones are
+    # subtracted, series sides after folding, so a series pair that differs
+    # only in its box still passes, and a real difference is reported whole
+    audit = importlib.import_module("gouldhopper.identity.audit")
+    u, v = Poly.variable("u"), Poly.variable("v")
+    z = Poly.variable("z")
+    series = SeriesUV.from_poly(z * u + F(1, 3) * u * v, 4)
+    boxed = SeriesUV(4, dict(series.items()), box=(4, 3))
+    cases = [
+        (IdentityTag.SYMMETRY, {"p": 1, "q": 1, "n": 1, "m": 0}, (z, z), "ExactPass", Poly.zero()),
+        (IdentityTag.SYMMETRY, {"p": 1, "q": 1, "n": 1, "m": 0}, (z, 2 * z), "Fail", -z),
+        (IdentityTag.GEN_FULL, {"p": 1, "q": 1, "order": 4}, (series, boxed), "SeriesPass",
+         Poly.zero()),
+        (IdentityTag.GEN_FULL, {"p": 1, "q": 1, "order": 4},
+         (series, SeriesUV.from_poly(z * u, 4)), "Fail", F(1, 3) * u * v),
+    ]
+    for tag, cell, sides, status, difference in cases:
+        monkeypatch.setattr(audit, "run_check", lambda *args, sides=sides: sides)
+        (report,) = run_cell(tag, cell, "printed")
+        assert (report.status, report.difference) == (status, difference)
+
+
 def _power_sum_binomial_neg(base, a, order):
     # (1 - base)^(-a) = sum_k (a)_k base^k / k!, one series product per power,
     # summed over the folded powers
@@ -338,6 +362,29 @@ def test_weighted_series_printed_passes_when_orders_are_one():
             "z": F(2), "w": F(3), "g": F(5), "order": 8}
     (report,) = run_cell(IdentityTag.GEN_POCHHAMMER_S, cell, "printed")
     assert report.status == "SeriesPass"
+
+
+def test_pochhammer_g_degree_weights_match_the_operators():
+    # the left-hand coefficients, weighted by the rising factorials of each
+    # term's degrees, against the operators z Dz^j z^(j-1) and w Dw^k w^(k-1)
+    # applied to H_{n,m}/(n! m!) through Poly.diff (corrected), and against
+    # (n)_j (m)_k H_{n,m}/(n! m!) (printed); the default grid's cells and j, k to 5
+    tag = IdentityTag.GEN_POCHHAMMER_G
+    cells = cells_for(tag, GridRanges(jk_max=5))
+    assert {tuple(cell.values()) for cell in cells_for(tag, GridRanges())} < {
+        tuple(cell.values()) for cell in cells}
+    for cell in cells:
+        p, q, j, k, order = cell["p"], cell["q"], cell["j"], cell["k"], cell["order"]
+        printed, _ = run_check(tag, cell, "printed")
+        corrected, _ = run_check(tag, cell, "corrected")
+        for n in range(order + 1):
+            for m in range(order + 1 - n):
+                h = explicit_poly(p, q, n, m) * F(1, math.factorial(n) * math.factorial(m))
+                inner = Poly.variable("w") * (Poly.monomial({"w": k - 1}) * h).diff("w", k)
+                expected = Poly.variable("z") * (Poly.monomial({"z": j - 1}) * inner).diff("z", j)
+                assert corrected.coeff(n, m) == expected, (cell, n, m)
+                expected = rising_factorial(n, j) * rising_factorial(m, k) * h
+                assert printed.coeff(n, m) == expected, (cell, n, m)
 
 
 # ---------------------------------------------------------------------
@@ -587,6 +634,18 @@ def test_sort_key_is_the_params_json_text():
         assert tag == report.tag.value
         assert text == json.dumps(report.params_json(), sort_keys=True)
         assert rank == (report.variant != "printed")
+    # a cell's printed and corrected reports share one key text
+    cell = MISPRINT_WITNESSES[IdentityTag.GEN_POCHHAMMER_S]
+    printed, corrected = run_cell(IdentityTag.GEN_POCHHAMMER_S, cell, "both")
+    assert printed.param_entries() is corrected.param_entries()
+    assert printed.sort_key()[1] == corrected.sort_key()[1] == json.dumps(
+        printed.params_json(), sort_keys=True)
+    # a report built without run_cell writes its own
+    report = dataclasses.replace(printed, params={**cell, "z": F(-7, 3)})
+    assert report.sort_key()[1] == json.dumps(report.params_json(), sort_keys=True)
+    assert report.sort_key() < printed.sort_key()
+    assert json.loads(_report_json(report, 1)) == report.to_json_obj()
+    assert json.loads(_report_json(report, 1))["params"]["z"] == "-7/3"
     with pytest.raises(TypeError, match="boolean"):
         dataclasses.replace(reports[0], params={"n": True}).sort_key()
 
@@ -850,9 +909,8 @@ _MUTANTS = {
     "diff_drops_a_term": (
         (Poly,), "diff", _diff_drops_a_term,
         {"CREATION", "CREATION_BOTH", "DERIV_GAMMA", "DERIV_GAMMA_K", "DERIV_JK", "DERIV_W",
-         "DERIV_Z", "GEN_POCHHAMMER_G", "INVERSE_OP", "PARAM_OP_P", "PARAM_OP_PQ", "PARAM_OP_Q",
-         "PDE_EIGEN_M", "PDE_EIGEN_N", "PDE_HEAT", "PDE_PRODUCT", "REC_RAISE_M_OP",
-         "REC_RAISE_N_OP"},
+         "DERIV_Z", "INVERSE_OP", "PARAM_OP_P", "PARAM_OP_PQ", "PARAM_OP_Q", "PDE_EIGEN_M",
+         "PDE_EIGEN_N", "PDE_HEAT", "PDE_PRODUCT", "REC_RAISE_M_OP", "REC_RAISE_N_OP"},
         False),
     "series_exp_uv_doubled": (
         (ghcore, checks), "series_exp", _series_exp_uv_doubled, {"GEN_FULL", "GEN_POCHHAMMER_G"},
