@@ -50,6 +50,10 @@ run that exits non-zero, prints no result line or outlasts
 "run_failed": reason, "stderr_tail": [...]}``, counted in the summary and
 left out of the medians; the file is written all the same and the script
 then exits 1, as it does when the request streams' stdout differs.
+
+The file also records, as ``src_lines``, the lines added, deleted and
+net under ``src/`` from the parent revision to the working tree, read
+off ``git diff --numstat``.
 """
 
 from __future__ import annotations
@@ -257,6 +261,17 @@ def cli_pairs(sides: dict[str, Path], args: tuple[str, ...], label: str) -> dict
             "pairs": pairs}
 
 
+def src_lines(numstat: str) -> dict:
+    """{added, deleted, net} summed over the lines of `git diff --numstat`;
+    a binary file's ``-`` counts as 0."""
+    added = deleted = 0
+    for line in numstat.splitlines():
+        plus, minus, _ = line.split("\t", 2)
+        added += int(plus) if plus != "-" else 0
+        deleted += int(minus) if minus != "-" else 0
+    return {"added": added, "deleted": deleted, "net": added - deleted}
+
+
 def _run(argv: list[str], checkout: Path) -> subprocess.CompletedProcess | dict:
     """The completed process of `argv` run in `checkout` with its ``src`` on
     PYTHONPATH, output in bytes, or the ``run_failed`` record of a timeout
@@ -361,6 +376,8 @@ def main(argv=None) -> int:
     seconds = declared["run_seconds"]
     parent_rev = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT,
                                 capture_output=True, text=True, check=True).stdout.strip()
+    numstat = subprocess.run(["git", "diff", "--numstat", parent_rev, "--", "src"], cwd=ROOT,
+                             capture_output=True, text=True, check=True).stdout
     command = "python3 perfbench/run.py --workload W --seed S --seconds {:g} --trace {}"
     document = {
         "what": (
@@ -372,6 +389,7 @@ def main(argv=None) -> int:
         "parent": parent_rev,
         "host": f"{os.cpu_count()}-CPU {platform.system()}, Python {platform.python_version()}",
         "env_line": "",
+        "src_lines": src_lines(numstat),
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:

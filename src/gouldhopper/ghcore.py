@@ -258,38 +258,18 @@ def via_recurrence(params: FamilyParams) -> Poly:
     return table[(n, m)]
 
 
-@lru_cache(maxsize=64)
-def _widest_series(p: int, q: int) -> list[SeriesUV]:
-    # one slot per (p, q): the widest exp(zu + wv + g u^p v^q) built so far,
-    # which generating_series cuts to its order
-    return []
-
-
 def _generating_arg(p: int, q: int) -> Poly:
     # zu + wv + g u^p v^q
     return _Z * Poly.variable("u") + _W * Poly.variable("v") + _G * Poly.monomial({"u": p, "v": q})
 
 
-def _series_through(p: int, q: int, order: int) -> SeriesUV:
-    """The widest stored series for (p, q), rebuilt first if its order is below `order`.
-
-    A series of order N holds every coefficient of total order <= N
-    exactly, so one series per (p, q) serves every lower order.
-    """
-    held = _widest_series(p, q)
-    if not held or held[0].order < order:
-        held[:] = [series_exp(_generating_arg(p, q), order)]
-    return held[0]
-
-
+@lru_cache(maxsize=64)
 def generating_series(p: int, q: int, order: int) -> SeriesUV:
     """exp(zu + wv + g u^p v^q) truncated at total u,v-order `order`.
 
-    Cut from the widest series stored for (p, q), so its order is always
-    `order` even when a wider one has been built.
+    Built once per (p, q, order) and shared by every caller of that order.
     """
-    series = _series_through(p, q, order)
-    return series if series.order == order else SeriesUV(order, dict(series.items()))
+    return series_exp(_generating_arg(p, q), order)
 
 
 @lru_cache(maxsize=64)

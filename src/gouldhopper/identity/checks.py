@@ -58,9 +58,9 @@ identity claims:
   computed tuples coincide (Vandermonde makes them C(n+n',s)), not
   because the key assumes it.
 * GEN_FULL / GEN_POCHHAMMER_G: exp(zu + wv + g u^p v^q) is
-  ghcore.generating_series, cut from the widest series stored for
-  (p, q); GEN_POCHHAMMER_G's right-hand side, which no variant
-  changes, on (p, q, j, k, order).
+  ghcore.generating_series, built once per (p, q, order);
+  GEN_POCHHAMMER_G's right-hand side, which no variant changes, on
+  (p, q, j, k, order).
 * GEN_POCHHAMMER_S: the left-hand series, which no variant changes,
   on (p, q, a, b, z, w, g, order).
 * CONN_PQ_FROM_GH: the one-variable members, on (n, p, variable); the
@@ -216,15 +216,10 @@ def _gh_primed(names: str, p: int, q: int, n: int, m: int) -> Poly:
     return explicit_poly(p, q, n, m).subst({v: Poly.variable(v + "p") for v in names})
 
 
-@lru_cache(maxsize=2048)
-def _gh_half(gsign: int, p: int, q: int, n: int, m: int) -> Poly:
-    half = Fraction(1, 2)
-    return explicit_poly(p, q, n, m).subst({"z": half * _Z, "w": half * _W, "g": gsign * _G})
-
-
-@lru_cache(maxsize=2048)
-def _gh_scaled_g(scale: int, p: int, q: int, n: int, m: int) -> Poly:
-    return explicit_poly(p, q, n, m).subst({"g": scale * _G})
+@lru_cache(maxsize=4096)
+def _gh_scaled(zw: Fraction | int, gscale: int, p: int, q: int, n: int, m: int) -> Poly:
+    # the member at (zw z, zw w | gscale g)
+    return explicit_poly(p, q, n, m).subst({"z": zw * _Z, "w": zw * _W, "g": gscale * _G})
 
 
 @lru_cache(maxsize=128)
@@ -483,9 +478,10 @@ def _check_gen_pochhammer_s(p, q, a, b, z, w, g, order, variant) -> Sides:
         zs = [rising_factorial(a + p * kk, i) * z ** i / _fact(i) for i in range(top + 1)]
         ws = [rising_factorial(b + q * kk, j) * w ** j / _fact(j) for j in range(top + 1)]
         for i in range(top + 1):
+            weighted_z = weight * zs[i]
             for j in range(top + 1 - i):
                 key = (e * kk + i, f * kk + j)
-                coeffs[key] = coeffs.get(key, 0) + weight * zs[i] * ws[j]
+                coeffs[key] = coeffs.get(key, 0) + weighted_z * ws[j]
     rhs = SeriesUV(order, {key: Poly.const(value) for key, value in coeffs.items()})
     return _pochhammer_s_lhs(p, q, a, b, z, w, g, order), rhs
 
@@ -531,7 +527,8 @@ def _check_runge_general(p, q, n, m) -> Sides:
 @identity("RUNGE_CANCEL", "algebraic")
 def _check_runge_cancel(p, q, n, m) -> Sides:
     """Half arguments with opposite deformations collapse to z^n w^m."""
-    rhs = _split_sum(n, m, partial(_gh_half, 1, p, q), partial(_gh_half, -1, p, q))
+    half = Fraction(1, 2)
+    rhs = _split_sum(n, m, partial(_gh_scaled, half, 1, p, q), partial(_gh_scaled, half, -1, p, q))
     return Poly.monomial({"z": n, "w": m}), rhs
 
 
@@ -541,7 +538,7 @@ def _check_runge_half(p, q, n, m, variant) -> Sides:
 
     The printed display omits the prefactor 2^-(n+m) on the sum.
     """
-    scaled = partial(_gh_scaled_g, 2 ** (p + q - 1), p, q)
+    scaled = partial(_gh_scaled, 1, 2 ** (p + q - 1), p, q)
     total = _split_sum(n, m, scaled, scaled)
     if variant != "printed":
         total = total * Fraction(1, 2 ** (n + m))
@@ -636,7 +633,7 @@ def _check_add_half(p, q, n, m, variant) -> Sides:
     else:
         prefactor = Fraction(1, 2 ** (n + m))
         scale = 2 ** (p + q)
-    total = _split_sum(n, m, _zw_monomial, partial(_gh_scaled_g, scale, p, q))
+    total = _split_sum(n, m, _zw_monomial, partial(_gh_scaled, 1, scale, p, q))
     return explicit_poly(p, q, n, m), prefactor * total
 
 

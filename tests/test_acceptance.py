@@ -268,6 +268,11 @@ GOLDEN_DIGESTS = {
         "1e554d9c63669e8b2c7f31f8533aac864698602eb193eed186d2440656564286",
     (*_ZERO_SPEED_HEAT, "--format", "csv"):
         "1a1867d95d93428476be8d555304c1fcd315867358ab4331e538db8ddecd133f",
+    # a one-sided grid (p = 0 or q = 0 on every pair), recorded while the
+    # generating series was cut from the widest one kept per (p, q)
+    ("audit", "--pq", "0,1;1,0;0,2;2,0", "--nmax", "3", "--mmax", "3", "--aux-max", "1",
+     "--jk-max", "1", "--trials", "2", "--format", "text"):
+        "f6d559e33fcc488d54a1f7d2c6e73328f543ed34c4945e42ec7286443c34f02b",
 }
 # the default `audit --seed 42` document (6,535,293 bytes)
 DEFAULT_AUDIT_SEED42_SHA256 = "a4723f57be0fdac80ac152647e4fb257b529018278fdf28d38e97d13ea8fff70"
@@ -275,13 +280,15 @@ DEFAULT_AUDIT_SEED42_SHA256 = "a4723f57be0fdac80ac152647e4fb257b529018278fdf28d3
 
 def _digest_id(argv):
     # a run is named by its command (a verify run by its tag), then by
-    # "subst" if it substitutes, "large" if it solves the large datum, by
-    # its orders if a heat run's are not p = 2, q = 1, "c0" if it solves
-    # with c = 0, and by its format unless JSON
+    # "pq" if it sets its own (p, q) pairs, "subst" if it substitutes,
+    # "large" if it solves the large datum, by its orders if a heat run's
+    # are not p = 2, q = 1, "c0" if it solves with c = 0, and by its format
+    # unless JSON
     default = "json" if argv[0] == "audit" else "text"
     fmt = argv[argv.index("--format") + 1] if "--format" in argv else default
     parts = [argv[2] if argv[0] == "verify" else argv[0]]
-    parts += ["subst"] * ("--subst" in argv) + ["large"] * (argv[:-2] == _LARGE_HEAT)
+    parts += ["pq"] * ("--pq" in argv) + ["subst"] * ("--subst" in argv)
+    parts += ["large"] * (argv[:-2] == _LARGE_HEAT)
     if argv[0] == "heat":
         p, q = argv[argv.index("--p") + 1], argv[argv.index("--q") + 1]
         parts += [f"p{p}q{q}"] * ((p, q) != ("2", "1")) + ["c0"] * (argv[:-2] == _ZERO_SPEED_HEAT)

@@ -321,3 +321,11 @@ def test_summarize_notes_takes_medians_over_pairs_that_carry_them():
     assert notes["heat_p50_ms"] == {"pairs": 4, "parent_median": 5.5, "change_median": 4.5}
     assert notes["compute_p50_ms"] == {"pairs": 1, "parent_median": 1.0, "change_median": 1.0}
     assert bench_pairs.summarize_notes(_pairs()) == {}
+
+
+def test_src_lines_sums_numstat():
+    numstat = ("3\t23\tsrc/gouldhopper/ghcore.py\n"
+               "13\t16\tsrc/gouldhopper/identity/checks.py\n"
+               "-\t-\tsrc/gouldhopper/logo.png\n")
+    assert bench_pairs.src_lines(numstat) == {"added": 16, "deleted": 39, "net": -23}
+    assert bench_pairs.src_lines("") == {"added": 0, "deleted": 0, "net": 0}

@@ -122,6 +122,10 @@ def test_parse_poly_expr_errors_carry_positions():
     # digits are ASCII
     with pytest.raises(ExprError, match=r"unexpected character '٣' \(at position 0\)"):
         parse_poly_expr("٣z")
+    # nothing to read, blank or not
+    for src in ("", "   "):
+        with pytest.raises(ExprError, match=r"empty expression \(at position 0\)"):
+            parse_poly_expr(src)
 
 
 def test_parse_poly_expr_round_trips_canonical_text():

@@ -228,21 +228,21 @@ def test_genfun_reads_and_extends_the_box_series(monkeypatch):
 
 
 @pytest.mark.usefixtures("fresh_caches")
-def test_generating_series_reads_the_widest_series(monkeypatch):
+def test_generating_series_builds_once_per_order(monkeypatch):
     U, V = Poly.variable("u"), Poly.variable("v")
     arg = Z * U + W * V + G * U ** 2 * V
-    assert generating_series(2, 1, 16) == series_exp(arg, 16)
     calls = _counted_series_exp(monkeypatch)
     series = generating_series(2, 1, 5)
-    assert calls == []
-    assert via_genfun(FamilyParams(2, 1, 3, 2)) == explicit(FamilyParams(2, 1, 3, 2))
-    assert calls == [(5, (3, 2), 12)]
+    assert generating_series(2, 1, 5) is series
+    assert calls == [(5, None, 21)]
+    # each other order, wider or narrower, builds its own series
+    wide = generating_series(2, 1, 16)
+    narrow = generating_series(2, 1, 3)
+    assert calls[1:] == [(16, None, 153), (3, None, 10)]
     monkeypatch.undo()
-    # the exact-order contract holds below, at and past the widest order
-    assert series.order == 5 and series.box == (5, 5)
-    assert series == series_exp(arg, 5)
-    assert generating_series(2, 1, 16) == series_exp(arg, 16)
-    assert generating_series(2, 1, 17).order == 17
+    for order, built in ((5, series), (16, wide), (3, narrow)):
+        assert built == series_exp(arg, order)
+        assert built.order == order and built.box == (order, order)
 
 
 @pytest.mark.usefixtures("fresh_caches")

@@ -35,6 +35,8 @@ from gouldhopper.identity import (
 )
 from gouldhopper.identity import checks
 
+from conftest import _clear_package_caches
+
 # One cell per tag on which the printed display provably fails while the
 # documented correction passes.  [DERIVED] by scanning the default grid.
 MISPRINT_WITNESSES = {
@@ -918,26 +920,18 @@ _MUTANTS = {
 }
 
 
-def _clear_caches():
-    # the memoized family members and sides, so no run reads another's
-    for module in (ghcore, checks):
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
-
-
 def test_mutants_fail_the_audit():
     ranges = GridRanges(n_max=3, m_max=3, aux_max=1, jk_max=2, pq_pairs=((1, 1), (2, 1)),
                         series_order=4, weighted_series_order=4)
     for label, (modules, name, mutant, failing_tags, heat_fails) in _MUTANTS.items():
-        _clear_caches()
+        _clear_package_caches()
         try:
             with pytest.MonkeyPatch.context() as patch:
                 for module in modules:
                     patch.setattr(module, name, mutant)
                 reports, heat = audit_grid(None, ranges, heat=(0, 1))
         finally:
-            _clear_caches()
+            _clear_package_caches()
         failed = {r.tag.value for r in reports if r.status == STATUS_FAIL and not r.known_misprint}
         assert failed == failing_tags, label
         assert bool(heat["failures"]) == heat_fails, label
