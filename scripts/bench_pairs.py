@@ -25,7 +25,9 @@ document, and ``verify`` of GEN_POCHHAMMER_G's series at large weights
 and order, are timed the same way, ten pairs per command of
 ``LARGE_COMPUTE``, under ``large_compute``, each with
 ``stdout_identical``: whether both sides ran and gave the same stdout in
-every pair.
+every pair.  One entry, ``genfun_thin_boxes``, makes four genfun requests
+in one interpreter, commands apart at ``COMMAND_SEPARATOR``, so that it
+times a store of the package across requests.
 
 Outside the timed pairs, each side runs, for each ``(seed, count)`` of
 ``REQUEST_STREAMS``, the first ``count`` requests of perfbench's seeded
@@ -85,13 +87,25 @@ LARGE_GRID = ("audit", "--nmax", "10", "--mmax", "10")
 LARGE_GRID_JOBS = (1, 2)
 LARGE_GRID_METRICS = [{"name": "wall_s", "better": "lower"},
                       {"name": "peak_rss_mb", "better": "lower"}]
-# compute at large degree: a thin box each way, then every strategy; and
-# a heat request whose time goes mostly to writing its JSON (about 6 MB)
+# the separator of the commands one run of the CLI makes in turn
+COMMAND_SEPARATOR = ";"
+
+
+def _genfun(n: int, m: int) -> tuple[str, ...]:
+    return ("compute", "--p", "1", "--q", "1", "--n", str(n), "--m", str(m),
+            "--strategy", "genfun")
+
+
+# compute at large degree: a thin box each way, then every strategy; the
+# thin boxes and a small one in one interpreter, so that they share the
+# generating-series coefficients held for (1, 1); and a heat request whose
+# time goes mostly to writing its JSON (about 6 MB)
 LARGE_COMPUTE = {
-    "genfun_300_2": ("compute", "--p", "1", "--q", "1", "--n", "300", "--m", "2",
-                     "--strategy", "genfun"),
-    "genfun_2_300": ("compute", "--p", "1", "--q", "1", "--n", "2", "--m", "300",
-                     "--strategy", "genfun"),
+    "genfun_300_2": _genfun(300, 2),
+    "genfun_2_300": _genfun(2, 300),
+    "genfun_thin_boxes": (*_genfun(300, 2), COMMAND_SEPARATOR, *_genfun(2, 300),
+                          COMMAND_SEPARATOR, *_genfun(4, 300), COMMAND_SEPARATOR,
+                          *_genfun(3, 3)),
     "all_60_60": ("compute", "--p", "1", "--q", "1", "--n", "60", "--m", "60",
                   "--strategy", "all"),
     "heat_json_60": ("heat", "--p", "1", "--q", "1", "--c", "3/7",
@@ -99,13 +113,18 @@ LARGE_COMPUTE = {
     "pochhammer_g_large": ("verify", "--tag", "GEN_POCHHAMMER_G", "--jk-max", "5",
                            "--order", "14", "--format", "json"),
 }
-# runs the CLI in the checkout's src/ and, last on stderr, its own peak RSS
-# in MB: Linux's VmHWM, since ru_maxrss keeps across exec the peak of the
-# process that started it and so never reads below this script's own RSS
+# runs the CLI in the checkout's src/ on each command of its arguments in
+# turn, the commands split at COMMAND_SEPARATOR, until one exits non-zero,
+# and prints, last on stderr, its own peak RSS in MB: Linux's VmHWM, since
+# ru_maxrss keeps across exec the peak of the process that started it and
+# so never reads below this script's own RSS
 _CLI_WITH_PEAK_RSS = (
-    "import sys\n"
+    "import itertools, sys\n"
     "from gouldhopper.cli import main\n"
-    "code = main(sys.argv[1:])\n"
+    "code = 0\n"
+    f"for apart, args in itertools.groupby(sys.argv[1:], {COMMAND_SEPARATOR!r}.__eq__):\n"
+    "    if not (apart or code):\n"
+    "        code = main(list(args))\n"
     "with open('/proc/self/status') as status:\n"
     "    peak = next(line.split()[1] for line in status if line.startswith('VmHWM:'))\n"
     "print(int(peak) / 1024, file=sys.stderr)\n"

@@ -123,6 +123,12 @@ _EXPR_UNITS = {name: monomial_key({name: 1}) for name in _EXPR_VARS}
 # costs 738,504, and (z+w)^1400 + (z+w)^1400 parses in about 1 s.
 # (z+w)^3000 would take 7.75 s and (z+w)^1400*(z+w)^1400 7.8 s.
 MAX_POWER_TERM_PAIRS = 1_000_000
+# The most bits a power may be estimated to need: its exponent times the
+# bit length of its base's height (the largest of its numerators'
+# magnitudes and its denominator).  Raising 3 or a 1,000-digit number to a
+# power of about this size takes 0.02-0.06 s on a 2-CPU Xeon.  The same
+# bound holds for a --subst value raised to a member's exponents.
+MAX_POWER_BITS = 2 ** 20
 
 
 def _power_terms(base: Poly, exponent: int) -> int:
@@ -277,6 +283,13 @@ class _ExprParser:
             raise ExprError(f"{what} too large: about {self.pairs} term products, more than "
                             f"MAX_POWER_TERM_PAIRS = {MAX_POWER_TERM_PAIRS}", pos)
 
+    def _check_bits(self, height: int, exponent: int, pos: int) -> None:
+        # refuse a power base^exponent, base of height `height`, past MAX_POWER_BITS
+        bits = exponent * height.bit_length()
+        if bits > MAX_POWER_BITS:
+            raise ExprError(f"power too large: about {bits} bits, more than "
+                            f"MAX_POWER_BITS = {MAX_POWER_BITS}", pos)
+
     def _term(self, sign: int) -> tuple:
         # one product, its degree checked and its cost charged, as
         # ("monomial", (sign, key, number powers)) when every base is a
@@ -312,6 +325,7 @@ class _ExprParser:
             return None, None
         check_degree(sum(base.total_degree() * exponent for base, exponent, _ in powers))
         for base, exponent, at in powers:
+            self._check_bits(base.height(), exponent, at)
             self._charge("power", _power_term_pairs(base, exponent), at)
         self._charge("product", _product_term_pairs(powers, len(_EXPR_VARS)), pos)
         return "product", (sign, powers)
@@ -322,13 +336,14 @@ class _ExprParser:
         # factor, as _product_term_pairs charges it
         key = degree = 0
         numbers = []
-        for (name, num, den), exponent, _ in powers:
+        for (name, num, den), exponent, at in powers:
             if name:
                 key += exponent * _EXPR_UNITS[name]
                 degree += exponent
             elif exponent:
                 if not num:
                     return None, None
+                self._check_bits(max(num, den), exponent, at)
                 numbers.append((num, den, exponent))
         check_degree(degree)
         self._charge("product", len(powers), pos)
@@ -694,6 +709,14 @@ def _cmd_compute(args) -> int:
         params = FamilyParams(args.p, args.q, args.n, args.m)
     except InvalidParamsError as exc:
         return _usage(exc)
+
+    # a bound value is raised to at most the member's top power of its variable
+    tops = {"z": args.n, "w": args.m, "g": params.k_max}
+    for var, value in (args.subst or {}).items():
+        bits = tops[var] * max(abs(value.numerator), value.denominator).bit_length()
+        if bits > MAX_POWER_BITS:
+            return _usage(f"--subst {var} too large: raised to the power {tops[var]}, about "
+                          f"{bits} bits, more than MAX_POWER_BITS = {MAX_POWER_BITS}")
 
     names = tuple(STRATEGIES) if args.strategy == "all" else (args.strategy,)
     results = []

@@ -874,7 +874,7 @@ class SeriesUV:
 
 
 def series_exp(arg: Poly, order: int, *, box: tuple[int, int] | None = None,
-               start: SeriesUV | None = None) -> SeriesUV:
+               held: dict[tuple[int, int], Poly] | None = None) -> SeriesUV:
     """exp(arg), truncated at total order `order`, by the Euler recurrence.
 
     `arg` is read as a series in u, v.  E = exp(A) solves
@@ -889,51 +889,38 @@ def series_exp(arg: Poly, order: int, *, box: tuple[int, int] | None = None,
 
     With ``box=(bu, bv)`` only the coefficients with i <= bu and j <= bv
     are built: E_ij reads only E_(i-k)(j-l) with k, l >= 0, so nothing
-    outside the box is needed.  `start` is a series of exp(arg) already
-    built over a smaller box and order; its coefficients are kept as they
-    are, and only the rest of the box is computed.
+    outside the box is needed.  `held` is a dict {(i, j): E_ij} of
+    coefficients of exp(arg) built before, zeros included; it is read and
+    extended in place, and only the cells of the box up to the order that
+    it lacks are built.  They are built row by row, so each cell read is
+    held or built by then: it is indexed, never skipped.
     """
     bu, bv = box = (order, order) if box is None else box
-    base = SeriesUV.from_poly(arg, order)
-    if not base.coeff(0, 0).is_zero():
-        raise SeriesArgumentError("series_exp needs a zero constant term")
-    # the monomial terms of A inside the box over one common denominator
-    # `common`: (k, l, packed key, numerator, total degree of the key)
-    common = math.lcm(*(poly._den for _, poly in base.items()))
-    terms = [
-        (k, l, key, c * (common // poly._den), key >> _DEG_SHIFT)
-        for (k, l), poly in base.items() if k <= bu and l <= bv
-        for key, c in poly._num.items()
-    ]
-    coeffs: dict[tuple[int, int], Poly] = {(0, 0): Poly.one()}
-    held_u, held_v, held_order = -1, -1, -1
-    if start is not None:
-        held_u, held_v = start.box
-        held_order = start.order
-        if held_u > bu or held_v > bv or held_order > order:
-            raise ValueError(f"start series over box {start.box} at order {held_order} "
-                             f"is not within box {box} at order {order}")
-        coeffs.update(start.items())
-    # the total degree of each stored coefficient
-    tops = {key: _top_degree(poly._num) for key, poly in coeffs.items()}
+    num, common = arg.packed()
+    # the terms of A inside the box and the order, over A's one
+    # denominator `common`: (k, l, packed key free of u and v, numerator,
+    # total degree of the key)
+    terms = []
+    for key, c in num.items():
+        k, l = (key >> _U_SHIFT) & _MASK, (key >> _V_SHIFT) & _MASK
+        if not (k or l):
+            raise SeriesArgumentError("series_exp needs a zero constant term")
+        if k <= bu and l <= bv and k + l <= order:
+            key -= k * _U_UNIT + l * _V_UNIT
+            terms.append((k, l, key, c, key >> _DEG_SHIFT))
+    coeffs = {} if held is None else held
+    coeffs.setdefault((0, 0), Poly.one())
     for i in range(min(bu, order) + 1):
-        # the start already holds row i up to column min(held_v, held_order - i)
-        first = max(0, min(held_v, held_order - i) + 1) if i <= held_u else 0
-        for j in range(first, min(bv, order - i) + 1):
-            n = i or j
-            if not n:
+        for j in range(min(bv, order - i) + 1):
+            if (i, j) in coeffs:
                 continue
             total = _Sum()
             for k, l, key, c, degree in terms:
-                prev = coeffs.get((i - k, j - l))
-                if prev is None:
-                    continue
                 weight = k if i else l
-                if weight:
-                    check_degree(tops[(i - k, j - l)] + degree)
-                    total.add(prev, key, c * weight)
-            poly = total.poly(common * n)
-            if poly:
-                coeffs[(i, j)] = poly
-                tops[(i, j)] = _top_degree(poly._num)
+                if weight and k <= i and l <= j:
+                    prev = coeffs[(i - k, j - l)]
+                    if prev:
+                        check_degree(_top_degree(prev._num) + degree)
+                        total.add(prev, key, c * weight)
+            coeffs[(i, j)] = total.poly(common * (i or j))
     return SeriesUV(order, coeffs, box)

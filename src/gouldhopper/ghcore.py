@@ -25,9 +25,10 @@ polynomial:
 
 The three table-building routes keep their work in one store per (p, q)
 that grows with the requests and is never rebuilt: the recurrence table,
-the creation chains and the box series.  A later request reads what an
-earlier one built and builds only what is missing.  No store is read by
-another route.
+the creation chains and the generating-series coefficients, which hold
+the union of the boxes requested, with no rule that widens a box.  A
+later request reads what an earlier one built and builds only what is
+missing.  No store is read by another route.
 
 Agreeing exactly across all routes is part of the package's test gate,
 so none of them shares code with `explicit` beyond the base ring.
@@ -273,47 +274,25 @@ def generating_series(p: int, q: int, order: int) -> SeriesUV:
 
 
 @lru_cache(maxsize=64)
-def _box_series(p: int, q: int) -> list[SeriesUV]:
-    # one slot per (p, q): the box series via_genfun reads
-    return []
-
-
-def _series_over(p: int, q: int, n: int, m: int) -> SeriesUV:
-    """A stored series for (p, q) whose box holds (n, m).
-
-    A held box that misses (n, m) is extended to the component-wise
-    maximum of both boxes, keeping its coefficients, when that adds at
-    most twice the (n + 1)(m + 1) coefficients of the box (n, m) itself;
-    otherwise the box (n, m) is built alone and held instead, so that a
-    thin box never widens to the square of its long side.
-    """
-    held = _box_series(p, q)
-    start = held[0] if held else None
-    box = (n, m)
-    if start is not None:
-        hu, hv = start.box
-        if n <= hu and m <= hv:
-            return start
-        wide = (max(n, hu), max(m, hv))
-        if (wide[0] + 1) * (wide[1] + 1) - (hu + 1) * (hv + 1) <= 2 * (n + 1) * (m + 1):
-            box = wide
-        else:
-            start = None
-    # the order bu + bv bounds nothing inside the box
-    held[:] = [series_exp(_generating_arg(p, q), sum(box), box=box, start=start)]
-    return held[0]
+def _genfun_coefficients(p: int, q: int) -> dict[tuple[int, int], Poly]:
+    # the coefficients [u^i v^j] of the generating series built so far for
+    # (p, q), zeros included: the union of the boxes requested
+    return {(0, 0): Poly.one()}
 
 
 def via_genfun(params: FamilyParams) -> Poly:
     """Extract n! m! [u^n v^m] exp(zu + wv + g u^p v^q).
 
-    The coefficient is read off the box series stored for (p, q), which
-    holds only [u^i v^j] with i <= n and j <= m of the requests so far:
-    the exp recurrence reads nothing outside such a box.  A box that
-    misses (n, m) is extended, or replaced, as :func:`_series_over` says.
+    The exp recurrence builds [u^n v^m] from [u^i v^j] with i <= n and
+    j <= m alone, so only the box (n, m) is built.  Its coefficients are
+    kept per (p, q) in one memo, which holds the union of the boxes
+    requested so far; a request adds only the cells of its box the memo
+    lacks, and nothing is widened or rebuilt.
     """
     p, q, n, m = params.p, params.q, params.n, params.m
-    series = _series_over(p, q, n, m)
+    # the order n + m bounds nothing inside the box
+    series = series_exp(_generating_arg(p, q), n + m, box=(n, m),
+                        held=_genfun_coefficients(p, q))
     scale = math.factorial(n) * math.factorial(m)
     return series.coeff(n, m) * Fraction(scale)
 

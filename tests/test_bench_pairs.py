@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import statistics
+import sys
 from pathlib import Path
 
 import pytest
@@ -140,6 +141,21 @@ def test_run_large_grid_times_the_audit_and_hashes_its_stdout(tmp_path):
     assert result["metrics"]["peak_rss_mb"]["value"] > 1
 
 
+def test_run_cli_makes_each_command_in_one_interpreter(tmp_path):
+    # the commands run in turn in one process, and stop at the first that fails
+    body = ("import os\ndef main(argv):\n    print(os.getpid(), ' '.join(argv))\n"
+            "    return argv == ['fail']\n")
+    checkout = _fake_cli(tmp_path, body)
+    script = bench_pairs._CLI_WITH_PEAK_RSS
+    done = bench_pairs._run([sys.executable, "-c", script, "a", "1", ";", "b", ";", "c"], checkout)
+    pids, commands = zip(*(line.split(" ", 1) for line in done.stdout.decode().splitlines()))
+    assert commands == ("a 1", "b", "c") and len(set(pids)) == 1
+    failed = bench_pairs._run([sys.executable, "-c", script, "a", ";", "fail", ";", "c"], checkout)
+    assert failed["run_failed"] == "exit status 1"
+    result = bench_pairs.run_cli(checkout, bench_pairs.LARGE_COMPUTE["genfun_thin_boxes"])
+    assert result["correct"] is True and result["metrics"]["peak_rss_mb"]["value"] > 1
+
+
 @pytest.mark.parametrize("body, reason", [
     ("def main(argv):\n    return 1\n", "exit status 1"),
     ("import os\ndef main(argv):\n    os._exit(0)\n", "no peak RSS line on stderr"),
@@ -179,6 +195,10 @@ def test_large_compute_times_a_thin_box_each_way_and_every_strategy():
     assert bench_pairs.LARGE_COMPUTE == {
         "genfun_300_2": (*fixed, "--n", "300", "--m", "2", "--strategy", "genfun"),
         "genfun_2_300": (*fixed, "--n", "2", "--m", "300", "--strategy", "genfun"),
+        "genfun_thin_boxes": (*fixed, "--n", "300", "--m", "2", "--strategy", "genfun", ";",
+                              *fixed, "--n", "2", "--m", "300", "--strategy", "genfun", ";",
+                              *fixed, "--n", "4", "--m", "300", "--strategy", "genfun", ";",
+                              *fixed, "--n", "3", "--m", "3", "--strategy", "genfun"),
         "all_60_60": (*fixed, "--n", "60", "--m", "60", "--strategy", "all"),
         "heat_json_60": ("heat", "--p", "1", "--q", "1", "--c", "3/7",
                          "--initial", "(1/3*z-2/7*w+1)^60", "--format", "json"),

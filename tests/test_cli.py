@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gouldhopper.cli import (
+    MAX_POWER_BITS,
     MAX_POWER_TERM_PAIRS,
     ExprError,
     _dumped,
@@ -913,6 +914,51 @@ def test_heat_refuses_a_product_past_the_term_product_bound(capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error: product too large: about ")
     assert f"more than MAX_POWER_TERM_PAIRS = {MAX_POWER_TERM_PAIRS}" in err
+
+
+@pytest.mark.parametrize("initial, bits, position", [
+    ("3^99999999*z", 2 * 99999999, 2),
+    ("(3)^99999999", 2 * 99999999, 4),
+    ("9^9999999", 4 * 9999999, 2),
+    ("z*w*(1/9)^9999999", 4 * 9999999, 10),
+    ("2 + ((3)^1000)^1000", 1585 * 1000, 15),
+    (f"({'7' * 1000}+z)^600", 3322 * 600, 1005),
+])
+def test_heat_refuses_a_number_power_past_the_bit_bound(capsys, initial, bits, position):
+    # each power's exponent times its base's bit length is checked before it is raised
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "heat", "--p", "1", "--q", "1", "--initial", initial)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (f"error: power too large: about {bits} bits, more than "
+                   f"MAX_POWER_BITS = {MAX_POWER_BITS} (at position {position})\n")
+
+
+def test_bit_bound_admits_powers_under_it():
+    assert parse_poly_expr("2^20000") == Poly.const(2 ** 20000)
+    # 3 has two bits, so 3^524288 is at the bound and 3^524289 past it
+    assert parse_poly_expr("3^524288") == Poly.const(3 ** 524288)
+    with pytest.raises(ExprError, match="about 1048578 bits"):
+        parse_poly_expr("3^524289")
+    assert len(parse_poly_expr("2^15000*(z+w)^300")) == 301
+
+
+@pytest.mark.parametrize("n, m, binding, power, bits", [
+    ("2000", "0", "z=" + "7" * 4000, 2000, 2000 * 13288),
+    ("20000", "0", "z=" + "7" * 4000, 20000, 20000 * 13288),
+    ("0", "3000", "w=1/" + "3" * 200, 3000, 3000 * 663),
+    ("2000", "2000", "gamma=-" + "9" * 400, 2000, 2000 * 1329),
+])
+def test_compute_refuses_a_subst_value_past_the_bit_bound(capsys, n, m, binding, power, bits):
+    # the value is refused before any strategy runs
+    var = binding.partition("=")[0].replace("gamma", "g")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "compute", "--p", "1", "--q", "1", "--n", n, "--m", m,
+                             "--subst", binding)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (f"error: --subst {var} too large: raised to the power {power}, about "
+                   f"{bits} bits, more than MAX_POWER_BITS = {MAX_POWER_BITS}\n")
 
 
 def test_product_bound_admits_products_that_merge_cheaply():

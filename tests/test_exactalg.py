@@ -699,19 +699,43 @@ def test_box_series_equal_the_triangle_inside_the_box(arg, order, bu, bv):
         boxed.coeff(0, order + 1)
 
 
-def test_box_series_extend_a_held_start():
+def test_box_series_extend_held_coefficients():
     u, v = Poly.variable("u"), Poly.variable("v")
     for arg in (Z * u + W * v + G * u * v, Z * u + W * v + G * u ** 2 * v ** 3,
                 F(1, 2) * u + F(2, 3) * v ** 2 + Z * u * v, Z * u ** 2):
-        held = series_exp(arg, 5, box=(3, 2))
-        wide = series_exp(arg, 9, box=(5, 4), start=held)
+        held = {}
+        small = series_exp(arg, 5, box=(3, 2), held=held)
+        assert small == series_exp(arg, 5, box=(3, 2))
+        # every cell of the box is held, zeros included
+        assert set(held) == {(i, j) for i in range(4) for j in range(3)}
+        kept = dict(held)
+        wide = series_exp(arg, 9, box=(5, 4), held=held)
         assert wide == series_exp(arg, 9, box=(5, 4))
         # the held coefficients are kept, not recomputed
-        assert all(wide.coeff(i, j) is poly for (i, j), poly in held.items())
-        assert series_exp(arg, 9, start=held) == series_exp(arg, 9)
-        for box, order in (((2, 2), 9), ((5, 1), 9), ((5, 4), 4)):
-            with pytest.raises(ValueError, match="is not within box"):
-                series_exp(arg, order, box=box, start=held)
+        assert all(held[key] is poly for key, poly in kept.items())
+        assert series_exp(arg, 9, held=held) == series_exp(arg, 9)
+        # a box inside what is held builds nothing
+        kept = dict(held)
+        assert series_exp(arg, 4, box=(2, 2), held=held) == series_exp(arg, 4, box=(2, 2))
+        assert held == kept
+
+
+_ORDER_BOXES = st.tuples(st.integers(min_value=0, max_value=9),
+                         st.none() | st.tuples(st.integers(min_value=0, max_value=9),
+                                               st.integers(min_value=0, max_value=9)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_series_polys(), st.lists(_ORDER_BOXES, min_size=1, max_size=5))
+def test_held_coefficients_build_only_the_cells_they_lack(arg, calls):
+    held = {}
+    for order, box in calls:
+        kept = dict(held)
+        bu, bv = (order, order) if box is None else box
+        cells = {(i, j) for i in range(bu + 1) for j in range(bv + 1) if i + j <= order}
+        assert series_exp(arg, order, box=box, held=held) == series_exp(arg, order, box=box)
+        assert all(held[key] is poly for key, poly in kept.items())
+        assert set(held) - set(kept) == cells - set(kept)
 
 
 def test_box_series_products_stay_in_both_boxes():

@@ -198,14 +198,15 @@ def test_recurrence_never_reads_an_unfilled_entry_as_zero(monkeypatch):
 
 
 def _counted_series_exp(monkeypatch):
-    # records (order, box, coefficients built) of each series_exp call of ghcore
+    # records (order, box, coefficients built) of each series_exp call of
+    # ghcore, counted as the growth of the dict of held coefficients
     calls = []
 
-    def counted(arg, order, **kwargs):
-        series = series_exp(arg, order, **kwargs)
-        start = kwargs.get("start")
-        kept = len(list(start.items())) if start is not None else 0
-        calls.append((order, kwargs.get("box"), len(list(series.items())) - kept))
+    def counted(arg, order, *, held=None, **kwargs):
+        held = {} if held is None else held
+        before = len(held)
+        series = series_exp(arg, order, held=held, **kwargs)
+        calls.append((order, kwargs.get("box"), len(held) - before))
         return series
 
     monkeypatch.setattr(ghcore, "series_exp", counted)
@@ -213,18 +214,19 @@ def _counted_series_exp(monkeypatch):
 
 
 @pytest.mark.usefixtures("fresh_caches")
-def test_genfun_reads_and_extends_the_box_series(monkeypatch):
+def test_genfun_reads_and_extends_its_coefficient_memo(monkeypatch):
     assert via_genfun(FamilyParams(2, 1, 8, 8)) == explicit(FamilyParams(2, 1, 8, 8))
+    assert len(ghcore._genfun_coefficients(2, 1)) == 81
     calls = _counted_series_exp(monkeypatch)
     params = FamilyParams(2, 1, 3, 2)
     assert via_genfun(params) == explicit(params)
-    assert calls == []
-    # a box one row longer keeps the 81 coefficients it holds and adds 9
+    assert calls == [(5, (3, 2), 0)]
+    # a box one row longer builds the one cell the memo lacks
     assert via_genfun(FamilyParams(2, 1, 9, 0)) == explicit(FamilyParams(2, 1, 9, 0))
-    assert calls == [(17, (9, 8), 9)]
+    assert calls[1:] == [(9, (9, 0), 1)]
     # via_genfun builds no triangle for generating_series to cut
     assert generating_series(2, 1, 5).order == 5
-    assert calls[1:] == [(5, None, 21)]
+    assert calls[2:] == [(5, None, 21)]
 
 
 @pytest.mark.usefixtures("fresh_caches")
@@ -247,30 +249,33 @@ def test_generating_series_builds_once_per_order(monkeypatch):
 
 @pytest.mark.usefixtures("fresh_caches")
 def test_genfun_builds_only_the_box_it_reads(monkeypatch):
-    # the triangle of order 302 holds 46,056 coefficients; the box 301 * 3
+    # the triangle of order 302 holds 46,056 coefficients; the box 301 * 3,
+    # of which the memo holds [u^0 v^0] from the start
     calls = _counted_series_exp(monkeypatch)
     started = time.monotonic()
     params = FamilyParams(1, 1, 300, 2)
     assert via_genfun(params) == explicit(params)
     assert time.monotonic() - started < 2
-    assert calls == [(302, (300, 2), 903)]
+    assert calls == [(302, (300, 2), 902)]
 
 
 @pytest.mark.usefixtures("fresh_caches")
-def test_genfun_widens_a_box_by_at_most_twice_the_requested_one(monkeypatch):
-    # the component-wise maximum of (300, 2) and (2, 300) would add 89,698
-    # coefficients, so the box (2, 300) is built alone and held instead;
-    # a box that adds few is extended and keeps what it holds
+def test_genfun_memo_holds_the_union_of_the_requested_boxes(monkeypatch):
+    # each thin box adds only the cells the boxes before it left out, and
+    # the memo is never widened to the component-wise maximum of two boxes,
+    # which would hold 90,601 coefficients
     calls = _counted_series_exp(monkeypatch)
     started = time.monotonic()
     for n, m in ((300, 2), (2, 300), (4, 300), (3, 3)):
         params = FamilyParams(1, 1, n, m)
-        before = len(calls)
         assert via_genfun(params) == explicit(params)
-        assert sum(built for _, _, built in calls[before:]) <= 2 * (n + 1) * (m + 1), (n, m)
     assert time.monotonic() - started < 2
-    assert calls == [(302, (300, 2), 903), (302, (2, 300), 903), (304, (4, 300), 602)]
-    assert ghcore._box_series(1, 1)[0].box == (4, 300)
+    assert calls == [(302, (300, 2), 902), (302, (2, 300), 894), (304, (4, 300), 596),
+                     (6, (3, 3), 0)]
+    held = ghcore._genfun_coefficients(1, 1)
+    assert len(held) == 1 + 902 + 894 + 596
+    assert set(held) == {(i, j) for i in range(301) for j in range(301)
+                         if min(i, j) <= 2 or (i <= 4 and j <= 300)}
 
 
 def _agree_on_shared_stores(cells):
@@ -290,7 +295,8 @@ def test_all_strategies_agree_on_shared_stores_in_any_order():
     shuffled = cells[:]
     random.Random(25).shuffle(shuffled)
     for order in (cells, cells[::-1], shuffled):
-        for store in (ghcore._recurrence_table, ghcore._creation_chain, ghcore._box_series):
+        for store in (ghcore._recurrence_table, ghcore._creation_chain,
+                      ghcore._genfun_coefficients):
             store.cache_clear()
         _agree_on_shared_stores(order)
     for p, q, n, m in cells:
