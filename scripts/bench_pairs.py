@@ -25,9 +25,12 @@ document, and ``verify`` of GEN_POCHHAMMER_G's series at large weights
 and order, are timed the same way, ten pairs per command of
 ``LARGE_COMPUTE``, under ``large_compute``, each with
 ``stdout_identical``: whether both sides ran and gave the same stdout in
-every pair.  One entry, ``genfun_thin_boxes``, makes four genfun requests
-in one interpreter, commands apart at ``COMMAND_SEPARATOR``, so that it
-times a store of the package across requests.
+every pair.  Two entries run several commands in one interpreter,
+commands apart at ``COMMAND_SEPARATOR``, so that they time a store of the
+package across commands: ``genfun_thin_boxes`` makes four genfun
+requests, and ``genfun_then_gen_full`` a genfun request and then a
+``verify`` of GEN_FULL, which read the same generating-series
+coefficients.
 
 Outside the timed pairs, each side runs, for each ``(seed, count)`` of
 ``REQUEST_STREAMS``, the first ``count`` requests of perfbench's seeded
@@ -98,7 +101,8 @@ def _genfun(n: int, m: int) -> tuple[str, ...]:
 
 # compute at large degree: a thin box each way, then every strategy; the
 # thin boxes and a small one in one interpreter, so that they share the
-# generating-series coefficients held for (1, 1); and a heat request whose
+# generating-series coefficients held for (1, 1), and a genfun request and
+# a GEN_FULL check that share them the same way; and a heat request whose
 # time goes mostly to writing its JSON (about 6 MB)
 LARGE_COMPUTE = {
     "genfun_300_2": _genfun(300, 2),
@@ -106,6 +110,8 @@ LARGE_COMPUTE = {
     "genfun_thin_boxes": (*_genfun(300, 2), COMMAND_SEPARATOR, *_genfun(2, 300),
                           COMMAND_SEPARATOR, *_genfun(4, 300), COMMAND_SEPARATOR,
                           *_genfun(3, 3)),
+    "genfun_then_gen_full": (*_genfun(40, 40), COMMAND_SEPARATOR, "verify", "--tag", "GEN_FULL",
+                             "--pq", "1,1", "--order", "80", "--format", "json"),
     "all_60_60": ("compute", "--p", "1", "--q", "1", "--n", "60", "--m", "60",
                   "--strategy", "all"),
     "heat_json_60": ("heat", "--p", "1", "--q", "1", "--c", "3/7",

@@ -769,7 +769,6 @@ def _make_ranges(args) -> GridRanges:
         aux_max=args.aux_max,
         jk_max=args.jk_max,
         series_order=args.order,
-        weighted_series_order=min(GridRanges.weighted_series_order, args.order),
     )
 
 

@@ -26,9 +26,13 @@ polynomial:
 The three table-building routes keep their work in one store per (p, q)
 that grows with the requests and is never rebuilt: the recurrence table,
 the creation chains and the generating-series coefficients, which hold
-the union of the boxes requested, with no rule that widens a box.  A
-later request reads what an earlier one built and builds only what is
-missing.  No store is read by another route.
+the union of the boxes (and of `generating_series`' triangles) requested,
+with no rule that widens one.  A later request reads what an earlier one
+built and builds only what is missing.  No store is read by another route.
+
+`check_orders` states once which derivative orders (p, q) the package
+accepts; FamilyParams, heatrep's HeatProblem and the audit's GridRanges
+call it.
 
 Agreeing exactly across all routes is part of the package's test gate,
 so none of them shares code with `explicit` beyond the base ring.
@@ -44,6 +48,7 @@ from functools import lru_cache
 from .exactalg import (
     Poly,
     SeriesUV,
+    check_degree,
     monomial_key,
     rising_factorial,
     series_exp,
@@ -64,7 +69,7 @@ class FamilyParams:
 
     p, q are the derivative orders carried by the deformation term and
     n, m the polynomial degrees in z and w.  All four are nonnegative
-    integers and p + q >= 1.
+    integers, and p, q pass :func:`check_orders`.
     """
 
     p: int
@@ -73,17 +78,33 @@ class FamilyParams:
     m: int
 
     def __post_init__(self) -> None:
-        for field in ("p", "q", "n", "m"):
+        check_orders(self.p, self.q)
+        for field in ("n", "m"):
             value = getattr(self, field)
             if not isinstance(value, int) or value < 0:
                 raise InvalidParamsError(f"{field} must be a nonnegative integer, got {value!r}")
-        if self.p == 0 and self.q == 0:
-            raise InvalidParamsError("p and q cannot both be zero")
 
     @property
     def k_max(self) -> int:
         """The top power of g in this member, :func:`k_max`."""
         return k_max(self.p, self.q, self.n, self.m)
+
+
+def check_orders(p: int, q: int) -> None:
+    """Refuse, with InvalidParamsError, derivative orders outside the family.
+
+    p and q are nonnegative integers, not both zero, and p + q is at most
+    the kernel's MAX_DEGREE, the degree of the monomial g u^p v^q.
+    """
+    for name, value in (("p", p), ("q", q)):
+        if not isinstance(value, int) or value < 0:
+            raise InvalidParamsError(f"{name} must be a nonnegative integer, got {value!r}")
+    if p == 0 and q == 0:
+        raise InvalidParamsError("p and q cannot both be zero: need p + q >= 1")
+    try:
+        check_degree(p + q)
+    except ValueError as exc:
+        raise InvalidParamsError(str(exc)) from None
 
 
 def k_max(p: int, q: int, n: int, m: int) -> int:
@@ -264,19 +285,15 @@ def _generating_arg(p: int, q: int) -> Poly:
     return _Z * Poly.variable("u") + _W * Poly.variable("v") + _G * Poly.monomial({"u": p, "v": q})
 
 
-@lru_cache(maxsize=64)
 def generating_series(p: int, q: int, order: int) -> SeriesUV:
-    """exp(zu + wv + g u^p v^q) truncated at total u,v-order `order`.
-
-    Built once per (p, q, order) and shared by every caller of that order.
-    """
-    return series_exp(_generating_arg(p, q), order)
+    """exp(zu + wv + g u^p v^q) to total u,v-order `order`, built in via_genfun's memo."""
+    return series_exp(_generating_arg(p, q), order, held=_genfun_coefficients(p, q))
 
 
 @lru_cache(maxsize=64)
 def _genfun_coefficients(p: int, q: int) -> dict[tuple[int, int], Poly]:
     # the coefficients [u^i v^j] of the generating series built so far for
-    # (p, q), zeros included: the union of the boxes requested
+    # (p, q), zeros included: the union of the boxes and triangles requested
     return {(0, 0): Poly.one()}
 
 
@@ -285,9 +302,9 @@ def via_genfun(params: FamilyParams) -> Poly:
 
     The exp recurrence builds [u^n v^m] from [u^i v^j] with i <= n and
     j <= m alone, so only the box (n, m) is built.  Its coefficients are
-    kept per (p, q) in one memo, which holds the union of the boxes
-    requested so far; a request adds only the cells of its box the memo
-    lacks, and nothing is widened or rebuilt.
+    kept per (p, q) in one memo, shared with generating_series, which
+    holds the union of the boxes requested so far; a request adds only the
+    cells of its box the memo lacks, and nothing is widened or rebuilt.
     """
     p, q, n, m = params.p, params.q, params.n, params.m
     # the order n + m bounds nothing inside the box

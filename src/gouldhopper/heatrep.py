@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import MAX_DEGREE, Poly, as_scalar, field_shift, monomial_key
-from .ghcore import InvalidParamsError, explicit_poly, k_max
+from .ghcore import InvalidParamsError, check_orders, explicit_poly, k_max
 
 _Z_SHIFT, _W_SHIFT, _G_SHIFT, _T_SHIFT = map(field_shift, ("z", "w", "g", "t"))
 _T_KEY = monomial_key({"t": 1})
@@ -46,8 +46,8 @@ MAX_SOLUTION_TERMS = 100_000
 class HeatProblem:
     """Evolution data: derivative orders p, q, speed c, initial polynomial.
 
-    The initial datum must involve only z and w; p and q are nonnegative
-    with p + q >= 1.
+    The initial datum must involve only z and w; p and q pass
+    ghcore.check_orders.
     """
 
     p: int
@@ -56,8 +56,7 @@ class HeatProblem:
     initial: Poly
 
     def __post_init__(self) -> None:
-        if self.p < 0 or self.q < 0 or self.p + self.q < 1:
-            raise InvalidParamsError("need p, q >= 0 with p + q >= 1")
+        check_orders(self.p, self.q)
         object.__setattr__(self, "c", as_scalar(self.c))
         extra = self.initial.variables() - {"z", "w"}
         if extra:

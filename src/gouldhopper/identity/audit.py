@@ -17,6 +17,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ..exactalg import Poly
+from ..ghcore import InvalidParamsError, check_orders
 from ..heatrep import property_suite
 from .checks import CHECKS, MISPRINT_LEDGER, IdentityTag, run_check
 
@@ -49,12 +50,14 @@ class GridRanges:
     """Parameter ranges swept by audit_grid.
 
     n_max / m_max bound the polynomial indices; pq_pairs lists the
-    derivative orders; aux_max bounds the shifted indices n', m' and
-    the fixed index of the single-variable generating functions;
-    jk_max bounds derivative counts and series weights; series_order
-    and weighted_series_order truncate the generating-function checks.
-    hyp_points and weighted_points are fixed, not set by a caller;
-    asdict() still lists them, so an audit document records them.
+    derivative orders (ghcore.check_orders); aux_max bounds the shifted
+    indices n', m' and the fixed index of the single-variable generating
+    functions; jk_max bounds derivative counts and series weights;
+    series_order truncates the generating-function checks, and
+    weighted_series_order, GEN_POCHHAMMER_S's, is min(8, series_order)
+    raised to the largest p + q.  It, hyp_points and weighted_points are
+    not set by a caller; asdict() still lists them, so an audit document
+    records them.
     """
 
     n_max: int = 6
@@ -63,7 +66,7 @@ class GridRanges:
     aux_max: int = 3
     jk_max: int = 3
     series_order: int = 10
-    weighted_series_order: int = 8
+    weighted_series_order: int = field(default=8, init=False)
     hyp_points: tuple[Fraction, ...] = field(default=_HYP_POINTS, init=False)
     weighted_points: tuple[tuple[Fraction, ...], ...] = field(default=_WEIGHTED_POINTS, init=False)
 
@@ -76,15 +79,17 @@ class GridRanges:
             raise ValueError("pq_pairs must be nonempty")
         for pair in self.pq_pairs:
             p, q = pair
-            if not (isinstance(p, int) and isinstance(q, int)) or p < 0 or q < 0 or p + q < 1:
-                raise ValueError(f"invalid derivative orders {pair!r}")
+            try:
+                check_orders(p, q)
+            except InvalidParamsError as exc:
+                raise ValueError(f"invalid derivative orders {pair!r}: {exc}") from None
         top = max(p + q for p, q in self.pq_pairs)
-        for name in ("series_order", "weighted_series_order"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < top:
-                raise ValueError(
-                    f"{name} must be an integer >= {top} for these derivative orders"
-                )
+        if not isinstance(self.series_order, int) or self.series_order < top:
+            raise ValueError(f"series_order must be an integer >= {top} "
+                             "for these derivative orders")
+        # GEN_POCHHAMMER_S's order: series_order capped by the default, but >= top
+        weighted = max(min(self.weighted_series_order, self.series_order), top)
+        object.__setattr__(self, "weighted_series_order", weighted)
         # a repeated pair would check, and report, the same cells twice
         if len(set(self.pq_pairs)) != len(self.pq_pairs):
             raise ValueError(f"pq_pairs repeats an entry: {self.pq_pairs!r}")

@@ -58,9 +58,9 @@ identity claims:
   computed tuples coincide (Vandermonde makes them C(n+n',s)), not
   because the key assumes it.
 * GEN_FULL / GEN_POCHHAMMER_G: exp(zu + wv + g u^p v^q) is
-  ghcore.generating_series, built once per (p, q, order);
-  GEN_POCHHAMMER_G's right-hand side, which no variant changes, on
-  (p, q, j, k, order).
+  ghcore.generating_series, whose coefficients are built once per (p, q)
+  in the memo via_genfun shares; GEN_POCHHAMMER_G's right-hand side,
+  which no variant changes, on (p, q, j, k, order).
 * GEN_POCHHAMMER_S: the left-hand series, which no variant changes,
   on (p, q, a, b, z, w, g, order).
 * CONN_PQ_FROM_GH: the one-variable members, on (n, p, variable); the

@@ -199,6 +199,9 @@ def test_large_compute_times_a_thin_box_each_way_and_every_strategy():
                               *fixed, "--n", "2", "--m", "300", "--strategy", "genfun", ";",
                               *fixed, "--n", "4", "--m", "300", "--strategy", "genfun", ";",
                               *fixed, "--n", "3", "--m", "3", "--strategy", "genfun"),
+        "genfun_then_gen_full": (*fixed, "--n", "40", "--m", "40", "--strategy", "genfun", ";",
+                                 "verify", "--tag", "GEN_FULL", "--pq", "1,1", "--order", "80",
+                                 "--format", "json"),
         "all_60_60": (*fixed, "--n", "60", "--m", "60", "--strategy", "all"),
         "heat_json_60": ("heat", "--p", "1", "--q", "1", "--c", "3/7",
                          "--initial", "(1/3*z-2/7*w+1)^60", "--format", "json"),

@@ -600,6 +600,51 @@ def test_verify_rejects_bad_pq(capsys):
     assert "invalid derivative orders" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("heat", "--p", "65535", "--q", "1", "--initial", "1"),
+     f"total degree 65536 exceeds the kernel bound MAX_DEGREE = {MAX_DEGREE}"),
+    (("heat", "--p", "40000", "--q", "30000", "--initial", "z"),
+     f"total degree 70000 exceeds the kernel bound MAX_DEGREE = {MAX_DEGREE}"),
+    (("verify", "--tag", "SYMMETRY", "--pq", "70000,1", "--nmax", "0", "--mmax", "0",
+      "--order", "70001"),
+     f"invalid derivative orders (70000, 1): total degree 70001 exceeds the kernel bound "
+     f"MAX_DEGREE = {MAX_DEGREE}"),
+], ids=["heat_65535_1", "heat_40000_30000", "verify_70000_1"])
+def test_orders_past_the_kernel_bound_are_usage_errors(capsys, argv, message):
+    # p + q is the degree of g u^p v^q: past MAX_DEGREE the orders are
+    # refused before anything is built, not met as an internal error
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_a_grid_with_p_plus_q_past_eight_is_audited(capsys):
+    # the weighted series order, min(8, --order), is raised to p + q = 9
+    code, out, err = run_cli(capsys, "verify", "--tag", "SYMMETRY", "--pq", "5,4",
+                             "--nmax", "1", "--mmax", "1", "--order", "12")
+    assert (code, err) == (0, "")
+    assert out.endswith("summary: total=4 exact_pass=4 series_pass=0 fail=0 "
+                        "known_misprints=0 effective_fail=0\n")
+    code, out, err = run_cli(capsys, "audit", "--pq", "5,4", "--nmax", "1", "--mmax", "1",
+                             "--aux-max", "0", "--jk-max", "1", "--order", "12", "--trials", "1")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    validate("audit", doc)
+    assert doc["grid"]["weighted_series_order"] == 9
+    assert doc["summary"]["total"] == 210
+    assert doc["summary"]["effective_fail"] == 0
+
+
+@pytest.mark.parametrize("argv, field", [
+    (("audit", "--nmax", "-1"), "n_max"),
+    (("verify", "--jk-max", "-2"), "jk_max"),
+], ids=["audit_nmax", "verify_jk_max"])
+def test_negative_grid_bounds_are_usage_errors(capsys, argv, field):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {field} must be a nonnegative integer, got {argv[-1]}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--tag", "SYMMETRY", "--nmax", "0", "--mmax", "0"),
     ("audit", "--trials", "1"),

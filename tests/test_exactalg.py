@@ -800,6 +800,8 @@ def test_series_kernel_degree_bound():
 def test_series_order_validation():
     with pytest.raises(ValueError, match="order must be >= 0"):
         SeriesUV(-1)
+    with pytest.raises(ValueError, match="box bounds must be >= 0"):
+        SeriesUV(3, box=(-1, 0))
 
 
 def test_var_alphabet_is_fixed():

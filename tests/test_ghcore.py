@@ -224,9 +224,16 @@ def test_genfun_reads_and_extends_its_coefficient_memo(monkeypatch):
     # a box one row longer builds the one cell the memo lacks
     assert via_genfun(FamilyParams(2, 1, 9, 0)) == explicit(FamilyParams(2, 1, 9, 0))
     assert calls[1:] == [(9, (9, 0), 1)]
-    # via_genfun builds no triangle for generating_series to cut
-    assert generating_series(2, 1, 5).order == 5
-    assert calls[2:] == [(5, None, 21)]
+    # generating_series reads the same memo: the triangle of order 5 lies
+    # in the box (8, 8), and the triangle of order 16, of 153 cells, lacks
+    # only the 153 - 82 the memo does not hold
+    low = generating_series(2, 1, 5)
+    high = generating_series(2, 1, 16)
+    assert calls[2:] == [(5, None, 0), (16, None, 71)]
+    assert len(ghcore._genfun_coefficients(2, 1)) == 82 + 71
+    monkeypatch.undo()
+    arg = Z * Poly.variable("u") + W * Poly.variable("v") + G * Poly.monomial({"u": 2, "v": 1})
+    assert (low, high) == (series_exp(arg, 5), series_exp(arg, 16))
 
 
 @pytest.mark.usefixtures("fresh_caches")
@@ -235,12 +242,14 @@ def test_generating_series_builds_once_per_order(monkeypatch):
     arg = Z * U + W * V + G * U ** 2 * V
     calls = _counted_series_exp(monkeypatch)
     series = generating_series(2, 1, 5)
-    assert generating_series(2, 1, 5) is series
-    assert calls == [(5, None, 21)]
-    # each other order, wider or narrower, builds its own series
+    assert generating_series(2, 1, 5) == series
+    # the memo holds [u^0 v^0] from the start
+    assert calls == [(5, None, 20), (5, None, 0)]
+    # a wider order builds only the cells past the narrower one, and a
+    # narrower order builds none
     wide = generating_series(2, 1, 16)
     narrow = generating_series(2, 1, 3)
-    assert calls[1:] == [(16, None, 153), (3, None, 10)]
+    assert calls[2:] == [(16, None, 153 - 21), (3, None, 0)]
     monkeypatch.undo()
     for order, built in ((5, series), (16, wide), (3, narrow)):
         assert built == series_exp(arg, order)

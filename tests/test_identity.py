@@ -184,7 +184,7 @@ def test_every_tag_checks_something_on_the_default_grid(tag):
 def test_report_series_order_follows_the_registry_kind():
     # a series identity's reports carry its truncation order, every other none
     ranges = GridRanges(n_max=1, m_max=1, pq_pairs=((1, 1),), aux_max=1, jk_max=1,
-                        series_order=4, weighted_series_order=4)
+                        series_order=4)
     for tag, spec in CHECKS.items():
         cell = cells_for(tag, ranges)[0]
         for report in run_cell(tag, cell, "both"):
@@ -444,6 +444,8 @@ def test_corrected_policy_falls_back_to_printed_without_a_ledger_entry():
 def test_unknown_policy_rejected():
     with pytest.raises(ValueError, match="unknown variant policy"):
         run_cell(IdentityTag.SYMMETRY, {"p": 1, "q": 1, "n": 1, "m": 1}, "bogus")
+    with pytest.raises(ValueError, match="unknown variant policy 'bogus'"):
+        audit_grid([IdentityTag.SYMMETRY], GridRanges(n_max=0, m_max=0), policy="bogus")
 
 
 # ---------------------------------------------------------------------
@@ -504,6 +506,31 @@ def test_grid_ranges_validation():
         GridRanges(pq_pairs=((0, 0),))
     with pytest.raises(ValueError, match="series_order"):
         GridRanges(series_order=2, pq_pairs=((2, 1),))
+    with pytest.raises(ValueError, match="pq_pairs must be nonempty"):
+        GridRanges(pq_pairs=())
+    # p + q is the degree of g u^p v^q, so it is bounded like any degree
+    with pytest.raises(ValueError, match=r"invalid derivative orders \(70000, 1\): total degree "
+                                         r"70001 exceeds the kernel bound"):
+        GridRanges(pq_pairs=((70000, 1),), series_order=70001)
+
+
+@pytest.mark.parametrize("kwargs, weighted", [
+    ({}, 8),
+    ({"series_order": 12}, 8),
+    ({"series_order": 5}, 5),
+    ({"pq_pairs": ((5, 4),), "series_order": 12}, 9),
+    ({"pq_pairs": ((5, 4), (1, 1)), "series_order": 9}, 9),
+], ids=["default", "capped", "series_order", "raised_to_p_plus_q", "largest_pair"])
+def test_grid_ranges_derives_its_weighted_series_order(kwargs, weighted):
+    # min(8, series_order), raised to the largest p + q of the grid
+    ranges = GridRanges(**kwargs)
+    assert ranges.weighted_series_order == weighted
+    assert dataclasses.asdict(ranges)["weighted_series_order"] == weighted
+
+
+def test_grid_ranges_refuses_a_weighted_series_order():
+    with pytest.raises(TypeError, match="unexpected keyword argument 'weighted_series_order'"):
+        GridRanges(weighted_series_order=5)
 
 
 def test_fixed_grid_points_meet_what_the_checkers_need():
@@ -567,14 +594,16 @@ def test_cells_for_symmetry_grid():
 # SHA-256 of every tag's cell sequence, in order, taken before the grids
 # were derived from the registry; the zero-order grid differs only in that
 # HYPERGEOM, whose constraint is p >= 1 and q >= 1, has no cells there.
+# The odd-order grid's was taken again, with its weighted series order 7
+# set by hand, before GridRanges derived that order.
 CELL_DIGESTS = [
     (GridRanges(), 15393,
      "413708cda66ac55c4a1ab173b2b530b43f61509c96afa886975d7e7fd7700c95"),
     (GridRanges(n_max=4, m_max=4, aux_max=2), 7001,
      "c1f6de4774eddcbf2086c49cce17a6fae90e42e77b38d312622d0a2e109beb14"),
     (GridRanges(n_max=3, m_max=2, pq_pairs=((2, 1), (1, 3), (3, 3)), aux_max=1, jk_max=2,
-                series_order=7, weighted_series_order=6), 2016,
-     "4d5b63ac1e07b811a00ae2c41453dfefa51fa095997b1015ef89067a0b39b455"),
+                series_order=7), 2016,
+     "03f2f05c90bbd1d7470375d3e25dc2ec7e6e0602134561d92c2973e4681bbff7"),
     (GridRanges(n_max=3, m_max=3, pq_pairs=((1, 0), (0, 2)), aux_max=1, jk_max=2), 1686,
      "a5de3f2e405b413fbe998484d704c41ac1661a86d0347f979da464aac949a3a8"),
 ]
@@ -775,8 +804,7 @@ def test_memoized_checkers_agree_cold_and_warm():
         IdentityTag.GEN_FULL, IdentityTag.GEN_POCHHAMMER_G, IdentityTag.GEN_POCHHAMMER_S,
         IdentityTag.CONN_PQ_FROM_GH,
     )
-    ranges = GridRanges(n_max=2, m_max=2, aux_max=1, jk_max=2, series_order=6,
-                        weighted_series_order=5)
+    ranges = GridRanges(n_max=2, m_max=2, aux_max=1, jk_max=2, series_order=6)
     for fn in _cached_functions().values():
         fn.cache_clear()
     cold = [r.to_json_obj() for r in audit_grid(tags, ranges, policy="both")]
@@ -882,8 +910,8 @@ def _diff_drops_a_term(self, name, order=1, diff=Poly.diff):
     return _reduced(num, derivative._den)
 
 
-def _series_exp_uv_doubled(arg, order):
-    series = series_exp(arg, order)
+def _series_exp_uv_doubled(arg, order, **kwargs):
+    series = series_exp(arg, order, **kwargs)
     if order < 2:
         return series
     return SeriesUV(order, {**dict(series.items()), (1, 1): 2 * series.coeff(1, 1)})
@@ -922,7 +950,7 @@ _MUTANTS = {
 
 def test_mutants_fail_the_audit():
     ranges = GridRanges(n_max=3, m_max=3, aux_max=1, jk_max=2, pq_pairs=((1, 1), (2, 1)),
-                        series_order=4, weighted_series_order=4)
+                        series_order=4)
     for label, (modules, name, mutant, failing_tags, heat_fails) in _MUTANTS.items():
         _clear_package_caches()
         try:
