@@ -21,16 +21,20 @@ and ``--jobs 2``, is timed in the same way: ten alternating pairs per
 RSS (the CLI process's own, in MB) go under ``large_grid``.  A change run
 whose stdout differs from its parent's in the same pair counts as failed.
 ``compute`` at large degree, a ``heat`` request with a large JSON
-document, and ``verify`` of GEN_POCHHAMMER_G's series at large weights
-and order, are timed the same way, ten pairs per command of
-``LARGE_COMPUTE``, under ``large_compute``, each with
+document, ``verify`` of GEN_POCHHAMMER_G's series at large weights and
+order, and two commands that are mostly start-up (a small ``compute`` and
+a ``verify --format junit``), are timed the same way, ten pairs per
+command of ``LARGE_COMPUTE``, under ``large_compute``, each with
 ``stdout_identical``: whether both sides ran and gave the same stdout in
 every pair.  Two entries run several commands in one interpreter,
 commands apart at ``COMMAND_SEPARATOR``, so that they time a store of the
 package across commands: ``genfun_thin_boxes`` makes four genfun
 requests, and ``genfun_then_gen_full`` a genfun request and then a
 ``verify`` of GEN_FULL, which read the same generating-series
-coefficients.
+coefficients.  Before the pairs of each command, each side runs it once
+untimed, and every run may write bytecode (``PYTHONDONTWRITEBYTECODE`` is
+dropped from its environment), so no timed run compiles the package: the
+parent's export starts with no bytecode cache.
 
 Outside the timed pairs, each side runs, for each ``(seed, count)`` of
 ``REQUEST_STREAMS``, the first ``count`` requests of perfbench's seeded
@@ -102,8 +106,9 @@ def _genfun(n: int, m: int) -> tuple[str, ...]:
 # compute at large degree: a thin box each way, then every strategy; the
 # thin boxes and a small one in one interpreter, so that they share the
 # generating-series coefficients held for (1, 1), and a genfun request and
-# a GEN_FULL check that share them the same way; and a heat request whose
-# time goes mostly to writing its JSON (about 6 MB)
+# a GEN_FULL check that share them the same way; a heat request whose
+# time goes mostly to writing its JSON (about 6 MB); and two commands
+# whose time goes mostly to starting the CLI
 LARGE_COMPUTE = {
     "genfun_300_2": _genfun(300, 2),
     "genfun_2_300": _genfun(2, 300),
@@ -118,6 +123,11 @@ LARGE_COMPUTE = {
                      "--initial", "(1/3*z-2/7*w+1)^60", "--format", "json"),
     "pochhammer_g_large": ("verify", "--tag", "GEN_POCHHAMMER_G", "--jk-max", "5",
                            "--order", "14", "--format", "json"),
+    # start-up: a compute that is nearly all import, and a verify whose
+    # JUnit writer loads on use
+    "startup_compute": ("compute", "--p", "1", "--q", "1", "--n", "2", "--m", "2"),
+    "startup_verify_junit": ("verify", "--tag", "PARAM_REC", "--nmax", "1", "--mmax", "1",
+                             "--format", "junit"),
 }
 # runs the CLI in the checkout's src/ on each command of its arguments in
 # turn, the commands split at COMMAND_SEPARATOR, until one exits non-zero,
@@ -270,7 +280,13 @@ def large_grid_pair(run: Callable[[str], dict], first: str) -> dict:
 def cli_pairs(sides: dict[str, Path], args: tuple[str, ...], label: str) -> dict:
     """PAIRS alternating large_grid_pair runs of the CLI on `args`, parent
     first on even pair indices, with their summary and whether every pair
-    ran on both sides and gave the same stdout."""
+    ran on both sides and gave the same stdout.
+
+    One untimed run per side comes first: it writes the side's bytecode
+    cache, as an installed package has one, so no timed run compiles.
+    """
+    for path in sides.values():
+        run_cli(path, args)
     pairs = []
     for index in range(PAIRS):
         first = "parent" if index % 2 == 0 else "change"
@@ -300,8 +316,13 @@ def src_lines(numstat: str) -> dict:
 def _run(argv: list[str], checkout: Path) -> subprocess.CompletedProcess | dict:
     """The completed process of `argv` run in `checkout` with its ``src`` on
     PYTHONPATH, output in bytes, or the ``run_failed`` record of a timeout
-    or a non-zero exit status."""
+    or a non-zero exit status.
+
+    The run may write bytecode whatever the caller's environment says, as
+    perfbench/run.py lets its runs do.
+    """
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     try:
         done = subprocess.run(argv, cwd=checkout, env=env, capture_output=True,
                               timeout=RUN_TIMEOUT_S)

@@ -21,7 +21,6 @@ import json
 import math
 import re
 import sys
-import xml.etree.ElementTree as ET
 from fractions import Fraction
 from typing import Iterable
 
@@ -518,6 +517,28 @@ def _check_printable(*polys: Poly) -> None:
                                  f"sys.get_int_max_str_digits() = {limit}")
 
 
+class UnprintableDifference(ValueError):
+    """A report's difference holds an integer too long to print.
+
+    The worker that renders the report raises it, and `main` refuses the
+    run with it as a usage error: the grid is too large to write.
+    """
+
+
+def _difference(report: IdentityReport) -> Poly:
+    # the report's difference, checked by _check_printable as it is written;
+    # zero, the difference of most reports, prints
+    difference = report.difference
+    if difference:
+        try:
+            _check_printable(difference)
+        except ValueError as exc:
+            raise UnprintableDifference(
+                f"cannot print the difference of {report.tag.value} "
+                f"{_report_params_text(report)} [{report.variant}]: {exc}") from None
+    return difference
+
+
 def _joined(brackets: str, entries: list[str], newline: str) -> str:
     # the object ("{}") or array ("[]") of `entries` already written, which
     # starts on the line whose newline and indentation is `newline`
@@ -612,7 +633,7 @@ def _report_json(report: IdentityReport, depth: int) -> str:
     newline = "\n" + "  " * depth
     inner = newline + "  "
     params = _joined("{}", report.param_entries(), inner)
-    difference = _joined("[]", _term_items(report.difference, depth + 2)[0], inner)
+    difference = _joined("[]", _term_items(_difference(report), depth + 2)[0], inner)
     series_order = "null" if report.series_order is None else report.series_order
     return (
         f'{{{inner}"difference": {difference},'
@@ -650,7 +671,7 @@ def _report_text(report: IdentityReport) -> str:
         f"{_report_params_text(report)}  [{report.variant}]\n"
     )
     if report.status == STATUS_FAIL:
-        text += f"    difference: {report.difference.text()}\n"
+        text += f"    difference: {_difference(report).text()}\n"
     if report.notes:
         text += f"    notes: {report.notes}\n"
     return text
@@ -670,6 +691,9 @@ def _summary_text(summary: dict) -> str:
 
 
 def _report_junit(report: IdentityReport) -> str:
+    # the XML writer loads only for the JUnit format
+    import xml.etree.ElementTree as ET
+
     case = ET.Element(
         "testcase",
         classname=report.tag.value,
@@ -680,7 +704,7 @@ def _report_junit(report: IdentityReport) -> str:
             ET.SubElement(case, "skipped", message=report.notes or "known misprint")
         else:
             failure = ET.SubElement(case, "failure", message="nonzero difference")
-            failure.text = report.difference.text()
+            failure.text = _difference(report).text()
     return ET.tostring(case, encoding="unicode")
 
 
@@ -1038,6 +1062,8 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.handler(args)
+    except UnprintableDifference as exc:
+        return _usage(exc)
     except Exception as exc:
         # a fault of the program, in this process or a worker: exit 1
         # would read as a failed identity

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
@@ -307,13 +306,11 @@ def _run_chunk(work: tuple) -> list[tuple]:
     return keyed
 
 
-class _InProcess(Executor):
-    """The pool of one worker: this process, running each task as it is submitted."""
+def _process_pool(workers: int):
+    """A pool of `workers` processes; only here are the process-pool modules loaded."""
+    from concurrent.futures import ProcessPoolExecutor
 
-    def submit(self, fn, /, *args, **kwargs) -> Future:
-        future = Future()
-        future.set_result(fn(*args, **kwargs))
-        return future
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def audit_grid(
@@ -327,14 +324,15 @@ def audit_grid(
 ) -> list:
     """Run the selected tags over the grid; reports in canonical order.
 
-    The cells go out in chunks to a pool of at most `jobs` processes (this
-    process alone when that is 1, or when there is one task).  The worker
-    that checks a report also computes its sort key, and with `render` it
-    returns RenderedReport(tag, status, known_misprint, render(report))
-    in place of the report, so rendering runs in parallel and only text
-    comes back.  With heat=(seed, trials), heatrep.property_suite on the
-    grid's pq_pairs runs as the first task, and the result is the pair
-    (reports, heat suite report).
+    The cells go out in chunks to a pool of at most `jobs` processes.  When
+    that is 1, or there is one task, this process runs the tasks in turn
+    and loads no process-pool module.  The worker that checks a report
+    also computes its sort key, and with `render` it returns
+    RenderedReport(tag, status, known_misprint, render(report)) in place
+    of the report, so rendering runs in parallel and only text comes back.
+    With heat=(seed, trials), heatrep.property_suite on the grid's
+    pq_pairs runs as the first task, and the result is the pair (reports,
+    heat suite report).
     """
     if ranges is None:
         ranges = GridRanges()
@@ -356,16 +354,24 @@ def audit_grid(
         for start in range(0, len(cells), step):
             work.append((tag.value, cells[start : start + step], policy, render))
 
+    # the heat suite is the longest single task: it starts first
     workers = min(jobs, len(work) + (heat is not None))
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else _InProcess()
-    try:
-        # the heat suite is the longest single task: it starts first
-        suite = None if heat is None else pool.submit(property_suite, *heat, ranges.pq_pairs)
-        keyed = [entry for chunk in pool.map(_run_chunk, work) for entry in chunk]
-        heat_report = None if suite is None else suite.result()
-    finally:
-        # after a failed task, drop the queued ones rather than run them
-        pool.shutdown(cancel_futures=True)
+    if workers <= 1:
+        heat_report = None if heat is None else property_suite(*heat, ranges.pq_pairs)
+        chunks = list(map(_run_chunk, work))
+    else:
+        pool = _process_pool(workers)
+        try:
+            suite = None if heat is None else pool.submit(property_suite, *heat, ranges.pq_pairs)
+            chunks = list(pool.map(_run_chunk, work))
+            heat_report = None if suite is None else suite.result()
+        finally:
+            # after a failed task, drop the queued ones rather than run them
+            pool.shutdown(cancel_futures=True)
+    # joined once every chunk is in, and the chunks dropped: a list grown
+    # between the chunks' allocations leaves gaps that raise the peak RSS
+    keyed = [entry for chunk in chunks for entry in chunk]
+    del chunks
     keyed.sort(key=itemgetter(0))
     reports = [report for _, report in keyed]
     return reports if heat is None else (reports, heat_report)

@@ -207,6 +207,9 @@ def test_large_compute_times_a_thin_box_each_way_and_every_strategy():
                          "--initial", "(1/3*z-2/7*w+1)^60", "--format", "json"),
         "pochhammer_g_large": ("verify", "--tag", "GEN_POCHHAMMER_G", "--jk-max", "5",
                                "--order", "14", "--format", "json"),
+        "startup_compute": (*fixed, "--n", "2", "--m", "2"),
+        "startup_verify_junit": ("verify", "--tag", "PARAM_REC", "--nmax", "1", "--mmax", "1",
+                                 "--format", "junit"),
     }
 
 
@@ -230,6 +233,24 @@ def test_cli_pairs_record_whether_every_pair_gave_the_same_stdout(tmp_path, monk
     failing = bench_pairs.cli_pairs(sides, args, "failing")
     assert failing["stdout_identical"] is False
     assert failing["summary"]["failed"]["runs_change"] == 2
+
+
+def test_cli_pairs_time_cached_bytecode_after_one_untimed_run_per_side(tmp_path, monkeypatch):
+    # the caller's PYTHONDONTWRITEBYTECODE does not reach the runs, and each
+    # side runs the command once before its timed pairs
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setattr(bench_pairs, "PAIRS", 2)
+    body = ("import os, sys\ndef main(argv):\n"
+            "    with open(os.path.join(os.path.dirname(__file__), 'runs'), 'a') as runs:\n"
+            "        runs.write(f'{sys.dont_write_bytecode}\\n')\n"
+            "    return 0\n")
+    sides = {side: _fake_cli(tmp_path / side, body) for side in ("parent", "change")}
+    result = bench_pairs.cli_pairs(sides, ("compute",), "bytecode")
+    assert result["summary"]["complete_pairs"] == 2
+    for path in sides.values():
+        package = path / "src" / "gouldhopper"
+        assert (package / "runs").read_text() == "False\n" * 3
+        assert list((package / "__pycache__").glob("cli.*.pyc"))
 
 
 def _shifted_pairs(scale):

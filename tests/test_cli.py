@@ -1,6 +1,7 @@
 """Command-line interface tests: parsing, formats, exit codes, schemas."""
 
 import csv
+import hashlib
 import importlib
 import importlib.metadata
 import io
@@ -793,6 +794,50 @@ def test_output_bytes_do_not_depend_on_jobs(capsys, argv):
         assert out == serial, f"--jobs {jobs}"
 
 
+@pytest.fixture
+def least_print_limit(monkeypatch):
+    """str()'s least digit limit, 640, so that a small grid holds a difference
+    too long to print; a forked worker inherits it, a spawned one reads the
+    environment."""
+    limit = sys.get_int_max_str_digits()
+    monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", "640")
+    sys.set_int_max_str_digits(640)
+    yield 640
+    sys.set_int_max_str_digits(limit)
+
+
+# the third weighted point of GEN_POCHHAMMER_S at (12, 12) and order 24: its
+# printed variant fails with a coefficient of about 675 digits
+_UNPRINTABLE_CELL = "p=12 q=12 a=7/4 b=-1/4 z=-1/2 w=5/7 g=2/3 order=24 [printed]"
+_UNPRINTABLE = (f"error: cannot print the difference of GEN_POCHHAMMER_S {_UNPRINTABLE_CELL}: "
+                "a coefficient has more than 640 digits, "
+                "past the limit sys.get_int_max_str_digits() = 640\n")
+
+
+@needs_print_limit
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("fmt", ["text", "json", "junit"])
+def test_verify_refuses_a_difference_too_long_to_print(capsys, least_print_limit, fmt, jobs):
+    # --variant printed: a known misprint would be a JUnit skip, which prints no difference
+    code, out, err = run_cli(capsys, "verify", "--tag", "GEN_POCHHAMMER_S", "--pq", "12,12",
+                             "--nmax", "0", "--mmax", "0", "--order", "24",
+                             "--variant", "printed", "--format", fmt, "--jobs", jobs)
+    assert (code, out, err) == (2, "", _UNPRINTABLE)
+    code, _, err = run_cli(capsys, "verify", "--tag", "SYMMETRY", "--pq", "5,4", "--nmax", "1",
+                           "--mmax", "1", "--order", "12", "--jobs", jobs)
+    assert (code, err) == (0, "")
+
+
+@needs_print_limit
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_audit_refuses_a_difference_too_long_to_print(capsys, least_print_limit, fmt, jobs):
+    code, out, err = run_cli(capsys, "audit", "--pq", "12,12", "--nmax", "1", "--mmax", "1",
+                             "--aux-max", "0", "--jk-max", "1", "--order", "24", "--trials", "1",
+                             "--format", fmt, "--jobs", jobs)
+    assert (code, out, err) == (2, "", _UNPRINTABLE)
+
+
 def _failing_run_check(real):
     # PARAM_REC's checker breaks; it names the process it broke in
     def run_check(tag, params, variant):
@@ -1196,6 +1241,54 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
         codes.append(code)
     assert codes == [2, 0, 0, 0]
     assert out == "z^2 w + 2 * z g\n"
+
+
+# runs, in a fresh interpreter, the CLI on each command of the JSON list
+# argv[1] in turn, then the JUnit command argv[2]; prints as JSON the exit
+# codes, the process-pool and XML modules loaded before the JUnit command
+# and after it, and the JUnit document
+_IMPORT_SET_CHILD = """
+import contextlib, io, json, sys
+from gouldhopper.cli import main
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        return main(argv), out.getvalue()
+
+def loaded():
+    return sorted(name for name in sys.modules
+                  if name.partition(".")[0] in ("concurrent", "multiprocessing", "xml"))
+
+codes = [run(argv)[0] for argv in json.loads(sys.argv[1])]
+before = loaded()
+code, junit = run(json.loads(sys.argv[2]))
+print(json.dumps({"codes": [*codes, code], "before": before, "after": loaded(),
+                  "junit": junit}))
+"""
+
+
+def test_only_a_forked_pool_or_junit_loads_their_modules():
+    # compute, heat, a serial audit and JSON verify load no process-pool or XML module
+    commands = [
+        ["compute", "--p", "2", "--q", "1", "--n", "4", "--m", "2", "--strategy", "all"],
+        ["heat", "--p", "1", "--q", "1", "--initial", "z^2*w"],
+        ["audit", *_TINY_GRID, "--pq", "1,1", "--trials", "1", "--jobs", "1"],
+        ["verify", "--tag", "PARAM_REC", "--nmax", "1", "--mmax", "1", "--format", "json"],
+    ]
+    junit = ["verify", "--tag", "PARAM_REC", "--nmax", "1", "--mmax", "1", "--pq", "1,1",
+             "--variant", "printed", "--format", "junit"]
+    done = subprocess.run([sys.executable, "-c", _IMPORT_SET_CHILD, json.dumps(commands),
+                           json.dumps(junit)], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["codes"] == [0, 0, 0, 0, 1]
+    assert result["before"] == []
+    assert "xml.etree.ElementTree" in result["after"]
+    assert not any(name.startswith(("concurrent", "multiprocessing")) for name in result["after"])
+    # the JUnit document as the writer loaded at import wrote it
+    digest = hashlib.sha256(result["junit"].encode()).hexdigest()
+    assert digest == "8a53cdb387f6fa048314dfee92996d12af936dc4c2b739600c20ff2d6e56cdf4"
 
 
 def _distribution_installed(name):

@@ -738,7 +738,7 @@ class _RecordingPool(Executor):
 
 def test_audit_pool_is_bounded_by_jobs_and_tasks(monkeypatch):
     audit = importlib.import_module("gouldhopper.identity.audit")
-    monkeypatch.setattr(audit, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(audit, "_process_pool", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     ranges = GridRanges(n_max=1, m_max=1, pq_pairs=((1, 1),))
     cells = len(cells_for(IdentityTag.SYMMETRY, ranges))
