@@ -62,7 +62,12 @@ then exits 1, as it does when the request streams' stdout differs.
 
 The file also records, as ``src_lines``, the lines added, deleted and
 net under ``src/`` from the parent revision to the working tree, read
-off ``git diff --numstat``.
+off ``git diff --numstat``, and, as ``import_profile``, what ``import
+gouldhopper.cli`` costs on each side: the median, over
+``IMPORT_PROFILE_RUNS`` fresh interpreters after one untimed run that
+writes the bytecode cache, of the cumulative microseconds ``python -X
+importtime`` reports for it, and the sorted modules outside the package
+that the import adds to a bare interpreter.
 """
 
 from __future__ import annotations
@@ -166,6 +171,19 @@ _CLI_ON_REQUEST_STREAM = (
     "    with contextlib.redirect_stdout(out):\n"
     "        code = main(request.argv)\n"
     "    print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())\n"
+)
+
+
+# fresh interpreters whose -X importtime reading of the CLI import_profile takes
+IMPORT_PROFILE_RUNS = 10
+# imports the CLI in a bare interpreter and prints, one a line, the modules
+# outside the package that the import added
+_CLI_IMPORT_ADDS = (
+    "import sys\n"
+    "bare = set(sys.modules)\n"
+    "import gouldhopper.cli\n"
+    "print('\\n'.join(sorted(name for name in set(sys.modules) - bare\n"
+    "                        if name.partition('.')[0] != 'gouldhopper')))\n"
 )
 
 
@@ -300,6 +318,39 @@ def cli_pairs(sides: dict[str, Path], args: tuple[str, ...], label: str) -> dict
                     for pair in pairs)
     return {"summary": summarize(pairs, LARGE_GRID_METRICS), "stdout_identical": identical,
             "pairs": pairs}
+
+
+def import_cumulative_us(importtime: str, module: str = "gouldhopper.cli") -> int:
+    """The cumulative microseconds of `module` in ``-X importtime`` output."""
+    for line in importtime.splitlines():
+        fields = line.removeprefix("import time:").split("|")
+        if len(fields) == 3 and fields[2].strip() == module:
+            return int(fields[1])
+    raise ValueError(f"-X importtime reports no import of {module}")
+
+
+def import_profile(checkout: Path) -> dict:
+    """What ``import gouldhopper.cli`` costs in `checkout`.
+
+    The record holds the median and each reading of the cumulative
+    microseconds of IMPORT_PROFILE_RUNS fresh interpreters under ``-X
+    importtime``, after one untimed run that writes the bytecode cache, and
+    ``modules_added``, the sorted modules outside the package that the
+    import adds to a bare interpreter; a run that fails gives a record with
+    ``run_failed``, as in run_once.
+    """
+    readings = []
+    for _ in range(IMPORT_PROFILE_RUNS + 1):
+        done = _run([sys.executable, "-X", "importtime", "-c", "import gouldhopper.cli"], checkout)
+        if isinstance(done, dict):
+            return done
+        readings.append(import_cumulative_us(done.stderr.decode(errors="replace")))
+    added = _run([sys.executable, "-c", _CLI_IMPORT_ADDS], checkout)
+    if isinstance(added, dict):
+        return added
+    return {"cumulative_us_median": statistics.median(readings[1:]),
+            "cumulative_us": readings[1:],
+            "modules_added": added.stdout.decode().split()}
 
 
 def src_lines(numstat: str) -> dict:
@@ -441,6 +492,14 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         sides = {"parent": Path(tmp), "change": ROOT}
         export_revision(parent_rev, sides["parent"])
+        document["import_profile"] = {
+            "what": (
+                "import gouldhopper.cli: the median over fresh interpreters, with cached "
+                "bytecode, of its cumulative microseconds under python -X importtime, and the "
+                "sorted modules outside the package it adds to a bare interpreter"
+            ),
+            **{side: import_profile(path) for side, path in sides.items()},
+        }
         for workload in workloads:
             pairs = []
             for index in range(PAIRS):
@@ -511,6 +570,8 @@ def main(argv=None) -> int:
     failed_runs += sum(summary["failed"]["runs_parent"] + summary["failed"]["runs_change"]
                        + summary["failed"]["change"] for summary in large)
     failed_runs += not document["requests_stdout_identical"]
+    failed_runs += sum("run_failed" in document["import_profile"][side]
+                       for side in ("parent", "change"))
     if failed_runs:
         print(f"{failed_runs} run(s) failed or changed the stdout of the large grid, a large "
               f"compute or the request stream; see run_failed, failed and "

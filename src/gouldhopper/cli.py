@@ -15,7 +15,6 @@ stripped.  ``--subst`` binds the deformation parameter as ``gamma``, ``g`` or
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -857,7 +856,7 @@ def _cmd_audit(args) -> int:
     failed = summary["effective_fail"] > 0 or bool(heat["failures"])
     if args.format == "json":
         _write_document({
-            "grid": _dumped(dataclasses.asdict(ranges), 1),
+            "grid": _dumped(ranges.as_dict(), 1),
             "heat": _dumped(heat, 1),
             "policy": _json_str(args.variant),
             "reports": _joined("[]", texts, "\n  "),

@@ -41,7 +41,6 @@ so none of them shares code with `explicit` beyond the base ring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -63,26 +62,30 @@ class UnsupportedRepresentationError(ValueError):
     """A representation that requires p >= 1 and q >= 1 was asked for p*q = 0."""
 
 
-@dataclass(frozen=True)
 class FamilyParams:
     """Index bundle (p, q, n, m) for one member of the family.
 
     p, q are the derivative orders carried by the deformation term and
     n, m the polynomial degrees in z and w.  All four are nonnegative
-    integers, and p, q pass :func:`check_orders`.
+    integers, and p, q pass :func:`check_orders`.  An immutable value:
+    equal indices make equal, equally hashed bundles.
     """
 
-    p: int
-    q: int
-    n: int
-    m: int
-
-    def __post_init__(self) -> None:
-        check_orders(self.p, self.q)
-        for field in ("n", "m"):
-            value = getattr(self, field)
+    def __init__(self, p: int, q: int, n: int, m: int) -> None:
+        check_orders(p, q)
+        for field, value in (("n", n), ("m", m)):
             if not isinstance(value, int) or value < 0:
                 raise InvalidParamsError(f"{field} must be a nonnegative integer, got {value!r}")
+        vars(self).update(p=p, q=q, n=n, m=m)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"FamilyParams is immutable: cannot set {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        return vars(self) == vars(other) if type(other) is FamilyParams else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q, self.n, self.m))
 
     @property
     def k_max(self) -> int:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import MAX_DEGREE, Poly, as_scalar, field_shift, monomial_key
@@ -42,29 +41,31 @@ _G_TO_T = _T_KEY - monomial_key({"g": 1})
 MAX_SOLUTION_TERMS = 100_000
 
 
-@dataclass(frozen=True)
 class HeatProblem:
     """Evolution data: derivative orders p, q, speed c, initial polynomial.
 
     The initial datum must involve only z and w; p and q pass
-    ghcore.check_orders.
+    ghcore.check_orders.  An immutable value: problems with equal fields
+    are equal.
     """
 
-    p: int
-    q: int
-    c: Fraction
-    initial: Poly
-
-    def __post_init__(self) -> None:
-        check_orders(self.p, self.q)
-        object.__setattr__(self, "c", as_scalar(self.c))
-        extra = self.initial.variables() - {"z", "w"}
+    def __init__(self, p: int, q: int, c: Fraction, initial: Poly) -> None:
+        check_orders(p, q)
+        c = as_scalar(c)
+        extra = initial.variables() - {"z", "w"}
         if extra:
             raise InvalidParamsError(f"initial datum may only use z and w, found {sorted(extra)}")
-        terms = solution_terms(self.p, self.q, self.initial)
+        terms = solution_terms(p, q, initial)
         if terms > MAX_SOLUTION_TERMS:
             raise ValueError(f"the solution would have up to {terms} terms, more than "
                              f"MAX_SOLUTION_TERMS = {MAX_SOLUTION_TERMS}")
+        vars(self).update(p=p, q=q, c=c, initial=initial)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"HeatProblem is immutable: cannot set {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        return vars(self) == vars(other) if type(other) is HeatProblem else NotImplemented
 
 
 def _orders(key: int) -> tuple[int, int]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -44,7 +43,6 @@ _WEIGHTED_POINTS = (
 )
 
 
-@dataclass(frozen=True)
 class GridRanges:
     """Parameter ranges swept by audit_grid.
 
@@ -55,8 +53,9 @@ class GridRanges:
     series_order truncates the generating-function checks, and
     weighted_series_order, GEN_POCHHAMMER_S's, is min(8, series_order)
     raised to the largest p + q.  It, hyp_points and weighted_points are
-    not set by a caller; asdict() still lists them, so an audit document
-    records them.
+    not set by a caller; as_dict() still lists them, so an audit document
+    records them.  The class attributes are the defaults; an instance is
+    an immutable value.
     """
 
     n_max: int = 6
@@ -65,11 +64,15 @@ class GridRanges:
     aux_max: int = 3
     jk_max: int = 3
     series_order: int = 10
-    weighted_series_order: int = field(default=8, init=False)
-    hyp_points: tuple[Fraction, ...] = field(default=_HYP_POINTS, init=False)
-    weighted_points: tuple[tuple[Fraction, ...], ...] = field(default=_WEIGHTED_POINTS, init=False)
+    weighted_series_order: int = 8
+    hyp_points: tuple[Fraction, ...] = _HYP_POINTS
+    weighted_points: tuple[tuple[Fraction, ...], ...] = _WEIGHTED_POINTS
 
-    def __post_init__(self) -> None:
+    def __init__(self, n_max: int = n_max, m_max: int = m_max,
+                 pq_pairs: tuple[tuple[int, int], ...] = pq_pairs, aux_max: int = aux_max,
+                 jk_max: int = jk_max, series_order: int = series_order) -> None:
+        vars(self).update(n_max=n_max, m_max=m_max, pq_pairs=pq_pairs, aux_max=aux_max,
+                          jk_max=jk_max, series_order=series_order)
         for name in ("n_max", "m_max", "aux_max", "jk_max"):
             value = getattr(self, name)
             if not isinstance(value, int) or value < 0:
@@ -88,10 +91,24 @@ class GridRanges:
                              "for these derivative orders")
         # GEN_POCHHAMMER_S's order: series_order capped by the default, but >= top
         weighted = max(min(self.weighted_series_order, self.series_order), top)
-        object.__setattr__(self, "weighted_series_order", weighted)
+        vars(self).update(weighted_series_order=weighted, hyp_points=_HYP_POINTS,
+                          weighted_points=_WEIGHTED_POINTS)
         # a repeated pair would check, and report, the same cells twice
         if len(set(self.pq_pairs)) != len(self.pq_pairs):
             raise ValueError(f"pq_pairs repeats an entry: {self.pq_pairs!r}")
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"GridRanges is immutable: cannot set {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        return vars(self) == vars(other) if type(other) is GridRanges else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def as_dict(self) -> dict:
+        """Every field by name, the three a caller does not set included."""
+        return dict(vars(self))
 
     @property
     def orders(self) -> tuple[int, ...]:
@@ -99,21 +116,32 @@ class GridRanges:
         return tuple(sorted({x for pair in self.pq_pairs for x in pair if x >= 1}))
 
 
-@dataclass
 class IdentityReport:
     """Outcome of one identity check on one parameter cell."""
 
-    tag: IdentityTag
-    params: dict
-    variant: str  # "printed" or "corrected: <description>"
-    status: str
-    difference: Poly
-    series_order: int | None = None
-    notes: str = ""
-    known_misprint: bool = False  # printed Fail excused by a passing corrected run
-    # the entries of params_json() as param_entries() writes them; run_cell
-    # writes them once for all reports of a cell, any other report on first use
-    _entries: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("tag", "params", "variant", "status", "difference", "series_order", "notes",
+                 "known_misprint", "_entries")
+
+    def __init__(self, tag: IdentityTag, params: dict, variant: str, status: str,
+                 difference: Poly, series_order: int | None = None, notes: str = "",
+                 known_misprint: bool = False) -> None:
+        self.tag = tag
+        self.params = params
+        self.variant = variant  # "printed" or "corrected: <description>"
+        self.status = status
+        self.difference = difference
+        self.series_order = series_order
+        self.notes = notes
+        self.known_misprint = known_misprint  # printed Fail excused by a passing corrected run
+        # the entries of params_json() as param_entries() writes them; run_cell
+        # writes them once for all reports of a cell, any other report on first use
+        self._entries: tuple[str, ...] | None = None
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not IdentityReport:
+            return NotImplemented
+        # every slot but the cached _entries
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__[:-1])
 
     def params_json(self) -> dict:
         return {key: _scalar_json(self.params[key]) for key in sorted(self.params)}

@@ -21,7 +21,9 @@ The checker is a plain function of the cell's parameters.  Its
 signature lists the keys in display and validation order, followed by
 ``variant`` ("printed" or "corrected") exactly when the entry has a
 correction; ``identity()`` refuses, at import, a signature whose keys
-are not the axis keys or whose ``variant`` does not match the entry.
+are not the axis keys or whose ``variant`` does not match the entry, and
+one with ``*args``, ``**kwargs``, keyword-only or positional-only
+parameters, whose keys it would misread.
 
 Everything else is derived from the entries: the ``IdentityTag`` enum
 (in declaration order), the read-only ``CHECKS`` and ``MISPRINT_LEDGER``
@@ -79,13 +81,11 @@ audit grids never evict.
 from __future__ import annotations
 
 import enum
-import inspect
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from ..exactalg import (
     MAX_DEGREE,
@@ -131,8 +131,7 @@ CheckFn = Callable[..., Sides]
 Axis = tuple[tuple[str, ...], str]  # (parameter keys, GridRanges field)
 
 
-@dataclass(frozen=True)
-class CheckSpec:
+class CheckSpec(NamedTuple):
     """One registry entry, the declaration of one identity (see the module docstring)."""
 
     keys: tuple[str, ...]
@@ -143,18 +142,20 @@ class CheckSpec:
     correction: str | None = None
     notes: str = ""
 
-    @cached_property
-    def _needs_code(self):
-        return compile(self.needs, "<needs>", "eval")
-
     def admits(self, params: Mapping) -> bool:
         """Whether the cell satisfies the identity's constraint."""
-        return self.needs is None or eval(self._needs_code, _NEEDS_NAMES, params)
+        return self.needs is None or eval(_compiled(self.needs), _NEEDS_NAMES, params)
 
 
 # the names a constraint may use besides the parameter keys; the
 # expressions are the constant strings of the entries below
 _NEEDS_NAMES = {"__builtins__": {}, "max": max}
+
+
+@lru_cache(maxsize=64)  # at most one constraint per entry, and there are 48
+def _compiled(needs: str):
+    return compile(needs, "<needs>", "eval")
+
 
 _PQ: Axis = (("p", "q"), "pq_pairs")
 _N: Axis = (("n",), "n_max")
@@ -166,6 +167,9 @@ _K: Axis = (("k",), "jk_max")
 _ORDER: Axis = (("order",), "series_order")
 
 _ENTRIES: dict[str, CheckSpec] = {}
+
+# inspect.CO_VARARGS | inspect.CO_VARKEYWORDS: the code takes *args or **kwargs
+_CO_STARRED = 0x04 | 0x08
 
 
 def identity(
@@ -183,7 +187,15 @@ def identity(
         raise ValueError(f"{tag}: a series identity needs an order key")
 
     def register(fn: CheckFn) -> CheckFn:
-        names = tuple(inspect.signature(fn).parameters)
+        code = fn.__code__
+        # co_varnames[:co_argcount] names the positional parameters: it
+        # misses *args, **kwargs and keyword-only ones, and counts
+        # positional-only ones, which run_check's keyword call cannot pass
+        if code.co_flags & _CO_STARRED or code.co_kwonlyargcount or code.co_posonlyargcount:
+            raise ValueError(f"{tag}: the checker may take only parameters that can be passed "
+                             "by position or keyword: no *args, **kwargs, keyword-only or "
+                             "positional-only parameters")
+        names = code.co_varnames[:code.co_argcount]
         keys = names[:-1] if correction else names
         if "variant" in keys or bool(correction) != (names[-1:] == ("variant",)):
             raise ValueError(

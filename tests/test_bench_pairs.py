@@ -373,3 +373,34 @@ def test_src_lines_sums_numstat():
                "-\t-\tsrc/gouldhopper/logo.png\n")
     assert bench_pairs.src_lines(numstat) == {"added": 16, "deleted": 39, "net": -23}
     assert bench_pairs.src_lines("") == {"added": 0, "deleted": 0, "net": 0}
+
+
+def test_import_cumulative_us_reads_the_modules_line():
+    importtime = ("import time: self [us] | cumulative | imported package\n"
+                  "import time:       120 |        300 |     gouldhopper.cli.extra\n"
+                  "import time:      2508 |      19461 |   gouldhopper\n"
+                  "import time:     28974 |     174378 | gouldhopper.cli\n")
+    assert bench_pairs.import_cumulative_us(importtime) == 174378
+    assert bench_pairs.import_cumulative_us(importtime, "gouldhopper") == 19461
+    with pytest.raises(ValueError, match="no import of gouldhopper.ghcore"):
+        bench_pairs.import_cumulative_us(importtime, "gouldhopper.ghcore")
+
+
+def test_import_profile_times_the_cli_import_and_names_the_modules_it_adds(tmp_path):
+    # colorsys stands for a module only the CLI loads; the package's own
+    # modules are left out
+    checkout = _fake_cli(tmp_path, "import colorsys\nimport gouldhopper.extra\n")
+    (checkout / "src" / "gouldhopper" / "extra.py").write_text("")
+    profile = bench_pairs.import_profile(checkout)
+    assert profile["modules_added"] == ["colorsys"]
+    readings = profile["cumulative_us"]
+    assert len(readings) == bench_pairs.IMPORT_PROFILE_RUNS and min(readings) > 0
+    assert profile["cumulative_us_median"] == statistics.median(readings)
+    # the untimed first run wrote the bytecode cache the readings use
+    assert list((checkout / "src" / "gouldhopper" / "__pycache__").glob("cli.*.pyc"))
+
+
+def test_import_profile_records_a_failed_import(tmp_path):
+    profile = bench_pairs.import_profile(_fake_cli(tmp_path, "raise ImportError('boom')\n"))
+    assert profile["correct"] is False and profile["run_failed"] == "exit status 1"
+    assert profile["stderr_tail"][-1] == "ImportError: boom"

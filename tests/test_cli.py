@@ -1260,16 +1260,22 @@ def loaded():
     return sorted(name for name in sys.modules
                   if name.partition(".")[0] in ("concurrent", "multiprocessing", "xml"))
 
+def introspection():
+    return sorted({"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(sys.modules))
+
+imported = introspection()
 codes = [run(argv)[0] for argv in json.loads(sys.argv[1])]
-before = loaded()
+before, ran = loaded(), introspection()
 code, junit = run(json.loads(sys.argv[2]))
 print(json.dumps({"codes": [*codes, code], "before": before, "after": loaded(),
-                  "junit": junit}))
+                  "junit": junit, "imported": imported, "ran": ran}))
 """
 
 
 def test_only_a_forked_pool_or_junit_loads_their_modules():
-    # compute, heat, a serial audit and JSON verify load no process-pool or XML module
+    # compute, heat, a serial audit and JSON verify load no process-pool or XML
+    # module; neither they nor the import of the CLI load the stdlib's
+    # introspection modules (a forked pool loads tokenize itself)
     commands = [
         ["compute", "--p", "2", "--q", "1", "--n", "4", "--m", "2", "--strategy", "all"],
         ["heat", "--p", "1", "--q", "1", "--initial", "z^2*w"],
@@ -1284,6 +1290,7 @@ def test_only_a_forked_pool_or_junit_loads_their_modules():
     result = json.loads(done.stdout)
     assert result["codes"] == [0, 0, 0, 0, 1]
     assert result["before"] == []
+    assert result["imported"] == result["ran"] == []
     assert "xml.etree.ElementTree" in result["after"]
     assert not any(name.startswith(("concurrent", "multiprocessing")) for name in result["after"])
     # the JUnit document as the writer loaded at import wrote it

@@ -1,6 +1,7 @@
 """Construction tests: five independent strategies, classical anchors."""
 
 import math
+import pickle
 import random
 import time
 from fractions import Fraction as F
@@ -51,6 +52,17 @@ def test_params_reject_negative_and_noninteger():
         FamilyParams(1, 1, 2, -3)
     with pytest.raises(InvalidParamsError, match="nonnegative integer"):
         FamilyParams(1, 1, F(1, 2), 0)
+
+
+def test_params_are_an_immutable_value():
+    params = FamilyParams(2, 1, 4, 3)
+    assert (params.p, params.q, params.n, params.m) == (2, 1, 4, 3)
+    assert params == FamilyParams(p=2, q=1, n=4, m=3) == pickle.loads(pickle.dumps(params))
+    assert hash(params) == hash(FamilyParams(2, 1, n=4, m=3))
+    assert params != FamilyParams(2, 1, 4, 2) and params != (2, 1, 4, 3)
+    with pytest.raises(AttributeError, match="immutable"):
+        params.n = 5
+    assert params.n == 4
 
 
 def test_k_max_bounds():

@@ -1,5 +1,6 @@
 """Heat-equation representation tests: exact solutions and invariants."""
 
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -52,6 +53,17 @@ def test_problem_normalizes_speed_to_fraction():
     problem = HeatProblem(1, 1, 2, Z)
     assert problem.c == F(2)
     assert isinstance(problem.c, F)
+
+
+def test_problem_is_an_immutable_value():
+    problem = HeatProblem(1, 2, 3, Z * W)
+    assert (problem.p, problem.q, problem.c, problem.initial) == (1, 2, F(3), Z * W)
+    assert problem == HeatProblem(p=1, q=2, c=F(3), initial=Z * W)
+    assert problem == pickle.loads(pickle.dumps(problem))
+    assert problem != HeatProblem(1, 2, F(3), Z) and problem != HeatProblem(1, 2, F(-3), Z * W)
+    with pytest.raises(AttributeError, match="immutable"):
+        problem.c = F(5)
+    assert problem.c == 3
 
 
 def test_solution_terms_bounds_the_solution():

@@ -1,11 +1,11 @@
 """Identity catalog tests: checkers, variant policies, grid audits."""
 
-import dataclasses
 import hashlib
 import importlib
 import inspect
 import json
 import math
+import pickle
 from concurrent.futures import Executor, Future
 from fractions import Fraction as F
 
@@ -22,6 +22,7 @@ from gouldhopper.identity import (
     MISPRINT_LEDGER,
     STATUS_FAIL,
     GridRanges,
+    IdentityReport,
     IdentityTag,
     RenderedReport,
     audit_grid,
@@ -166,6 +167,35 @@ def test_identity_rejects_a_signature_that_does_not_match_the_entry(fn, correcti
     # one that does not match the axes or the correction
     with pytest.raises(ValueError, match=f"BOGUS: .*{message}"):
         checks.identity("BOGUS", "algebraic", correction=correction)(fn)
+    assert "BOGUS" not in checks._ENTRIES
+
+
+def _checker_with_star_args(p, q, n, m, *args):
+    return Poly.zero(), Poly.zero()
+
+
+def _checker_with_star_kwargs(p, q, n, m, **kwargs):
+    return Poly.zero(), Poly.zero()
+
+
+def _checker_with_a_keyword_only_scale(p, q, n, m, *, scale=1):
+    return Poly.zero(), Poly.zero()
+
+
+def _checker_with_positional_only_keys(p, q, n, m, /):
+    return Poly.zero(), Poly.zero()
+
+
+@pytest.mark.parametrize("fn", [
+    _checker_with_star_args, _checker_with_star_kwargs, _checker_with_a_keyword_only_scale,
+    _checker_with_positional_only_keys,
+], ids=["star_args", "star_kwargs", "keyword_only", "positional_only"])
+def test_identity_refuses_a_checker_whose_keys_its_code_does_not_show(fn):
+    # each takes the axis keys p, q, n, m by position, which is all the
+    # registry reads off the code; it refuses the rest rather than register
+    # keys that run_check's keyword call would pass wrongly
+    with pytest.raises(ValueError, match="BOGUS: the checker may take only parameters"):
+        checks.identity("BOGUS", "algebraic")(fn)
     assert "BOGUS" not in checks._ENTRIES
 
 
@@ -525,7 +555,25 @@ def test_grid_ranges_derives_its_weighted_series_order(kwargs, weighted):
     # min(8, series_order), raised to the largest p + q of the grid
     ranges = GridRanges(**kwargs)
     assert ranges.weighted_series_order == weighted
-    assert dataclasses.asdict(ranges)["weighted_series_order"] == weighted
+    assert ranges.as_dict()["weighted_series_order"] == weighted
+
+
+def test_grid_ranges_is_an_immutable_value_with_its_class_defaults():
+    ranges = GridRanges(2, 3, ((1, 1),), 1, 2, 4)
+    assert ranges == GridRanges(n_max=2, m_max=3, pq_pairs=((1, 1),), aux_max=1, jk_max=2,
+                                series_order=4)
+    assert ranges == pickle.loads(pickle.dumps(ranges))
+    assert hash(ranges) == hash(GridRanges(2, 3, ((1, 1),), 1, 2, series_order=4))
+    assert ranges != GridRanges() and ranges.weighted_series_order == 4
+    with pytest.raises(AttributeError, match="immutable"):
+        ranges.n_max = 5
+    assert ranges.n_max == 2
+    # the class attributes, which the CLI's flags take as their defaults,
+    # are the fields of GridRanges(), derived ones included
+    defaults = GridRanges().as_dict()
+    assert list(defaults) == ["n_max", "m_max", "pq_pairs", "aux_max", "jk_max", "series_order",
+                              "weighted_series_order", "hyp_points", "weighted_points"]
+    assert defaults == {name: getattr(GridRanges, name) for name in defaults}
 
 
 def test_grid_ranges_refuses_a_weighted_series_order():
@@ -545,7 +593,7 @@ def test_fixed_grid_points_meet_what_the_checkers_need():
     for name in ("hyp_points", "weighted_points"):
         entries = getattr(ranges, name)
         assert entries and len(set(entries)) == len(entries)
-        assert name in dataclasses.asdict(ranges)
+        assert name in ranges.as_dict()
 
 
 @pytest.mark.parametrize("points, field", [
@@ -672,13 +720,47 @@ def test_sort_key_is_the_params_json_text():
     assert printed.sort_key()[1] == corrected.sort_key()[1] == json.dumps(
         printed.params_json(), sort_keys=True)
     # a report built without run_cell writes its own
-    report = dataclasses.replace(printed, params={**cell, "z": F(-7, 3)})
+    report = _with_params(printed, {**cell, "z": F(-7, 3)})
     assert report.sort_key()[1] == json.dumps(report.params_json(), sort_keys=True)
     assert report.sort_key() < printed.sort_key()
     assert json.loads(_report_json(report, 1)) == report.to_json_obj()
     assert json.loads(_report_json(report, 1))["params"]["z"] == "-7/3"
     with pytest.raises(TypeError, match="boolean"):
-        dataclasses.replace(reports[0], params={"n": True}).sort_key()
+        _with_params(reports[0], {"n": True}).sort_key()
+
+
+def _with_params(report, params):
+    # the report with other params, and no param entries written yet
+    return IdentityReport(report.tag, params, report.variant, report.status, report.difference,
+                          report.series_order, report.notes, report.known_misprint)
+
+
+def test_identity_report_is_a_mutable_value():
+    fields = (IdentityTag.SYMMETRY, {"p": 1}, "printed", STATUS_FAIL, Poly.variable("z"), None,
+              "a note", False)
+    report = IdentityReport(*fields)
+    assert report == IdentityReport(
+        tag=IdentityTag.SYMMETRY, params={"p": 1}, variant="printed", status=STATUS_FAIL,
+        difference=Poly.variable("z"), notes="a note")
+    # the param entries it writes on first use are not part of its value
+    assert report.param_entries() == ('"p": 1',)
+    assert report == IdentityReport(*fields) == pickle.loads(pickle.dumps(report))
+    report.known_misprint = True
+    assert report != IdentityReport(*fields)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(report)
+
+
+def test_check_spec_is_an_immutable_value():
+    spec = CHECKS[IdentityTag.SYMMETRY]
+    assert spec == checks.CheckSpec(spec.keys, spec.kind, spec.fn, spec.axes)
+    assert spec == checks.CheckSpec(keys=spec.keys, kind="algebraic", fn=spec.fn, axes=spec.axes,
+                                    needs=None, correction=None, notes=spec.notes)
+    with pytest.raises(AttributeError):
+        spec.needs = "n >= 1"
+    constrained = spec._replace(needs="n >= 1")
+    assert constrained != spec and constrained.admits({"n": 1})
+    assert not constrained.admits({"n": 0}) and spec.admits({"n": 0})
 
 
 def test_audit_misprint_accounting():
@@ -897,7 +979,7 @@ def _comb0_off_by_one(n, k):
 
 
 def _solve_with_c_negated(problem, solve=heatrep.solve):
-    return solve(dataclasses.replace(problem, c=-problem.c))
+    return solve(heatrep.HeatProblem(problem.p, problem.q, -problem.c, problem.initial))
 
 
 def _diff_drops_a_term(self, name, order=1, diff=Poly.diff):
