@@ -62,12 +62,12 @@ then exits 1, as it does when the request streams' stdout differs.
 
 The file also records, as ``src_lines``, the lines added, deleted and
 net under ``src/`` from the parent revision to the working tree, read
-off ``git diff --numstat``, and, as ``import_profile``, what ``import
-gouldhopper.cli`` costs on each side: the median, over
-``IMPORT_PROFILE_RUNS`` fresh interpreters after one untimed run that
-writes the bytecode cache, of the cumulative microseconds ``python -X
-importtime`` reports for it, and the sorted modules outside the package
-that the import adds to a bare interpreter.
+off ``git diff --numstat``, in all and per file under ``by_file``, and,
+as ``import_profile``, what ``import gouldhopper.cli`` costs on each
+side: the median, over ``IMPORT_PROFILE_RUNS`` fresh interpreters after
+one untimed run that writes the bytecode cache, of the cumulative
+microseconds ``python -X importtime`` reports for it, and the sorted
+modules outside the package that the import adds to a bare interpreter.
 """
 
 from __future__ import annotations
@@ -354,14 +354,17 @@ def import_profile(checkout: Path) -> dict:
 
 
 def src_lines(numstat: str) -> dict:
-    """{added, deleted, net} summed over the lines of `git diff --numstat`;
-    a binary file's ``-`` counts as 0."""
-    added = deleted = 0
+    """{added, deleted, net} summed over the lines of `git diff --numstat`,
+    and under ``by_file`` the same three per path; a binary file's ``-``
+    counts as 0."""
+    by_file = {}
     for line in numstat.splitlines():
-        plus, minus, _ = line.split("\t", 2)
-        added += int(plus) if plus != "-" else 0
-        deleted += int(minus) if minus != "-" else 0
-    return {"added": added, "deleted": deleted, "net": added - deleted}
+        plus, minus, path = line.split("\t", 2)
+        added, deleted = (int(n) if n != "-" else 0 for n in (plus, minus))
+        by_file[path] = {"added": added, "deleted": deleted, "net": added - deleted}
+    added = sum(lines["added"] for lines in by_file.values())
+    deleted = sum(lines["deleted"] for lines in by_file.values())
+    return {"added": added, "deleted": deleted, "net": added - deleted, "by_file": by_file}
 
 
 def _run(argv: list[str], checkout: Path) -> subprocess.CompletedProcess | dict:

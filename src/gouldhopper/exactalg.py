@@ -51,6 +51,16 @@ as a reduced numerator and denominator with the unpacked exponent tuple,
 in canonical order.  Every serialization reads that one term list, so it
 depends only on the polynomial, never on how it was computed.
 
+**Sums and products.**  Every sum and product of polynomials is formed
+in one accumulator, ``_Sum`` (a substitution of one-term replacements
+forms none: it maps keys): numerators over the lcm of the denominators
+added so far, reduced once when the sum is read.  ``_Sum.add`` adds one
+polynomial, shifted by a key and scaled, as ``+``, ``-``, a scalar ``*``
+and the series kernel do.  ``_Sum.add_product`` adds a product of
+several, as ``*``, :meth:`Poly.lincomb` and :meth:`Poly.subst` do (a
+term's image is the powers of its replacements shifted by the key it
+keeps), and checks its degree, read off the keys, before any numerator.
+
 **Series kernel.**  :func:`series_exp` never multiplies two series.
 With the Euler operator theta = u d/du, the series E = exp(A) solves
 theta E = (theta A) E.  Comparing coefficients gives each coefficient of
@@ -156,6 +166,13 @@ def check_degree(degree: int) -> None:
         )
 
 
+def _check_int(value: object, what: str) -> None:
+    # exponents and orders are exact like coefficients: a float or Fraction
+    # would make a key that is not an int
+    if not isinstance(value, int):
+        raise TypeError(f"{what} must be an int, got {type(value).__name__}")
+
+
 def quoted(text: str) -> str:
     """repr(text) for an error message; past 40 characters, its first 40 and its length."""
     return repr(text) if len(text) <= 40 else f"{text[:40]!r}… ({len(text)} characters)"
@@ -169,6 +186,7 @@ def monomial_key(exps: Mapping[str, int]) -> int:
     """
     key = total = 0
     for name, e in exps.items():
+        _check_int(e, f"exponent for {name}")
         if e < 0:
             raise ValueError(f"negative exponent for {name}")
         key += e * _UNIT[_var_index(name)]
@@ -203,43 +221,33 @@ def _reduced(num: dict[int, int], den: int) -> "Poly":
     return Poly(num, den)
 
 
-def _add(a: "Poly", b: "Poly", sign: int) -> "Poly":
-    """a + sign * b."""
-    if not b._num:
-        return a
-    da, db = a._den, b._den
-    if da == db:
-        den, scale = da, sign
-        out = dict(a._num)
+def _plus(a: "Poly", b: object, sign: int) -> "Poly":
+    """a + sign * b, b a Poly or an exact scalar; NotImplemented for anything else."""
+    total = _Sum(a)
+    if isinstance(b, Poly):
+        total.add(b, 0, sign)
+    elif isinstance(b, (int, Fraction)):
+        total.add(Poly.one(), 0, sign * b.numerator, b.denominator)
     else:
-        den = da // math.gcd(da, db) * db
-        scale = sign * (den // db)
-        up = den // da
-        out = {k: c * up for k, c in a._num.items()}
-    get = out.get
-    for k, c in b._num.items():
-        s = get(k, 0) + c * scale
-        if s:
-            out[k] = s
-        else:
-            del out[k]
-    return _reduced(out, den)
+        return NotImplemented
+    return total.poly()
 
 
 class _Sum:
     """A running sum of polynomials, accumulated in place in one dict.
 
-    The engine behind :meth:`Poly.lincomb` and the kernel's own sums; adding
-    to it never copies what it holds, unlike ``total = total + p``.
+    Every sum and product of the kernel is formed in one; adding to it
+    never copies what it holds, unlike ``total = total + p``.
     Its numerators sit over ``den``, the lcm of the denominators added so
     far; zeros are dropped only once, in :meth:`poly`.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self):
-        self.num: dict[int, int] = {}
-        self.den = 1
+    def __init__(self, start: "Poly | None" = None):
+        # zero, or `start` with its numerators copied
+        self.num: dict[int, int] = {} if start is None else dict(start._num)
+        self.den = 1 if start is None else start._den
 
     def _scale_for(self, den: int) -> int:
         # Bring the sum over a common denominator with `den`; return the
@@ -257,18 +265,29 @@ class _Sum:
         scale = self._scale_for(poly._den * den) * factor
         num = self.num
         get = num.get
+        if not shift:
+            # the sum shares `poly`'s key objects: no copies, and lookups by identity
+            for k, c in poly._num.items():
+                num[k] = get(k, 0) + c * scale
+            return
         for k, c in poly._num.items():
             k += shift
             num[k] = get(k, 0) + c * scale
 
-    def add_product(self, factors: Sequence["Poly"], num: int = 1, den: int = 1) -> None:
-        """Add ``num/den * prod(factors)`` without building the product on its own."""
-        if not num or not all(f._num for f in factors):
+    def add_product(self, factors: Sequence["Poly"], num: int = 1, den: int = 1,
+                    shift: int = 0) -> None:
+        """Add ``num/den * x^shift * prod(factors)``, `shift` a packed key, without building the
+        product; one pass reads the factors' keys, so the degree is checked before any numerator."""
+        if not num:
             return
-        check_degree(sum(_top_degree(f._num) for f in factors))
+        degree = shift >> _DEG_SHIFT
         for f in factors:
+            if not f._num:
+                return
+            degree += _top_degree(f._num)
             den *= f._den
-        rows = [(0, self._scale_for(den) * num)]
+        check_degree(degree)
+        rows = [(shift, self._scale_for(den) * num)]
         factors = factors or (Poly.one(),)
         # multiply (key, numerator) rows by each factor, by the last one into the sum
         for i, f in enumerate(factors, 1):
@@ -281,14 +300,9 @@ class _Sum:
                     out[k] = get(k, 0) + c1 * c2
             rows = out.items()
 
-    def add_term(self, key: int, num: int, den: int = 1) -> None:
-        """Add the single term ``num/den * x^key``."""
-        scale = self._scale_for(den)
-        self.num[key] = self.num.get(key, 0) + num * scale
-
     def poly(self, den: int = 1) -> "Poly":
-        """The sum divided by `den`, as a reduced Poly."""
-        return _reduced({k: c for k, c in self.num.items() if c}, self.den * den)
+        """The sum divided by `den`, as a reduced Poly; it ends the sum."""
+        return Poly.from_numerators(self.num, self.den * den)
 
 
 def _render(terms: Sequence[tuple[str, str, str]], fraction: str, times: str) -> str:
@@ -500,6 +514,7 @@ class Poly:
 
     def coefficient(self, name: str, power: int) -> "Poly":
         """The coefficient of name^power, itself a polynomial without `name`."""
+        _check_int(power, "power")
         idx = _var_index(name)
         shift = _SHIFT[idx]
         drop = power * _UNIT[idx]
@@ -518,11 +533,7 @@ class Poly:
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "Poly | ScalarLike") -> "Poly":
-        if not isinstance(other, Poly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = Poly.const(other)
-        return _add(self, other, 1)
+        return _plus(self, other, 1)
 
     __radd__ = __add__
 
@@ -530,47 +541,25 @@ class Poly:
         return Poly({k: -c for k, c in self._num.items()}, self._den)
 
     def __sub__(self, other: "Poly | ScalarLike") -> "Poly":
-        if not isinstance(other, Poly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = Poly.const(other)
-        return _add(self, other, -1)
+        return _plus(self, other, -1)
 
     def __rsub__(self, other: "Poly | ScalarLike") -> "Poly":
         return (-self) + other
 
     def __mul__(self, other: "Poly | ScalarLike") -> "Poly":
-        if not isinstance(other, Poly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            if not other:
-                return Poly()
-            n = other.numerator
-            return _reduced({k: v * n for k, v in self._num.items()}, self._den * other.denominator)
-        big, small = self._num, other._num
-        if len(big) < len(small):
-            big, small = small, big
-        if not small:
-            return Poly()
-        check_degree(_top_degree(big) + _top_degree(small))
-        # one row per term of the smaller factor; the first row cannot
-        # collide with itself, so it is built in one comprehension
-        rows = iter(small.items())
-        k2, c2 = next(rows)
-        out = {k1 + k2: c1 * c2 for k1, c1 in big.items()}
-        if len(small) > 1:
-            get = out.get
-            for k2, c2 in rows:
-                for k1, c1 in big.items():
-                    k = k1 + k2
-                    out[k] = get(k, 0) + c1 * c2
-            if 0 in out.values():
-                out = {k: c for k, c in out.items() if c}
-        return _reduced(out, self._den * other._den)
+        total = _Sum()
+        if isinstance(other, Poly):
+            total.add_product((self, other))
+        elif isinstance(other, (int, Fraction)):
+            total.add(self, 0, other.numerator, other.denominator)
+        else:
+            return NotImplemented
+        return total.poly()
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Poly":
+        _check_int(exponent, "exponent")
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
         if exponent and self._num:
@@ -608,6 +597,7 @@ class Poly:
 
     def diff(self, name: str, order: int = 1) -> "Poly":
         """Formal partial derivative d^order / d name^order."""
+        _check_int(order, "derivative order")
         if order < 0:
             raise ValueError("negative derivative order")
         if order == 0:
@@ -654,17 +644,12 @@ class Poly:
                     kept -= e * unit
                     degree += e * repl_degree
                     factors.append((powers, e))
-            if not factors:
-                total.add_term(kept, coeff)
-                continue
             # the term's image has exactly this degree; check it before powering
             check_degree((kept >> _DEG_SHIFT) + degree)
-            acc: Poly | None = None
             for powers, e in factors:
                 while len(powers) <= e:
                     powers.append(powers[-1] * powers[1])
-                acc = powers[e] if acc is None else acc * powers[e]
-            total.add(acc, kept, coeff)
+            total.add_product([powers[e] for powers, e in factors], coeff, shift=kept)
         return total.poly(self._den)
 
     def _subst_monomials(self, repls: Mapping[int, "Poly"]) -> "Poly":

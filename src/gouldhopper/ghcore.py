@@ -73,9 +73,7 @@ class FamilyParams:
 
     def __init__(self, p: int, q: int, n: int, m: int) -> None:
         check_orders(p, q)
-        for field, value in (("n", n), ("m", m)):
-            if not isinstance(value, int) or value < 0:
-                raise InvalidParamsError(f"{field} must be a nonnegative integer, got {value!r}")
+        check_counts(n=n, m=m)
         vars(self).update(p=p, q=q, n=n, m=m)
 
     def __setattr__(self, name: str, value) -> None:
@@ -93,15 +91,22 @@ class FamilyParams:
         return k_max(self.p, self.q, self.n, self.m)
 
 
+def check_counts(**values: object) -> None:
+    """Refuse, with InvalidParamsError naming it, any of `values` that is not
+    a nonnegative int.  The type must be int itself: a bool is an int to
+    Python, but never an index or an order."""
+    for name, value in values.items():
+        if type(value) is not int or value < 0:
+            raise InvalidParamsError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
 def check_orders(p: int, q: int) -> None:
     """Refuse, with InvalidParamsError, derivative orders outside the family.
 
     p and q are nonnegative integers, not both zero, and p + q is at most
     the kernel's MAX_DEGREE, the degree of the monomial g u^p v^q.
     """
-    for name, value in (("p", p), ("q", q)):
-        if not isinstance(value, int) or value < 0:
-            raise InvalidParamsError(f"{name} must be a nonnegative integer, got {value!r}")
+    check_counts(p=p, q=q)
     if p == 0 and q == 0:
         raise InvalidParamsError("p and q cannot both be zero: need p + q >= 1")
     try:

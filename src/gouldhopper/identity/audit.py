@@ -15,7 +15,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ..exactalg import Poly
-from ..ghcore import InvalidParamsError, check_orders
+from ..ghcore import InvalidParamsError, check_counts, check_orders
 from ..heatrep import property_suite
 from .checks import CHECKS, MISPRINT_LEDGER, IdentityTag, run_check
 
@@ -73,11 +73,11 @@ class GridRanges:
                  jk_max: int = jk_max, series_order: int = series_order) -> None:
         vars(self).update(n_max=n_max, m_max=m_max, pq_pairs=pq_pairs, aux_max=aux_max,
                           jk_max=jk_max, series_order=series_order)
-        for name in ("n_max", "m_max", "aux_max", "jk_max"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
-                raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-        if not self.pq_pairs:
+        check_counts(n_max=n_max, m_max=m_max, aux_max=aux_max, jk_max=jk_max)
+        if not (isinstance(pq_pairs, tuple)
+                and all(isinstance(pair, tuple) and len(pair) == 2 for pair in pq_pairs)):
+            raise ValueError("pq_pairs must be a tuple of (p, q) tuples")
+        if not pq_pairs:
             raise ValueError("pq_pairs must be nonempty")
         for pair in self.pq_pairs:
             p, q = pair
@@ -86,7 +86,7 @@ class GridRanges:
             except InvalidParamsError as exc:
                 raise ValueError(f"invalid derivative orders {pair!r}: {exc}") from None
         top = max(p + q for p, q in self.pq_pairs)
-        if not isinstance(self.series_order, int) or self.series_order < top:
+        if type(series_order) is not int or series_order < top:
             raise ValueError(f"series_order must be an integer >= {top} "
                              "for these derivative orders")
         # GEN_POCHHAMMER_S's order: series_order capped by the default, but >= top

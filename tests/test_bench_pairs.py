@@ -371,8 +371,15 @@ def test_src_lines_sums_numstat():
     numstat = ("3\t23\tsrc/gouldhopper/ghcore.py\n"
                "13\t16\tsrc/gouldhopper/identity/checks.py\n"
                "-\t-\tsrc/gouldhopper/logo.png\n")
-    assert bench_pairs.src_lines(numstat) == {"added": 16, "deleted": 39, "net": -23}
-    assert bench_pairs.src_lines("") == {"added": 0, "deleted": 0, "net": 0}
+    assert bench_pairs.src_lines(numstat) == {
+        "added": 16, "deleted": 39, "net": -23,
+        "by_file": {
+            "src/gouldhopper/ghcore.py": {"added": 3, "deleted": 23, "net": -20},
+            "src/gouldhopper/identity/checks.py": {"added": 13, "deleted": 16, "net": -3},
+            "src/gouldhopper/logo.png": {"added": 0, "deleted": 0, "net": 0},
+        },
+    }
+    assert bench_pairs.src_lines("") == {"added": 0, "deleted": 0, "net": 0, "by_file": {}}
 
 
 def test_import_cumulative_us_reads_the_modules_line():

@@ -103,6 +103,19 @@ def test_monomial_rejects_negative_exponent():
         Poly.monomial({"z": -1})
 
 
+@pytest.mark.parametrize("value", [2.0, F(2), F(1, 2)], ids=["float", "whole_fraction", "fraction"])
+@pytest.mark.parametrize("call, argument", [
+    (lambda e: Poly.monomial({"z": e}), "exponent for z"),
+    (lambda e: Z ** e, "exponent"),
+    (lambda e: Z.diff("z", e), "derivative order"),
+    (lambda e: (Z ** 2).coefficient("z", e), "power"),
+], ids=["monomial", "pow", "diff", "coefficient"])
+def test_exponents_and_orders_must_be_ints(call, argument, value):
+    # an exponent or order is exact like a coefficient, even when it is whole
+    with pytest.raises(TypeError, match=f"^{argument} must be an int, got {type(value).__name__}$"):
+        call(value)
+
+
 def test_degree_and_variables():
     p = Z * Z * W + 2 * G
     assert p.total_degree() == 3
@@ -475,6 +488,17 @@ def test_lincomb_and_power_check_the_degree_before_any_arithmetic():
     top = Poly(_Unread(Poly.monomial({"v": MAX_DEGREE}, F(2, 3))._num), 3)
     with pytest.raises(ValueError, match=f"total degree {MAX_DEGREE + 1} exceeds"):
         Poly.lincomb([(1, Z), (2, top, Z)])
+    with pytest.raises(ValueError, match=f"total degree {MAX_DEGREE + 1} exceeds"):
+        top * Z
+    with pytest.raises(ValueError, match=f"total degree {MAX_DEGREE + 1} exceeds"):
+        Z * top
+    # a replacement of several terms: the image of z w, and of z^2, is
+    # refused before the replacement's terms are read or powered
+    wide = Poly(_Unread({monomial_key({"v": MAX_DEGREE}): 2, monomial_key({"t": 1}): 1}), 3)
+    with pytest.raises(ValueError, match=f"total degree {MAX_DEGREE + 1} exceeds"):
+        (Z * W).subst({"z": wide})
+    with pytest.raises(ValueError, match=f"total degree {2 * MAX_DEGREE} exceeds"):
+        (Z ** 2).subst({"z": wide})
     with pytest.raises(ValueError, match=f"MAX_DEGREE = {MAX_DEGREE}"):
         top ** 2
     # a single term raised this far would not finish if it were computed

@@ -52,6 +52,11 @@ def test_params_reject_negative_and_noninteger():
         FamilyParams(1, 1, 2, -3)
     with pytest.raises(InvalidParamsError, match="nonnegative integer"):
         FamilyParams(1, 1, F(1, 2), 0)
+    # a bool is an int to Python, but never an index or an order
+    with pytest.raises(InvalidParamsError, match="^p must be a nonnegative integer, got True$"):
+        FamilyParams(True, 0, 0, 0)
+    with pytest.raises(InvalidParamsError, match="^m must be a nonnegative integer, got False$"):
+        FamilyParams(1, 1, 2, False)
 
 
 def test_params_are_an_immutable_value():

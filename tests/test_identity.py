@@ -542,6 +542,17 @@ def test_grid_ranges_validation():
     with pytest.raises(ValueError, match=r"invalid derivative orders \(70000, 1\): total degree "
                                          r"70001 exceeds the kernel bound"):
         GridRanges(pq_pairs=((70000, 1),), series_order=70001)
+    # a bool is refused where an int is asked for, as IdentityReport refuses it
+    with pytest.raises(ValueError, match=r"invalid derivative orders \(True, 1\): p must be"):
+        GridRanges(pq_pairs=((True, 1),))
+    with pytest.raises(ValueError, match="series_order must be an integer >= 1"):
+        GridRanges(series_order=True, pq_pairs=((1, 0),))
+    with pytest.raises(ValueError, match="^jk_max must be a nonnegative integer, got False$"):
+        GridRanges(jk_max=False)
+    # pq_pairs is a tuple of pairs; the message does not echo the value
+    for pq_pairs in ([(1, 1)], ((1, 1, 1),), ((1, 1), [2, 1]), "11"):
+        with pytest.raises(ValueError, match=r"^pq_pairs must be a tuple of \(p, q\) tuples$"):
+            GridRanges(pq_pairs=pq_pairs)
 
 
 @pytest.mark.parametrize("kwargs, weighted", [
